@@ -3,9 +3,11 @@
 Exit codes: 0 success, 2 usage or schema problems, 3 the mined policy does
 not grant exactly the input authorizations.  Every flag can also be set
 through an environment variable prefixed REBAC_MINER_ (dashes become
-underscores, e.g. REBAC_MINER_MAX_ITER).  Each command that writes files
-also writes a manifest.json recording inputs, configuration, and output
-digests; outputs are byte-reproducible given the same inputs and seed.
+underscores, e.g. REBAC_MINER_MAX_ITER); switches take 1/0, true/false
+or yes/no there.  Each command that writes files also writes a
+manifest.json recording inputs, configuration, and output digests.
+Outputs are byte-reproducible given the same inputs; ``generate`` also
+takes them from ``--seed``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 import numpy
 
 import rebac_miner
-from rebac_miner import _kernels, jsonio
+from rebac_miner import jsonio
 from rebac_miner.datagen import (
     BUILTIN_SPECS,
     builtin_spec,
@@ -52,9 +54,42 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INCONSISTENT = 3
 
+ID_STRATEGIES = ("retry", "per-vector")
+SWITCH_VALUES = {
+    "1": True, "true": True, "yes": True,
+    "0": False, "false": False, "no": False,
+}
 
-def _env(flag: str, default=None):
-    return os.environ.get("REBAC_MINER_" + flag.replace("-", "_").upper(), default)
+
+class EnvError(Exception):
+    """An environment variable holds a value its flag cannot take."""
+
+
+def _one_of(*choices: str):
+    def parse(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"expected one of {'/'.join(choices)}")
+        return text
+
+    return parse
+
+
+def _switch(text: str) -> bool:
+    return SWITCH_VALUES[_one_of(*SWITCH_VALUES)(text)]
+
+
+def _env(flag: str, default=None, parse=str):
+    """The flag's REBAC_MINER_ variable passed through ``parse``, or
+    ``default`` when unset."""
+    name = "REBAC_MINER_" + flag.replace("-", "_").upper()
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise EnvError(f"{name}={text!r}: {exc}") from None
+
 
 def _input_flag(parser, name: str):
     """Required input path, satisfiable by flag or environment variable."""
@@ -81,7 +116,6 @@ class _Manifest:
                 "rebac-miner": rebac_miner.__version__,
                 "python": platform.python_version(),
                 "numpy": numpy.__version__,
-                "kernel": _kernels.IMPLEMENTATION,
             },
         }
         self._marks: dict[str, float] = {}
@@ -169,7 +203,6 @@ def _miner_config(args) -> MinerConfig:
             include_id_conditions=args.include_ids,
         ),
         learner=LearnerConfig(max_iter=args.max_iter),
-        seed=args.seed,
     )
 
 
@@ -283,11 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="generate a synthetic dataset")
     g.add_argument("--spec", default=_env("spec", "univ-mini"),
                    help=f"one of {sorted(BUILTIN_SPECS)}")
-    g.add_argument("--n", type=int, default=int(_env("n", 3)),
+    g.add_argument("--n", type=int, default=_env("n", 3, int),
                    help="size parameter: class instance counts scale with it")
-    g.add_argument("--s", type=float, default=float(_env("s", 0)),
+    g.add_argument("--s", type=float, default=_env("s", 0.0, float),
                    help="unknown-injection scaling factor")
-    g.add_argument("--seed", type=int, default=int(_env("seed", 0)))
+    g.add_argument("--seed", type=int, default=_env("seed", 0, int))
     g.add_argument("--outdir", default=_env("outdir"),
                    required=_env("outdir") is None)
     g.set_defaults(func=cmd_generate)
@@ -298,24 +331,23 @@ def build_parser() -> argparse.ArgumentParser:
     _input_flag(m, "au")
     m.add_argument("--out", "-o", default=_env("out", "policy.json"))
     m.add_argument("--no-negation", action="store_true",
-                   default=bool(_env("no_negation")),
+                   default=_env("no_negation", False, _switch),
                    help="mine negation-free rules")
-    m.add_argument("--id-strategy", choices=("retry", "per-vector"),
-                   default=_env("id_strategy", "per-vector"))
-    m.add_argument("--max-iter", type=int, default=int(_env("max_iter", 5)))
-    m.add_argument("--max-cond-len", type=int, default=int(_env("max_cond_len", 2)))
-    m.add_argument("--max-cons-len", type=int, default=int(_env("max_cons_len", 3)))
+    m.add_argument("--id-strategy", choices=ID_STRATEGIES,
+                   default=_env("id_strategy", "per-vector", _one_of(*ID_STRATEGIES)))
+    m.add_argument("--max-iter", type=int, default=_env("max_iter", 5, int))
+    m.add_argument("--max-cond-len", type=int, default=_env("max_cond_len", 2, int))
+    m.add_argument("--max-cons-len", type=int, default=_env("max_cons_len", 3, int))
     m.add_argument("--include-ids", action="store_true",
-                   default=bool(_env("include_ids")),
+                   default=_env("include_ids", False, _switch),
                    help="allow identity conditions from the start")
     m.add_argument("--naive-unknown-as-false", action="store_true",
-                   default=bool(_env("naive_unknown_as_false")),
+                   default=_env("naive_unknown_as_false", False, _switch),
                    help="diagnostic: coerce unknown cells to F before learning")
     m.add_argument("--dump-datasets", metavar="DIR",
                    default=_env("dump_datasets"),
                    help="write each task's labeled feature vectors as CSV")
-    m.add_argument("--jobs", type=int, default=int(_env("jobs", 1)))
-    m.add_argument("--seed", type=int, default=int(_env("seed", 0)))
+    m.add_argument("--jobs", type=int, default=_env("jobs", 1, int))
     m.set_defaults(func=cmd_mine)
 
     e = sub.add_parser("eval", help="score a mined policy against a reference")
@@ -331,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="learn a DNF formula from a CSV of T/F/U cells with a label column",
     )
     lf.add_argument("dataset")
-    lf.add_argument("--max-iter", type=int, default=int(_env("max_iter", 5)))
+    lf.add_argument("--max-iter", type=int, default=_env("max_iter", 5, int))
     lf.add_argument("--dump-tree", action="store_true",
                     help="print the decision tree for the full dataset")
     lf.add_argument("--out", "-o", help="also write the formula as JSON")
@@ -341,11 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (SchemaError, ModelError) as exc:
+    except (EnvError, SchemaError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MinerError as exc:

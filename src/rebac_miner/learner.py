@@ -40,8 +40,6 @@ log = logging.getLogger(__name__)
 
 T = TruthValue.T
 
-REPLACEMENT_ORDERS = ("positive-first",)
-
 
 class IdStrategy(enum.Enum):
     """How identity conditions enter when ordinary features do not suffice."""
@@ -53,14 +51,10 @@ class IdStrategy(enum.Enum):
 @dataclass(frozen=True)
 class LearnerConfig:
     max_iter: int = 5
-    id_fallback: IdStrategy = IdStrategy.PER_VECTOR_ID_CONJUNCTION
-    replacement_order: str = "positive-first"
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.replacement_order not in REPLACEMENT_ORDERS:
-            raise ValueError(f"unknown replacement order: {self.replacement_order!r}")
 
 
 @dataclass(frozen=True)
@@ -118,13 +112,12 @@ def _replacement_literals(
     original: Conjunction,
     features: tuple[FeatureId, ...],
     hidden: frozenset[FeatureId],
-    order: str,
 ) -> tuple[Literal, ...]:
     used = original.feature_indices()
     free = [f for f in features if f.index not in used and f not in hidden]
     literals = [Literal(f, Polarity.POSITIVE) for f in free]
     literals += [Literal(f, Polarity.NEGATIVE) for f in free]
-    # "positive-first": positive polarity, then ascending cost, then index.
+    # Positive polarity first, then ascending cost, then index.
     literals.sort(key=lambda l: (l.polarity.value, l.feature.cost, l.feature.index))
     return tuple(literals)
 
@@ -134,7 +127,6 @@ def eliminate_unknown_literal(
     dataset: LabeledDataset,
     batch: Iterable[Conjunction],
     working: LabeledDataset,
-    config: LearnerConfig = LearnerConfig(),
     hidden: frozenset[FeatureId] = frozenset(),
 ) -> Union[Conjunction, FailedFeatures]:
     """Scrub is-unknown literals out of one conjunction.
@@ -149,9 +141,7 @@ def eliminate_unknown_literal(
     """
     batch = tuple(batch)
     current = conjunction
-    candidates = _replacement_literals(
-        conjunction, dataset.features, hidden, config.replacement_order
-    )
+    candidates = _replacement_literals(conjunction, dataset.features, hidden)
     for unknown_lit in conjunction.unknown_literals():
         attempt = current.without(unknown_lit)
         if _conj_valid(attempt, dataset):
@@ -225,7 +215,7 @@ def learn_formula(
         for conjunction in pending:
             del batch[conjunction.sort_key]
             outcome = eliminate_unknown_literal(
-                conjunction, dataset, batch.values(), working, config, hidden
+                conjunction, dataset, batch.values(), working, hidden
             )
             if isinstance(outcome, FailedFeatures):
                 blacklist.update(outcome.features)

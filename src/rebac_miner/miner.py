@@ -75,14 +75,6 @@ class MinerConfig:
     id_strategy: IdStrategy = IdStrategy.PER_VECTOR_ID_CONJUNCTION
     limits: ExtractionLimits = ExtractionLimits()
     learner: LearnerConfig = LearnerConfig()
-    seed: int = 0
-
-    def __post_init__(self):
-        # id_strategy is authoritative; keep the learner config in step.
-        if self.learner.id_fallback is not self.id_strategy:
-            object.__setattr__(
-                self, "learner", replace(self.learner, id_fallback=self.id_strategy)
-            )
 
 
 @dataclass(frozen=True)
@@ -458,8 +450,9 @@ def merge_and_simplify(
     to actions, merging rules identical up to one condition's constant
     set, dropping rules whose grants other rules already cover, greedily
     dropping atomics that validity allows, and swapping constraints for
-    strictly cheaper conditions of identical effect.  Policy meaning and
-    the non-increase of structural complexity are enforced per commit.
+    strictly cheaper conditions of identical effect.  Each commit is
+    checked only for an unchanged policy meaning; nothing checks that
+    structural complexity does not grow.
     """
     ctx = _Phase2(acl, limits, observer)
     current = list(sort_rules(rules))

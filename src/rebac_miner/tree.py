@@ -23,6 +23,7 @@ from rebac_miner.tvl import (
     Literal,
     Polarity,
     TruthValue,
+    rows_to_arrays,
 )
 
 GAIN_TIE_TOLERANCE = 1e-12
@@ -51,24 +52,18 @@ class Internal:
 DecisionTree = Union[Leaf, Internal]
 
 
-def _rows_to_arrays(rows: Sequence[LabeledRow]):
-    cells = np.empty((len(rows), len(rows[0].vector) if rows else 0), dtype=np.uint8)
-    labels = np.empty(len(rows), dtype=np.uint8)
-    for i, row in enumerate(rows):
-        cells[i, :] = row.vector.values
-        labels[i] = row.label
-    return cells, labels
+def _gains(rows: Sequence[LabeledRow], candidates: Sequence[FeatureId]) -> np.ndarray:
+    cells, labels = rows_to_arrays(rows, len(rows[0].vector) if rows else 0)
+    return _kernels.split_gains(
+        cells, labels, np.arange(len(rows)), np.array([f.index for f in candidates])
+    )
 
 
 def information_gain(rows: Sequence[LabeledRow], feature: FeatureId) -> float:
     """Entropy of the labels minus the split remainder for ``feature``."""
     if not rows:
         raise ValueError("information gain needs at least one row")
-    cells, labels = _rows_to_arrays(rows)
-    gains = _kernels.split_gains(
-        cells, labels, np.arange(len(rows)), np.array([feature.index])
-    )
-    return float(gains[0])
+    return float(_gains(rows, (feature,))[0])
 
 
 def _pick(candidates: Sequence[FeatureId], gains: np.ndarray) -> FeatureId:
@@ -86,11 +81,7 @@ def choose_split(
     candidates = tuple(candidates)
     if not candidates:
         raise ValueError("no candidate features")
-    cells, labels = _rows_to_arrays(rows)
-    gains = _kernels.split_gains(
-        cells, labels, np.arange(len(rows)), np.array([f.index for f in candidates])
-    )
-    return _pick(candidates, gains)
+    return _pick(candidates, _gains(rows, candidates))
 
 
 def build_tree(

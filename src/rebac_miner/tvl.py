@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
+
+import numpy as np
 
 
 class TruthValue(enum.IntEnum):
@@ -115,15 +117,8 @@ class LabeledDataset:
                 raise ValueError(f"row {i} has width {len(row.vector)}, expected {width}")
 
     def to_arrays(self):
-        """Cells and labels as uint8 arrays for the split-scoring kernel."""
-        import numpy as np
-
-        cells = np.empty((len(self.rows), len(self.features)), dtype=np.uint8)
-        labels = np.empty(len(self.rows), dtype=np.uint8)
-        for i, row in enumerate(self.rows):
-            cells[i, :] = row.vector.values
-            labels[i] = row.label
-        return cells, labels
+        """Cells and labels as uint8 arrays for split scoring."""
+        return rows_to_arrays(self.rows, len(self.features))
 
     def map_cells(self, fn: Callable[[TruthValue], TruthValue]) -> "LabeledDataset":
         """New dataset with every cell (not label) passed through ``fn``."""
@@ -133,6 +128,17 @@ class LabeledDataset:
             for r in self.rows
         )
         return LabeledDataset(self.features, rows)
+
+
+def rows_to_arrays(rows: Sequence[LabeledRow], width: int):
+    """Cells as an (n_rows, width) uint8 matrix of truth-value codes, and
+    labels as a uint8 vector, for split scoring."""
+    cells = np.empty((len(rows), width), dtype=np.uint8)
+    labels = np.empty(len(rows), dtype=np.uint8)
+    for i, row in enumerate(rows):
+        cells[i, :] = row.vector.values
+        labels[i] = row.label
+    return cells, labels
 
 
 def check_monotonic(

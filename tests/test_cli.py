@@ -213,5 +213,41 @@ class TestManifest:
         assert manifest["command"] == "mine"
         assert len(manifest["inputs"]) == 3
         assert str(out) in manifest["outputs"]
-        assert manifest["versions"]["kernel"] in ("cython", "python")
         assert "mine" in manifest["timingSeconds"]
+
+
+class TestEnvironment:
+    def test_switch_words(self, tmp_path, monkeypatch):
+        # The naive mode is inconsistent on the running example (exit 3),
+        # so exit 0 shows the variable left it off.
+        for text, code in (("1", 3), ("true", 3), ("yes", 3),
+                           ("0", 0), ("false", 0), ("no", 0)):
+            monkeypatch.setenv("REBAC_MINER_NAIVE_UNKNOWN_AS_FALSE", text)
+            out = tmp_path / f"{text}.json"
+            assert main(["mine", *fixture_args(), "-o", str(out)]) == code, text
+
+    def test_switches_reject_other_text(self, tmp_path, monkeypatch, capsys):
+        for name in ("NO_NEGATION", "INCLUDE_IDS", "NAIVE_UNKNOWN_AS_FALSE"):
+            monkeypatch.setenv(f"REBAC_MINER_{name}", "off")
+            assert main(["mine", *fixture_args(), "-o", str(tmp_path / "p.json")]) == 2
+            assert f"REBAC_MINER_{name}" in capsys.readouterr().err
+            monkeypatch.delenv(f"REBAC_MINER_{name}")
+
+    def test_non_numeric_value_exits_2(self, tmp_path, monkeypatch, capsys):
+        for name in ("MAX_ITER", "N", "S", "SEED", "JOBS", "MAX_COND_LEN", "MAX_CONS_LEN"):
+            monkeypatch.setenv(f"REBAC_MINER_{name}", "abc")
+            assert main(["mine", *fixture_args(), "-o", str(tmp_path / "p.json")]) == 2
+            assert f"REBAC_MINER_{name}" in capsys.readouterr().err
+            monkeypatch.delenv(f"REBAC_MINER_{name}")
+
+    def test_numeric_value_applies(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REBAC_MINER_MAX_ITER", "3")
+        out = tmp_path / "policy.json"
+        assert main(["mine", *fixture_args(), "-o", str(out)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["arguments"]["max_iter"] == 3
+
+    def test_unknown_id_strategy_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("REBAC_MINER_ID_STRATEGY", "sometimes")
+        assert main(["mine", *fixture_args(), "-o", str(tmp_path / "p.json")]) == 2
+        assert "REBAC_MINER_ID_STRATEGY" in capsys.readouterr().err

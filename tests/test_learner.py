@@ -53,10 +53,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             LearnerConfig(max_iter=0)
 
-    def test_replacement_order_validated(self):
-        with pytest.raises(ValueError):
-            LearnerConfig(replacement_order="surprise-me")
-
 
 class TestDefaultCoverConjunction:
     def test_direct(self):

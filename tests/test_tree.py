@@ -1,12 +1,13 @@
 import collections
 import math
-import os
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rebac_miner import _split_scores_py
+from rebac_miner import _kernels
 from rebac_miner.tree import (
     Internal,
     Leaf,
@@ -92,30 +93,57 @@ class TestInformationGain:
                 assert gain == pytest.approx(oracle_gain(ds.rows, f), abs=1e-9)
 
 
-class TestKernelAgreement:
-    def test_compiled_and_pure_agree(self):
-        from rebac_miner import _kernels
+@st.composite
+def split_problems(draw):
+    """A random cell matrix with labels, plus row and candidate subsets
+    (either may be empty) in arbitrary order."""
+    n_rows = draw(st.integers(0, 30))
+    n_feat = draw(st.integers(1, 6))
+    codes = st.sampled_from((0, 1, 2))
+    cells = draw(st.lists(st.lists(codes, min_size=n_feat, max_size=n_feat),
+                          min_size=n_rows, max_size=n_rows))
+    labels = draw(st.lists(codes, min_size=n_rows, max_size=n_rows))
+    rows = draw(st.lists(st.integers(0, n_rows - 1), unique=True)) if n_rows else []
+    cands = draw(st.lists(st.integers(0, n_feat - 1), unique=True))
+    return n_feat, cells, labels, rows, cands
 
+
+def check_against_oracle(n_feat, cells, labels, rows, cands):
+    features = tuple(FeatureId(i) for i in range(n_feat))
+    ds = make_dataset(
+        features,
+        tuple((None, tuple(TruthValue(c) for c in row), TruthValue(label))
+              for row, label in zip(cells, labels)),
+    )
+    got = _kernels.split_gains(
+        np.array(cells, dtype=np.uint8).reshape(len(cells), n_feat),
+        np.array(labels, dtype=np.uint8),
+        np.array(rows, dtype=np.int64),
+        np.array(cands, dtype=np.int64),
+    )
+    subset = [ds.rows[i] for i in rows]
+    want = [oracle_gain(subset, features[c]) if subset else 0.0 for c in cands]
+    assert got.shape == (len(cands),)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+class TestSplitGains:
+    @settings(max_examples=300, deadline=None)
+    @given(problem=split_problems(), chunk_cells=st.integers(1, 40))
+    def test_matches_oracle(self, problem, chunk_cells):
+        # Tiny chunks make most examples span several of them.
+        with mock.patch.object(_kernels, "CHUNK_CELLS", chunk_cells):
+            check_against_oracle(*problem)
+
+    def test_matches_oracle_across_default_chunks(self):
         rng = np.random.default_rng(9)
-        cells = rng.integers(0, 3, size=(300, 12), dtype=np.uint8)
-        labels = rng.integers(0, 3, size=300, dtype=np.uint8)
-        rows = np.sort(rng.choice(300, size=120, replace=False)).astype(np.int64)
-        cands = np.arange(12, dtype=np.int64)
-        got = _kernels.split_gains(cells, labels, rows, cands)
-        want = _split_scores_py.split_gains(cells, labels, rows, cands)
-        np.testing.assert_allclose(got, want, atol=1e-12)
-
-    def test_force_py_env(self):
-        import subprocess
-        import sys
-
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from rebac_miner import _kernels; print(_kernels.IMPLEMENTATION)"],
-            env={**os.environ, "REBAC_MINER_FORCE_PY_KERNEL": "1"},
-            capture_output=True, text=True, check=True,
-        )
-        assert out.stdout.strip() == "python"
+        n_rows, n_feat = 2500, 320
+        cells = rng.integers(0, 3, size=(n_rows, n_feat)).tolist()
+        labels = rng.integers(0, 3, size=n_rows).tolist()
+        rows = rng.choice(n_rows, size=2000, replace=False).tolist()
+        cands = rng.permutation(n_feat)[:300].tolist()
+        assert len(rows) * len(cands) > 2 * _kernels.CHUNK_CELLS
+        check_against_oracle(n_feat, cells, labels, rows, cands)
 
 
 class TestChooseSplit:

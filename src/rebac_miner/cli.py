@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 usage or schema problems, 3 the mined policy does
 not grant exactly the input authorizations.  Every flag can also be set
 through an environment variable prefixed REBAC_MINER_ (dashes become
 underscores, e.g. REBAC_MINER_MAX_ITER); switches take 1/0, true/false
-or yes/no there.  Each command that writes files also writes a
+or yes/no there.  A variable is parsed only when its subcommand runs and
+its flag is not given.  Each command that writes files also writes a
 manifest.json recording inputs, configuration, and output digests.
 Outputs are byte-reproducible given the same inputs; ``generate`` also
 takes them from ``--seed``.
@@ -89,6 +90,17 @@ def _env(flag: str, default=None, parse=str):
         return parse(text)
     except ValueError as exc:
         raise EnvError(f"{name}={text!r}: {exc}") from None
+
+
+class _EnvDefault:
+    """A flag's default: its REBAC_MINER_ variable, parsed only once the
+    flag's subcommand is chosen and the flag itself was not given."""
+
+    def __init__(self, flag: str, default=None, parse=str):
+        self.flag, self.default, self.parse = flag, default, parse
+
+    def resolve(self):
+        return _env(self.flag, self.default, self.parse)
 
 
 def _input_flag(parser, name: str):
@@ -314,13 +326,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="generate a synthetic dataset")
-    g.add_argument("--spec", default=_env("spec", "univ-mini"),
+    g.add_argument("--spec", default=_EnvDefault("spec", "univ-mini"),
                    help=f"one of {sorted(BUILTIN_SPECS)}")
-    g.add_argument("--n", type=int, default=_env("n", 3, int),
+    g.add_argument("--n", type=int, default=_EnvDefault("n", 3, int),
                    help="size parameter: class instance counts scale with it")
-    g.add_argument("--s", type=float, default=_env("s", 0.0, float),
+    g.add_argument("--s", type=float, default=_EnvDefault("s", 0.0, float),
                    help="unknown-injection scaling factor")
-    g.add_argument("--seed", type=int, default=_env("seed", 0, int))
+    g.add_argument("--seed", type=int, default=_EnvDefault("seed", 0, int))
     g.add_argument("--outdir", default=_env("outdir"),
                    required=_env("outdir") is None)
     g.set_defaults(func=cmd_generate)
@@ -329,25 +341,26 @@ def build_parser() -> argparse.ArgumentParser:
     _input_flag(m, "classmodel")
     _input_flag(m, "objectmodel")
     _input_flag(m, "au")
-    m.add_argument("--out", "-o", default=_env("out", "policy.json"))
+    m.add_argument("--out", "-o", default=_EnvDefault("out", "policy.json"))
     m.add_argument("--no-negation", action="store_true",
-                   default=_env("no_negation", False, _switch),
+                   default=_EnvDefault("no_negation", False, _switch),
                    help="mine negation-free rules")
     m.add_argument("--id-strategy", choices=ID_STRATEGIES,
-                   default=_env("id_strategy", "per-vector", _one_of(*ID_STRATEGIES)))
-    m.add_argument("--max-iter", type=int, default=_env("max_iter", 5, int))
-    m.add_argument("--max-cond-len", type=int, default=_env("max_cond_len", 2, int))
-    m.add_argument("--max-cons-len", type=int, default=_env("max_cons_len", 3, int))
+                   default=_EnvDefault("id_strategy", "per-vector",
+                                       _one_of(*ID_STRATEGIES)))
+    m.add_argument("--max-iter", type=int, default=_EnvDefault("max_iter", 5, int))
+    m.add_argument("--max-cond-len", type=int, default=_EnvDefault("max_cond_len", 2, int))
+    m.add_argument("--max-cons-len", type=int, default=_EnvDefault("max_cons_len", 3, int))
     m.add_argument("--include-ids", action="store_true",
-                   default=_env("include_ids", False, _switch),
+                   default=_EnvDefault("include_ids", False, _switch),
                    help="allow identity conditions from the start")
     m.add_argument("--naive-unknown-as-false", action="store_true",
-                   default=_env("naive_unknown_as_false", False, _switch),
+                   default=_EnvDefault("naive_unknown_as_false", False, _switch),
                    help="diagnostic: coerce unknown cells to F before learning")
     m.add_argument("--dump-datasets", metavar="DIR",
-                   default=_env("dump_datasets"),
+                   default=_EnvDefault("dump_datasets"),
                    help="write each task's labeled feature vectors as CSV")
-    m.add_argument("--jobs", type=int, default=_env("jobs", 1, int))
+    m.add_argument("--jobs", type=int, default=_EnvDefault("jobs", 1, int))
     m.set_defaults(func=cmd_mine)
 
     e = sub.add_parser("eval", help="score a mined policy against a reference")
@@ -355,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     _input_flag(e, "reference")
     _input_flag(e, "classmodel")
     _input_flag(e, "objectmodel")
-    e.add_argument("--out", "-o", default=_env("out", "report.json"))
+    e.add_argument("--out", "-o", default=_EnvDefault("out", "report.json"))
     e.set_defaults(func=cmd_eval)
 
     lf = sub.add_parser(
@@ -363,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="learn a DNF formula from a CSV of T/F/U cells with a label column",
     )
     lf.add_argument("dataset")
-    lf.add_argument("--max-iter", type=int, default=_env("max_iter", 5, int))
+    lf.add_argument("--max-iter", type=int, default=_EnvDefault("max_iter", 5, int))
     lf.add_argument("--dump-tree", action="store_true",
                     help="print the decision tree for the full dataset")
     lf.add_argument("--out", "-o", help="also write the formula as JSON")
@@ -372,9 +385,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse the command line, then fill each flag of the chosen subcommand
+    that was not given from its environment variable."""
+    args = build_parser().parse_args(argv)
+    for name, value in vars(args).items():
+        if isinstance(value, _EnvDefault):
+            setattr(args, name, value.resolve())
+    return args
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(argv)
         return args.func(args)
     except (EnvError, SchemaError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)

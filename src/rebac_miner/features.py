@@ -11,7 +11,8 @@ through tree branches.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Callable, Iterable
 
 from rebac_miner.model import (
@@ -26,10 +27,9 @@ from rebac_miner.model import (
     Multiplicity,
     ObjectModel,
     PathT,
-    SraTuple,
+    constraint_rows,
     path_type,
     tval_condition,
-    tval_constraint,
     wsc,
 )
 from rebac_miner.tvl import (
@@ -252,69 +252,89 @@ def build_dataset(
 
     Cells are the three-valued feature truths; the label is T when the
     tuple is authorized and F otherwise (never U: the authorization list
-    is complete by definition).
+    is complete by definition).  Each condition is evaluated once per
+    object and each constraint once per distinct pair of navigated values
+    (:func:`~rebac_miner.model.constraint_rows`); a row is its subject's
+    cells, its resource's cells and its constraint cells, put back into
+    table order.
     """
     cm, om = acl.class_model, acl.object_model
-    subjects = om.objects_of(subject_type)
-    resources = om.objects_of(resource_type)
+    entries = table.entries
+    payloads = {kind: [] for kind in FeatureKind}
+    for entry in entries:
+        payloads[entry.kind].append(entry.payload)
+    subject_conds = payloads[FeatureKind.SUBJECT_CONDITION]
+    resource_conds = payloads[FeatureKind.RESOURCE_CONDITION]
+    constraints = payloads[FeatureKind.CONSTRAINT]
+    # Cells are concatenated kind by kind; the k-th of them belongs to table
+    # column grouped[k], so table column i reads concatenated cell position[i].
+    grouped = sorted(range(len(entries)), key=lambda i: entries[i].kind)
+    position = [0] * len(entries)
+    for k, i in enumerate(grouped):
+        position[i] = k
+    to_table_order = _picker(position)
 
-    subject_cols = {}
-    resource_cols = {}
-    for s in subjects:
-        subject_cols[s.id] = {
-            i: tval_condition(cm, om, s.id, e.payload)
-            for i, e in enumerate(table.entries)
-            if e.kind is FeatureKind.SUBJECT_CONDITION
-        }
-    for r in resources:
-        resource_cols[r.id] = {
-            i: tval_condition(cm, om, r.id, e.payload)
-            for i, e in enumerate(table.entries)
-            if e.kind is FeatureKind.RESOURCE_CONDITION
-        }
+    resources = om.objects_of(resource_type)
+    resource_ids = [r.id for r in resources]
+    resource_cells = [
+        tuple(tval_condition(cm, om, r.id, ac) for ac in resource_conds)
+        for r in resources
+    ]
+    constraint_cells = [
+        constraint_rows(cm, om, subject_type, resource_type, con)
+        for con in constraints
+    ]
+    granted = {(t.subject, t.resource) for t in acl.au if t.action == action}
 
     rows = []
-    for s in subjects:
-        for r in resources:
-            cells = []
-            for i, entry in enumerate(table.entries):
-                if entry.kind is FeatureKind.SUBJECT_CONDITION:
-                    cells.append(subject_cols[s.id][i])
-                elif entry.kind is FeatureKind.RESOURCE_CONDITION:
-                    cells.append(resource_cols[r.id][i])
-                else:
-                    cells.append(tval_constraint(cm, om, s.id, r.id, entry.payload))
-            label = (
-                TruthValue.T
-                if SraTuple(s.id, r.id, action) in acl.au
-                else TruthValue.F
-            )
+    for i, s in enumerate(om.objects_of(subject_type)):
+        sid = s.id
+        s_cells = tuple(tval_condition(cm, om, sid, ac) for ac in subject_conds)
+        # Per resource: its id, its condition cells, then one cell per constraint.
+        per_resource = zip(
+            resource_ids,
+            resource_cells,
+            *(con_rows[index[i]] for index, con_rows in constraint_cells),
+        )
+        for rid, r_cells, *c_cells in per_resource:
+            cells = s_cells + r_cells + tuple(c_cells)
+            label = TruthValue.T if (sid, rid) in granted else TruthValue.F
             rows.append(
-                LabeledRow(FeatureVector(tuple(cells)), label, (s.id, r.id))
+                LabeledRow(FeatureVector(to_table_order(cells)), label, (sid, rid))
             )
     return LabeledDataset(table.feature_ids, tuple(rows))
+
+
+def _picker(indices) -> Callable[[tuple], tuple]:
+    """A function taking a tuple to the tuple of its items at ``indices``
+    (``operator.itemgetter`` returns a bare item for one index and takes
+    none)."""
+    if not indices:
+        return lambda values: ()
+    if len(indices) == 1:
+        (only,) = indices
+        return lambda values: (values[only],)
+    return itemgetter(*indices)
 
 
 def prune_useless(
     table: FeatureTable, dataset: LabeledDataset
 ) -> tuple[FeatureTable, LabeledDataset]:
-    """Drop features whose value is constant across all rows."""
+    """Drop features whose value is constant across all rows; the kept
+    features stay in table order."""
     if not dataset.rows:
         return table, dataset
-    keep = []
-    for i in range(len(table.entries)):
-        column = {row.vector.values[i] for row in dataset.rows}
-        if len(column) > 1:
-            keep.append(i)
+    columns = zip(*(row.vector.values for row in dataset.rows))
+    keep = [i for i, column in enumerate(columns) if len(set(column)) > 1]
     if len(keep) == len(table.entries):
         return table, dataset
-    new_table = FeatureTable.from_entries(table.entries[i] for i in keep)
+    new_table = FeatureTable(
+        tuple(table.entries[i] for i in keep),
+        tuple(replace(table.feature_ids[i], index=n) for n, i in enumerate(keep)),
+    )
+    pick = _picker(keep)
     rows = tuple(
-        LabeledRow(
-            FeatureVector(tuple(row.vector.values[i] for i in keep)),
-            row.label,
-            row.provenance,
-        )
+        LabeledRow(FeatureVector(pick(row.vector.values)), row.label, row.provenance)
         for row in dataset.rows
     )
     return new_table, LabeledDataset(new_table.feature_ids, rows)

@@ -11,7 +11,8 @@ Phase 2 optionally eliminates negated atomics (producing negation-free
 policies) and then merges and simplifies rules to a fixpoint.  Every
 phase-2 transformation is committed only if the policy's meaning is
 preserved exactly, so the mined policy keeps granting precisely the input
-authorizations.
+authorizations; merges and simplifications are also refused when they
+would raise the policy's weighted structural complexity.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from rebac_miner.model import (
     SraTuple,
     nav,
     path_type,
+    policy_wsc,
     rule_meaning,
     sort_rules,
     wsc,
@@ -429,10 +431,13 @@ class _Phase2:
         return frozenset(out)
 
     def commit(self, step: str, old_rules, new_rules) -> Optional[list[Rule]]:
-        """Accept a transformation only if the policy meaning is unchanged."""
+        """Accept a transformation only if the policy meaning is unchanged
+        and the policy's structural complexity does not grow."""
         if self.policy_meaning(new_rules) != self.policy_meaning(old_rules):
             return None
         new_rules = list(sort_rules(new_rules))
+        if policy_wsc(new_rules) > policy_wsc(old_rules):
+            return None
         if self.observer is not None:
             self.observer(step, tuple(new_rules))
         return new_rules
@@ -450,8 +455,8 @@ def merge_and_simplify(
     to actions, merging rules identical up to one condition's constant
     set, dropping rules whose grants other rules already cover, greedily
     dropping atomics that validity allows, and swapping constraints for
-    strictly cheaper conditions of identical effect.  Each commit is
-    checked only for an unchanged policy meaning; nothing checks that
+    strictly cheaper conditions of identical effect.  A commit is accepted
+    only when the policy meaning is unchanged and the policy's weighted
     structural complexity does not grow.
     """
     ctx = _Phase2(acl, limits, observer)

@@ -141,7 +141,16 @@ class ObjectInstance:
 class ObjectModel:
     """A set of objects with globally unique ids.
 
-    Immutable after construction; navigation results are memoized.
+    Immutable after construction.  Three results are memoized on the model
+    for the class model it is used with: navigation values per (object,
+    path); per (class, atomic condition), the bitset of the class's objects
+    (bits in ``objects_of`` order) for which the condition is exactly T; and
+    per (subject class, resource class, atomic constraint), the bitset of
+    pairs (bit ``i*|R| + j`` for the i-th subject and j-th resource) for
+    which the constraint is exactly T.  Caching is safe because objects and
+    field values never change after construction and each memo depends only
+    on them, the class model and its key; one object model must therefore
+    not be evaluated against two different class models.
     """
 
     def __init__(self, objects: Iterable[ObjectInstance]):
@@ -157,6 +166,8 @@ class ObjectModel:
             for cls, objs in by_type.items()
         }
         self._nav_cache: dict[tuple[str, PathT], Value] = {}
+        self._condition_masks: dict[tuple[str, AtomicCondition], int] = {}
+        self._constraint_masks: dict[tuple[str, str, AtomicConstraint], int] = {}
 
     def __iter__(self):
         return iter(self.objects())
@@ -545,8 +556,39 @@ def tval_constraint(
     cm: ClassModel, om: ObjectModel, s_oid: str, r_oid: str, con: AtomicConstraint
 ) -> TruthValue:
     """Three-valued truth of an atomic constraint for a subject/resource pair."""
-    v1 = nav(cm, om, s_oid, con.path1)
-    v2 = nav(cm, om, r_oid, con.path2)
+    return _constraint_truth(
+        con, nav(cm, om, s_oid, con.path1), nav(cm, om, r_oid, con.path2)
+    )
+
+
+def constraint_rows(
+    cm: ClassModel, om: ObjectModel, s_cls: str, r_cls: str, con: AtomicConstraint
+) -> tuple[list[int], list[tuple[TruthValue, ...]]]:
+    """Truth of ``con`` for every subject/resource pair of two classes.
+
+    Returns ``(index, rows)``: the i-th subject of ``s_cls`` (in
+    ``objects_of`` order) has the row ``rows[index[i]]``, which holds one
+    truth value per resource of ``r_cls``.  Subjects whose ``path1``
+    navigates to equal values share a row, so the constraint is evaluated
+    once per distinct subject-side value and resource, with the same
+    evaluator as :func:`tval_constraint`.
+    """
+    r_values = [nav(cm, om, r.id, con.path2) for r in om.objects_of(r_cls)]
+    row_of: dict = {}
+    index: list[int] = []
+    rows: list[tuple[TruthValue, ...]] = []
+    for s in om.objects_of(s_cls):
+        v1 = nav(cm, om, s.id, con.path1)
+        k = row_of.get(v1)
+        if k is None:
+            k = row_of[v1] = len(rows)
+            rows.append(tuple(_constraint_truth(con, v1, v2) for v2 in r_values))
+        index.append(k)
+    return index, rows
+
+
+def _constraint_truth(con: AtomicConstraint, v1: Value, v2: Value) -> TruthValue:
+    """Truth of ``con`` given its navigated subject- and resource-side values."""
     base = _constraint_base(con.op, v1, v2)
     if not con.negated:
         return base
@@ -591,22 +633,89 @@ def satisfies(cm: ClassModel, om: ObjectModel, t: SraTuple, rule: Rule) -> bool:
     )
 
 
+def _bit_indices(mask: int) -> list[int]:
+    """Positions of the set bits of a non-negative int, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _condition_mask(
+    cm: ClassModel, om: ObjectModel, cls: str, ac: AtomicCondition
+) -> int:
+    """Bitset of the objects of ``cls`` (in ``objects_of`` order) for which
+    ``ac`` is exactly T; memoized on the object model."""
+    key = (cls, ac)
+    try:
+        return om._condition_masks[key]
+    except KeyError:
+        pass
+    mask = 0
+    for i, obj in enumerate(om.objects_of(cls)):
+        if tval_condition(cm, om, obj.id, ac) is T:
+            mask |= 1 << i
+    om._condition_masks[key] = mask
+    return mask
+
+
+def _constraint_mask(
+    cm: ClassModel, om: ObjectModel, s_cls: str, r_cls: str, con: AtomicConstraint
+) -> int:
+    """Bitset of the subject/resource pairs for which ``con`` is exactly T:
+    bit ``i*|R| + j`` stands for the i-th subject of ``s_cls`` and the j-th
+    resource of ``r_cls``.  Memoized on the object model."""
+    key = (s_cls, r_cls, con)
+    try:
+        return om._constraint_masks[key]
+    except KeyError:
+        pass
+    index, rows = constraint_rows(cm, om, s_cls, r_cls, con)
+    row_masks = [sum(1 << j for j, tv in enumerate(row) if tv is T) for row in rows]
+    width = len(om.objects_of(r_cls))
+    mask = 0
+    for i, k in enumerate(index):
+        mask |= row_masks[k] << (i * width)
+    om._constraint_masks[key] = mask
+    return mask
+
+
 def rule_meaning(cm: ClassModel, om: ObjectModel, rule: Rule) -> frozenset[SraTuple]:
+    """The authorizations ``rule`` grants: every typed subject/resource pair
+    on which all its atomics are exactly T, with each of its actions.
+
+    Computed as an AND of per-atomic T-bitsets (:func:`_condition_mask`,
+    :func:`_constraint_mask`) memoized on ``om``, so each atomic is
+    evaluated once per object (or pair) of an object model, however many
+    rules share it.  The memo is safe for the reason given on
+    :class:`ObjectModel`: the model never changes, so neither does an
+    atomic's truth on it.  Agrees with :func:`satisfies` on every tuple.
+    """
+    s_cls, r_cls = rule.subject_type, rule.resource_type
+    subjects = om.objects_of(s_cls)
+    s_mask = (1 << len(subjects)) - 1
+    for ac in rule.subject_condition:
+        s_mask &= _condition_mask(cm, om, s_cls, ac)
+    if not s_mask:
+        return frozenset()
+    resources = om.objects_of(r_cls)
+    r_mask = (1 << len(resources)) - 1
+    for ac in rule.resource_condition:
+        r_mask &= _condition_mask(cm, om, r_cls, ac)
+    if not r_mask:
+        return frozenset()
+    pairs = -1  # every pair, until a constraint restricts them
+    for con in rule.constraint:
+        pairs &= _constraint_mask(cm, om, s_cls, r_cls, con)
+    width = len(resources)
     granted = []
-    for s in om.objects_of(rule.subject_type):
-        if not _all_true(
-            tval_condition(cm, om, s.id, ac) for ac in rule.subject_condition
-        ):
-            continue
-        for r in om.objects_of(rule.resource_type):
-            if not _all_true(
-                tval_condition(cm, om, r.id, ac) for ac in rule.resource_condition
-            ):
-                continue
-            if _all_true(
-                tval_constraint(cm, om, s.id, r.id, c) for c in rule.constraint
-            ):
-                granted.extend(SraTuple(s.id, r.id, a) for a in rule.actions)
+    for i in _bit_indices(s_mask):
+        s = subjects[i].id
+        for j in _bit_indices(r_mask & (pairs >> (i * width))):
+            r = resources[j].id
+            granted += [SraTuple(s, r, a) for a in rule.actions]
     return frozenset(granted)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -133,11 +134,13 @@ class LabeledDataset:
 def rows_to_arrays(rows: Sequence[LabeledRow], width: int):
     """Cells as an (n_rows, width) uint8 matrix of truth-value codes, and
     labels as a uint8 vector, for split scoring."""
-    cells = np.empty((len(rows), width), dtype=np.uint8)
-    labels = np.empty(len(rows), dtype=np.uint8)
-    for i, row in enumerate(rows):
-        cells[i, :] = row.vector.values
-        labels[i] = row.label
+    n = len(rows)
+    cells = np.fromiter(
+        chain.from_iterable(row.vector.values for row in rows),
+        dtype=np.uint8,
+        count=n * width,
+    ).reshape(n, width)
+    labels = np.fromiter((row.label for row in rows), dtype=np.uint8, count=n)
     return cells, labels
 
 

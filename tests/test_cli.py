@@ -234,11 +234,27 @@ class TestEnvironment:
             monkeypatch.delenv(f"REBAC_MINER_{name}")
 
     def test_non_numeric_value_exits_2(self, tmp_path, monkeypatch, capsys):
-        for name in ("MAX_ITER", "N", "S", "SEED", "JOBS", "MAX_COND_LEN", "MAX_CONS_LEN"):
+        for name in ("MAX_ITER", "JOBS", "MAX_COND_LEN", "MAX_CONS_LEN"):
             monkeypatch.setenv(f"REBAC_MINER_{name}", "abc")
             assert main(["mine", *fixture_args(), "-o", str(tmp_path / "p.json")]) == 2
             assert f"REBAC_MINER_{name}" in capsys.readouterr().err
             monkeypatch.delenv(f"REBAC_MINER_{name}")
+
+    def test_non_numeric_generate_value_exits_2(self, tmp_path, monkeypatch, capsys):
+        for name in ("N", "S", "SEED"):
+            monkeypatch.setenv(f"REBAC_MINER_{name}", "abc")
+            assert main(["generate", "--outdir", str(tmp_path)]) == 2
+            assert f"REBAC_MINER_{name}" in capsys.readouterr().err
+            monkeypatch.delenv(f"REBAC_MINER_{name}")
+
+    def test_other_subcommands_variables_ignored(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REBAC_MINER_N", "abc")
+        assert main(["mine", *fixture_args(), "-o", str(tmp_path / "p.json")]) == 0
+
+    def test_given_flag_overrides_bad_variable(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REBAC_MINER_MAX_ITER", "abc")
+        out = tmp_path / "p.json"
+        assert main(["mine", *fixture_args(), "-o", str(out), "--max-iter", "3"]) == 0
 
     def test_numeric_value_applies(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REBAC_MINER_MAX_ITER", "3")

@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rebac_miner.features import (
     ExtractionLimits,
     FeatureKind,
     FeatureTable,
+    TaskFeature,
     build_dataset,
     enumerate_condition_features,
     enumerate_constraint_features,
@@ -20,12 +22,21 @@ from rebac_miner.model import (
     FieldDecl,
     ModelError,
     Multiplicity,
+    ObjectInstance,
+    ObjectModel,
+    SraTuple,
     tval_condition,
     tval_constraint,
+    wsc,
 )
-from rebac_miner.tvl import TruthValue, eval_dnf
+from rebac_miner.tvl import FeatureId, TruthValue, eval_dnf
 from tests.test_model import (
+    ORG_ACTIONS,
+    ORG_CM,
+    ORG_CONDITIONS,
+    ORG_CONSTRAINTS,
     RUNNING_AU,
+    org_models,
     running_example_cm,
     running_example_om,
 )
@@ -304,3 +315,108 @@ class TestIdColumns:
         assert eval_conjunction(conj, row.vector) is T
         for other in ds2.rows[1:]:
             assert eval_conjunction(conj, other.vector) is F
+
+
+ORG_ENTRIES = (
+    [TaskFeature(FeatureKind.SUBJECT_CONDITION, ac) for ac in ORG_CONDITIONS["Emp"]]
+    + [TaskFeature(FeatureKind.RESOURCE_CONDITION, ac) for ac in ORG_CONDITIONS["Task"]]
+    + [TaskFeature(FeatureKind.CONSTRAINT, c) for c in ORG_CONSTRAINTS[("Emp", "Task")]]
+)
+
+
+def table_in_order(entries):
+    """A feature table keeping ``entries`` in the given order."""
+    entries = tuple(entries)
+    return FeatureTable(
+        entries, tuple(FeatureId(i, e.label(), wsc(e.payload)) for i, e in enumerate(entries))
+    )
+
+
+def reference_rows(acl, subject_type, resource_type, action, entries):
+    """Per-cell reference for build_dataset: (provenance, cells, label)."""
+    cm, om = acl.class_model, acl.object_model
+    rows = []
+    for s in om.objects_of(subject_type):
+        for r in om.objects_of(resource_type):
+            cells = []
+            for e in entries:
+                if e.kind is FeatureKind.SUBJECT_CONDITION:
+                    cells.append(tval_condition(cm, om, s.id, e.payload))
+                elif e.kind is FeatureKind.RESOURCE_CONDITION:
+                    cells.append(tval_condition(cm, om, r.id, e.payload))
+                else:
+                    cells.append(tval_constraint(cm, om, s.id, r.id, e.payload))
+            label = T if SraTuple(s.id, r.id, action) in acl.au else F
+            rows.append(((s.id, r.id), tuple(cells), label))
+    return rows
+
+
+def assert_dataset_and_prune_match_reference(acl, entries):
+    table = table_in_order(entries)
+    ds = build_dataset(acl, "Emp", "Task", "read", table)
+    want = reference_rows(acl, "Emp", "Task", "read", table.entries)
+    assert ds.features == table.feature_ids
+    assert [(r.provenance, r.vector.values, r.label) for r in ds.rows] == want
+
+    keep = [
+        i for i in range(len(table.entries))
+        if len({cells[i] for _, cells, _ in want}) > 1
+    ]
+    if not want:
+        keep = list(range(len(table.entries)))  # nothing to prune on
+    pruned_table, pruned = prune_useless(table, ds)
+    assert pruned_table.entries == tuple(table.entries[i] for i in keep)
+    assert pruned_table.feature_ids == tuple(
+        FeatureId(n, table.feature_ids[i].label, table.feature_ids[i].cost)
+        for n, i in enumerate(keep)
+    )
+    assert pruned.features == pruned_table.feature_ids
+    assert [(r.provenance, r.vector.values, r.label) for r in pruned.rows] == [
+        (prov, tuple(cells[i] for i in keep), label) for prov, cells, label in want
+    ]
+    return len(keep)
+
+
+def org_acl(om, granted):
+    return AclPolicy(ORG_CM, om, frozenset(ORG_ACTIONS), frozenset(granted))
+
+
+class TestDatasetMatchesPerCellReference:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), om=org_models())
+    def test_random_models_and_table_orders(self, data, om):
+        pairs = [
+            SraTuple(s.id, r.id, a)
+            for s in om.objects_of("Emp")
+            for r in om.objects_of("Task")
+            for a in ORG_ACTIONS
+        ]
+        granted = data.draw(st.sets(st.sampled_from(pairs)) if pairs else st.just(set()))
+        # Any order and subset, so entries are usually not grouped by kind.
+        entries = data.draw(st.permutations(ORG_ENTRIES))
+        entries = entries[: data.draw(st.integers(0, len(entries)))]
+        assert_dataset_and_prune_match_reference(org_acl(om, granted), entries)
+
+    def _two_task_model(self):
+        emp = {"dept": "d0", "skills": frozenset(), "mentor": None, "active": True}
+        task = {
+            "dept": "d0", "needs": frozenset(), "focus": None, "owner": None,
+            "team": frozenset(),
+        }
+        return ObjectModel([
+            ObjectInstance("d0", "Dept", {"parent": None}),
+            ObjectInstance("e0", "Emp", emp),
+            ObjectInstance("t0", "Task", {**task, "urgent": False}),
+            ObjectInstance("t1", "Task", {**task, "urgent": True}),
+        ])
+
+    def test_prune_keeps_one_column(self):
+        acl = org_acl(self._two_task_model(), [SraTuple("e0", "t0", "read")])
+        # Only res.urgent=false varies between the two rows.
+        assert assert_dataset_and_prune_match_reference(acl, ORG_ENTRIES[::-1]) == 1
+
+    def test_prune_keeps_no_column(self):
+        acl = org_acl(self._two_task_model(), [SraTuple("e0", "t0", "read")])
+        urgent = ORG_CONDITIONS["Task"][-1]
+        constant = [e for e in ORG_ENTRIES if e.payload != urgent]
+        assert assert_dataset_and_prune_match_reference(acl, constant) == 0

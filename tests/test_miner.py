@@ -12,6 +12,7 @@ from rebac_miner.learner import IdStrategy
 from rebac_miner.metrics import jaccard, semantic_similarity
 from rebac_miner.miner import (
     MinerConfig,
+    _Phase2,
     eliminate_negative_features,
     extract_rules,
     merge_and_simplify,
@@ -322,6 +323,29 @@ class TestMergeAndSimplify:
         )
         (out,) = merge_and_simplify([rule], acl)
         assert out.resource_condition == frozenset({cond(("secret",), False)})
+
+    def test_commit_rejects_wsc_increase(self):
+        acl = self.make_acl()
+        same_dept, handbook = running_example_rules()
+        # Same policy meaning as same_dept (see test_redundant_condition_dropped),
+        # but one more atomic condition.
+        bloated = Rule(
+            same_dept.subject_type,
+            frozenset({cond(("dept",), "CS")}),
+            same_dept.resource_type,
+            frozenset(),
+            same_dept.constraint,
+            same_dept.actions,
+        )
+        seen = []
+        ctx = _Phase2(acl, ExtractionLimits(), lambda step, rules: seen.append(step))
+        lean, heavy = [same_dept, handbook], [bloated, handbook]
+        assert ctx.policy_meaning(lean) == ctx.policy_meaning(heavy)
+        assert policy_wsc(heavy) > policy_wsc(lean)
+        assert ctx.commit("grow", sort_rules(lean), heavy) is None
+        assert seen == []
+        assert ctx.commit("shrink", sort_rules(heavy), lean) == list(sort_rules(lean))
+        assert seen == ["shrink"]
 
     def test_overlapping_rule_dropped(self):
         acl = self.make_acl()

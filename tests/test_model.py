@@ -1,6 +1,8 @@
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rebac_miner.model import (
     UNKNOWN,
@@ -576,3 +578,232 @@ class TestWsc:
         base = cond(["dept"], "CS")
         assert wsc(cond(["dept"], "CS", negated=True)) == wsc(base) + 1
         assert wsc(cond(["dept"], "CS", "EE")) == wsc(base) + 1
+
+
+# A class model exercising every multiplicity, optional and many-valued
+# paths, Boolean fields, every constraint operator, and a class (Room)
+# that never has objects.
+ORG_CM = ClassModel(
+    {
+        "Skill": {},
+        "Dept": {"parent": FieldDecl("Dept", OPT)},
+        "Emp": {
+            "dept": FieldDecl("Dept", ONE),
+            "skills": FieldDecl("Skill", MANY),
+            "mentor": FieldDecl("Emp", OPT),
+            "active": FieldDecl("Boolean", ONE),
+        },
+        "Task": {
+            "dept": FieldDecl("Dept", ONE),
+            "needs": FieldDecl("Skill", MANY),
+            "focus": FieldDecl("Skill", OPT),
+            "owner": FieldDecl("Emp", OPT),
+            "team": FieldDecl("Emp", MANY),
+            "urgent": FieldDecl("Boolean", ONE),
+        },
+        "Room": {"dept": FieldDecl("Dept", ONE)},
+    }
+)
+ORG_SKILLS = ("s0", "s1", "s2")
+ORG_DEPTS = ("d0", "d1")
+ORG_CONDITIONS = {
+    "Emp": (
+        AtomicCondition(("dept",), "in", frozenset({"d0"})),
+        AtomicCondition(("dept",), "in", frozenset({"d0", "d1"})),
+        AtomicCondition(("dept", "parent"), "in", frozenset({"d1"})),
+        AtomicCondition(("skills",), "contains", "s1"),
+        AtomicCondition(("mentor",), "in", frozenset({"e0"})),
+        AtomicCondition(("mentor", "skills"), "contains", "s2"),
+        AtomicCondition(("mentor", "dept"), "in", frozenset({"d1"})),
+        AtomicCondition(("active",), "in", frozenset({True})),
+        AtomicCondition(("id",), "in", frozenset({"e1"})),
+    ),
+    "Task": (
+        AtomicCondition(("dept",), "in", frozenset({"d0"})),  # also on Emp, Room
+        AtomicCondition(("dept",), "in", frozenset({"d1"})),
+        AtomicCondition(("needs",), "contains", "s0"),
+        AtomicCondition(("focus",), "in", frozenset({"s1", "s2"})),
+        AtomicCondition(("owner", "dept"), "in", frozenset({"d0"})),
+        AtomicCondition(("team", "skills"), "contains", "s1"),
+        AtomicCondition(("urgent",), "in", frozenset({False})),
+    ),
+    "Room": (AtomicCondition(("dept",), "in", frozenset({"d0"})),),
+}
+ORG_CONSTRAINTS = {
+    ("Emp", "Task"): (
+        AtomicConstraint(("dept",), "equal", ("dept",)),
+        AtomicConstraint((), "equal", ("owner",)),
+        AtomicConstraint(("dept",), "equal", ("owner", "dept")),
+        AtomicConstraint((), "in", ("team",)),
+        AtomicConstraint(("skills",), "contains", ("focus",)),
+        AtomicConstraint(("skills",), "supseteq", ("needs",)),
+        AtomicConstraint(("skills",), "subseteq", ("needs",)),
+        AtomicConstraint(("mentor",), "in", ("team",)),
+    ),
+    ("Emp", "Emp"): (
+        AtomicConstraint((), "equal", ()),
+        AtomicConstraint(("mentor",), "equal", ()),
+        AtomicConstraint(("dept",), "equal", ("dept",)),
+        AtomicConstraint(("skills",), "supseteq", ("mentor", "skills")),
+    ),
+    ("Task", "Emp"): (
+        AtomicConstraint(("team",), "contains", ()),
+        AtomicConstraint(("needs",), "subseteq", ("skills",)),
+    ),
+    ("Emp", "Room"): (AtomicConstraint(("dept",), "equal", ("dept",)),),
+}
+ORG_ACTIONS = ("read", "write")
+
+
+@st.composite
+def org_models(draw):
+    """Small random ORG_CM object models; any field may be unknown."""
+    n_emp = draw(st.integers(0, 3))
+    n_task = draw(st.integers(0, 3))
+    emps = [f"e{i}" for i in range(n_emp)]
+
+    def pick(options):
+        return draw(st.sampled_from(tuple(options) + (UNKNOWN,)))
+
+    def subset(pool):
+        if draw(st.integers(0, 4)) == 0:
+            return UNKNOWN
+        return frozenset(draw(st.sets(st.sampled_from(pool))) if pool else ())
+
+    objs = [ObjectInstance(s, "Skill", {}) for s in ORG_SKILLS]
+    objs += [
+        ObjectInstance(d, "Dept", {"parent": pick(ORG_DEPTS + (None,))})
+        for d in ORG_DEPTS
+    ]
+    for e in emps:
+        objs.append(ObjectInstance(e, "Emp", {
+            "dept": pick(ORG_DEPTS),
+            "skills": subset(ORG_SKILLS),
+            "mentor": pick(tuple(emps) + (None,)),
+            "active": pick((True, False)),
+        }))
+    for i in range(n_task):
+        objs.append(ObjectInstance(f"t{i}", "Task", {
+            "dept": pick(ORG_DEPTS),
+            "needs": subset(ORG_SKILLS),
+            "focus": pick(ORG_SKILLS + (None,)),
+            "owner": pick(tuple(emps) + (None,)),
+            "team": subset(tuple(emps)),
+            "urgent": pick((True, False)),
+        }))
+    om = ObjectModel(objs)
+    validate_object_model(ORG_CM, om)
+    return om
+
+
+@st.composite
+def org_rules(draw):
+    s_cls = draw(st.sampled_from(("Emp", "Task")))
+    r_cls = draw(st.sampled_from(("Emp", "Task", "Room")))
+
+    def atomics(pool):
+        chosen = draw(st.lists(st.sampled_from(pool), max_size=2)) if pool else []
+        return frozenset(
+            ac if not draw(st.booleans()) else replace(ac, negated=True)
+            for ac in chosen
+        )
+
+    rule = Rule(
+        s_cls,
+        atomics(ORG_CONDITIONS[s_cls]),
+        r_cls,
+        atomics(ORG_CONDITIONS[r_cls]),
+        atomics(ORG_CONSTRAINTS.get((s_cls, r_cls), ())),
+        frozenset(draw(st.sets(st.sampled_from(ORG_ACTIONS), min_size=1))),
+    )
+    validate_rule(ORG_CM, rule)
+    return rule
+
+
+def satisfying_tuples(cm, om, rule):
+    """Oracle: every typed tuple that ``satisfies`` accepts."""
+    return frozenset(
+        t
+        for s in om.objects()
+        for r in om.objects()
+        for a in ORG_ACTIONS + ("other",)
+        for t in (SraTuple(s.id, r.id, a),)
+        if satisfies(cm, om, t, rule)
+    )
+
+
+class TestRuleMeaningMatchesSatisfies:
+    @settings(max_examples=200, deadline=None)
+    @given(om=org_models(), rules=st.lists(org_rules(), min_size=1, max_size=4))
+    def test_random_models_and_rules(self, om, rules):
+        # Several rules per model, so later ones reuse cached masks.
+        for rule in rules:
+            assert rule_meaning(ORG_CM, om, rule) == satisfying_tuples(ORG_CM, om, rule)
+
+    def test_class_without_objects_grants_nothing(self):
+        om = ObjectModel([ObjectInstance("d0", "Dept", {"parent": None})])
+        rule = Rule("Room", frozenset(), "Room", frozenset(), frozenset(),
+                    frozenset({"read"}))
+        assert rule_meaning(ORG_CM, om, rule) == frozenset()
+
+    def test_masks_are_keyed_by_class(self):
+        # One condition on two classes and one constraint on two class
+        # pairs: each (class, atomic) gets its own mask.
+        om = ObjectModel([
+            ObjectInstance("d0", "Dept", {"parent": None}),
+            ObjectInstance("d1", "Dept", {"parent": None}),
+            ObjectInstance("e0", "Emp", {
+                "dept": "d0", "skills": frozenset(), "mentor": None, "active": True,
+            }),
+            ObjectInstance("e1", "Emp", {
+                "dept": "d1", "skills": frozenset(), "mentor": None, "active": True,
+            }),
+            ObjectInstance("t0", "Task", {
+                "dept": "d1", "needs": frozenset(), "focus": None,
+                "owner": None, "team": frozenset(), "urgent": False,
+            }),
+        ])
+        in_d0 = AtomicCondition(("dept",), "in", frozenset({"d0"}))
+        same_dept = AtomicConstraint(("dept",), "equal", ("dept",))
+        rules = [
+            Rule("Emp", frozenset({in_d0}), "Task", frozenset(), frozenset(),
+                 frozenset({"read"})),
+            Rule("Task", frozenset({in_d0}), "Emp", frozenset(), frozenset(),
+                 frozenset({"read"})),
+            Rule("Emp", frozenset(), "Task", frozenset(), frozenset({same_dept}),
+                 frozenset({"read"})),
+            Rule("Emp", frozenset(), "Emp", frozenset(), frozenset({same_dept}),
+                 frozenset({"read"})),
+        ]
+        for rule in rules:
+            assert rule_meaning(ORG_CM, om, rule) == satisfying_tuples(ORG_CM, om, rule)
+
+    def test_models_never_share_cached_masks(self):
+        def model(dept):
+            return ObjectModel([
+                ObjectInstance("d0", "Dept", {"parent": None}),
+                ObjectInstance("d1", "Dept", {"parent": None}),
+                ObjectInstance("e0", "Emp", {
+                    "dept": dept, "skills": frozenset(), "mentor": None,
+                    "active": True,
+                }),
+                ObjectInstance("t0", "Task", {
+                    "dept": "d0", "needs": frozenset(), "focus": None,
+                    "owner": None, "team": frozenset(), "urgent": False,
+                }),
+            ])
+
+        first, second = model("d0"), model("d1")
+        in_d0 = Rule(
+            "Emp", frozenset({AtomicCondition(("dept",), "in", frozenset({"d0"}))}),
+            "Task", frozenset(),
+            frozenset({AtomicConstraint(("dept",), "equal", ("dept",))}),
+            frozenset({"read"}),
+        )
+        granted = frozenset({SraTuple("e0", "t0", "read")})
+        assert rule_meaning(ORG_CM, first, in_d0) == granted
+        assert rule_meaning(ORG_CM, second, in_d0) == frozenset()
+        assert rule_meaning(ORG_CM, first, in_d0) == granted
+        assert first._condition_masks is not second._condition_masks
+        assert first._constraint_masks is not second._constraint_masks
+        assert first._condition_masks != second._condition_masks

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +10,7 @@ from rebac_miner.tvl import (
     DnfFormula,
     FeatureId,
     FeatureVector,
+    LabeledRow,
     Literal,
     Polarity,
     TruthValue,
@@ -23,6 +25,7 @@ from rebac_miner.tvl import (
     kleene_not,
     kleene_or,
     remove_redundant,
+    rows_to_arrays,
     valid,
 )
 from tests.conftest import make_dataset
@@ -313,3 +316,21 @@ class TestMonotonicityTheorem:
             for literal in literals:
                 after = eval_conjunction(conj.without(literal), v)
                 assert after >= before
+
+
+class TestRowsToArrays:
+    @given(st.integers(0, 5).flatmap(
+        lambda width: st.lists(
+            st.tuples(st.tuples(*[truth_values] * width), truth_values), max_size=6
+        ).map(lambda rows: (width, rows))
+    ))
+    def test_matches_row_by_row_fill(self, width_rows):
+        width, cells_and_labels = width_rows
+        rows = [LabeledRow(FeatureVector(c), label) for c, label in cells_and_labels]
+        want = np.zeros((len(rows), width), dtype=np.uint8)
+        for i, row in enumerate(rows):
+            want[i, :] = row.vector.values
+        cells, labels = rows_to_arrays(rows, width)
+        assert cells.dtype == labels.dtype == np.uint8
+        assert np.array_equal(cells, want)
+        assert labels.tolist() == [int(label) for _, label in cells_and_labels]

@@ -1,7 +1,8 @@
 """Command-line interface: generate, mine, eval, learn-formula.
 
 Exit codes: 0 success, 2 usage or schema problems, 3 the mined policy does
-not grant exactly the input authorizations.  Every flag can also be set
+not grant exactly the input authorizations (or no formula characterizes a
+learn-formula dataset exactly).  Every flag can also be set
 through an environment variable prefixed REBAC_MINER_ (dashes become
 underscores, e.g. REBAC_MINER_MAX_ITER); switches take 1/0, true/false
 or yes/no there.  A variable is parsed only when its subcommand runs and
@@ -33,7 +34,7 @@ from rebac_miner.datagen import (
     inject_unknowns,
 )
 from rebac_miner.features import ExtractionLimits
-from rebac_miner.learner import IdStrategy, LearnerConfig, learn_formula
+from rebac_miner.learner import IdStrategy, LearnerConfig, LearningError, learn_formula
 from rebac_miner.metrics import compare_policies
 from rebac_miner.miner import (
     MinerConfig,
@@ -62,8 +63,14 @@ SWITCH_VALUES = {
 }
 
 
-class EnvError(Exception):
-    """An environment variable holds a value its flag cannot take."""
+# Smallest value each numeric flag takes.
+MINIMUM = {
+    "n": 1, "s": 0, "max_iter": 1, "max_cond_len": 1, "max_cons_len": 0, "jobs": 1,
+}
+
+
+class UsageError(Exception):
+    """A flag or its environment variable holds a value the flag cannot take."""
 
 
 def _one_of(*choices: str):
@@ -89,7 +96,7 @@ def _env(flag: str, default=None, parse=str):
     try:
         return parse(text)
     except ValueError as exc:
-        raise EnvError(f"{name}={text!r}: {exc}") from None
+        raise UsageError(f"{name}={text!r}: {exc}") from None
 
 
 class _EnvDefault:
@@ -171,12 +178,6 @@ def cmd_generate(args) -> int:
             f"error: unknown spec {args.spec!r}; available: {sorted(BUILTIN_SPECS)}",
             file=sys.stderr,
         )
-        return EXIT_USAGE
-    if args.n < 1:
-        print("error: --n must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
-    if args.s < 0:
-        print("error: --s must be non-negative", file=sys.stderr)
         return EXIT_USAGE
     manifest = _Manifest("generate", args)
     spec = builtin_spec(args.spec)
@@ -387,11 +388,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_args(argv=None) -> argparse.Namespace:
     """Parse the command line, then fill each flag of the chosen subcommand
-    that was not given from its environment variable."""
+    that was not given from its environment variable, and check the
+    numeric flags' ranges."""
     args = build_parser().parse_args(argv)
     for name, value in vars(args).items():
+        source = "--" + name.replace("_", "-")
         if isinstance(value, _EnvDefault):
-            setattr(args, name, value.resolve())
+            value = value.resolve()
+            setattr(args, name, value)
+            source = "REBAC_MINER_" + name.upper()
+        if name in MINIMUM and value < MINIMUM[name]:
+            raise UsageError(f"{source}={value}: must be at least {MINIMUM[name]}")
     return args
 
 
@@ -399,10 +406,10 @@ def main(argv=None) -> int:
     try:
         args = parse_args(argv)
         return args.func(args)
-    except (EnvError, SchemaError, ModelError) as exc:
+    except (UsageError, SchemaError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except MinerError as exc:
+    except (MinerError, LearningError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
 

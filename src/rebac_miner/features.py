@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from operator import itemgetter
+from itertools import product
 from typing import Callable, Iterable
 
 from rebac_miner.model import (
@@ -27,20 +27,24 @@ from rebac_miner.model import (
     Multiplicity,
     ObjectModel,
     PathT,
-    constraint_rows,
+    condition_planes,
+    constraint_ops,
+    constraint_planes,
     path_type,
-    tval_condition,
     wsc,
 )
 from rebac_miner.tvl import (
     Conjunction,
     FeatureId,
-    FeatureVector,
     LabeledDataset,
-    LabeledRow,
     Literal,
     Polarity,
     TruthValue,
+    mask_of,
+    pair_plane,
+    resource_rows,
+    subject_rows,
+    value_rows,
 )
 
 
@@ -207,8 +211,8 @@ def enumerate_constraint_features(
 
     Both sides range over sugared paths up to the limit plus the empty
     path; the pair of empty paths (subject equal resource) is enumerated
-    only when both types coincide.  The operator follows the multiplicity
-    compatibility table.
+    only when both types coincide.  The operators are those the paths'
+    multiplicities admit (:func:`~rebac_miner.model.constraint_ops`).
     """
     sides1: list[PathT] = [()]
     sides2: list[PathT] = [()]
@@ -227,17 +231,7 @@ def enumerate_constraint_features(
             t2, m2 = path_type(cm, resource_type, p2)
             if t1 != t2:
                 continue
-            many1 = m1 is Multiplicity.MANY
-            many2 = m2 is Multiplicity.MANY
-            if many1 and many2:
-                out.append(AtomicConstraint(p1, "supseteq", p2))
-                out.append(AtomicConstraint(p1, "subseteq", p2))
-            elif many1:
-                out.append(AtomicConstraint(p1, "contains", p2))
-            elif many2:
-                out.append(AtomicConstraint(p1, "in", p2))
-            else:
-                out.append(AtomicConstraint(p1, "equal", p2))
+            out += [AtomicConstraint(p1, op, p2) for op in constraint_ops(m1, m2)]
     return tuple(sorted(out, key=lambda c: c.sort_key))
 
 
@@ -248,73 +242,50 @@ def build_dataset(
     action: str,
     table: FeatureTable,
 ) -> LabeledDataset:
-    """One row per subject/resource pair of the given types.
+    """One row per subject/resource pair of the given types, in the pair
+    layout of :mod:`rebac_miner.tvl`.
 
-    Cells are the three-valued feature truths; the label is T when the
-    tuple is authorized and F otherwise (never U: the authorization list
-    is complete by definition).  Each condition is evaluated once per
-    object and each constraint once per distinct pair of navigated values
-    (:func:`~rebac_miner.model.constraint_rows`); a row is its subject's
-    cells, its resource's cells and its constraint cells, put back into
-    table order.
+    Cells are the three-valued truths of the table's (positive) features;
+    the label is T when the tuple is authorized and F otherwise (never U:
+    the authorization list is complete by definition).  A condition's
+    planes are its per-object planes from the object model
+    (:func:`~rebac_miner.model.condition_planes`) spread over the pairs; a
+    constraint's are its per-pair planes
+    (:func:`~rebac_miner.model.constraint_planes`).
     """
     cm, om = acl.class_model, acl.object_model
-    entries = table.entries
-    payloads = {kind: [] for kind in FeatureKind}
-    for entry in entries:
-        payloads[entry.kind].append(entry.payload)
-    subject_conds = payloads[FeatureKind.SUBJECT_CONDITION]
-    resource_conds = payloads[FeatureKind.RESOURCE_CONDITION]
-    constraints = payloads[FeatureKind.CONSTRAINT]
-    # Cells are concatenated kind by kind; the k-th of them belongs to table
-    # column grouped[k], so table column i reads concatenated cell position[i].
-    grouped = sorted(range(len(entries)), key=lambda i: entries[i].kind)
-    position = [0] * len(entries)
-    for k, i in enumerate(grouped):
-        position[i] = k
-    to_table_order = _picker(position)
-
-    resources = om.objects_of(resource_type)
-    resource_ids = [r.id for r in resources]
-    resource_cells = [
-        tuple(tval_condition(cm, om, r.id, ac) for ac in resource_conds)
-        for r in resources
-    ]
-    constraint_cells = [
-        constraint_rows(cm, om, subject_type, resource_type, con)
-        for con in constraints
-    ]
-    granted = {(t.subject, t.resource) for t in acl.au if t.action == action}
-
-    rows = []
-    for i, s in enumerate(om.objects_of(subject_type)):
-        sid = s.id
-        s_cells = tuple(tval_condition(cm, om, sid, ac) for ac in subject_conds)
-        # Per resource: its id, its condition cells, then one cell per constraint.
-        per_resource = zip(
-            resource_ids,
-            resource_cells,
-            *(con_rows[index[i]] for index, con_rows in constraint_cells),
-        )
-        for rid, r_cells, *c_cells in per_resource:
-            cells = s_cells + r_cells + tuple(c_cells)
-            label = TruthValue.T if (sid, rid) in granted else TruthValue.F
-            rows.append(
-                LabeledRow(FeatureVector(to_table_order(cells)), label, (sid, rid))
+    subjects = [s.id for s in om.objects_of(subject_type)]
+    resources = [r.id for r in om.objects_of(resource_type)]
+    n_s, n_r = len(subjects), len(resources)
+    planes = []
+    for entry in table.entries:
+        if entry.kind is FeatureKind.SUBJECT_CONDITION:
+            pair = condition_planes(cm, om, subject_type, entry.payload)
+            planes.append(tuple(subject_rows(p, n_s, n_r) for p in pair))
+        elif entry.kind is FeatureKind.RESOURCE_CONDITION:
+            pair = condition_planes(cm, om, resource_type, entry.payload)
+            planes.append(tuple(resource_rows(p, n_s, n_r) for p in pair))
+        else:
+            planes.append(
+                constraint_planes(cm, om, subject_type, resource_type, entry.payload)
             )
-    return LabeledDataset(table.feature_ids, tuple(rows))
+    r_pos = {rid: j for j, rid in enumerate(resources)}
+    granted: dict[str, int] = {}  # subject -> mask of granted resources
+    for t in acl.au:
+        if t.action == action and t.resource in r_pos:
+            granted[t.subject] = granted.get(t.subject, 0) | 1 << r_pos[t.resource]
+    label_t = pair_plane((granted.get(sid, 0) for sid in subjects), n_r)
+    return LabeledDataset(
+        table.feature_ids,
+        tuple(planes),
+        (label_t, ((1 << n_s * n_r) - 1) & ~label_t),
+        n_s * n_r,
+        tuple(product(subjects, resources)),
+    )
 
 
-def _picker(indices) -> Callable[[tuple], tuple]:
-    """A function taking a tuple to the tuple of its items at ``indices``
-    (``operator.itemgetter`` returns a bare item for one index and takes
-    none)."""
-    if not indices:
-        return lambda values: ()
-    if len(indices) == 1:
-        (only,) = indices
-        return lambda values: (values[only],)
-    return itemgetter(*indices)
+def _constant(pair: tuple[int, int], everything: int) -> bool:
+    return any(value_rows(pair, v, everything) == everything for v in TruthValue)
 
 
 def prune_useless(
@@ -322,22 +293,21 @@ def prune_useless(
 ) -> tuple[FeatureTable, LabeledDataset]:
     """Drop features whose value is constant across all rows; the kept
     features stay in table order."""
-    if not dataset.rows:
+    if not dataset.size:
         return table, dataset
-    columns = zip(*(row.vector.values for row in dataset.rows))
-    keep = [i for i, column in enumerate(columns) if len(set(column)) > 1]
+    everything = dataset.all_rows
+    keep = [i for i, p in enumerate(dataset.planes) if not _constant(p, everything)]
     if len(keep) == len(table.entries):
         return table, dataset
     new_table = FeatureTable(
         tuple(table.entries[i] for i in keep),
         tuple(replace(table.feature_ids[i], index=n) for n, i in enumerate(keep)),
     )
-    pick = _picker(keep)
-    rows = tuple(
-        LabeledRow(FeatureVector(pick(row.vector.values)), row.label, row.provenance)
-        for row in dataset.rows
+    return new_table, replace(
+        dataset,
+        features=new_table.feature_ids,
+        planes=tuple(dataset.planes[i] for i in keep),
     )
-    return new_table, LabeledDataset(new_table.feature_ids, rows)
 
 
 def extend_with_id_columns(
@@ -345,60 +315,40 @@ def extend_with_id_columns(
 ) -> tuple[FeatureTable, LabeledDataset, Callable, frozenset[FeatureId]]:
     """Append identity-condition columns for every row's subject/resource.
 
-    Returns the extended table and dataset, a per-row supplier building the
-    ``subject.id = s and resource.id = r`` conjunction, and the set of
-    appended feature ids (to hide from tree induction).  Cell values come
-    straight from row provenance, so they are never unknown.
+    Returns the extended table and dataset, a supplier building the
+    ``subject.id = s and resource.id = r`` conjunction for a row index, and
+    the set of appended feature ids (to hide from tree induction).  Cell
+    values come straight from row provenance, so they are never unknown.
     """
-    subject_ids = sorted({row.provenance[0] for row in dataset.rows})
-    resource_ids = sorted({row.provenance[1] for row in dataset.rows})
-    extra_entries = [
-        TaskFeature(
-            FeatureKind.SUBJECT_CONDITION,
-            AtomicCondition((ID_FIELD,), "in", frozenset({sid})),
-        )
-        for sid in subject_ids
-    ] + [
-        TaskFeature(
-            FeatureKind.RESOURCE_CONDITION,
-            AtomicCondition((ID_FIELD,), "in", frozenset({rid})),
-        )
-        for rid in resource_ids
-    ]
-    base = len(table.entries)
-    all_entries = table.entries + tuple(extra_entries)
-    ids = table.feature_ids + tuple(
-        FeatureId(base + i, e.label(), wsc(e.payload))
-        for i, e in enumerate(extra_entries)
+    rows_of: dict[tuple[FeatureKind, str], list[int]] = {}
+    for k, (sid, rid) in enumerate(dataset.provenance):
+        rows_of.setdefault((FeatureKind.SUBJECT_CONDITION, sid), []).append(k)
+        rows_of.setdefault((FeatureKind.RESOURCE_CONDITION, rid), []).append(k)
+    keys = sorted(rows_of)  # subject ids, then resource ids
+    extra = tuple(
+        TaskFeature(kind, AtomicCondition((ID_FIELD,), "in", frozenset({oid})))
+        for kind, oid in keys
     )
-    new_table = FeatureTable(all_entries, ids)
+    base = len(table.entries)
+    ids = table.feature_ids + tuple(
+        FeatureId(base + i, e.label(), wsc(e.payload)) for i, e in enumerate(extra)
+    )
+    everything = dataset.all_rows
+    planes = tuple(
+        (t, everything & ~t)
+        for t in (mask_of(rows_of[key], dataset.size) for key in keys)
+    )
+    literal_of = {k: Literal(f, Polarity.POSITIVE) for k, f in zip(keys, ids[base:])}
 
-    subject_feature = {
-        sid: ids[base + i] for i, sid in enumerate(subject_ids)
-    }
-    resource_feature = {
-        rid: ids[base + len(subject_ids) + i] for i, rid in enumerate(resource_ids)
-    }
-
-    def extend_row(row: LabeledRow) -> LabeledRow:
-        sid, rid = row.provenance
-        extra = tuple(
-            TruthValue.T if sid == s else TruthValue.F for s in subject_ids
-        ) + tuple(TruthValue.T if rid == r else TruthValue.F for r in resource_ids)
-        return LabeledRow(
-            FeatureVector(row.vector.values + extra), row.label, row.provenance
-        )
-
-    new_dataset = LabeledDataset(ids, tuple(extend_row(r) for r in dataset.rows))
-
-    def supplier(row: LabeledRow):
-        sid, rid = row.provenance
+    def supplier(row: int) -> Conjunction:
+        sid, rid = dataset.provenance[row]
         return Conjunction.of(
             [
-                Literal(subject_feature[sid], Polarity.POSITIVE),
-                Literal(resource_feature[rid], Polarity.POSITIVE),
+                literal_of[FeatureKind.SUBJECT_CONDITION, sid],
+                literal_of[FeatureKind.RESOURCE_CONDITION, rid],
             ]
         )
 
-    hidden = frozenset(ids[base:])
-    return new_table, new_dataset, supplier, hidden
+    new_dataset = replace(dataset, features=ids, planes=dataset.planes + planes)
+    new_table = FeatureTable(table.entries + extra, ids)
+    return new_table, new_dataset, supplier, frozenset(ids[base:])

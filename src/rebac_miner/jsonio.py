@@ -394,4 +394,4 @@ def dataset_from_csv(text: str) -> LabeledDataset:
         except ValueError as exc:
             raise SchemaError(f"dataset line {line}: {exc}") from exc
         out.append(LabeledRow(FeatureVector(cells), label))
-    return LabeledDataset(features, tuple(out))
+    return LabeledDataset.from_rows(features, out)

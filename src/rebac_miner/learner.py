@@ -19,21 +19,24 @@ from typing import Callable, Iterable, Optional, Union
 
 from rebac_miner.tree import build_tree, extract_true_paths
 from rebac_miner.tvl import (
+    LITERAL_VALUE,
     Conjunction,
     DnfFormula,
     FeatureId,
-    FeatureVector,
     LabeledDataset,
     LabeledRow,
     Literal,
     Polarity,
     TruthValue,
+    bit_indices,
+    conjunction_rows,
     covers,
-    eval_conjunction,
-    eval_dnf,
+    dnf_rows,
     first_validity_violation,
+    literal_rows,
     remove_redundant,
     uncovered_t_rows,
+    value_rows,
 )
 
 log = logging.getLogger(__name__)
@@ -85,27 +88,18 @@ class LearningError(Exception):
         )
 
 
-def _conj_valid(conjunction: Conjunction, dataset: LabeledDataset) -> bool:
-    return all(
-        eval_conjunction(conjunction, row.vector) is not T
-        for row in dataset.rows
-        if row.label is not T
-    )
-
-
 def default_cover_conjunction(
-    vector: FeatureVector, features: tuple[FeatureId, ...]
+    dataset: LabeledDataset, row: int, features: tuple[FeatureId, ...]
 ) -> Conjunction:
-    """Positive literal per T cell, negative per F cell; U cells contribute
-    nothing.  Evaluates to T on ``vector`` by construction."""
-    literals = []
-    for feature in features:
-        cell = vector[feature]
-        if cell is TruthValue.T:
-            literals.append(Literal(feature, Polarity.POSITIVE))
-        elif cell is TruthValue.F:
-            literals.append(Literal(feature, Polarity.NEGATIVE))
-    return Conjunction.of(literals)
+    """Positive literal per T cell of row ``row``, negative per F cell; U
+    cells contribute nothing.  Evaluates to T on that row by construction."""
+    bit = 1 << row
+    return Conjunction.of(
+        Literal(feature, polarity)
+        for feature in features
+        for polarity in (Polarity.POSITIVE, Polarity.NEGATIVE)
+        if value_rows(dataset.planes[feature.index], LITERAL_VALUE[polarity], bit)
+    )
 
 
 def _replacement_literals(
@@ -126,7 +120,7 @@ def eliminate_unknown_literal(
     conjunction: Conjunction,
     dataset: LabeledDataset,
     batch: Iterable[Conjunction],
-    working: LabeledDataset,
+    working: int,
     hidden: frozenset[FeatureId] = frozenset(),
 ) -> Union[Conjunction, FailedFeatures]:
     """Scrub is-unknown literals out of one conjunction.
@@ -135,26 +129,28 @@ def eliminate_unknown_literal(
     stays valid on the full dataset; failing that, it is swapped for the
     first candidate literal (over features unused in the original
     conjunction) that keeps the conjunction valid and lets the batch still
-    cover the working rows.  If any is-unknown literal survives, the
-    features of the original conjunction's is-unknown literals are
-    reported for blacklisting.
+    cover the T-labeled rows of the ``working`` row mask.  If any
+    is-unknown literal survives, the features of the original conjunction's
+    is-unknown literals are reported for blacklisting.
     """
-    batch = tuple(batch)
+    not_t = dataset.all_rows & ~dataset.labels[0]
+    to_cover = working & dataset.labels[0]
+    batch_rows = dnf_rows(DnfFormula.of(batch), dataset)
     current = conjunction
     candidates = _replacement_literals(conjunction, dataset.features, hidden)
     for unknown_lit in conjunction.unknown_literals():
         attempt = current.without(unknown_lit)
-        if _conj_valid(attempt, dataset):
+        attempt_rows = conjunction_rows(attempt, dataset)
+        if not attempt_rows & not_t:
             current = attempt
             continue
+        used = current.feature_indices()
         for candidate in candidates:
-            if candidate.feature.index in current.feature_indices():
+            if candidate.feature.index in used:
                 continue
-            attempt = current.without(unknown_lit).with_literal(candidate)
-            if _conj_valid(attempt, dataset) and covers(
-                DnfFormula.of(batch + (attempt,)), working
-            ):
-                current = attempt
+            rows = attempt_rows & literal_rows(candidate, dataset)
+            if not rows & not_t and not to_cover & ~(batch_rows | rows):
+                current = attempt.with_literal(candidate)
                 break
         # No removal and no replacement: the literal stays, which will
         # trigger the blacklist path below.
@@ -165,25 +161,18 @@ def eliminate_unknown_literal(
     return current
 
 
-def _t_cover_count(conjunction: Conjunction, dataset: LabeledDataset) -> int:
-    return sum(
-        1
-        for row in dataset.rows
-        if row.label is T and eval_conjunction(conjunction, row.vector) is T
-    )
-
-
 def learn_formula(
     dataset: LabeledDataset,
     config: LearnerConfig = LearnerConfig(),
-    fallback_conj: Optional[Callable[[LabeledRow], Conjunction]] = None,
+    fallback_conj: Optional[Callable[[int], Conjunction]] = None,
     hidden: frozenset[FeatureId] = frozenset(),
 ) -> LearnResult:
     """Learn a DNF formula that evaluates to T exactly on the T-labeled rows.
 
     ``hidden`` features never appear in trees or replacement candidates;
     they exist only so that conjunctions supplied by ``fallback_conj`` (the
-    per-vector identity route) can be evaluated against the rows.
+    per-vector identity route, called with the index of each row left
+    uncovered) can be evaluated against the rows.
 
     Raises LearningError when the final formula would grant a row labeled
     F or U; monotonicity is not checked up front, the post-verification is
@@ -192,26 +181,25 @@ def learn_formula(
     disjuncts: dict = {}
     blacklist: set[FeatureId] = set()
     iterations = 0
+    label_t = dataset.labels[0]
 
     def formula() -> DnfFormula:
         return DnfFormula.of(disjuncts.values())
 
     while not covers(formula(), dataset) and iterations < config.max_iter:
-        current = formula()
-        working = LabeledDataset(
-            dataset.features,
-            tuple(
-                row
-                for row in dataset.rows
-                if not (row.label is T and eval_dnf(current, row.vector) is T)
-            ),
-        )
-        tree = build_tree(working, excluded=frozenset(blacklist) | hidden)
+        # Every row but the T rows the formula already grants.
+        working = dataset.all_rows & ~(label_t & dnf_rows(formula(), dataset))
+        tree = build_tree(dataset, excluded=frozenset(blacklist) | hidden, rows=working)
         batch = {c.sort_key: c for c in extract_true_paths(tree)}
         pending = [c for c in batch.values() if c.unknown_literals()]
         # Most-covering conjunctions first, so the features that end up
         # blacklisted do not depend on hash order.
-        pending.sort(key=lambda c: (-_t_cover_count(c, working), c.sort_key))
+        pending.sort(
+            key=lambda c: (
+                -(conjunction_rows(c, dataset) & working & label_t).bit_count(),
+                c.sort_key,
+            )
+        )
         for conjunction in pending:
             del batch[conjunction.sort_key]
             outcome = eliminate_unknown_literal(
@@ -230,16 +218,16 @@ def learn_formula(
     if remaining:
         used_fallback = True
         visible = tuple(f for f in dataset.features if f not in hidden)
-        for row in remaining:
+        for row in bit_indices(remaining):
             if fallback_conj is not None:
                 conjunction = fallback_conj(row)
             else:
-                conjunction = default_cover_conjunction(row.vector, visible)
+                conjunction = default_cover_conjunction(dataset, row, visible)
             if not conjunction.literals:
                 log.warning(
                     "fallback produced an empty conjunction (all-unknown row"
                     " %s); the formula becomes always-true",
-                    row.provenance,
+                    dataset.rows[row].provenance,
                 )
             disjuncts.setdefault(conjunction.sort_key, conjunction)
 
@@ -247,6 +235,7 @@ def learn_formula(
     violation = first_validity_violation(final, dataset)
     if violation is not None:
         raise LearningError(violation)
-    if not covers(final, dataset):  # unreachable with the fallbacks above
-        raise LearningError(uncovered_t_rows(final, dataset)[0])
+    uncovered = uncovered_t_rows(final, dataset)
+    if uncovered:  # unreachable with the fallbacks above
+        raise LearningError(dataset.rows[bit_indices(uncovered)[0]])
     return LearnResult(final, used_fallback, frozenset(blacklist), iterations)

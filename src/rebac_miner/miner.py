@@ -58,7 +58,6 @@ from rebac_miner.tvl import (
     DnfFormula,
     LabeledDataset,
     Polarity,
-    TruthValue,
 )
 
 Observer = Callable[[str, tuple[Rule, ...]], None]
@@ -180,8 +179,9 @@ def _run_task(acl, cfg, key, unknown_as_false) -> TaskReport:
         table = FeatureTable.build(cm, om, subject_type, resource_type, limits)
         dataset = build_dataset(acl, subject_type, resource_type, action, table)
         if unknown_as_false:
-            dataset = dataset.map_cells(
-                lambda tv: TruthValue.F if tv is TruthValue.U else tv
+            everything = dataset.all_rows
+            dataset = replace(
+                dataset, planes=tuple((t, everything & ~t) for t, _ in dataset.planes)
             )
         return prune_useless(table, dataset)
 

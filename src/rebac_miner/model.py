@@ -15,7 +15,16 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Union
 
-from rebac_miner.tvl import TruthValue, kleene_not
+from rebac_miner.tvl import (
+    TruthValue,
+    kleene_not,
+    mask_of,
+    pair_indices,
+    pair_plane,
+    planes_of,
+    resource_rows,
+    subject_rows,
+)
 
 F, U, T = TruthValue.F, TruthValue.U, TruthValue.T
 
@@ -143,14 +152,15 @@ class ObjectModel:
 
     Immutable after construction.  Three results are memoized on the model
     for the class model it is used with: navigation values per (object,
-    path); per (class, atomic condition), the bitset of the class's objects
-    (bits in ``objects_of`` order) for which the condition is exactly T; and
-    per (subject class, resource class, atomic constraint), the bitset of
-    pairs (bit ``i*|R| + j`` for the i-th subject and j-th resource) for
-    which the constraint is exactly T.  Caching is safe because objects and
-    field values never change after construction and each memo depends only
-    on them, the class model and its key; one object model must therefore
-    not be evaluated against two different class models.
+    path); per class and positive atomic condition, the (T, F) bitplanes of
+    the class's objects (bit i for the i-th object in ``objects_of`` order);
+    and per subject class, resource class and positive atomic constraint,
+    the (T, F) bitplanes of their pairs (in :mod:`rebac_miner.tvl`'s pair
+    layout).  A negated atomic reads the same entry.  Caching is safe
+    because objects and field values never change after construction and
+    each memo depends only on them, the class model and its key; one object
+    model must therefore not be evaluated against two different class
+    models.
     """
 
     def __init__(self, objects: Iterable[ObjectInstance]):
@@ -165,9 +175,12 @@ class ObjectModel:
             cls: tuple(sorted(objs, key=lambda o: o.id))
             for cls, objs in by_type.items()
         }
+        self._position = {
+            obj.id: i for objs in self._by_type.values() for i, obj in enumerate(objs)
+        }
         self._nav_cache: dict[tuple[str, PathT], Value] = {}
-        self._condition_masks: dict[tuple[str, AtomicCondition], int] = {}
-        self._constraint_masks: dict[tuple[str, str, AtomicConstraint], int] = {}
+        self._condition_masks: dict[tuple, tuple[int, int]] = {}
+        self._constraint_masks: dict[tuple, tuple[int, int]] = {}
 
     def __iter__(self):
         return iter(self.objects())
@@ -478,7 +491,7 @@ def validate_rule(cm: ClassModel, rule: Rule) -> None:
         t2, m2 = path_type(cm, rule.resource_type, con.path2)
         if t1 != t2:
             raise ModelError(f"constraint {con.text()}: path types differ ({t1} vs {t2})")
-        expected = _constraint_op(m1, m2)
+        expected = constraint_ops(m1, m2)
         if con.op not in expected:
             raise ModelError(
                 f"constraint {con.text()}: operator {con.op!r} incompatible with"
@@ -486,7 +499,8 @@ def validate_rule(cm: ClassModel, rule: Rule) -> None:
             )
 
 
-def _constraint_op(m1: Multiplicity, m2: Multiplicity) -> tuple[str, ...]:
+def constraint_ops(m1: Multiplicity, m2: Multiplicity) -> tuple[str, ...]:
+    """The constraint operators a pair of path multiplicities admits."""
     many1 = m1 is Multiplicity.MANY
     many2 = m2 is Multiplicity.MANY
     if many1 and many2:
@@ -507,22 +521,23 @@ def tval_condition(
 ) -> TruthValue:
     """Three-valued truth of an atomic condition for one object."""
     value = nav(cm, om, oid, ac.path)
-    if isinstance(value, frozenset):
-        if ac.value in value:
-            base = T
-        elif UNKNOWN in value:
-            base = U
-        else:
-            base = F
-    elif value is UNKNOWN:
-        base = U
-    else:
-        base = T if value in ac.value else F
+    base = _condition_base(ac, value)
     if not ac.negated:
         return base
     if base is T and _contains_unknown(value):
         return U
     return kleene_not(base)
+
+
+def _condition_base(ac: AtomicCondition, value: Value) -> TruthValue:
+    """Truth of ``ac``, read as positive, given its navigated value."""
+    if isinstance(value, frozenset):
+        if ac.value in value:
+            return T
+        return U if UNKNOWN in value else F
+    if value is UNKNOWN:
+        return U
+    return T if value in ac.value else F
 
 
 def _membership(atom: Value, atoms: frozenset) -> TruthValue:
@@ -556,39 +571,7 @@ def tval_constraint(
     cm: ClassModel, om: ObjectModel, s_oid: str, r_oid: str, con: AtomicConstraint
 ) -> TruthValue:
     """Three-valued truth of an atomic constraint for a subject/resource pair."""
-    return _constraint_truth(
-        con, nav(cm, om, s_oid, con.path1), nav(cm, om, r_oid, con.path2)
-    )
-
-
-def constraint_rows(
-    cm: ClassModel, om: ObjectModel, s_cls: str, r_cls: str, con: AtomicConstraint
-) -> tuple[list[int], list[tuple[TruthValue, ...]]]:
-    """Truth of ``con`` for every subject/resource pair of two classes.
-
-    Returns ``(index, rows)``: the i-th subject of ``s_cls`` (in
-    ``objects_of`` order) has the row ``rows[index[i]]``, which holds one
-    truth value per resource of ``r_cls``.  Subjects whose ``path1``
-    navigates to equal values share a row, so the constraint is evaluated
-    once per distinct subject-side value and resource, with the same
-    evaluator as :func:`tval_constraint`.
-    """
-    r_values = [nav(cm, om, r.id, con.path2) for r in om.objects_of(r_cls)]
-    row_of: dict = {}
-    index: list[int] = []
-    rows: list[tuple[TruthValue, ...]] = []
-    for s in om.objects_of(s_cls):
-        v1 = nav(cm, om, s.id, con.path1)
-        k = row_of.get(v1)
-        if k is None:
-            k = row_of[v1] = len(rows)
-            rows.append(tuple(_constraint_truth(con, v1, v2) for v2 in r_values))
-        index.append(k)
-    return index, rows
-
-
-def _constraint_truth(con: AtomicConstraint, v1: Value, v2: Value) -> TruthValue:
-    """Truth of ``con`` given its navigated subject- and resource-side values."""
+    v1, v2 = nav(cm, om, s_oid, con.path1), nav(cm, om, r_oid, con.path2)
     base = _constraint_base(con.op, v1, v2)
     if not con.negated:
         return base
@@ -633,90 +616,98 @@ def satisfies(cm: ClassModel, om: ObjectModel, t: SraTuple, rule: Rule) -> bool:
     )
 
 
-def _bit_indices(mask: int) -> list[int]:
-    """Positions of the set bits of a non-negative int, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _condition_mask(
+def condition_planes(
     cm: ClassModel, om: ObjectModel, cls: str, ac: AtomicCondition
-) -> int:
-    """Bitset of the objects of ``cls`` (in ``objects_of`` order) for which
-    ``ac`` is exactly T; memoized on the object model."""
-    key = (cls, ac)
+) -> tuple[int, int]:
+    """(T, F) bitplanes of ``ac``, read as positive, over the objects of
+    ``cls`` (bit i for the i-th object in ``objects_of`` order).
+
+    An identity condition (``id in {...}``) takes its planes from the
+    positions of the named objects; every other condition is evaluated once
+    per object and memoized on the object model.
+    """
+    if ac.path == (ID_FIELD,) and ac.op == "in":
+        size = len(om.objects_of(cls))
+        named = [oid for oid in ac.value if om.has(oid) and om.get(oid).type == cls]
+        t = mask_of((om._position[oid] for oid in named), size)
+        return t, ((1 << size) - 1) & ~t
+    key = (cls, ac.path, ac.op, ac.value)
     try:
         return om._condition_masks[key]
     except KeyError:
         pass
-    mask = 0
-    for i, obj in enumerate(om.objects_of(cls)):
-        if tval_condition(cm, om, obj.id, ac) is T:
-            mask |= 1 << i
-    om._condition_masks[key] = mask
-    return mask
+    planes = om._condition_masks[key] = planes_of(
+        _condition_base(ac, nav(cm, om, obj.id, ac.path)) for obj in om.objects_of(cls)
+    )
+    return planes
 
 
-def _constraint_mask(
+def constraint_planes(
     cm: ClassModel, om: ObjectModel, s_cls: str, r_cls: str, con: AtomicConstraint
-) -> int:
-    """Bitset of the subject/resource pairs for which ``con`` is exactly T:
-    bit ``i*|R| + j`` stands for the i-th subject of ``s_cls`` and the j-th
-    resource of ``r_cls``.  Memoized on the object model."""
-    key = (s_cls, r_cls, con)
+) -> tuple[int, int]:
+    """(T, F) bitplanes of ``con``, read as positive, over the pairs of a
+    subject of ``s_cls`` and a resource of ``r_cls``, in the pair layout of
+    :mod:`rebac_miner.tvl`; memoized on the object model.
+
+    Subjects whose ``path1`` navigates to equal values share a row of
+    resources, so the constraint is evaluated once per distinct
+    subject-side value and resource, with the same evaluator as
+    :func:`tval_constraint`.
+    """
+    key = (s_cls, r_cls, con.path1, con.op, con.path2)
     try:
         return om._constraint_masks[key]
     except KeyError:
         pass
-    index, rows = constraint_rows(cm, om, s_cls, r_cls, con)
-    row_masks = [sum(1 << j for j, tv in enumerate(row) if tv is T) for row in rows]
-    width = len(om.objects_of(r_cls))
-    mask = 0
-    for i, k in enumerate(index):
-        mask |= row_masks[k] << (i * width)
-    om._constraint_masks[key] = mask
-    return mask
+    r_values = [nav(cm, om, r.id, con.path2) for r in om.objects_of(r_cls)]
+    row_of: dict = {}
+    rows = []
+    for s in om.objects_of(s_cls):
+        v1 = nav(cm, om, s.id, con.path1)
+        if v1 not in row_of:
+            row_of[v1] = planes_of(_constraint_base(con.op, v1, v2) for v2 in r_values)
+        rows.append(row_of[v1])
+    planes = om._constraint_masks[key] = tuple(
+        pair_plane((row[side] for row in rows), len(r_values)) for side in (0, 1)
+    )
+    return planes
 
 
 def rule_meaning(cm: ClassModel, om: ObjectModel, rule: Rule) -> frozenset[SraTuple]:
     """The authorizations ``rule`` grants: every typed subject/resource pair
     on which all its atomics are exactly T, with each of its actions.
 
-    Computed as an AND of per-atomic T-bitsets (:func:`_condition_mask`,
-    :func:`_constraint_mask`) memoized on ``om``, so each atomic is
-    evaluated once per object (or pair) of an object model, however many
-    rules share it.  The memo is safe for the reason given on
-    :class:`ObjectModel`: the model never changes, so neither does an
-    atomic's truth on it.  Agrees with :func:`satisfies` on every tuple.
+    Computed as an AND of per-atomic T-planes (:func:`condition_planes`,
+    :func:`constraint_planes`; a negated atomic is exactly T where its
+    positive form is F) memoized on ``om``, so each atomic is evaluated
+    once per object (or pair) of an object model, however many rules share
+    it.  The memo is safe for the reason given on :class:`ObjectModel`:
+    the model never changes, so neither does an atomic's truth on it.
+    Agrees with :func:`satisfies` on every tuple.
     """
     s_cls, r_cls = rule.subject_type, rule.resource_type
     subjects = om.objects_of(s_cls)
     s_mask = (1 << len(subjects)) - 1
+    # Index [negated] picks the T-plane, or for a negated atomic the F-plane.
     for ac in rule.subject_condition:
-        s_mask &= _condition_mask(cm, om, s_cls, ac)
+        s_mask &= condition_planes(cm, om, s_cls, ac)[ac.negated]
     if not s_mask:
         return frozenset()
     resources = om.objects_of(r_cls)
     r_mask = (1 << len(resources)) - 1
     for ac in rule.resource_condition:
-        r_mask &= _condition_mask(cm, om, r_cls, ac)
+        r_mask &= condition_planes(cm, om, r_cls, ac)[ac.negated]
     if not r_mask:
         return frozenset()
-    pairs = -1  # every pair, until a constraint restricts them
+    n_s, n_r = len(subjects), len(resources)
+    pairs = subject_rows(s_mask, n_s, n_r) & resource_rows(r_mask, n_s, n_r)
     for con in rule.constraint:
-        pairs &= _constraint_mask(cm, om, s_cls, r_cls, con)
-    width = len(resources)
-    granted = []
-    for i in _bit_indices(s_mask):
-        s = subjects[i].id
-        for j in _bit_indices(r_mask & (pairs >> (i * width))):
-            r = resources[j].id
-            granted += [SraTuple(s, r, a) for a in rule.actions]
-    return frozenset(granted)
+        pairs &= constraint_planes(cm, om, s_cls, r_cls, con)[con.negated]
+    return frozenset(
+        SraTuple(subjects[i].id, resources[j].id, a)
+        for i, j in pair_indices(pairs, n_r)
+        for a in rule.actions
+    )
 
 
 def meaning(policy: Policy) -> frozenset[SraTuple]:

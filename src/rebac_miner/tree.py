@@ -10,20 +10,18 @@ classifier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
-
-import numpy as np
+from typing import Iterable, Optional, Sequence, Union
 
 from rebac_miner import _kernels
+from rebac_miner._kernels import RowSet
 from rebac_miner.tvl import (
+    LITERAL_VALUE,
     Conjunction,
     FeatureId,
     LabeledDataset,
-    LabeledRow,
     Literal,
-    Polarity,
     TruthValue,
-    rows_to_arrays,
+    value_rows,
 )
 
 GAIN_TIE_TOLERANCE = 1e-12
@@ -31,11 +29,8 @@ GAIN_TIE_TOLERANCE = 1e-12
 # Edge order used for child construction and path extraction.
 EDGE_VALUES = (TruthValue.T, TruthValue.F, TruthValue.U)
 
-EDGE_POLARITY = {
-    TruthValue.T: Polarity.POSITIVE,
-    TruthValue.F: Polarity.NEGATIVE,
-    TruthValue.U: Polarity.IS_UNKNOWN,
-}
+# An edge's literal is T exactly on the rows that take the edge.
+EDGE_POLARITY = {value: polarity for polarity, value in LITERAL_VALUE.items()}
 
 
 @dataclass(frozen=True)
@@ -52,22 +47,23 @@ class Internal:
 DecisionTree = Union[Leaf, Internal]
 
 
-def _gains(rows: Sequence[LabeledRow], candidates: Sequence[FeatureId]) -> np.ndarray:
-    cells, labels = rows_to_arrays(rows, len(rows[0].vector) if rows else 0)
+def _gains(
+    dataset: LabeledDataset, candidates: Sequence[FeatureId], rows: int
+) -> list[float]:
     return _kernels.split_gains(
-        cells, labels, np.arange(len(rows)), np.array([f.index for f in candidates])
+        dataset.planes, dataset.labels, RowSet(rows), tuple(f.index for f in candidates)
     )
 
 
-def information_gain(rows: Sequence[LabeledRow], feature: FeatureId) -> float:
+def information_gain(dataset: LabeledDataset, feature: FeatureId) -> float:
     """Entropy of the labels minus the split remainder for ``feature``."""
-    if not rows:
+    if not dataset.size:
         raise ValueError("information gain needs at least one row")
-    return float(_gains(rows, (feature,))[0])
+    return _gains(dataset, (feature,), dataset.all_rows)[0]
 
 
-def _pick(candidates: Sequence[FeatureId], gains: np.ndarray) -> FeatureId:
-    best_gain = float(gains.max())
+def _pick(candidates: Sequence[FeatureId], gains: Sequence[float]) -> FeatureId:
+    best_gain = max(gains)
     tied = [
         f for f, g in zip(candidates, gains) if g >= best_gain - GAIN_TIE_TOLERANCE
     ]
@@ -75,49 +71,48 @@ def _pick(candidates: Sequence[FeatureId], gains: np.ndarray) -> FeatureId:
 
 
 def choose_split(
-    rows: Sequence[LabeledRow], candidates: Iterable[FeatureId]
+    dataset: LabeledDataset, candidates: Iterable[FeatureId]
 ) -> FeatureId:
-    """Best-gain candidate; ties go to lower cost, then lower index."""
+    """Best-gain candidate over all rows; ties go to lower cost, then lower
+    index."""
     candidates = tuple(candidates)
     if not candidates:
         raise ValueError("no candidate features")
-    return _pick(candidates, _gains(rows, candidates))
+    return _pick(candidates, _gains(dataset, candidates, dataset.all_rows))
 
 
 def build_tree(
-    dataset: LabeledDataset, excluded: frozenset[FeatureId] = frozenset()
+    dataset: LabeledDataset,
+    excluded: frozenset[FeatureId] = frozenset(),
+    rows: Optional[int] = None,
 ) -> DecisionTree:
-    """Induce a tree classifying the dataset.
+    """Induce a tree classifying the dataset's rows in the ``rows`` mask
+    (all rows by default).
 
     Recursion stops at a pure label (leaf with that label), an empty row
     partition (F leaf), or an exhausted candidate list (F leaf: never grant
     what cannot be separated).  Excluded features and features already used
     on the current path are not candidates.
     """
-    cells, labels = dataset.to_arrays()
     initial = tuple(f for f in dataset.features if f not in excluded)
 
-    def recurse(row_idx: np.ndarray, candidates: tuple[FeatureId, ...]) -> DecisionTree:
-        if row_idx.size == 0:
+    def recurse(rows: int, candidates: tuple[FeatureId, ...]) -> DecisionTree:
+        if not rows:
             return Leaf(TruthValue.F)
-        labs = labels[row_idx]
-        if (labs == labs[0]).all():
-            return Leaf(TruthValue(int(labs[0])))
+        for label in EDGE_VALUES:
+            if value_rows(dataset.labels, label, rows) == rows:
+                return Leaf(label)
         if not candidates:
             return Leaf(TruthValue.F)
-        gains = _kernels.split_gains(
-            cells, labels, row_idx, np.array([f.index for f in candidates])
-        )
-        best = _pick(candidates, gains)
+        best = _pick(candidates, _gains(dataset, candidates, rows))
         remaining = tuple(f for f in candidates if f is not best)
-        column = cells[row_idx, best.index]
         children = {
-            edge: recurse(row_idx[column == int(edge)], remaining)
+            edge: recurse(value_rows(dataset.planes[best.index], edge, rows), remaining)
             for edge in EDGE_VALUES
         }
         return Internal(best, children)
 
-    return recurse(np.arange(len(dataset.rows)), initial)
+    return recurse(dataset.all_rows if rows is None else rows, initial)
 
 
 def classify(tree: DecisionTree, vector) -> TruthValue:

@@ -4,16 +4,18 @@ Connectives follow the strong-Kleene tables.  Under the *truth* ordering
 F < U < T, conjunction is minimum and disjunction is maximum.  The separate
 *information* ordering puts U strictly below both definite values; every
 formula built from these connectives is monotone with respect to it.
+
+Labeled datasets are stored as bitplanes (see the section below), on
+which literals, conjunctions and DNF formulas are evaluated by bit
+operations; the per-row evaluators (``eval_*``) are their reference.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Callable, Iterable, Optional, Sequence
-
-import numpy as np
+from collections.abc import Iterable, Sequence
+from typing import Optional
 
 
 class TruthValue(enum.IntEnum):
@@ -101,47 +103,162 @@ class LabeledRow:
     provenance: Optional[tuple[str, str]] = None
 
 
+# --- bitplanes ---------------------------------------------------------------
+#
+# A plane is a Python int over a sequence of rows: bit k stands for row k.
+# A three-valued column is a (T, F) pair of disjoint planes; its U rows are
+# those in neither, U = not(T or F).  A task's rows are its subject/resource
+# pairs in subject-major order: the pair of the i-th subject and the j-th
+# resource is row i*R + j, R the number of resources.
+
+
+def bit_indices(mask: int) -> list[int]:
+    """Positions of the set bits of a non-negative int, lowest first."""
+    bits = format(mask, "b")[::-1]
+    out = []
+    k = bits.find("1")
+    while k >= 0:
+        out.append(k)
+        k = bits.find("1", k + 1)
+    return out
+
+
+def mask_of(positions: Iterable[int], size: int) -> int:
+    """The plane over ``size`` rows with exactly the given bits set."""
+    buf = bytearray((size + 7) // 8)
+    for k in positions:
+        buf[k >> 3] |= 1 << (k & 7)
+    return int.from_bytes(buf, "little")
+
+
+def planes_of(values: Iterable[TruthValue]) -> tuple[int, int]:
+    """The (T, F) plane pair of a column given row by row."""
+    values = tuple(values)
+    return tuple(
+        mask_of((k for k, v in enumerate(values) if v is want), len(values))
+        for want in (T, F)
+    )
+
+
+def subject_rows(mask: int, n_subjects: int, n_resources: int) -> int:
+    """Pair rows of the subjects in ``mask`` (bit i = i-th subject)."""
+    spaced = int(("0" * (n_resources - 1)).join(format(mask, f"0{n_subjects}b")), 2)
+    return spaced * ((1 << n_resources) - 1)
+
+
+def resource_rows(mask: int, n_subjects: int, n_resources: int) -> int:
+    """Pair rows of the resources in ``mask`` (bit j = j-th resource)."""
+    if not n_resources:
+        return 0
+    return mask * (((1 << (n_subjects * n_resources)) - 1) // ((1 << n_resources) - 1))
+
+
+def pair_plane(per_subject: Iterable[int], n_resources: int) -> int:
+    """Pair rows from one resource mask per subject, in subject order."""
+    out = 0
+    for i, mask in enumerate(per_subject):
+        out |= mask << (i * n_resources)
+    return out
+
+
+def pair_indices(mask: int, n_resources: int) -> list[tuple[int, int]]:
+    """(subject, resource) positions of the pair rows set in ``mask``."""
+    return [divmod(k, n_resources) for k in bit_indices(mask)]
+
+
+def value_rows(pair: tuple[int, int], value: TruthValue, rows: int) -> int:
+    """The rows of ``rows`` whose cell in the (T, F) plane pair is ``value``."""
+    t, f = pair
+    if value is T:
+        return rows & t
+    if value is F:
+        return rows & f
+    return rows & ~(t | f)
+
+
+def _cells(pair: tuple[int, int], size: int) -> tuple[TruthValue, ...]:
+    """The truth values of a (T, F) plane pair, row by row."""
+    if not size:
+        return ()
+    t_bits, f_bits = (format(plane, f"0{size}b")[::-1] for plane in pair)
+    return tuple(
+        T if a == "1" else F if b == "1" else U for a, b in zip(t_bits, f_bits)
+    )
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
-    """An ordered feature table plus labeled feature vectors over it."""
+    """An ordered feature table plus labeled rows over it, as bitplanes.
+
+    Column i is the (T, F) plane pair ``planes[i]`` and the labels are the
+    pair ``labels``, all over ``size`` rows; ``provenance`` holds each row's
+    (subject, resource) pair, or None.  :attr:`rows` derives
+    :class:`LabeledRow` objects from them on access.
+    """
 
     features: tuple[FeatureId, ...]
-    rows: tuple[LabeledRow, ...]
+    planes: tuple[tuple[int, int], ...]
+    labels: tuple[int, int]
+    size: int
+    provenance: tuple[Optional[tuple[str, str]], ...]
 
     def __post_init__(self):
         for pos, f in enumerate(self.features):
             if f.index != pos:
                 raise ValueError(f"feature at position {pos} has index {f.index}")
-        width = len(self.features)
-        for i, row in enumerate(self.rows):
-            if len(row.vector) != width:
-                raise ValueError(f"row {i} has width {len(row.vector)}, expected {width}")
+        if len(self.planes) != len(self.features) or len(self.provenance) != self.size:
+            raise ValueError("need a plane pair per feature and a provenance per row")
+        if any(t & f or (t | f) >> self.size for t, f in self.planes + (self.labels,)):
+            raise ValueError("T and F planes must be disjoint and within the rows")
 
-    def to_arrays(self):
-        """Cells and labels as uint8 arrays for split scoring."""
-        return rows_to_arrays(self.rows, len(self.features))
-
-    def map_cells(self, fn: Callable[[TruthValue], TruthValue]) -> "LabeledDataset":
-        """New dataset with every cell (not label) passed through ``fn``."""
-        rows = tuple(
-            LabeledRow(FeatureVector(tuple(fn(v) for v in r.vector.values)),
-                       r.label, r.provenance)
-            for r in self.rows
+    @classmethod
+    def from_rows(
+        cls, features: Sequence[FeatureId], rows: Sequence[LabeledRow]
+    ) -> "LabeledDataset":
+        features, rows = tuple(features), tuple(rows)
+        if any(len(row.vector) != len(features) for row in rows):
+            raise ValueError(f"every row needs {len(features)} cells")
+        columns = zip(*(r.vector.values for r in rows)) if rows else [()] * len(features)
+        return cls(
+            features,
+            tuple(map(planes_of, columns)),
+            planes_of(row.label for row in rows),
+            len(rows),
+            tuple(row.provenance for row in rows),
         )
-        return LabeledDataset(self.features, rows)
+
+    @property
+    def all_rows(self) -> int:
+        return (1 << self.size) - 1
+
+    @property
+    def rows(self) -> "_Rows":
+        return _Rows(self)
 
 
-def rows_to_arrays(rows: Sequence[LabeledRow], width: int):
-    """Cells as an (n_rows, width) uint8 matrix of truth-value codes, and
-    labels as a uint8 vector, for split scoring."""
-    n = len(rows)
-    cells = np.fromiter(
-        chain.from_iterable(row.vector.values for row in rows),
-        dtype=np.uint8,
-        count=n * width,
-    ).reshape(n, width)
-    labels = np.fromiter((row.label for row in rows), dtype=np.uint8, count=n)
-    return cells, labels
+class _Rows(Sequence):
+    """The rows of a dataset as :class:`LabeledRow` objects, made on access."""
+
+    def __init__(self, dataset: LabeledDataset):
+        self._dataset = dataset
+
+    def __len__(self) -> int:
+        return self._dataset.size
+
+    def __getitem__(self, k: int) -> LabeledRow:
+        ds = self._dataset
+        k = range(ds.size)[k]
+        cells = tuple(_cells((t >> k & 1, f >> k & 1), 1)[0] for t, f in ds.planes)
+        label = _cells((ds.labels[0] >> k & 1, ds.labels[1] >> k & 1), 1)[0]
+        return LabeledRow(FeatureVector(cells), label, ds.provenance[k])
+
+    def __iter__(self):
+        ds = self._dataset
+        columns = [_cells(pair, ds.size) for pair in ds.planes]
+        vectors = zip(*columns) if columns else [()] * ds.size
+        labels = _cells(ds.labels, ds.size)
+        for cells, label, prov in zip(vectors, labels, ds.provenance):
+            yield LabeledRow(FeatureVector(cells), label, prov)
 
 
 def check_monotonic(
@@ -287,26 +404,47 @@ def eval_dnf(formula: DnfFormula, vector: FeatureVector) -> TruthValue:
     return result
 
 
+# The cell value each polarity of literal is T on.
+LITERAL_VALUE = {Polarity.POSITIVE: T, Polarity.NEGATIVE: F, Polarity.IS_UNKNOWN: U}
+
+
+def literal_rows(literal: Literal, dataset: LabeledDataset) -> int:
+    """Rows on which ``literal`` is T."""
+    pair = dataset.planes[literal.feature.index]
+    return value_rows(pair, LITERAL_VALUE[literal.polarity], dataset.all_rows)
+
+
+def conjunction_rows(conjunction: Conjunction, dataset: LabeledDataset) -> int:
+    """Rows on which ``conjunction`` is T (agrees with :func:`eval_conjunction`)."""
+    rows = dataset.all_rows
+    for literal in conjunction.literals:
+        rows &= literal_rows(literal, dataset)
+    return rows
+
+
+def dnf_rows(formula: DnfFormula, dataset: LabeledDataset) -> int:
+    """Rows on which ``formula`` is T (agrees with :func:`eval_dnf`)."""
+    rows = 0
+    for conjunction in formula.disjuncts:
+        rows |= conjunction_rows(conjunction, dataset)
+    return rows
+
+
 def first_validity_violation(
     formula: DnfFormula, dataset: LabeledDataset
 ) -> Optional[LabeledRow]:
     """First row labeled F or U that the formula mis-evaluates as T."""
-    for row in dataset.rows:
-        if row.label is not T and eval_dnf(formula, row.vector) is T:
-            return row
-    return None
+    wrong = dnf_rows(formula, dataset) & ~dataset.labels[0]
+    return dataset.rows[bit_indices(wrong)[0]] if wrong else None
 
 
 def valid(formula: DnfFormula, dataset: LabeledDataset) -> bool:
     return first_validity_violation(formula, dataset) is None
 
 
-def uncovered_t_rows(formula: DnfFormula, dataset: LabeledDataset) -> tuple[LabeledRow, ...]:
-    return tuple(
-        row
-        for row in dataset.rows
-        if row.label is T and eval_dnf(formula, row.vector) is not T
-    )
+def uncovered_t_rows(formula: DnfFormula, dataset: LabeledDataset) -> int:
+    """Rows labeled T on which the formula is not T."""
+    return dataset.labels[0] & ~dnf_rows(formula, dataset)
 
 
 def covers(formula: DnfFormula, dataset: LabeledDataset) -> bool:

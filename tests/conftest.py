@@ -30,12 +30,9 @@ EXAMPLE_ROWS = (
 
 
 def make_dataset(features, rows):
-    return LabeledDataset(
-        tuple(features),
-        tuple(
-            LabeledRow(FeatureVector(tuple(cells)), label, prov)
-            for prov, cells, label in rows
-        ),
+    return LabeledDataset.from_rows(
+        features,
+        [LabeledRow(FeatureVector(tuple(cells)), label, prov) for prov, cells, label in rows],
     )
 
 

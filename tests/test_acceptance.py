@@ -315,7 +315,7 @@ def test_criterion_7_learner_oracle():
             cells = tuple(rng.choice((F, U, T)) for _ in range(n))
             vector = FeatureVector(cells)
             rows.append(LabeledRow(vector, eval_dnf(secret, vector)))
-        dataset = LabeledDataset(features, tuple(rows))
+        dataset = LabeledDataset.from_rows(features, rows)
         result = learn_formula(dataset)
         for row in dataset.rows:
             # Independent check: evaluate literal by literal.

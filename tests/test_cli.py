@@ -204,6 +204,12 @@ class TestLearnFormulaCommand:
     def test_missing_file_exits_2(self):
         assert main(["learn-formula", "/nonexistent.csv"]) == 2
 
+    def test_inconsistent_dataset_exits_3(self, tmp_path, capsys):
+        csv_file = tmp_path / "data.csv"
+        csv_file.write_text("a,b,label\nT,F,T\nT,F,F\n")
+        assert main(["learn-formula", str(csv_file)]) == 3
+        assert "labeled F" in capsys.readouterr().err
+
 
 class TestManifest:
     def test_inputs_and_outputs_digested(self, tmp_path):
@@ -262,6 +268,31 @@ class TestEnvironment:
         assert main(["mine", *fixture_args(), "-o", str(out)]) == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["arguments"]["max_iter"] == 3
+
+    def test_out_of_range_flag_exits_2(self, tmp_path, capsys):
+        csv_file = tmp_path / "data.csv"
+        csv_file.write_text("f1,label\nT,T\nF,F\n")
+        out = str(tmp_path / "p.json")
+        for flag, value in (("--max-iter", "0"), ("--max-cond-len", "0"),
+                            ("--max-cons-len", "-1"), ("--jobs", "0"),
+                            ("--jobs", "-3")):
+            assert main(["mine", *fixture_args(), "-o", out, flag, value]) == 2, flag
+            assert flag in capsys.readouterr().err
+        assert main(["learn-formula", str(csv_file), "--max-iter", "0"]) == 2
+        assert "--max-iter" in capsys.readouterr().err
+
+    def test_out_of_range_value_exits_2(self, tmp_path, monkeypatch, capsys):
+        for name, value in (("MAX_ITER", "0"), ("MAX_COND_LEN", "0"),
+                            ("MAX_CONS_LEN", "-1"), ("JOBS", "-2")):
+            monkeypatch.setenv(f"REBAC_MINER_{name}", value)
+            assert main(["mine", *fixture_args(), "-o", str(tmp_path / "p.json")]) == 2
+            assert f"REBAC_MINER_{name}" in capsys.readouterr().err
+            monkeypatch.delenv(f"REBAC_MINER_{name}")
+
+    def test_smallest_values_accepted(self, tmp_path):
+        out = str(tmp_path / "p.json")
+        assert main(["mine", *fixture_args(), "-o", out, "--max-iter", "1",
+                     "--max-cond-len", "1", "--max-cons-len", "0", "--jobs", "1"]) == 0
 
     def test_unknown_id_strategy_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REBAC_MINER_ID_STRATEGY", "sometimes")

@@ -309,11 +309,11 @@ class TestIdColumns:
         assert len(table2) == len(table) + 2 + 3
         assert len(hidden) == 5
         row = ds2.rows[0]
-        conj = supplier(row)
+        conj = supplier(0)
         from rebac_miner.tvl import eval_conjunction
 
         assert eval_conjunction(conj, row.vector) is T
-        for other in ds2.rows[1:]:
+        for other in list(ds2.rows)[1:]:
             assert eval_conjunction(conj, other.vector) is F
 
 

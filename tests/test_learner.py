@@ -57,18 +57,19 @@ class TestConfig:
 class TestDefaultCoverConjunction:
     def test_direct(self):
         features = tuple(FeatureId(i, f"f{i}", 1) for i in range(3))
-        conj = default_cover_conjunction(FeatureVector((T, F, U)), features)
+        ds = make_dataset(features, ((None, (T, F, U), T),))
+        conj = default_cover_conjunction(ds, 0, features)
         assert conj == Conjunction.of(
             [lit(features[0]), lit(features[1], Polarity.NEGATIVE)]
         )
 
     def test_all_unknown_is_empty(self):
         features = (FeatureId(0),)
-        assert default_cover_conjunction(FeatureVector((U,)), features) == Conjunction()
+        ds = make_dataset(features, ((None, (U,), T),))
+        assert default_cover_conjunction(ds, 0, features) == Conjunction()
 
     def test_example_row4(self, example_dataset):
-        row = example_dataset.rows[3]
-        conj = default_cover_conjunction(row.vector, example_dataset.features)
+        conj = default_cover_conjunction(example_dataset, 3, example_dataset.features)
         assert conj == Conjunction.of([lit(example_dataset.features[2])])
 
 
@@ -78,7 +79,9 @@ class TestEliminateUnknownLiteral:
         conj = Conjunction.of(
             [lit(handbook, Polarity.IS_UNKNOWN), lit(constraint)]
         )
-        out = eliminate_unknown_literal(conj, example_dataset, (), example_dataset)
+        out = eliminate_unknown_literal(
+            conj, example_dataset, (), example_dataset.all_rows
+        )
         assert out == Conjunction.of([lit(constraint)])
 
     def test_removal_invalid_then_replacement(self):
@@ -90,7 +93,7 @@ class TestEliminateUnknownLiteral:
             ((None, (U, T), T), (None, (T, F), F)),
         )
         conj = Conjunction.of([lit(f0, Polarity.IS_UNKNOWN)])
-        out = eliminate_unknown_literal(conj, ds, (), ds)
+        out = eliminate_unknown_literal(conj, ds, (), ds.all_rows)
         assert out == Conjunction.of([lit(f1)])
 
     def test_exhaustion_reports_features(self):
@@ -100,7 +103,7 @@ class TestEliminateUnknownLiteral:
             ((None, (U,), T), (None, (T,), F), (None, (F,), F)),
         )
         conj = Conjunction.of([lit(f0, Polarity.IS_UNKNOWN)])
-        out = eliminate_unknown_literal(conj, ds, (), ds)
+        out = eliminate_unknown_literal(conj, ds, (), ds.all_rows)
         assert out == FailedFeatures(frozenset({f0}))
 
 
@@ -189,7 +192,7 @@ class TestLearnFormula:
         calls = []
 
         def supplier(row):
-            calls.append(row.provenance)
+            calls.append(ds.rows[row].provenance)
             return Conjunction.of([lit(extra)])
 
         result = learn_formula(

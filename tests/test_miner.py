@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from rebac_miner import jsonio
 from rebac_miner.datagen import (
     builtin_spec,
     generate,
@@ -442,3 +445,30 @@ class TestRoundTrips:
         a = mine_detailed(acl, MinerConfig(), jobs=1).policy
         b = mine_detailed(acl, MinerConfig(), jobs=4).policy
         assert a.rules == b.rules
+
+
+# sha256 of the policy JSON mined from org-chart n=20, s=2: the scale at
+# which tasks first fail without identity features (retry) and need the
+# per-pair identity fallback.  Recorded with the per-row learner (seed 2
+# took about a minute there); both negation modes mine the same policy.
+REGRESSION_DIGESTS = {
+    2: "ef70deecb3f0d07cddc63d4e2f3b61ccf0979fb574edf70e6718b6445572d4a1",
+    3: "ea16467d915c2a7a91cc08e03c7d30987fe19d060f44e08f4731d8eb6154f4da",
+}
+
+
+class TestRegressionCells:
+    @pytest.mark.parametrize("seed", sorted(REGRESSION_DIGESTS))
+    @pytest.mark.parametrize("allow_negation", [True, False])
+    def test_org_chart_n20_s2(self, seed, allow_negation):
+        spec = builtin_spec("org-chart")
+        om, acl = generate(spec, 20, seed=seed)
+        degraded = inject_unknowns(om, spec, 2, seed=seed)
+        acl = AclPolicy(spec.class_model, degraded, acl.actions, acl.au)
+        result = mine_detailed(acl, MinerConfig(allow_negation=allow_negation))
+        assert meaning(result.policy) == acl.au
+        assert any(t.retried_with_ids and t.result.used_fallback for t in result.tasks)
+        text = jsonio.dumps(
+            jsonio.rules_to_json(result.policy.actions, result.policy.rules)
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == REGRESSION_DIGESTS[seed]

@@ -653,6 +653,7 @@ ORG_CONSTRAINTS = {
     ("Emp", "Room"): (AtomicConstraint(("dept",), "equal", ("dept",)),),
 }
 ORG_ACTIONS = ("read", "write")
+ORG_IDS = ("e0", "e1", "e2", "t0", "t1", "t2", "d0", "nobody")
 
 
 @st.composite
@@ -708,11 +709,20 @@ def org_rules(draw):
             for ac in chosen
         )
 
+    def conditions(cls):
+        # One in three sides also gets an identity condition naming ids of
+        # that class, of another class, or of no object at all.
+        if draw(st.integers(0, 2)):
+            return atomics(ORG_CONDITIONS[cls])
+        ids = draw(st.sets(st.sampled_from(ORG_IDS), min_size=1, max_size=3))
+        identity = AtomicCondition(("id",), "in", frozenset(ids), draw(st.booleans()))
+        return atomics(ORG_CONDITIONS[cls]) | {identity}
+
     rule = Rule(
         s_cls,
-        atomics(ORG_CONDITIONS[s_cls]),
+        conditions(s_cls),
         r_cls,
-        atomics(ORG_CONDITIONS[r_cls]),
+        conditions(r_cls),
         atomics(ORG_CONSTRAINTS.get((s_cls, r_cls), ())),
         frozenset(draw(st.sets(st.sampled_from(ORG_ACTIONS), min_size=1))),
     )

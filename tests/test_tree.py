@@ -1,13 +1,12 @@
 import collections
 import math
 import random
-from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rebac_miner import _kernels
+from rebac_miner._kernels import RowSet
 from rebac_miner.tree import (
     Internal,
     Leaf,
@@ -24,6 +23,7 @@ from rebac_miner.tvl import (
     Literal,
     Polarity,
     TruthValue,
+    mask_of,
 )
 from tests.conftest import make_dataset
 
@@ -64,16 +64,16 @@ class TestInformationGain:
             ((None, (T, F), T), (None, (F, U), T)),
         )
         for f in ds.features:
-            assert information_gain(ds.rows, f) == pytest.approx(0.0, abs=1e-12)
+            assert information_gain(ds, f) == pytest.approx(0.0, abs=1e-12)
 
     def test_example_handbook_gain(self, example_dataset):
-        gain = information_gain(example_dataset.rows, example_dataset.features[2])
+        gain = information_gain(example_dataset, example_dataset.features[2])
         assert gain == pytest.approx(EXAMPLE_HANDBOOK_GAIN, abs=1e-12)
         assert gain == pytest.approx(oracle_gain(example_dataset.rows, example_dataset.features[2]), abs=1e-12)
 
     def test_single_row_gain_zero(self):
         ds = make_dataset((FeatureId(0),), ((None, (U,), T),))
-        assert information_gain(ds.rows, ds.features[0]) == pytest.approx(0.0)
+        assert information_gain(ds, ds.features[0]) == pytest.approx(0.0)
 
     def test_matches_oracle_on_random_datasets(self):
         rng = random.Random(42)
@@ -88,7 +88,7 @@ class TestInformationGain:
             )
             ds = make_dataset(features, rows)
             for f in features:
-                gain = information_gain(ds.rows, f)
+                gain = information_gain(ds, f)
                 assert 0.0 - 1e-12 <= gain <= math.log2(3) + 1e-12
                 assert gain == pytest.approx(oracle_gain(ds.rows, f), abs=1e-9)
 
@@ -115,46 +115,40 @@ def check_against_oracle(n_feat, cells, labels, rows, cands):
         tuple((None, tuple(TruthValue(c) for c in row), TruthValue(label))
               for row, label in zip(cells, labels)),
     )
-    got = _kernels.split_gains(
-        np.array(cells, dtype=np.uint8).reshape(len(cells), n_feat),
-        np.array(labels, dtype=np.uint8),
-        np.array(rows, dtype=np.int64),
-        np.array(cands, dtype=np.int64),
-    )
+    row_set = RowSet(mask_of(rows, len(cells)))
+    got = _kernels.split_gains(ds.planes, ds.labels, row_set, tuple(cands))
     subset = [ds.rows[i] for i in rows]
     want = [oracle_gain(subset, features[c]) if subset else 0.0 for c in cands]
-    assert got.shape == (len(cands),)
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert len(row_set) == len(rows)
+    assert len(got) == len(cands)
+    assert got == pytest.approx(want, rel=0, abs=1e-12)
 
 
 class TestSplitGains:
     @settings(max_examples=300, deadline=None)
-    @given(problem=split_problems(), chunk_cells=st.integers(1, 40))
-    def test_matches_oracle(self, problem, chunk_cells):
-        # Tiny chunks make most examples span several of them.
-        with mock.patch.object(_kernels, "CHUNK_CELLS", chunk_cells):
-            check_against_oracle(*problem)
+    @given(problem=split_problems())
+    def test_matches_oracle(self, problem):
+        check_against_oracle(*problem)
 
-    def test_matches_oracle_across_default_chunks(self):
-        rng = np.random.default_rng(9)
+    def test_matches_oracle_on_a_large_problem(self):
+        rng = random.Random(9)
         n_rows, n_feat = 2500, 320
-        cells = rng.integers(0, 3, size=(n_rows, n_feat)).tolist()
-        labels = rng.integers(0, 3, size=n_rows).tolist()
-        rows = rng.choice(n_rows, size=2000, replace=False).tolist()
-        cands = rng.permutation(n_feat)[:300].tolist()
-        assert len(rows) * len(cands) > 2 * _kernels.CHUNK_CELLS
+        cells = [[rng.randrange(3) for _ in range(n_feat)] for _ in range(n_rows)]
+        labels = [rng.randrange(3) for _ in range(n_rows)]
+        rows = rng.sample(range(n_rows), 2000)
+        cands = rng.sample(range(n_feat), 300)
         check_against_oracle(n_feat, cells, labels, rows, cands)
 
 
 class TestChooseSplit:
     def test_single_candidate(self, example_dataset):
         only = example_dataset.features[1]
-        assert choose_split(example_dataset.rows, [only]) is only
+        assert choose_split(example_dataset, [only]) is only
 
     def test_prefers_higher_gain(self, example_dataset):
         handbook = example_dataset.features[2]
         no_gain = example_dataset.features[1]
-        assert choose_split(example_dataset.rows, [no_gain, handbook]) is handbook
+        assert choose_split(example_dataset, [no_gain, handbook]) is handbook
 
     def test_cost_breaks_ties(self):
         cheap = FeatureId(0, "cheap", 2)
@@ -163,19 +157,19 @@ class TestChooseSplit:
             (cheap, dear),
             ((None, (T, T), T), (None, (F, F), F)),
         )
-        assert choose_split(ds.rows, ds.features) is cheap
+        assert choose_split(ds, ds.features) is cheap
         ds2 = make_dataset(
             (FeatureId(0, "a", 3), FeatureId(1, "b", 2)),
             ((None, (T, T), T), (None, (F, F), F)),
         )
-        assert choose_split(ds2.rows, ds2.features) is ds2.features[1]
+        assert choose_split(ds2, ds2.features) is ds2.features[1]
 
     def test_index_breaks_remaining_ties(self):
         ds = make_dataset(
             (FeatureId(0, "a", 2), FeatureId(1, "b", 2)),
             ((None, (T, T), T), (None, (F, F), F)),
         )
-        assert choose_split(ds.rows, ds.features) is ds.features[0]
+        assert choose_split(ds, ds.features) is ds.features[0]
 
 
 class TestBuildTree:

@@ -1,31 +1,34 @@
 import itertools
 import random
 
-import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rebac_miner.tvl import (
     Conjunction,
     DnfFormula,
     FeatureId,
     FeatureVector,
+    LabeledDataset,
     LabeledRow,
     Literal,
     Polarity,
     TruthValue,
     check_monotonic,
+    conjunction_rows,
     covers,
+    dnf_rows,
     eval_conjunction,
     eval_dnf,
     eval_literal,
+    first_validity_violation,
     fv_leq,
     info_leq,
     kleene_and,
     kleene_not,
     kleene_or,
     remove_redundant,
-    rows_to_arrays,
+    uncovered_t_rows,
     valid,
 )
 from tests.conftest import make_dataset
@@ -318,19 +321,83 @@ class TestMonotonicityTheorem:
                 assert after >= before
 
 
-class TestRowsToArrays:
-    @given(st.integers(0, 5).flatmap(
-        lambda width: st.lists(
-            st.tuples(st.tuples(*[truth_values] * width), truth_values), max_size=6
-        ).map(lambda rows: (width, rows))
-    ))
+@st.composite
+def labeled_rows(draw, max_width=5, max_rows=8):
+    """Random three-valued rows (possibly none) with U labels allowed."""
+    width = draw(st.integers(0, max_width))
+    cells = st.tuples(*[truth_values] * width)
+    rows = draw(st.lists(st.tuples(cells, truth_values), max_size=max_rows))
+    return width, [LabeledRow(FeatureVector(c), label) for c, label in rows]
+
+
+def bits(mask, size):
+    """A plane's bits as booleans, row by row; it must set no others."""
+    assert 0 <= mask < 1 << size
+    return [bool(mask >> k & 1) for k in range(size)]
+
+
+class TestDatasetPlanes:
+    @given(labeled_rows())
     def test_matches_row_by_row_fill(self, width_rows):
-        width, cells_and_labels = width_rows
-        rows = [LabeledRow(FeatureVector(c), label) for c, label in cells_and_labels]
-        want = np.zeros((len(rows), width), dtype=np.uint8)
-        for i, row in enumerate(rows):
-            want[i, :] = row.vector.values
-        cells, labels = rows_to_arrays(rows, width)
-        assert cells.dtype == labels.dtype == np.uint8
-        assert np.array_equal(cells, want)
-        assert labels.tolist() == [int(label) for _, label in cells_and_labels]
+        width, rows = width_rows
+        features = tuple(FeatureId(i) for i in range(width))
+        ds = LabeledDataset.from_rows(features, rows)
+        assert ds.size == len(ds.rows) == len(rows)
+        for i, (t, f) in enumerate(ds.planes):
+            cells = [row.vector[i] for row in rows]
+            assert bits(t, len(rows)) == [c is T for c in cells]
+            assert bits(f, len(rows)) == [c is F for c in cells]
+        label_t, label_f = ds.labels
+        assert bits(label_t, len(rows)) == [row.label is T for row in rows]
+        assert bits(label_f, len(rows)) == [row.label is F for row in rows]
+        assert list(ds.rows) == rows
+        assert [ds.rows[k] for k in range(len(rows))] == rows
+
+    def test_malformed_planes_rejected(self):
+        LabeledDataset((f0,), ((1, 0),), (0, 1), 1, (None,))
+        for planes in (((1, 1),), ((2, 0),), ()):
+            with pytest.raises(ValueError):
+                LabeledDataset((f0,), planes, (0, 1), 1, (None,))
+        with pytest.raises(ValueError):
+            LabeledDataset((f0,), ((1, 0),), (0, 1), 1, ())
+
+
+@st.composite
+def formulas_and_rows(draw):
+    """A random formula, is-unknown literals included, over random rows."""
+    width, rows = draw(labeled_rows())
+    features = tuple(FeatureId(i) for i in range(width))
+    conjs = []
+    for _ in range(draw(st.integers(0, 3))):
+        chosen = draw(st.lists(st.sampled_from(features), unique=True)) if width else []
+        conjs.append(Conjunction.of(
+            Literal(f, draw(st.sampled_from(tuple(Polarity)))) for f in chosen
+        ))
+    return DnfFormula.of(conjs), LabeledDataset.from_rows(features, rows), rows
+
+
+class TestPlanesMatchRowEvaluation:
+    @settings(max_examples=300, deadline=None)
+    @given(formulas_and_rows())
+    def test_conjunction_and_dnf_rows(self, case):
+        formula, ds, rows = case
+        for conj in formula.disjuncts:
+            assert bits(conjunction_rows(conj, ds), len(rows)) == [
+                eval_conjunction(conj, row.vector) is T for row in rows
+            ]
+        assert bits(dnf_rows(formula, ds), len(rows)) == [
+            eval_dnf(formula, row.vector) is T for row in rows
+        ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(formulas_and_rows())
+    def test_validity_and_coverage(self, case):
+        formula, ds, rows = case
+        granted = [eval_dnf(formula, row.vector) is T for row in rows]
+        wrong = [row for row, g in zip(rows, granted) if g and row.label is not T]
+        missed = [k for k, (row, g) in enumerate(zip(rows, granted))
+                  if row.label is T and not g]
+        assert first_validity_violation(formula, ds) == (wrong[0] if wrong else None)
+        assert valid(formula, ds) == (not wrong)
+        assert [k for k in range(len(rows)) if uncovered_t_rows(formula, ds) >> k & 1] == missed
+        assert covers(formula, ds) == (not missed)

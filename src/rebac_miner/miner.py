@@ -8,22 +8,26 @@ either relearns over a table that includes identity conditions or covers
 stray rows with per-pair identity conjunctions.
 
 Phase 2 optionally eliminates negated atomics (producing negation-free
-policies) and then merges and simplifies rules to a fixpoint.  Every
-phase-2 transformation is committed only if the policy's meaning is
-preserved exactly, so the mined policy keeps granting precisely the input
-authorizations; merges and simplifications are also refused when they
-would raise the policy's weighted structural complexity.
+policies) and then merges and simplifies rules to a fixpoint.  Phase 2a
+keeps a rewritten rule only if it stays valid and keeps its own grants.
+Phase 2b changes the rules only through one gate, ``_Phase2.replace``,
+which accepts a change only if the policy's meaning is preserved exactly
+and its weighted structural complexity does not grow.  A final check
+refuses any mined policy whose meaning differs from the input
+authorizations.
 """
 
 from __future__ import annotations
 
+import logging
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional
+from functools import cache
+from typing import Callable, Collection, Iterable, Optional
 
 from rebac_miner.features import (
     ExtractionLimits,
-    FeatureKind,
     FeatureTable,
     build_dataset,
     enumerate_condition_features,
@@ -61,6 +65,8 @@ from rebac_miner.tvl import (
 )
 
 Observer = Callable[[str, tuple[Rule, ...]], None]
+
+log = logging.getLogger(__name__)
 
 
 class MinerError(Exception):
@@ -226,7 +232,7 @@ def extract_rules(
     """One rule per disjunct; negative literals become negated atomics."""
     rules = []
     for conjunction in formula.disjuncts:
-        subject_conds, resource_conds, constraints = [], [], []
+        parts = (set(), set(), set())  # indexed by FeatureKind
         for literal in conjunction.sorted_literals:
             if literal.polarity is Polarity.IS_UNKNOWN:
                 raise MinerError(
@@ -236,19 +242,15 @@ def extract_rules(
             payload = entry.payload
             if literal.polarity is Polarity.NEGATIVE:
                 payload = replace(payload, negated=True)
-            if entry.kind is FeatureKind.SUBJECT_CONDITION:
-                subject_conds.append(payload)
-            elif entry.kind is FeatureKind.RESOURCE_CONDITION:
-                resource_conds.append(payload)
-            else:
-                constraints.append(payload)
+            parts[entry.kind].add(payload)
+        subject_conds, resource_conds, constraints = map(frozenset, parts)
         rules.append(
             Rule(
                 subject_type,
-                frozenset(subject_conds),
+                subject_conds,
                 resource_type,
-                frozenset(resource_conds),
-                frozenset(constraints),
+                resource_conds,
+                constraints,
                 frozenset({action}),
             )
         )
@@ -259,28 +261,23 @@ def extract_rules(
 # Phase 2a: negative-feature elimination (negation-free mode only)
 
 
+# Rule.atomics() slot -> the Rule field holding it; FeatureKind indexes _SLOTS.
+_FIELDS = {
+    "subject": "subject_condition",
+    "resource": "resource_condition",
+    "constraint": "constraint",
+}
+_SLOTS = tuple(_FIELDS)
+
+
 def _without_atomic(rule: Rule, slot: str, atomic) -> Rule:
-    if slot == "subject":
-        return replace(rule, subject_condition=rule.subject_condition - {atomic})
-    if slot == "resource":
-        return replace(rule, resource_condition=rule.resource_condition - {atomic})
-    return replace(rule, constraint=rule.constraint - {atomic})
+    field = _FIELDS[slot]
+    return replace(rule, **{field: getattr(rule, field) - {atomic}})
 
 
 def _with_atomic(rule: Rule, slot: str, atomic) -> Rule:
-    if slot == "subject":
-        return replace(rule, subject_condition=rule.subject_condition | {atomic})
-    if slot == "resource":
-        return replace(rule, resource_condition=rule.resource_condition | {atomic})
-    return replace(rule, constraint=rule.constraint | {atomic})
-
-
-def _slot_for_kind(kind: FeatureKind) -> str:
-    if kind is FeatureKind.SUBJECT_CONDITION:
-        return "subject"
-    if kind is FeatureKind.RESOURCE_CONDITION:
-        return "resource"
-    return "constraint"
+    field = _FIELDS[slot]
+    return replace(rule, **{field: getattr(rule, field) | {atomic}})
 
 
 def eliminate_negative_features(
@@ -300,7 +297,6 @@ def eliminate_negative_features(
     survives all four, the rule is replaced by per-pair identity rules for
     the tuples no other rule grants.
     """
-    cm, om, au = acl.class_model, acl.object_model, acl.au
     current = rule
     while True:
         negated = [(slot, ac) for slot, ac in current.atomics() if ac.negated]
@@ -333,7 +329,7 @@ def _eliminate_one(rule, slot, atomic, acl, table) -> Optional[Rule]:
         key=lambda e: (wsc(e.payload), e.sort_key),
     )
     for entry in candidates:
-        candidate = _with_atomic(base, _slot_for_kind(entry.kind), entry.payload)
+        candidate = _with_atomic(base, _SLOTS[entry.kind], entry.payload)
         if candidate != rule and acceptable(candidate):
             return candidate
 
@@ -372,12 +368,9 @@ def _eliminate_one(rule, slot, atomic, acl, table) -> Optional[Rule]:
 
 
 def _id_split(rule: Rule, acl: AclPolicy, others: Iterable[Rule]) -> tuple[Rule, ...]:
-    cm, om = acl.class_model, acl.object_model
-    covered_elsewhere = set()
-    for other in others:
-        covered_elsewhere |= rule_meaning(cm, om, other)
+    own = rule_meaning(acl.class_model, acl.object_model, rule)
     out = []
-    for t in sorted(rule_meaning(cm, om, rule) - covered_elsewhere):
+    for t in sorted(own - _policy_meaning(others, acl)):
         out.append(
             Rule(
                 rule.subject_type,
@@ -409,13 +402,25 @@ def _eliminate_all_negatives(rules, acl, tables) -> tuple[Rule, ...]:
 
 
 class _Phase2:
-    def __init__(self, acl: AclPolicy, limits: ExtractionLimits, observer):
+    """Phase 2b's current rules and the one gate that changes them.
+
+    ``replace`` is the only way a step changes ``rules``.  The policy
+    meaning of ``rules`` never changes, so it is computed once; their
+    weighted structural complexity is updated on every accepted change.
+    """
+
+    def __init__(self, rules, acl: AclPolicy, limits: ExtractionLimits, observer):
         self.cm = acl.class_model
         self.om = acl.object_model
         self.au = acl.au
         self.limits = limits
         self.observer = observer
         self._meanings: dict[Rule, frozenset[SraTuple]] = {}
+        self.rules = sort_rules(rules)
+        self.meaning = self.policy_meaning(self.rules)
+        self.wsc = policy_wsc(self.rules)
+        self.changed = False
+        self.outcomes: Counter[tuple[str, str]] = Counter()
 
     def meaning_of(self, rule: Rule) -> frozenset[SraTuple]:
         got = self._meanings.get(rule)
@@ -430,17 +435,25 @@ class _Phase2:
             out |= self.meaning_of(rule)
         return frozenset(out)
 
-    def commit(self, step: str, old_rules, new_rules) -> Optional[list[Rule]]:
-        """Accept a transformation only if the policy meaning is unchanged
-        and the policy's structural complexity does not grow."""
-        if self.policy_meaning(new_rules) != self.policy_meaning(old_rules):
-            return None
-        new_rules = list(sort_rules(new_rules))
-        if policy_wsc(new_rules) > policy_wsc(old_rules):
-            return None
+    def replace(self, step: str, old: Collection[Rule], new: Iterable[Rule]) -> bool:
+        """Swap ``old`` for ``new`` if the policy meaning is unchanged and
+        the policy's structural complexity does not grow; tell the
+        observer about every accepted change."""
+        proposal = [r for r in self.rules if r not in old] + list(new)
+        if self.policy_meaning(proposal) != self.meaning:
+            self.outcomes[step, "meaning"] += 1
+            return False
+        proposal = sort_rules(proposal)
+        proposal_wsc = policy_wsc(proposal)
+        if proposal_wsc > self.wsc:
+            self.outcomes[step, "wsc"] += 1
+            return False
+        self.outcomes[step, "accepted"] += 1
+        self.rules, self.wsc = proposal, proposal_wsc
+        self.changed = True
         if self.observer is not None:
-            self.observer(step, tuple(new_rules))
-        return new_rules
+            self.observer(step, proposal)
+        return True
 
 
 def merge_and_simplify(
@@ -455,62 +468,46 @@ def merge_and_simplify(
     to actions, merging rules identical up to one condition's constant
     set, dropping rules whose grants other rules already cover, greedily
     dropping atomics that validity allows, and swapping constraints for
-    strictly cheaper conditions of identical effect.  A commit is accepted
+    strictly cheaper conditions of identical effect.  Every step changes
+    the rules only through ``_Phase2.replace``, which accepts a change
     only when the policy meaning is unchanged and the policy's weighted
-    structural complexity does not grow.
+    structural complexity does not grow.  The accepted and rejected
+    proposals per step are logged once at DEBUG.
     """
-    ctx = _Phase2(acl, limits, observer)
-    current = list(sort_rules(rules))
-    steps = (
-        _rewrite_bool_negations,
-        _merge_actions,
-        _merge_value_sets,
-        _drop_covered_rules,
-        _drop_atomics,
-        _constraints_to_conditions,
+    ctx = _Phase2(rules, acl, limits, observer)
+    ctx.changed = True
+    while ctx.changed:
+        ctx.changed = False
+        for step in _STEPS:
+            step(ctx)
+    counts = sorted(ctx.outcomes.items())
+    log.debug(
+        "phase 2b proposals: %s",
+        ", ".join(f"{step} {outcome} {n}" for (step, outcome), n in counts) or "none",
     )
-    changed = True
-    while changed:
-        changed = False
-        for step in steps:
-            updated = step(current, ctx)
-            if updated is not None:
-                current = updated
-                changed = True
-    return sort_rules(current)
+    return ctx.rules
 
 
-def _rewrite_bool_negations(rules, ctx) -> Optional[list[Rule]]:
-    changed = None
-    current = list(rules)
-    for i, rule in enumerate(list(current)):
+def _rewrite_bool_negations(ctx: _Phase2) -> None:
+    for rule in ctx.rules:
         new_rule = rule
-        for slot, cls in (("subject", rule.subject_type), ("resource", rule.resource_type)):
-            conds = (
-                new_rule.subject_condition if slot == "subject" else new_rule.resource_condition
-            )
-            for ac in sorted(conds, key=lambda c: c.sort_key):
-                if not (ac.negated and ac.op == "in" and len(ac.value) == 1):
-                    continue
-                atom = next(iter(ac.value))
-                if not isinstance(atom, bool):
-                    continue
-                flipped = AtomicCondition(ac.path, "in", frozenset({not atom}))
-                new_rule = _with_atomic(
-                    _without_atomic(new_rule, slot, ac), slot, flipped
-                )
+        for slot, ac in rule.atomics():
+            if slot == "constraint" or not (
+                ac.negated and ac.op == "in" and len(ac.value) == 1
+            ):
+                continue
+            atom = next(iter(ac.value))
+            if not isinstance(atom, bool):
+                continue
+            flipped = AtomicCondition(ac.path, "in", frozenset({not atom}))
+            new_rule = _with_atomic(_without_atomic(new_rule, slot, ac), slot, flipped)
         if new_rule != rule:
-            proposal = current[:i] + [new_rule] + current[i + 1:]
-            committed = ctx.commit("rewrite-bool-negation", current, proposal)
-            if committed is not None:
-                current = committed
-                changed = current
-    return changed
+            ctx.replace("rewrite-bool-negation", (rule,), (new_rule,))
 
 
-def _merge_actions(rules, ctx) -> Optional[list[Rule]]:
+def _merge_actions(ctx: _Phase2) -> None:
     groups: dict[tuple, list[Rule]] = {}
-    for rule in rules:
+    for rule in ctx.rules:
         key = (
             rule.subject_type,
             rule.resource_type,
@@ -519,21 +516,10 @@ def _merge_actions(rules, ctx) -> Optional[list[Rule]]:
             tuple(sorted(c.sort_key for c in rule.constraint)),
         )
         groups.setdefault(key, []).append(rule)
-    if all(len(g) == 1 for g in groups.values()):
-        return None
-    current = list(rules)
-    changed = None
     for group in groups.values():
-        if len(group) == 1:
-            continue
-        actions = frozenset().union(*(r.actions for r in group))
-        merged = replace(group[0], actions=actions)
-        proposal = [r for r in current if r not in group] + [merged]
-        committed = ctx.commit("merge-actions", current, proposal)
-        if committed is not None:
-            current = committed
-            changed = current
-    return changed
+        if len(group) > 1:
+            actions = frozenset().union(*(r.actions for r in group))
+            ctx.replace("merge-actions", group, (replace(group[0], actions=actions),))
 
 
 def _value_set_merge_key(rule: Rule, slot: str, ac: AtomicCondition):
@@ -541,9 +527,9 @@ def _value_set_merge_key(rule: Rule, slot: str, ac: AtomicCondition):
     return (rest.sort_key, slot, ac.path, ac.op, ac.negated)
 
 
-def _merge_value_sets(rules, ctx) -> Optional[list[Rule]]:
+def _merge_value_sets(ctx: _Phase2) -> None:
     groups: dict[tuple, list[tuple[Rule, str, AtomicCondition]]] = {}
-    for rule in rules:
+    for rule in ctx.rules:
         for slot, ac in rule.atomics():
             if slot == "constraint" or ac.op != "in" or ac.negated:
                 continue
@@ -551,8 +537,6 @@ def _merge_value_sets(rules, ctx) -> Optional[list[Rule]]:
                 (rule, slot, ac)
             )
     candidates = [g for g in groups.values() if len(g) > 1]
-    if not candidates:
-        return None
     # Most-granting pairs first.
     candidates.sort(
         key=lambda g: (
@@ -560,10 +544,8 @@ def _merge_value_sets(rules, ctx) -> Optional[list[Rule]]:
             g[0][0].sort_key,
         )
     )
-    current = list(rules)
-    changed = None
     for group in candidates:
-        members = [(r, slot, ac) for r, slot, ac in group if r in current]
+        members = [(r, slot, ac) for r, slot, ac in group if r in ctx.rules]
         if len(members) < 2:
             continue
         rule0, slot, ac0 = members[0]
@@ -573,40 +555,22 @@ def _merge_value_sets(rules, ctx) -> Optional[list[Rule]]:
             slot,
             AtomicCondition(ac0.path, "in", union),
         )
-        if not ctx.meaning_of(merged) <= ctx.au:
-            continue
-        proposal = [r for r in current if r not in {m[0] for m in members}] + [merged]
-        committed = ctx.commit("merge-value-sets", current, proposal)
-        if committed is not None:
-            current = committed
-            changed = current
-    return changed
+        if ctx.meaning_of(merged) <= ctx.au:
+            ctx.replace("merge-value-sets", [r for r, _, _ in members], (merged,))
 
 
-def _drop_covered_rules(rules, ctx) -> Optional[list[Rule]]:
-    current = list(rules)
-    changed = None
+def _drop_covered_rules(ctx: _Phase2) -> None:
     # Narrow rules first; on equal coverage drop the structurally heavier
     # one, so identity-laden fallback rules lose to general ones.
     for rule in sorted(
-        current, key=lambda r: (len(ctx.meaning_of(r)), -wsc(r), r.sort_key)
+        ctx.rules, key=lambda r: (len(ctx.meaning_of(r)), -wsc(r), r.sort_key)
     ):
-        if rule not in current:
-            continue
-        rest = [r for r in current if r != rule]
-        if ctx.meaning_of(rule) <= ctx.policy_meaning(rest):
-            committed = ctx.commit("drop-covered-rule", current, rest)
-            if committed is not None:
-                current = committed
-                changed = current
-    return changed
+        ctx.replace("drop-covered-rule", (rule,), ())
 
 
-def _drop_atomics(rules, ctx) -> Optional[list[Rule]]:
-    current = list(rules)
-    changed = None
-    for rule in list(current):
-        if rule not in current:
+def _drop_atomics(ctx: _Phase2) -> None:
+    for rule in ctx.rules:
+        if rule not in ctx.rules:
             continue
         working = rule
         progressed = True
@@ -625,22 +589,19 @@ def _drop_atomics(rules, ctx) -> Optional[list[Rule]]:
                 shrunk = _without_atomic(working, slot, atomic)
                 if not ctx.meaning_of(shrunk) <= ctx.au:
                     continue
-                proposal = [r for r in current if r != working] + [shrunk]
-                committed = ctx.commit("drop-atomic", current, proposal)
-                if committed is not None:
-                    current = committed
-                    changed = current
+                if ctx.replace("drop-atomic", (working,), (shrunk,)):
                     working = shrunk
                     progressed = True
                     break
-    return changed
 
 
-def _constraints_to_conditions(rules, ctx) -> Optional[list[Rule]]:
-    current = list(rules)
-    changed = None
-    for rule in list(current):
-        if rule not in current:
+def _constraints_to_conditions(ctx: _Phase2) -> None:
+    @cache
+    def conditions(cls: str) -> tuple[AtomicCondition, ...]:
+        return enumerate_condition_features(ctx.cm, ctx.om, cls, ctx.limits)
+
+    for rule in ctx.rules:
+        if rule not in ctx.rules:
             continue
         working = rule
         for constraint in sorted(rule.constraint, key=lambda c: c.sort_key):
@@ -648,29 +609,33 @@ def _constraints_to_conditions(rules, ctx) -> Optional[list[Rule]]:
                 continue
             base = _without_atomic(working, "constraint", constraint)
             target = ctx.meaning_of(working)
-            options = []
-            for slot, cls in (
-                ("subject", working.subject_type),
-                ("resource", working.resource_type),
-            ):
-                for cond in enumerate_condition_features(
-                    ctx.cm, ctx.om, cls, ctx.limits
-                ):
-                    if wsc(cond) < wsc(constraint):
-                        options.append((wsc(cond), slot, cond))
+            options = [
+                (wsc(cond), slot, cond)
+                for slot, cls in (
+                    ("subject", working.subject_type),
+                    ("resource", working.resource_type),
+                )
+                for cond in conditions(cls)
+                if wsc(cond) < wsc(constraint)
+            ]
             options.sort(key=lambda o: (o[0], o[1], o[2].sort_key))
             for _, slot, cond in options:
                 candidate = _with_atomic(base, slot, cond)
                 if ctx.meaning_of(candidate) != target:
                     continue
-                proposal = [r for r in current if r != working] + [candidate]
-                committed = ctx.commit("constraint-to-condition", current, proposal)
-                if committed is not None:
-                    current = committed
-                    changed = current
+                if ctx.replace("constraint-to-condition", (working,), (candidate,)):
                     working = candidate
                     break
-    return changed
+
+
+_STEPS = (
+    _rewrite_bool_negations,
+    _merge_actions,
+    _merge_value_sets,
+    _drop_covered_rules,
+    _drop_atomics,
+    _constraints_to_conditions,
+)
 
 
 def _policy_meaning(rules, acl: AclPolicy) -> frozenset[SraTuple]:

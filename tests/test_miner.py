@@ -1,8 +1,10 @@
 import hashlib
+import logging
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rebac_miner import jsonio
+from rebac_miner import jsonio, miner
 from rebac_miner.datagen import (
     builtin_spec,
     generate,
@@ -42,6 +44,7 @@ from rebac_miner.model import (
     sort_rules,
 )
 from rebac_miner.tvl import Conjunction, DnfFormula, Literal, Polarity
+from tests.test_model import ORG_ACTIONS, ORG_CM, org_models, org_rules
 
 
 def cond(path, *atoms, negated=False):
@@ -327,8 +330,7 @@ class TestMergeAndSimplify:
         (out,) = merge_and_simplify([rule], acl)
         assert out.resource_condition == frozenset({cond(("secret",), False)})
 
-    def test_commit_rejects_wsc_increase(self):
-        acl = self.make_acl()
+    def bloated_same_dept(self):
         same_dept, handbook = running_example_rules()
         # Same policy meaning as same_dept (see test_redundant_condition_dropped),
         # but one more atomic condition.
@@ -340,15 +342,119 @@ class TestMergeAndSimplify:
             same_dept.constraint,
             same_dept.actions,
         )
+        return same_dept, handbook, bloated
+
+    def test_replace_rejects_wsc_increase(self):
+        acl = self.make_acl()
+        same_dept, handbook, bloated = self.bloated_same_dept()
         seen = []
-        ctx = _Phase2(acl, ExtractionLimits(), lambda step, rules: seen.append(step))
+
+        def phase2(rules):
+            return _Phase2(rules, acl, ExtractionLimits(), lambda s, _: seen.append(s))
+
         lean, heavy = [same_dept, handbook], [bloated, handbook]
+        ctx = phase2(lean)
         assert ctx.policy_meaning(lean) == ctx.policy_meaning(heavy)
         assert policy_wsc(heavy) > policy_wsc(lean)
-        assert ctx.commit("grow", sort_rules(lean), heavy) is None
+        assert not ctx.replace("grow", [same_dept], [bloated])
+        assert ctx.rules == sort_rules(lean)
         assert seen == []
-        assert ctx.commit("shrink", sort_rules(heavy), lean) == list(sort_rules(lean))
+        ctx = phase2(heavy)
+        assert ctx.replace("shrink", [bloated], [same_dept])
+        assert ctx.rules == sort_rules(lean)
         assert seen == ["shrink"]
+
+    def test_rejections_logged_once(self, caplog, monkeypatch):
+        acl = self.make_acl()
+        same_dept, handbook, bloated = self.bloated_same_dept()
+
+        def grow(ctx):
+            ctx.replace("grow", [same_dept], [bloated])
+
+        monkeypatch.setattr(miner, "_STEPS", (grow,))
+        seen = []
+        with caplog.at_level(logging.DEBUG, logger="rebac_miner.miner"):
+            out = merge_and_simplify(
+                [same_dept, handbook], acl, observer=lambda *event: seen.append(event)
+            )
+        assert out == sort_rules([same_dept, handbook])
+        assert seen == []
+        assert caplog.messages == ["phase 2b proposals: grow wsc 1"]
+
+    def test_rejections_counted_by_reason(self, caplog):
+        acl = self.make_acl()
+        same_dept, handbook, bloated = self.bloated_same_dept()
+        with caplog.at_level(logging.DEBUG, logger="rebac_miner.miner"):
+            merge_and_simplify([bloated, handbook], acl)
+        # The dept condition goes in the first round; in both rounds
+        # neither rule is covered by the other.
+        assert caplog.messages == [
+            "phase 2b proposals: drop-atomic accepted 1, drop-covered-rule meaning 4"
+        ]
+
+    def test_bool_rewrite_replaces_only_its_rule(self):
+        # Each rewrite must swap exactly the rewritten rule, even after an
+        # earlier rewrite re-sorted the rules and merged a duplicate away.
+        bools = {f: FieldDecl("Boolean", Multiplicity.ONE) for f in "abc"}
+        cm = ClassModel({"User": {}, "Doc": bools})
+        om = ObjectModel(
+            [
+                ObjectInstance("u1", "User", {}),
+                ObjectInstance("d1", "Doc", {"a": False, "b": True, "c": True}),
+                ObjectInstance("d2", "Doc", {"a": True, "b": False, "c": False}),
+            ]
+        )
+        au = frozenset({SraTuple("u1", "d1", "read"), SraTuple("u1", "d2", "read")})
+        acl = AclPolicy(cm, om, frozenset({"read"}), au)
+
+        def doc_rule(*conditions):
+            return Rule(
+                "User", frozenset(), "Doc", frozenset(conditions), frozenset(),
+                frozenset({"read"}),
+            )
+
+        def rewritten(rule):
+            flipped = {
+                cond(c.path, not next(iter(c.value))) if c.negated else c
+                for c in rule.resource_condition
+            }
+            return doc_rule(*flipped)
+
+        rules = [
+            doc_rule(cond(("a",), False)),
+            doc_rule(cond(("a",), True, negated=True)),
+            doc_rule(cond(("b",), True, negated=True)),
+            doc_rule(cond(("c",), True)),
+        ]
+        events = []
+        merge_and_simplify(rules, acl, observer=lambda *event: events.append(event))
+        before = set(rules)
+        rewrites = 0
+        for step, after in events:
+            after = set(after)
+            if step == "rewrite-bool-negation":
+                rewrites += 1
+                (gone,) = before - after
+                assert after == (before - {gone}) | {rewritten(gone)}
+            before = after
+        assert rewrites == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(om=org_models(), rules=st.lists(org_rules(), min_size=1, max_size=4))
+    def test_every_event_keeps_meaning_and_never_grows(self, om, rules):
+        def granted(rules):
+            return meaning(Policy(ORG_CM, om, frozenset(ORG_ACTIONS), tuple(rules)))
+
+        au = granted(rules)
+        acl = AclPolicy(ORG_CM, om, frozenset(ORG_ACTIONS), au)
+        events = []
+        out = merge_and_simplify(rules, acl, observer=lambda *e: events.append(e))
+        last = policy_wsc(sort_rules(rules))
+        for _, after in events:
+            assert granted(after) == au
+            assert policy_wsc(after) <= last
+            last = policy_wsc(after)
+        assert granted(out) == au
 
     def test_overlapping_rule_dropped(self):
         acl = self.make_acl()

@@ -13,8 +13,9 @@ keeps a rewritten rule only if it stays valid and keeps its own grants.
 Phase 2b changes the rules only through one gate, ``_Phase2.replace``,
 which accepts a change only if the policy's meaning is preserved exactly
 and its weighted structural complexity does not grow.  A final check
-refuses any mined policy whose meaning differs from the input
-authorizations.
+compares the mined policy's meaning, one pair plane per (subject type,
+resource type, action), with the input authorizations' planes and refuses
+the policy on any difference.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ import logging
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cache
-from typing import Callable, Collection, Iterable, Optional
+from functools import cache, reduce
+from operator import and_, or_
+from typing import Callable, Collection, Iterable, Mapping, Optional
 
 from rebac_miner.features import (
     ExtractionLimits,
@@ -50,21 +52,30 @@ from rebac_miner.model import (
     ModelError,
     Policy,
     Rule,
-    SraTuple,
     nav,
     path_type,
+    plane_tuples,
+    planes_without_each,
     policy_wsc,
-    rule_meaning,
     sort_rules,
     wsc,
 )
+# Imported under the name rule_meaning: the benchmark's tracer wraps
+# miner.rule_meaning to time and count rule meanings per phase.
+from rebac_miner.model import rule_plane as rule_meaning
 from rebac_miner.tvl import (
     DnfFormula,
     LabeledDataset,
     Polarity,
+    pair_indices,
 )
 
 Observer = Callable[[str, tuple[Rule, ...]], None]
+
+# A policy meaning: (subject type, resource type, action) -> the plane of
+# the pairs granted that action (:func:`rebac_miner.model.rule_plane`'s
+# layout).  Zero planes are left out, so equal meanings are equal dicts.
+Meaning = Mapping[tuple[str, str, str], int]
 
 log = logging.getLogger(__name__)
 
@@ -170,9 +181,16 @@ def mine_detailed(
 
     policy = Policy(cm, om, acl.actions, sort_rules(rules))
     if not unknown_as_false:
-        granted = _policy_meaning(policy.rules, acl)
-        if granted != acl.au:
-            diff = sorted(granted ^ acl.au)[0]
+        granted, au = _policy_meaning(policy.rules, acl), acl.au_planes
+        if granted != au:
+            # Only a mismatch is decoded, to name its smallest tuple.
+            diff = min(
+                t
+                for s, r, a in {*granted, *au}
+                for t in plane_tuples(
+                    om, s, r, granted.get((s, r, a), 0) ^ au.get((s, r, a), 0), (a,)
+                )
+            )
             raise MinerError(f"mined policy disagrees with input at {diff}")
     return MineResult(policy, tuple(reports))
 
@@ -309,18 +327,29 @@ def eliminate_negative_features(
         current = rewritten
 
 
+def _au_planes_of(rule: Rule, acl: AclPolicy) -> list[int]:
+    """The AU's pair planes for each of the rule's actions."""
+    au = acl.au_planes
+    return [au.get((rule.subject_type, rule.resource_type, a), 0) for a in rule.actions]
+
+
 def _eliminate_one(rule, slot, atomic, acl, table) -> Optional[Rule]:
-    cm, om, au = acl.class_model, acl.object_model, acl.au
+    cm, om = acl.class_model, acl.object_model
+    au = _au_planes_of(rule, acl)
+    # A rule grants the same pairs for each of its actions, so it is valid
+    # when its pairs lie in every action's AU plane, and it grants exactly
+    # its pairs that some action's AU plane holds.
+    allowed = reduce(and_, au)
     base = _without_atomic(rule, slot, atomic)
-    own = rule_meaning(cm, om, rule) & au
+    own = rule_meaning(cm, om, rule) & reduce(or_, au)
 
     def acceptable(candidate: Rule) -> bool:
         # Valid, and still granting everything the rule granted before.
         granted = rule_meaning(cm, om, candidate)
-        return granted <= au and granted >= own
+        return not granted & ~allowed and not own & ~granted
 
     # (1) plain removal
-    if rule_meaning(cm, om, base) <= au:
+    if not rule_meaning(cm, om, base) & ~allowed:
         return base
 
     # (2) cheapest positive replacement from the feature table
@@ -350,10 +379,11 @@ def _eliminate_one(rule, slot, atomic, acl, table) -> Optional[Rule]:
             if acceptable(candidate):
                 return candidate
 
-        # (4) constants navigated by the rule's currently granted tuples
+        # (4) constants navigated by the rule's currently granted pairs
+        objects = om.objects_of(cls)
         atoms = set()
-        for t in sorted(own):
-            oid = t.subject if slot == "subject" else t.resource
+        for i, j in pair_indices(own, len(om.objects_of(rule.resource_type))):
+            oid = objects[i if slot == "subject" else j].id
             value = nav(cm, om, oid, atomic.path)
             if isinstance(value, (str, bool)):
                 atoms.add(value)
@@ -368,14 +398,24 @@ def _eliminate_one(rule, slot, atomic, acl, table) -> Optional[Rule]:
 
 
 def _id_split(rule: Rule, acl: AclPolicy, others: Iterable[Rule]) -> tuple[Rule, ...]:
-    own = rule_meaning(acl.class_model, acl.object_model, rule)
+    om = acl.object_model
+    s_cls, r_cls = rule.subject_type, rule.resource_type
+    own = rule_meaning(acl.class_model, om, rule)
+    covered = _policy_meaning(others, acl)
+    uncovered = sorted(
+        t
+        for a in rule.actions
+        for t in plane_tuples(
+            om, s_cls, r_cls, own & ~covered.get((s_cls, r_cls, a), 0), (a,)
+        )
+    )
     out = []
-    for t in sorted(own - _policy_meaning(others, acl)):
+    for t in uncovered:
         out.append(
             Rule(
-                rule.subject_type,
+                s_cls,
                 frozenset({AtomicCondition((ID_FIELD,), "in", frozenset({t.subject}))}),
-                rule.resource_type,
+                r_cls,
                 frozenset({AtomicCondition((ID_FIELD,), "in", frozenset({t.resource}))}),
                 frozenset(),
                 frozenset({t.action}),
@@ -404,55 +444,68 @@ def _eliminate_all_negatives(rules, acl, tables) -> tuple[Rule, ...]:
 class _Phase2:
     """Phase 2b's current rules and the one gate that changes them.
 
-    ``replace`` is the only way a step changes ``rules``.  The policy
+    ``replace`` is the only way a step changes ``rules``.  Meanings are
+    pair planes: a rule's is one plane (:func:`rebac_miner.model.rule_plane`,
+    cached per rule) and a policy's is a :data:`Meaning`.  The policy
     meaning of ``rules`` never changes, so it is computed once; their
-    weighted structural complexity is updated on every accepted change.
+    weighted structural complexity is updated from the rules each accepted
+    change removes and adds.
     """
 
     def __init__(self, rules, acl: AclPolicy, limits: ExtractionLimits, observer):
         self.cm = acl.class_model
         self.om = acl.object_model
-        self.au = acl.au
+        self.acl = acl
         self.limits = limits
         self.observer = observer
-        self._meanings: dict[Rule, frozenset[SraTuple]] = {}
+        self._meanings: dict[Rule, int] = {}
         self.rules = sort_rules(rules)
         self.meaning = self.policy_meaning(self.rules)
         self.wsc = policy_wsc(self.rules)
         self.changed = False
         self.outcomes: Counter[tuple[str, str]] = Counter()
 
-    def meaning_of(self, rule: Rule) -> frozenset[SraTuple]:
+    def meaning_of(self, rule: Rule) -> int:
         got = self._meanings.get(rule)
         if got is None:
             got = rule_meaning(self.cm, self.om, rule)
             self._meanings[rule] = got
         return got
 
-    def policy_meaning(self, rules) -> frozenset[SraTuple]:
-        out: set[SraTuple] = set()
+    def within_au(self, rule: Rule, plane: int) -> bool:
+        """Whether ``rule`` with pair plane ``plane`` grants only AU tuples:
+        the AU must grant each of its pairs for every one of its actions."""
+        return not plane & ~reduce(and_, _au_planes_of(rule, self.acl))
+
+    def policy_meaning(self, rules) -> Meaning:
+        out: dict[tuple[str, str, str], int] = {}
         for rule in rules:
-            out |= self.meaning_of(rule)
-        return frozenset(out)
+            _add_meaning(out, rule, self.meaning_of(rule))
+        return out
 
     def replace(self, step: str, old: Collection[Rule], new: Iterable[Rule]) -> bool:
         """Swap ``old`` for ``new`` if the policy meaning is unchanged and
         the policy's structural complexity does not grow; tell the
         observer about every accepted change."""
-        proposal = [r for r in self.rules if r not in old] + list(new)
-        if self.policy_meaning(proposal) != self.meaning:
+        kept, removed = [], []
+        for rule in self.rules:
+            (removed if rule in old else kept).append(rule)
+        new = list(new)
+        if self.policy_meaning(kept + new) != self.meaning:
             self.outcomes[step, "meaning"] += 1
             return False
-        proposal = sort_rules(proposal)
-        proposal_wsc = policy_wsc(proposal)
+        # Like sort_rules, count a rule once per sort key.
+        keys = {rule.sort_key for rule in kept}
+        added = {rule.sort_key: rule for rule in new if rule.sort_key not in keys}
+        proposal_wsc = self.wsc - policy_wsc(removed) + policy_wsc(added.values())
         if proposal_wsc > self.wsc:
             self.outcomes[step, "wsc"] += 1
             return False
         self.outcomes[step, "accepted"] += 1
-        self.rules, self.wsc = proposal, proposal_wsc
+        self.rules, self.wsc = sort_rules(kept + new), proposal_wsc
         self.changed = True
         if self.observer is not None:
-            self.observer(step, proposal)
+            self.observer(step, self.rules)
         return True
 
 
@@ -527,6 +580,11 @@ def _value_set_merge_key(rule: Rule, slot: str, ac: AtomicCondition):
     return (rest.sort_key, slot, ac.path, ac.op, ac.negated)
 
 
+def _size(rule: Rule, plane: int) -> int:
+    """The number of tuples ``rule`` grants if its pair plane is ``plane``."""
+    return plane.bit_count() * len(rule.actions)
+
+
 def _merge_value_sets(ctx: _Phase2) -> None:
     groups: dict[tuple, list[tuple[Rule, str, AtomicCondition]]] = {}
     for rule in ctx.rules:
@@ -537,10 +595,11 @@ def _merge_value_sets(ctx: _Phase2) -> None:
                 (rule, slot, ac)
             )
     candidates = [g for g in groups.values() if len(g) > 1]
-    # Most-granting pairs first.
+    # Most-granting pairs first.  A group's rules share their types and
+    # actions, so the union of their meanings is the OR of their planes.
     candidates.sort(
         key=lambda g: (
-            -len(frozenset().union(*(ctx.meaning_of(r) for r, _, _ in g))),
+            -_size(g[0][0], reduce(or_, (ctx.meaning_of(r) for r, _, _ in g))),
             g[0][0].sort_key,
         )
     )
@@ -555,7 +614,7 @@ def _merge_value_sets(ctx: _Phase2) -> None:
             slot,
             AtomicCondition(ac0.path, "in", union),
         )
-        if ctx.meaning_of(merged) <= ctx.au:
+        if ctx.within_au(merged, ctx.meaning_of(merged)):
             ctx.replace("merge-value-sets", [r for r, _, _ in members], (merged,))
 
 
@@ -563,7 +622,7 @@ def _drop_covered_rules(ctx: _Phase2) -> None:
     # Narrow rules first; on equal coverage drop the structurally heavier
     # one, so identity-laden fallback rules lose to general ones.
     for rule in sorted(
-        ctx.rules, key=lambda r: (len(ctx.meaning_of(r)), -wsc(r), r.sort_key)
+        ctx.rules, key=lambda r: (_size(r, ctx.meaning_of(r)), -wsc(r), r.sort_key)
     ):
         ctx.replace("drop-covered-rule", (rule,), ())
 
@@ -576,19 +635,23 @@ def _drop_atomics(ctx: _Phase2) -> None:
         progressed = True
         while progressed:
             progressed = False
-            base_meaning = ctx.meaning_of(working)
-            candidates = []
-            for slot, atomic in working.atomics():
-                shrunk = _without_atomic(working, slot, atomic)
-                contribution = len(ctx.meaning_of(shrunk)) - len(base_meaning)
-                is_constraint = 1 if slot == "constraint" else 0
-                candidates.append(
-                    (is_constraint, contribution, atomic.sort_key, slot, atomic)
+            base_size = _size(working, ctx.meaning_of(working))
+            atomics = working.atomics()
+            planes = planes_without_each(ctx.cm, ctx.om, working)
+            candidates = [
+                (
+                    1 if slot == "constraint" else 0,
+                    _size(working, plane) - base_size,
+                    atomic.sort_key,
+                    k,
                 )
-            for _, _, _, slot, atomic in sorted(candidates, key=lambda c: c[:3]):
-                shrunk = _without_atomic(working, slot, atomic)
-                if not ctx.meaning_of(shrunk) <= ctx.au:
+                for k, ((slot, atomic), plane) in enumerate(zip(atomics, planes))
+            ]
+            for *_, k in sorted(candidates, key=lambda c: c[:3]):
+                if not ctx.within_au(working, planes[k]):
                     continue
+                shrunk = _without_atomic(working, *atomics[k])
+                ctx._meanings.setdefault(shrunk, planes[k])  # spares a rule_meaning
                 if ctx.replace("drop-atomic", (working,), (shrunk,)):
                     working = shrunk
                     progressed = True
@@ -638,8 +701,16 @@ _STEPS = (
 )
 
 
-def _policy_meaning(rules, acl: AclPolicy) -> frozenset[SraTuple]:
-    out: set[SraTuple] = set()
+def _add_meaning(out: dict, rule: Rule, plane: int) -> None:
+    """OR a rule's pair plane into a policy meaning, once per action."""
+    if plane:
+        for action in rule.actions:
+            key = (rule.subject_type, rule.resource_type, action)
+            out[key] = out.get(key, 0) | plane
+
+
+def _policy_meaning(rules, acl: AclPolicy) -> Meaning:
+    out: dict[tuple[str, str, str], int] = {}
     for rule in rules:
-        out |= rule_meaning(acl.class_model, acl.object_model, rule)
-    return frozenset(out)
+        _add_meaning(out, rule, rule_meaning(acl.class_model, acl.object_model, rule))
+    return out

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Union
 
 from rebac_miner.tvl import (
@@ -416,7 +418,7 @@ class Rule:
         if not self.actions:
             raise ModelError("rules must carry at least one action")
 
-    @property
+    @cached_property
     def sort_key(self):
         return (
             self.subject_type,
@@ -462,6 +464,30 @@ class AclPolicy:
     object_model: ObjectModel
     actions: frozenset[str]
     au: frozenset[SraTuple]
+
+    @cached_property
+    def au_planes(self) -> Mapping[tuple[str, str, str], int]:
+        """``au`` as pair planes: (subject type, resource type, action) maps
+        to the plane of the pairs granted that action, in
+        :mod:`rebac_miner.tvl`'s pair layout over the two classes' objects.
+
+        Keys with no grants are absent, so two such mappings are equal
+        exactly when the tuple sets they encode are.  Computed once per
+        policy, which is safe because a frozen ``AclPolicy`` and its object
+        model never change.
+        """
+        om = self.object_model
+        positions: dict[tuple[str, str, str], list[int]] = {}
+        for t in self.au:
+            s_type, r_type = om.get(t.subject).type, om.get(t.resource).type
+            n_r = len(om.objects_of(r_type))
+            positions.setdefault((s_type, r_type, t.action), []).append(
+                om._position[t.subject] * n_r + om._position[t.resource]
+            )
+        return MappingProxyType({
+            (s, r, a): mask_of(bits, len(om.objects_of(s)) * len(om.objects_of(r)))
+            for (s, r, a), bits in positions.items()
+        })
 
 
 def validate_rule(cm: ClassModel, rule: Rule) -> None:
@@ -673,9 +699,11 @@ def constraint_planes(
     return planes
 
 
-def rule_meaning(cm: ClassModel, om: ObjectModel, rule: Rule) -> frozenset[SraTuple]:
-    """The authorizations ``rule`` grants: every typed subject/resource pair
-    on which all its atomics are exactly T, with each of its actions.
+def rule_plane(cm: ClassModel, om: ObjectModel, rule: Rule) -> int:
+    """The subject/resource pairs ``rule`` grants, as one plane in
+    :mod:`rebac_miner.tvl`'s pair layout over the objects of its subject
+    and resource classes: the pairs on which all its atomics are exactly T.
+    The rule grants each of these pairs every one of its actions.
 
     Computed as an AND of per-atomic T-planes (:func:`condition_planes`,
     :func:`constraint_planes`; a negated atomic is exactly T where its
@@ -683,30 +711,92 @@ def rule_meaning(cm: ClassModel, om: ObjectModel, rule: Rule) -> frozenset[SraTu
     once per object (or pair) of an object model, however many rules share
     it.  The memo is safe for the reason given on :class:`ObjectModel`:
     the model never changes, so neither does an atomic's truth on it.
-    Agrees with :func:`satisfies` on every tuple.
     """
     s_cls, r_cls = rule.subject_type, rule.resource_type
-    subjects = om.objects_of(s_cls)
-    s_mask = (1 << len(subjects)) - 1
+    n_s, n_r = len(om.objects_of(s_cls)), len(om.objects_of(r_cls))
+    s_mask = (1 << n_s) - 1
     # Index [negated] picks the T-plane, or for a negated atomic the F-plane.
     for ac in rule.subject_condition:
         s_mask &= condition_planes(cm, om, s_cls, ac)[ac.negated]
     if not s_mask:
-        return frozenset()
-    resources = om.objects_of(r_cls)
-    r_mask = (1 << len(resources)) - 1
+        return 0
+    r_mask = (1 << n_r) - 1
     for ac in rule.resource_condition:
         r_mask &= condition_planes(cm, om, r_cls, ac)[ac.negated]
     if not r_mask:
-        return frozenset()
-    n_s, n_r = len(subjects), len(resources)
+        return 0
     pairs = subject_rows(s_mask, n_s, n_r) & resource_rows(r_mask, n_s, n_r)
     for con in rule.constraint:
         pairs &= constraint_planes(cm, om, s_cls, r_cls, con)[con.negated]
+    return pairs
+
+
+def planes_without_each(cm: ClassModel, om: ObjectModel, rule: Rule) -> list[int]:
+    """Entry k is :func:`rule_plane` of ``rule`` minus its k-th atomic, in
+    :meth:`Rule.atomics` order.
+
+    Each slot group (subject conditions, resource conditions, constraints)
+    keeps prefix and suffix ANDs of its atomics' T-planes, so leaving out
+    one atomic costs one AND of a prefix and a suffix instead of a new
+    AND over every other atomic.
+    """
+    s_cls, r_cls = rule.subject_type, rule.resource_type
+    n_s, n_r = len(om.objects_of(s_cls)), len(om.objects_of(r_cls))
+    planes: dict[str, list[int]] = {"subject": [], "resource": [], "constraint": []}
+    for slot, atomic in rule.atomics():
+        if slot == "constraint":
+            plane = constraint_planes(cm, om, s_cls, r_cls, atomic)[atomic.negated]
+        else:
+            cls = s_cls if slot == "subject" else r_cls
+            plane = condition_planes(cm, om, cls, atomic)[atomic.negated]
+        planes[slot].append(plane)
+    s_without, s_all = _and_without_each(planes["subject"], (1 << n_s) - 1)
+    r_without, r_all = _and_without_each(planes["resource"], (1 << n_r) - 1)
+    c_without, c_all = _and_without_each(planes["constraint"], (1 << (n_s * n_r)) - 1)
+    s_all, r_all = subject_rows(s_all, n_s, n_r), resource_rows(r_all, n_s, n_r)
+    return (
+        [subject_rows(m, n_s, n_r) & r_all & c_all for m in s_without]
+        + [s_all & resource_rows(m, n_s, n_r) & c_all for m in r_without]
+        + [s_all & r_all & c for c in c_without]
+    )
+
+
+def _and_without_each(planes: list[int], full: int) -> tuple[list[int], int]:
+    """The AND of ``full`` and all of ``planes`` but the k-th, for each k,
+    from prefix and suffix ANDs; and the AND of ``full`` and all of them."""
+    prefix = [full]
+    for plane in planes:
+        prefix.append(prefix[-1] & plane)
+    without, suffix = [0] * len(planes), full
+    for k in range(len(planes) - 1, -1, -1):
+        without[k] = prefix[k] & suffix
+        suffix &= planes[k]
+    return without, prefix[-1]
+
+
+def plane_tuples(
+    om: ObjectModel, s_cls: str, r_cls: str, plane: int, actions: Iterable[str]
+) -> frozenset[SraTuple]:
+    """The authorizations a pair plane over ``s_cls`` x ``r_cls`` stands
+    for when each of its pairs is granted every one of ``actions``."""
+    subjects, resources = om.objects_of(s_cls), om.objects_of(r_cls)
+    actions = tuple(actions)
     return frozenset(
         SraTuple(subjects[i].id, resources[j].id, a)
-        for i, j in pair_indices(pairs, n_r)
-        for a in rule.actions
+        for i, j in pair_indices(plane, len(resources))
+        for a in actions
+    )
+
+
+def rule_meaning(cm: ClassModel, om: ObjectModel, rule: Rule) -> frozenset[SraTuple]:
+    """The authorizations ``rule`` grants: every typed subject/resource pair
+    on which all its atomics are exactly T, with each of its actions.
+
+    Decodes :func:`rule_plane` into tuples.  Agrees with :func:`satisfies`
+    on every tuple.
+    """
+    return plane_tuples(
+        om, rule.subject_type, rule.resource_type, rule_plane(cm, om, rule), rule.actions
     )
 
 

@@ -17,6 +17,7 @@ from rebac_miner.learner import IdStrategy
 from rebac_miner.metrics import jaccard, semantic_similarity
 from rebac_miner.miner import (
     MinerConfig,
+    MinerError,
     _Phase2,
     eliminate_negative_features,
     extract_rules,
@@ -182,6 +183,27 @@ class TestEliminateNegatives:
         )
         assert rule_meaning(acl.class_model, acl.object_model, out) == acl.au
 
+    def test_navigated_constants_substep(self):
+        # Only t1 is authorized, so the complement {in_progress,
+        # not_started} grants too much; the constants navigated from the
+        # granted pairs (both users with t1) give status=not_started.
+        acl = status_model()
+        om = ObjectModel(
+            list(acl.object_model.objects()) + [ObjectInstance("u2", "User", {})]
+        )
+        au = frozenset({SraTuple("u1", "t1", "edit"), SraTuple("u2", "t1", "edit")})
+        acl = AclPolicy(acl.class_model, om, acl.actions, au)
+        rule = Rule(
+            "User",
+            frozenset(),
+            "Task",
+            frozenset({cond(("status",), "completed", negated=True)}),
+            frozenset(),
+            frozenset({"edit"}),
+        )
+        (out,) = eliminate_negative_features(rule, acl, FeatureTable.from_entries([]))
+        assert out.resource_condition == frozenset({cond(("status",), "not_started")})
+
     def test_droppable_negation_dropped(self):
         acl = status_model()
         # The negated atomic is redundant: every task the rule grants is
@@ -266,6 +288,33 @@ class TestEliminateNegatives:
             *(rule_meaning(acl.class_model, om2, r) for r in out)
         )
         assert granted == before
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_rewrites_keep_own_grants(self, data):
+        # Rules may carry both actions and the AU may grant a pair for one
+        # action only: the output keeps every authorized tuple the rule
+        # granted, carries no negation, and grants nothing outside the AU
+        # that the rule did not grant already.
+        om = data.draw(org_models())
+        rule = data.draw(org_rules())
+        granted = rule_meaning(ORG_CM, om, rule)
+        subjects = om.objects_of(rule.subject_type)
+        resources = om.objects_of(rule.resource_type)
+        typed = [
+            SraTuple(s.id, r.id, a) for s in subjects for r in resources for a in ORG_ACTIONS
+        ]
+        au = data.draw(st.sets(st.sampled_from(typed))) if typed else set()
+        acl = AclPolicy(ORG_CM, om, frozenset(ORG_ACTIONS), frozenset(au))
+        table = FeatureTable.build(
+            ORG_CM, om, rule.subject_type, rule.resource_type, ExtractionLimits()
+        )
+        out = eliminate_negative_features(rule, acl, table)
+        after = frozenset().union(*(rule_meaning(ORG_CM, om, r) for r in out))
+        assert after >= granted & acl.au
+        assert after <= acl.au | granted
+        assert not any(ac.negated for r in out for _, ac in r.atomics())
 
 
 class TestMergeAndSimplify:
@@ -456,10 +505,9 @@ class TestMergeAndSimplify:
             last = policy_wsc(after)
         assert granted(out) == au
 
-    def test_overlapping_rule_dropped(self):
-        acl = self.make_acl()
-        same_dept, handbook = running_example_rules()
-        narrow = Rule(
+    def narrow_rule(self):
+        """One pair the running example's same-department rule also grants."""
+        return Rule(
             "Student",
             frozenset({AtomicCondition(("id",), "in", frozenset({"CS-student-1"}))}),
             "Document",
@@ -467,8 +515,34 @@ class TestMergeAndSimplify:
             frozenset(),
             frozenset({"read"}),
         )
-        out = merge_and_simplify([same_dept, handbook, narrow], acl)
+
+    def test_overlapping_rule_dropped(self):
+        acl = self.make_acl()
+        same_dept, handbook = running_example_rules()
+        out = merge_and_simplify([same_dept, handbook, self.narrow_rule()], acl)
         assert sort_rules(out) == sort_rules((same_dept, handbook))
+
+    def test_replace_counts_a_kept_rule_once(self):
+        # Replacing a rule by one the policy already holds removes a rule:
+        # the kept copy's WSC is not added a second time.
+        acl = self.make_acl()
+        same_dept, handbook = running_example_rules()
+        narrow = self.narrow_rule()
+        ctx = _Phase2([same_dept, handbook, narrow], acl, ExtractionLimits(), None)
+        assert ctx.replace("into-kept", [narrow], [same_dept])
+        assert ctx.rules == sort_rules([same_dept, handbook])
+        assert ctx.wsc == policy_wsc(ctx.rules)
+
+    def test_within_au_needs_every_action(self):
+        acl = self.make_acl()
+        acl = AclPolicy(acl.class_model, acl.object_model, acl.actions | {"write"}, acl.au)
+        same_dept, handbook = running_example_rules()
+        ctx = _Phase2([same_dept, handbook], acl, ExtractionLimits(), None)
+        plane = ctx.meaning_of(same_dept)
+        assert plane
+        assert ctx.within_au(same_dept, plane)
+        assert not ctx.within_au(replace_actions(same_dept, {"read", "write"}), plane)
+        assert ctx.within_au(replace_actions(same_dept, {"read", "write"}), 0)
 
     def test_meaning_never_changes_and_wsc_never_grows(self):
         spec = builtin_spec("org-chart")
@@ -503,6 +577,48 @@ def replace_actions(rule, actions):
         rule.constraint,
         frozenset(actions),
     )
+
+
+class TestFinalCheck:
+    """``mine_detailed`` refuses a policy whose meaning is not the AU."""
+
+    ACLS = {
+        "running-example": running_example,
+        "org-chart-n5": lambda: generate(builtin_spec("org-chart"), 5, seed=1)[1],
+    }
+
+    @pytest.mark.parametrize("acl_name", sorted(ACLS))
+    @pytest.mark.parametrize("tamper", ["drop-rule", "add-over-granting-rule"])
+    def test_disagreement_raises_naming_smallest_difference(
+        self, monkeypatch, acl_name, tamper
+    ):
+        acl = self.ACLS[acl_name]()
+        simplify = miner.merge_and_simplify
+        mined = []
+
+        def tampered(rules, acl, **kwargs):
+            rules = simplify(rules, acl, **kwargs)
+            if tamper == "drop-rule":
+                rules = rules[1:]
+            else:
+                first = rules[0]
+                everything = Rule(
+                    first.subject_type, frozenset(), first.resource_type,
+                    frozenset(), frozenset(), first.actions,
+                )
+                rules = rules + (everything,)
+            mined.extend(rules)
+            return rules
+
+        monkeypatch.setattr(miner, "merge_and_simplify", tampered)
+        with pytest.raises(MinerError) as raised:
+            mine_detailed(acl, MinerConfig())
+        granted = frozenset().union(
+            *(rule_meaning(acl.class_model, acl.object_model, r) for r in mined)
+        )
+        assert granted != acl.au
+        expected = sorted(granted ^ acl.au)[0]
+        assert str(raised.value) == f"mined policy disagrees with input at {expected}"
 
 
 class TestNaiveDiagnostic:
@@ -563,7 +679,29 @@ REGRESSION_DIGESTS = {
 }
 
 
+# sha256 of the phase-2b observer stream (each event's step and rule
+# texts, in order) for org-chart n=20, s=2, seed 2 with negation.
+REGRESSION_EVENTS_DIGEST = "f47ced78bc218225e86a02bfc0df01b274ad8dd4ecf84ba67558a07f806df381"
+
+
+def event_stream_digest(events) -> str:
+    stream = "\n".join(
+        "\t".join((step, *(rule.text() for rule in rules))) for step, rules in events
+    )
+    return hashlib.sha256(stream.encode()).hexdigest()
+
+
 class TestRegressionCells:
+    def test_org_chart_n20_s2_phase2b_events(self):
+        spec = builtin_spec("org-chart")
+        om, acl = generate(spec, 20, seed=2)
+        degraded = inject_unknowns(om, spec, 2, seed=2)
+        acl = AclPolicy(spec.class_model, degraded, acl.actions, acl.au)
+        events = []
+        mine_detailed(acl, MinerConfig(), observer=lambda *e: events.append(e))
+        assert events
+        assert event_stream_digest(events) == REGRESSION_EVENTS_DIGEST
+
     @pytest.mark.parametrize("seed", sorted(REGRESSION_DIGESTS))
     @pytest.mark.parametrize("allow_negation", [True, False])
     def test_org_chart_n20_s2(self, seed, allow_negation):

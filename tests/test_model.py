@@ -4,8 +4,10 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rebac_miner import miner
 from rebac_miner.model import (
     UNKNOWN,
+    AclPolicy,
     AtomicCondition,
     AtomicConstraint,
     ClassModel,
@@ -20,7 +22,9 @@ from rebac_miner.model import (
     meaning,
     nav,
     path_type,
+    planes_without_each,
     rule_meaning,
+    rule_plane,
     satisfies,
     tval_condition,
     tval_constraint,
@@ -817,3 +821,76 @@ class TestRuleMeaningMatchesSatisfies:
         assert first._condition_masks is not second._condition_masks
         assert first._constraint_masks is not second._constraint_masks
         assert first._condition_masks != second._condition_masks
+
+
+def decoded(om, planes):
+    """Oracle: the tuples a (subject type, resource type, action) -> pair
+    plane mapping stands for, read bit by bit."""
+    out = set()
+    for (s_cls, r_cls, action), plane in planes.items():
+        subjects, resources = om.objects_of(s_cls), om.objects_of(r_cls)
+        assert plane >> (len(subjects) * len(resources)) == 0
+        for i, s in enumerate(subjects):
+            for j, r in enumerate(resources):
+                if plane >> (i * len(resources) + j) & 1:
+                    out.add(SraTuple(s.id, r.id, action))
+    return frozenset(out)
+
+
+SLOT_FIELDS = {
+    "subject": "subject_condition",
+    "resource": "resource_condition",
+    "constraint": "constraint",
+}
+
+
+@st.composite
+def org_model_and_au(draw):
+    """An org model and a random typed subset of its tuples, over actions
+    that include one ("other") that may never be granted."""
+    om = draw(org_models())
+    ids = [obj.id for obj in om.objects()]
+    actions = ORG_ACTIONS + ("other",)
+    tuples = [SraTuple(s, r, a) for s in ids for r in ids for a in actions]
+    au = draw(st.sets(st.sampled_from(tuples), max_size=40))
+    return om, frozenset(au)
+
+
+class TestPlanes:
+    @settings(max_examples=200, deadline=None)
+    @given(om=org_models(), rules=st.lists(org_rules(), min_size=1, max_size=4))
+    def test_planes_without_each_matches_rule_plane(self, om, rules):
+        for rule in rules:
+            atomics = rule.atomics()
+            planes = planes_without_each(ORG_CM, om, rule)
+            assert len(planes) == len(atomics)
+            for (slot, atomic), plane in zip(atomics, planes):
+                field = SLOT_FIELDS[slot]
+                shrunk = replace(rule, **{field: getattr(rule, field) - {atomic}})
+                assert plane == rule_plane(ORG_CM, om, shrunk)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=org_model_and_au())
+    def test_au_planes_decode_to_au(self, data):
+        om, au = data
+        acl = AclPolicy(ORG_CM, om, frozenset(ORG_ACTIONS + ("other",)), au)
+        planes = acl.au_planes
+        assert all(planes.values())
+        for s_cls, r_cls, _ in planes:
+            assert om.objects_of(s_cls) and om.objects_of(r_cls)
+        assert decoded(om, planes) == au
+        assert acl.au_planes is planes
+
+    def test_au_planes_of_an_empty_au(self):
+        om = ObjectModel([ObjectInstance("d0", "Dept", {"parent": None})])
+        acl = AclPolicy(ORG_CM, om, frozenset(ORG_ACTIONS), frozenset())
+        assert dict(acl.au_planes) == {}
+
+    @settings(max_examples=200, deadline=None)
+    @given(om=org_models(), rules=st.lists(org_rules(), max_size=4))
+    def test_policy_meaning_decodes_to_meaning(self, om, rules):
+        actions = frozenset(ORG_ACTIONS)
+        acl = AclPolicy(ORG_CM, om, actions, frozenset())
+        planes = miner._policy_meaning(rules, acl)
+        assert all(planes.values())
+        assert decoded(om, planes) == meaning(Policy(ORG_CM, om, actions, tuple(rules)))

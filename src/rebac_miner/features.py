@@ -10,7 +10,6 @@ through tree branches.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Callable, Iterable
@@ -27,10 +26,11 @@ from rebac_miner.model import (
     Multiplicity,
     ObjectModel,
     PathT,
-    condition_planes,
+    Slot,
     constraint_ops,
-    constraint_planes,
     path_type,
+    slot_planes,
+    spread,
     wsc,
 )
 from rebac_miner.tvl import (
@@ -42,8 +42,6 @@ from rebac_miner.tvl import (
     TruthValue,
     mask_of,
     pair_plane,
-    resource_rows,
-    subject_rows,
     value_rows,
 )
 
@@ -61,15 +59,9 @@ class ExtractionLimits:
             raise ValueError("constraint path length cannot be negative")
 
 
-class FeatureKind(enum.IntEnum):
-    SUBJECT_CONDITION = 0
-    RESOURCE_CONDITION = 1
-    CONSTRAINT = 2
-
-
 @dataclass(frozen=True)
 class TaskFeature:
-    kind: FeatureKind
+    kind: Slot
     payload: object  # AtomicCondition or AtomicConstraint
 
     @property
@@ -77,11 +69,7 @@ class TaskFeature:
         return (self.kind.value,) + self.payload.sort_key
 
     def label(self) -> str:
-        if self.kind is FeatureKind.SUBJECT_CONDITION:
-            return self.payload.text("sub")
-        if self.kind is FeatureKind.RESOURCE_CONDITION:
-            return self.payload.text("res")
-        return self.payload.text("sub", "res")
+        return self.payload.text(*(("sub",), ("res",), ("sub", "res"))[self.kind])
 
 
 @dataclass(frozen=True)
@@ -110,15 +98,15 @@ class FeatureTable:
         limits: ExtractionLimits,
     ) -> "FeatureTable":
         entries = [
-            TaskFeature(FeatureKind.SUBJECT_CONDITION, ac)
+            TaskFeature(Slot.SUBJECT, ac)
             for ac in enumerate_condition_features(cm, om, subject_type, limits)
         ]
         entries += [
-            TaskFeature(FeatureKind.RESOURCE_CONDITION, ac)
+            TaskFeature(Slot.RESOURCE, ac)
             for ac in enumerate_condition_features(cm, om, resource_type, limits)
         ]
         entries += [
-            TaskFeature(FeatureKind.CONSTRAINT, con)
+            TaskFeature(Slot.CONSTRAINT, con)
             for con in enumerate_constraint_features(
                 cm, subject_type, resource_type, limits
             )
@@ -248,27 +236,21 @@ def build_dataset(
     Cells are the three-valued truths of the table's (positive) features;
     the label is T when the tuple is authorized and F otherwise (never U:
     the authorization list is complete by definition).  A condition's
-    planes are its per-object planes from the object model
-    (:func:`~rebac_miner.model.condition_planes`) spread over the pairs; a
-    constraint's are its per-pair planes
-    (:func:`~rebac_miner.model.constraint_planes`).
+    planes are its per-object planes from the object model spread over the
+    pairs; a constraint's are its per-pair planes
+    (:func:`~rebac_miner.model.slot_planes`, :func:`~rebac_miner.model.spread`).
     """
     cm, om = acl.class_model, acl.object_model
     subjects = [s.id for s in om.objects_of(subject_type)]
     resources = [r.id for r in om.objects_of(resource_type)]
     n_s, n_r = len(subjects), len(resources)
-    planes = []
-    for entry in table.entries:
-        if entry.kind is FeatureKind.SUBJECT_CONDITION:
-            pair = condition_planes(cm, om, subject_type, entry.payload)
-            planes.append(tuple(subject_rows(p, n_s, n_r) for p in pair))
-        elif entry.kind is FeatureKind.RESOURCE_CONDITION:
-            pair = condition_planes(cm, om, resource_type, entry.payload)
-            planes.append(tuple(resource_rows(p, n_s, n_r) for p in pair))
-        else:
-            planes.append(
-                constraint_planes(cm, om, subject_type, resource_type, entry.payload)
-            )
+    planes = [
+        tuple(
+            spread(e.kind, p, n_s, n_r)
+            for p in slot_planes(cm, om, subject_type, resource_type, e.kind, e.payload)
+        )
+        for e in table.entries
+    ]
     r_pos = {rid: j for j, rid in enumerate(resources)}
     granted: dict[str, int] = {}  # subject -> mask of granted resources
     for t in acl.au:
@@ -320,10 +302,10 @@ def extend_with_id_columns(
     the set of appended feature ids (to hide from tree induction).  Cell
     values come straight from row provenance, so they are never unknown.
     """
-    rows_of: dict[tuple[FeatureKind, str], list[int]] = {}
+    rows_of: dict[tuple[Slot, str], list[int]] = {}
     for k, (sid, rid) in enumerate(dataset.provenance):
-        rows_of.setdefault((FeatureKind.SUBJECT_CONDITION, sid), []).append(k)
-        rows_of.setdefault((FeatureKind.RESOURCE_CONDITION, rid), []).append(k)
+        rows_of.setdefault((Slot.SUBJECT, sid), []).append(k)
+        rows_of.setdefault((Slot.RESOURCE, rid), []).append(k)
     keys = sorted(rows_of)  # subject ids, then resource ids
     extra = tuple(
         TaskFeature(kind, AtomicCondition((ID_FIELD,), "in", frozenset({oid})))
@@ -344,8 +326,8 @@ def extend_with_id_columns(
         sid, rid = dataset.provenance[row]
         return Conjunction.of(
             [
-                literal_of[FeatureKind.SUBJECT_CONDITION, sid],
-                literal_of[FeatureKind.RESOURCE_CONDITION, rid],
+                literal_of[Slot.SUBJECT, sid],
+                literal_of[Slot.RESOURCE, rid],
             ]
         )
 

@@ -3,10 +3,11 @@
 Encodings: the unknown placeholder is the reserved object
 ``{"$unknown": true}``; None is JSON null; many-valued fields are sorted
 arrays; paths are dot-joined text with the implicit trailing id omitted;
-rules carry explicit "negated" booleans; an authorization list is an array
-of [subjectId, resourceId, action] triples.  Serialization is canonical
-(sorted keys, sorted collections), so identical inputs produce identical
-bytes.
+an atomic's "negated" is a JSON boolean (absent means false); actions are
+strings and condition constants strings or booleans; an authorization
+list is an array of [subjectId, resourceId, action] triples.
+Serialization is canonical (sorted keys, sorted collections), so
+identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -115,20 +116,18 @@ def _value_to_json(value):
     return value
 
 
+def _atom_from_json(raw, what: str):
+    _require(isinstance(raw, (str, bool)), f"bad {what}: {raw!r} (not str or bool)")
+    return raw
+
+
 def _value_from_json(raw):
     if isinstance(raw, dict):
         _require(raw == UNKNOWN_JSON, f"bad value object: {raw!r}")
         return UNKNOWN
     if isinstance(raw, list):
-        for el in raw:
-            _require(
-                isinstance(el, (str, bool)), f"bad set element: {el!r}"
-            )
-        return frozenset(raw)
-    _require(
-        raw is None or isinstance(raw, (str, bool)), f"bad field value: {raw!r}"
-    )
-    return raw
+        return frozenset(_atom_from_json(el, "set element") for el in raw)
+    return raw if raw is None else _atom_from_json(raw, "field value")
 
 
 def object_model_to_json(om: ObjectModel) -> dict:
@@ -196,6 +195,18 @@ def _condition_to_json(ac: AtomicCondition) -> dict:
     }
 
 
+def _negated_from_json(raw: dict, what: str) -> bool:
+    negated = raw.get("negated", False)
+    _require(isinstance(negated, bool), f"{what}: negated must be true or false")
+    return negated
+
+
+def _strings_from_json(raw, what: str) -> list:
+    strings = isinstance(raw, list) and all(isinstance(x, str) for x in raw)
+    _require(strings, f"{what} must be a list of strings")
+    return raw
+
+
 def _condition_from_json(raw) -> AtomicCondition:
     raw = _as_obj(raw, "condition")
     for key in ("path", "op", "value"):
@@ -203,10 +214,15 @@ def _condition_from_json(raw) -> AtomicCondition:
     value = raw["value"]
     if raw["op"] == "in":
         _require(isinstance(value, list), "'in' conditions take a list of atoms")
-        value = frozenset(value)
+        value = frozenset(_atom_from_json(v, "condition constant") for v in value)
+    elif raw["op"] == "contains":
+        _atom_from_json(value, "condition constant")
     try:
         return AtomicCondition(
-            _path_from_text(raw["path"]), raw["op"], value, bool(raw.get("negated"))
+            _path_from_text(raw["path"]),
+            raw["op"],
+            value,
+            _negated_from_json(raw, "condition"),
         )
     except ModelError as exc:
         raise SchemaError(str(exc)) from exc
@@ -230,28 +246,20 @@ def _constraint_from_json(raw) -> AtomicConstraint:
             _path_from_text(raw["path1"]),
             raw["op"],
             _path_from_text(raw["path2"]),
-            bool(raw.get("negated")),
+            _negated_from_json(raw, "constraint"),
         )
     except ModelError as exc:
         raise SchemaError(str(exc)) from exc
 
 
 def rule_to_json(rule: Rule) -> dict:
+    subject, resource, constraint = rule.by_slot
     return {
         "subjectType": rule.subject_type,
-        "subjectCondition": [
-            _condition_to_json(c)
-            for c in sorted(rule.subject_condition, key=lambda c: c.sort_key)
-        ],
+        "subjectCondition": [_condition_to_json(c) for c in subject],
         "resourceType": rule.resource_type,
-        "resourceCondition": [
-            _condition_to_json(c)
-            for c in sorted(rule.resource_condition, key=lambda c: c.sort_key)
-        ],
-        "constraint": [
-            _constraint_to_json(c)
-            for c in sorted(rule.constraint, key=lambda c: c.sort_key)
-        ],
+        "resourceCondition": [_condition_to_json(c) for c in resource],
+        "constraint": [_constraint_to_json(c) for c in constraint],
         "actions": sorted(rule.actions),
     }
 
@@ -260,17 +268,23 @@ def rule_from_json(raw) -> Rule:
     raw = _as_obj(raw, "rule")
     for key in ("subjectType", "resourceType", "actions"):
         _require(key in raw, f"rule: missing {key}")
-    actions = raw["actions"]
-    _require(
-        isinstance(actions, list) and actions, "rule: actions must be a non-empty list"
-    )
+    for key in ("subjectType", "resourceType"):
+        _require(isinstance(raw[key], str), f"rule: {key} must be a string")
+    actions = _strings_from_json(raw["actions"], "rule: actions")
+    _require(actions, "rule: actions must be a non-empty list")
+
+    def atomics(key, parse):
+        items = raw.get(key, [])
+        _require(isinstance(items, list), f"rule: {key} must be a list")
+        return frozenset(parse(item) for item in items)
+
     try:
         return Rule(
             raw["subjectType"],
-            frozenset(_condition_from_json(c) for c in raw.get("subjectCondition", [])),
+            atomics("subjectCondition", _condition_from_json),
             raw["resourceType"],
-            frozenset(_condition_from_json(c) for c in raw.get("resourceCondition", [])),
-            frozenset(_constraint_from_json(c) for c in raw.get("constraint", [])),
+            atomics("resourceCondition", _condition_from_json),
+            atomics("constraint", _constraint_from_json),
             frozenset(actions),
         )
     except ModelError as exc:
@@ -288,7 +302,7 @@ def rules_from_json(document, cm: ClassModel | None = None):
     doc = _as_obj(document, "policy")
     _require(isinstance(doc.get("rules"), list), "policy: rules must be a list")
     rules = tuple(rule_from_json(r) for r in doc["rules"])
-    actions = frozenset(doc.get("actions", []))
+    actions = frozenset(_strings_from_json(doc.get("actions", []), "policy: actions"))
     if cm is not None:
         try:
             for rule in rules:

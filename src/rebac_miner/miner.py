@@ -52,6 +52,7 @@ from rebac_miner.model import (
     ModelError,
     Policy,
     Rule,
+    Slot,
     nav,
     path_type,
     plane_tuples,
@@ -250,7 +251,7 @@ def extract_rules(
     """One rule per disjunct; negative literals become negated atomics."""
     rules = []
     for conjunction in formula.disjuncts:
-        parts = (set(), set(), set())  # indexed by FeatureKind
+        parts = (set(), set(), set())  # indexed by Slot
         for literal in conjunction.sorted_literals:
             if literal.polarity is Polarity.IS_UNKNOWN:
                 raise MinerError(
@@ -261,41 +262,13 @@ def extract_rules(
             if literal.polarity is Polarity.NEGATIVE:
                 payload = replace(payload, negated=True)
             parts[entry.kind].add(payload)
-        subject_conds, resource_conds, constraints = map(frozenset, parts)
-        rules.append(
-            Rule(
-                subject_type,
-                subject_conds,
-                resource_type,
-                resource_conds,
-                constraints,
-                frozenset({action}),
-            )
-        )
+        s, r, c = map(frozenset, parts)
+        rules.append(Rule(subject_type, s, resource_type, r, c, frozenset({action})))
     return sort_rules(rules)
 
 
 # ---------------------------------------------------------------------------
 # Phase 2a: negative-feature elimination (negation-free mode only)
-
-
-# Rule.atomics() slot -> the Rule field holding it; FeatureKind indexes _SLOTS.
-_FIELDS = {
-    "subject": "subject_condition",
-    "resource": "resource_condition",
-    "constraint": "constraint",
-}
-_SLOTS = tuple(_FIELDS)
-
-
-def _without_atomic(rule: Rule, slot: str, atomic) -> Rule:
-    field = _FIELDS[slot]
-    return replace(rule, **{field: getattr(rule, field) - {atomic}})
-
-
-def _with_atomic(rule: Rule, slot: str, atomic) -> Rule:
-    field = _FIELDS[slot]
-    return replace(rule, **{field: getattr(rule, field) | {atomic}})
 
 
 def eliminate_negative_features(
@@ -340,7 +313,7 @@ def _eliminate_one(rule, slot, atomic, acl, table) -> Optional[Rule]:
     # when its pairs lie in every action's AU plane, and it grants exactly
     # its pairs that some action's AU plane holds.
     allowed = reduce(and_, au)
-    base = _without_atomic(rule, slot, atomic)
+    base = rule.without_atomic(slot, atomic)
     own = rule_meaning(cm, om, rule) & reduce(or_, au)
 
     def acceptable(candidate: Rule) -> bool:
@@ -358,12 +331,12 @@ def _eliminate_one(rule, slot, atomic, acl, table) -> Optional[Rule]:
         key=lambda e: (wsc(e.payload), e.sort_key),
     )
     for entry in candidates:
-        candidate = _with_atomic(base, _SLOTS[entry.kind], entry.payload)
+        candidate = base.with_atomic(entry.kind, entry.payload)
         if candidate != rule and acceptable(candidate):
             return candidate
 
-    if slot in ("subject", "resource") and atomic.op == "in":
-        cls = rule.subject_type if slot == "subject" else rule.resource_type
+    if slot is not Slot.CONSTRAINT and atomic.op == "in":
+        cls = rule.subject_type if slot is Slot.SUBJECT else rule.resource_type
         terminal = path_type(cm, cls, atomic.path)[0]
 
         # (3) complement over the observed constant domain
@@ -373,8 +346,8 @@ def _eliminate_one(rule, slot, atomic, acl, table) -> Optional[Rule]:
             domain = observed_constants(cm, om, cls, atomic.path)
         complement = frozenset(domain) - atomic.value
         if complement:
-            candidate = _with_atomic(
-                base, slot, AtomicCondition(atomic.path, "in", complement)
+            candidate = base.with_atomic(
+                slot, AtomicCondition(atomic.path, "in", complement)
             )
             if acceptable(candidate):
                 return candidate
@@ -383,13 +356,13 @@ def _eliminate_one(rule, slot, atomic, acl, table) -> Optional[Rule]:
         objects = om.objects_of(cls)
         atoms = set()
         for i, j in pair_indices(own, len(om.objects_of(rule.resource_type))):
-            oid = objects[i if slot == "subject" else j].id
+            oid = objects[i if slot is Slot.SUBJECT else j].id
             value = nav(cm, om, oid, atomic.path)
             if isinstance(value, (str, bool)):
                 atoms.add(value)
         if atoms:
-            candidate = _with_atomic(
-                base, slot, AtomicCondition(atomic.path, "in", frozenset(atoms))
+            candidate = base.with_atomic(
+                slot, AtomicCondition(atomic.path, "in", frozenset(atoms))
             )
             if acceptable(candidate):
                 return candidate
@@ -447,9 +420,7 @@ class _Phase2:
     ``replace`` is the only way a step changes ``rules``.  Meanings are
     pair planes: a rule's is one plane (:func:`rebac_miner.model.rule_plane`,
     cached per rule) and a policy's is a :data:`Meaning`.  The policy
-    meaning of ``rules`` never changes, so it is computed once; their
-    weighted structural complexity is updated from the rules each accepted
-    change removes and adds.
+    meaning of ``rules`` never changes, so it is computed once.
     """
 
     def __init__(self, rules, acl: AclPolicy, limits: ExtractionLimits, observer):
@@ -487,22 +458,18 @@ class _Phase2:
         """Swap ``old`` for ``new`` if the policy meaning is unchanged and
         the policy's structural complexity does not grow; tell the
         observer about every accepted change."""
-        kept, removed = [], []
-        for rule in self.rules:
-            (removed if rule in old else kept).append(rule)
+        kept = [rule for rule in self.rules if rule not in old]
         new = list(new)
         if self.policy_meaning(kept + new) != self.meaning:
             self.outcomes[step, "meaning"] += 1
             return False
-        # Like sort_rules, count a rule once per sort key.
-        keys = {rule.sort_key for rule in kept}
-        added = {rule.sort_key: rule for rule in new if rule.sort_key not in keys}
-        proposal_wsc = self.wsc - policy_wsc(removed) + policy_wsc(added.values())
+        proposal = sort_rules(kept + new)
+        proposal_wsc = policy_wsc(proposal)  # a sum of per-rule cached WSCs
         if proposal_wsc > self.wsc:
             self.outcomes[step, "wsc"] += 1
             return False
         self.outcomes[step, "accepted"] += 1
-        self.rules, self.wsc = sort_rules(kept + new), proposal_wsc
+        self.rules, self.wsc = proposal, proposal_wsc
         self.changed = True
         if self.observer is not None:
             self.observer(step, self.rules)
@@ -545,7 +512,7 @@ def _rewrite_bool_negations(ctx: _Phase2) -> None:
     for rule in ctx.rules:
         new_rule = rule
         for slot, ac in rule.atomics():
-            if slot == "constraint" or not (
+            if slot is Slot.CONSTRAINT or not (
                 ac.negated and ac.op == "in" and len(ac.value) == 1
             ):
                 continue
@@ -553,7 +520,7 @@ def _rewrite_bool_negations(ctx: _Phase2) -> None:
             if not isinstance(atom, bool):
                 continue
             flipped = AtomicCondition(ac.path, "in", frozenset({not atom}))
-            new_rule = _with_atomic(_without_atomic(new_rule, slot, ac), slot, flipped)
+            new_rule = new_rule.without_atomic(slot, ac).with_atomic(slot, flipped)
         if new_rule != rule:
             ctx.replace("rewrite-bool-negation", (rule,), (new_rule,))
 
@@ -561,23 +528,20 @@ def _rewrite_bool_negations(ctx: _Phase2) -> None:
 def _merge_actions(ctx: _Phase2) -> None:
     groups: dict[tuple, list[Rule]] = {}
     for rule in ctx.rules:
-        key = (
-            rule.subject_type,
-            rule.resource_type,
-            tuple(sorted(c.sort_key for c in rule.subject_condition)),
-            tuple(sorted(c.sort_key for c in rule.resource_condition)),
-            tuple(sorted(c.sort_key for c in rule.constraint)),
-        )
-        groups.setdefault(key, []).append(rule)
+        groups.setdefault(rule.sort_key[:5], []).append(rule)  # all but actions
     for group in groups.values():
         if len(group) > 1:
             actions = frozenset().union(*(r.actions for r in group))
             ctx.replace("merge-actions", group, (replace(group[0], actions=actions),))
 
 
-def _value_set_merge_key(rule: Rule, slot: str, ac: AtomicCondition):
-    rest = _without_atomic(rule, slot, ac)
-    return (rest.sort_key, slot, ac.path, ac.op, ac.negated)
+def _value_set_merge_key(rule: Rule, slot: Slot, ac: AtomicCondition):
+    """``rule.sort_key`` without ``ac``, and what a value-set merge keeps of it."""
+    key = list(rule.sort_key)
+    keys = key[2 + slot]  # a rule's sort key holds its slots' keys from index 2
+    k = rule.by_slot[slot].index(ac)
+    key[2 + slot] = keys[:k] + keys[k + 1:]
+    return (tuple(key), slot, ac.path, ac.op, ac.negated)
 
 
 def _size(rule: Rule, plane: int) -> int:
@@ -586,10 +550,10 @@ def _size(rule: Rule, plane: int) -> int:
 
 
 def _merge_value_sets(ctx: _Phase2) -> None:
-    groups: dict[tuple, list[tuple[Rule, str, AtomicCondition]]] = {}
+    groups: dict[tuple, list[tuple[Rule, Slot, AtomicCondition]]] = {}
     for rule in ctx.rules:
         for slot, ac in rule.atomics():
-            if slot == "constraint" or ac.op != "in" or ac.negated:
+            if slot is Slot.CONSTRAINT or ac.op != "in" or ac.negated:
                 continue
             groups.setdefault(_value_set_merge_key(rule, slot, ac), []).append(
                 (rule, slot, ac)
@@ -609,10 +573,8 @@ def _merge_value_sets(ctx: _Phase2) -> None:
             continue
         rule0, slot, ac0 = members[0]
         union = frozenset().union(*(ac.value for _, _, ac in members))
-        merged = _with_atomic(
-            _without_atomic(rule0, slot, ac0),
-            slot,
-            AtomicCondition(ac0.path, "in", union),
+        merged = rule0.without_atomic(slot, ac0).with_atomic(
+            slot, AtomicCondition(ac0.path, "in", union)
         )
         if ctx.within_au(merged, ctx.meaning_of(merged)):
             ctx.replace("merge-value-sets", [r for r, _, _ in members], (merged,))
@@ -640,7 +602,7 @@ def _drop_atomics(ctx: _Phase2) -> None:
             planes = planes_without_each(ctx.cm, ctx.om, working)
             candidates = [
                 (
-                    1 if slot == "constraint" else 0,
+                    slot is Slot.CONSTRAINT,  # conditions first
                     _size(working, plane) - base_size,
                     atomic.sort_key,
                     k,
@@ -650,7 +612,7 @@ def _drop_atomics(ctx: _Phase2) -> None:
             for *_, k in sorted(candidates, key=lambda c: c[:3]):
                 if not ctx.within_au(working, planes[k]):
                     continue
-                shrunk = _without_atomic(working, *atomics[k])
+                shrunk = working.without_atomic(*atomics[k])
                 ctx._meanings.setdefault(shrunk, planes[k])  # spares a rule_meaning
                 if ctx.replace("drop-atomic", (working,), (shrunk,)):
                     working = shrunk
@@ -667,23 +629,24 @@ def _constraints_to_conditions(ctx: _Phase2) -> None:
         if rule not in ctx.rules:
             continue
         working = rule
-        for constraint in sorted(rule.constraint, key=lambda c: c.sort_key):
+        for constraint in rule.by_slot[Slot.CONSTRAINT]:
             if constraint not in working.constraint:
                 continue
-            base = _without_atomic(working, "constraint", constraint)
+            base = working.without_atomic(Slot.CONSTRAINT, constraint)
             target = ctx.meaning_of(working)
+            # At equal WSC a resource condition is tried before a subject one.
             options = [
-                (wsc(cond), slot, cond)
-                for slot, cls in (
-                    ("subject", working.subject_type),
-                    ("resource", working.resource_type),
-                )
+                (wsc(cond), rank, slot, cond)
+                for rank, (slot, cls) in enumerate((
+                    (Slot.RESOURCE, working.resource_type),
+                    (Slot.SUBJECT, working.subject_type),
+                ))
                 for cond in conditions(cls)
                 if wsc(cond) < wsc(constraint)
             ]
-            options.sort(key=lambda o: (o[0], o[1], o[2].sort_key))
-            for _, slot, cond in options:
-                candidate = _with_atomic(base, slot, cond)
+            options.sort(key=lambda o: (o[0], o[1], o[3].sort_key))
+            for *_, slot, cond in options:
+                candidate = base.with_atomic(slot, cond)
                 if ctx.meaning_of(candidate) != target:
                     continue
                 if ctx.replace("constraint-to-condition", (working,), (candidate,)):

@@ -12,7 +12,7 @@ constraints propagate unknowns into the three-valued logic of
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Union
@@ -152,13 +152,11 @@ class ObjectInstance:
 class ObjectModel:
     """A set of objects with globally unique ids.
 
-    Immutable after construction.  Three results are memoized on the model
+    Immutable after construction.  Two results are memoized on the model
     for the class model it is used with: navigation values per (object,
-    path); per class and positive atomic condition, the (T, F) bitplanes of
-    the class's objects (bit i for the i-th object in ``objects_of`` order);
-    and per subject class, resource class and positive atomic constraint,
-    the (T, F) bitplanes of their pairs (in :mod:`rebac_miner.tvl`'s pair
-    layout).  A negated atomic reads the same entry.  Caching is safe
+    path), and the (T, F) bitplanes of :func:`slot_planes` per class (or
+    subject and resource class) and positive atomic.  A negated atomic
+    reads the same entry.  Caching is safe
     because objects and field values never change after construction and
     each memo depends only on them, the class model and its key; one object
     model must therefore not be evaluated against two different class
@@ -181,8 +179,7 @@ class ObjectModel:
             obj.id: i for objs in self._by_type.values() for i, obj in enumerate(objs)
         }
         self._nav_cache: dict[tuple[str, PathT], Value] = {}
-        self._condition_masks: dict[tuple, tuple[int, int]] = {}
-        self._constraint_masks: dict[tuple, tuple[int, int]] = {}
+        self._planes: dict[tuple, tuple[int, int]] = {}
 
     def __iter__(self):
         return iter(self.objects())
@@ -342,7 +339,7 @@ class AtomicCondition:
         else:
             raise ModelError(f"unknown condition operator: {self.op!r}")
 
-    @property
+    @cached_property
     def sort_key(self):
         return (self.path, self.op, self.negated, value_sort_key(self.value))
 
@@ -375,7 +372,7 @@ class AtomicConstraint:
         if self.op not in CONSTRAINT_OPS:
             raise ModelError(f"unknown constraint operator: {self.op!r}")
 
-    @property
+    @cached_property
     def sort_key(self):
         return (self.path1, self.op, self.path2, self.negated)
 
@@ -405,8 +402,34 @@ def _atom_text(atom: Atom) -> str:
     return str(atom)
 
 
+class Slot(enum.IntEnum):
+    """Where an atomic sits in a rule: a subject condition, a resource
+    condition or a constraint.  The values order feature tables."""
+
+    SUBJECT = 0
+    RESOURCE = 1
+    CONSTRAINT = 2
+
+
+# The Rule field holding each slot's atomics, indexed by Slot.
+_SLOT_FIELDS = ("subject_condition", "resource_condition", "constraint")
+# Slot's members as module names for per-atomic loops: on Python 3.11 an
+# Enum class is several times slower to iterate or read a member from.
+_SLOTS = _SUBJECT, _RESOURCE, _CONSTRAINT = tuple(Slot)
+
+
 @dataclass(frozen=True)
 class Rule:
+    """<subject type, subject condition, resource type, resource condition,
+    constraint, actions>.
+
+    The atomics' canonical order (``by_slot``, ``atomics()``), the
+    ``sort_key`` built from it and the ``wsc`` are computed once, on first
+    use.  That is safe because a frozen rule's fields, and the frozen
+    atomics in them, never change; ``with_atomic``, ``without_atomic`` and
+    ``dataclasses.replace`` make a new rule with nothing cached.
+    """
+
     subject_type: str
     subject_condition: frozenset[AtomicCondition]
     resource_type: str
@@ -418,28 +441,50 @@ class Rule:
         if not self.actions:
             raise ModelError("rules must carry at least one action")
 
+    def part(self, slot: Slot) -> frozenset:
+        """The atomics in ``slot``, unordered."""
+        return getattr(self, _SLOT_FIELDS[slot])
+
+    def with_atomic(self, slot: Slot, atomic) -> Rule:
+        return replace(self, **{_SLOT_FIELDS[slot]: self.part(slot) | {atomic}})
+
+    def without_atomic(self, slot: Slot, atomic) -> Rule:
+        return replace(self, **{_SLOT_FIELDS[slot]: self.part(slot) - {atomic}})
+
+    @cached_property
+    def by_slot(self) -> tuple[tuple, tuple, tuple]:
+        """Each slot's atomics sorted by ``sort_key``, indexed by :class:`Slot`."""
+        return tuple(
+            tuple(sorted(self.part(slot), key=lambda a: a.sort_key)) for slot in _SLOTS
+        )
+
+    @cached_property
+    def _atomics(self) -> tuple:
+        return tuple((slot, a) for slot in _SLOTS for a in self.by_slot[slot])
+
+    def atomics(self) -> tuple:
+        """(slot, atomic) pairs in canonical order: subject conditions,
+        resource conditions, constraints, each sorted by ``sort_key``."""
+        return self._atomics
+
     @cached_property
     def sort_key(self):
         return (
             self.subject_type,
             self.resource_type,
-            tuple(sorted(c.sort_key for c in self.subject_condition)),
-            tuple(sorted(c.sort_key for c in self.resource_condition)),
-            tuple(sorted(c.sort_key for c in self.constraint)),
+            *(tuple(a.sort_key for a in atoms) for atoms in self.by_slot),
             tuple(sorted(self.actions)),
         )
 
-    def atomics(self):
-        """(slot, atomic) pairs in canonical order: conditions, constraints."""
-        out = [("subject", c) for c in sorted(self.subject_condition, key=lambda c: c.sort_key)]
-        out += [("resource", c) for c in sorted(self.resource_condition, key=lambda c: c.sort_key)]
-        out += [("constraint", c) for c in sorted(self.constraint, key=lambda c: c.sort_key)]
-        return tuple(out)
+    @cached_property
+    def wsc(self) -> int:
+        return sum(wsc(a) for _, a in self.atomics()) + len(self.actions)
 
     def text(self) -> str:
-        sc = "; ".join(c.text("subject") for c in sorted(self.subject_condition, key=lambda c: c.sort_key)) or "true"
-        rc = "; ".join(c.text("resource") for c in sorted(self.resource_condition, key=lambda c: c.sort_key)) or "true"
-        con = "; ".join(c.text() for c in sorted(self.constraint, key=lambda c: c.sort_key)) or "true"
+        subject, resource, constraint = self.by_slot
+        sc = "; ".join(c.text("subject") for c in subject) or "true"
+        rc = "; ".join(c.text("resource") for c in resource) or "true"
+        con = "; ".join(c.text() for c in constraint) or "true"
         acts = ",".join(sorted(self.actions))
         return f"<{self.subject_type}; {sc}; {self.resource_type}; {rc}; {con}; {{{acts}}}>"
 
@@ -491,10 +536,7 @@ class AclPolicy:
 
 
 def validate_rule(cm: ClassModel, rule: Rule) -> None:
-    for cls, conditions in (
-        (rule.subject_type, rule.subject_condition),
-        (rule.resource_type, rule.resource_condition),
-    ):
+    for cls, conditions in zip((rule.subject_type, rule.resource_type), rule.by_slot):
         if not cm.has_class(cls):
             raise ModelError(f"unknown class in rule: {cls}")
         for ac in conditions:
@@ -642,49 +684,48 @@ def satisfies(cm: ClassModel, om: ObjectModel, t: SraTuple, rule: Rule) -> bool:
     )
 
 
-def condition_planes(
-    cm: ClassModel, om: ObjectModel, cls: str, ac: AtomicCondition
+def slot_planes(
+    cm: ClassModel, om: ObjectModel, s_cls: str, r_cls: str, slot: Slot, atomic
 ) -> tuple[int, int]:
-    """(T, F) bitplanes of ``ac``, read as positive, over the objects of
-    ``cls`` (bit i for the i-th object in ``objects_of`` order).
+    """(T, F) bitplanes of ``atomic``, read as positive, in ``slot`` of a
+    rule from ``s_cls`` to ``r_cls``: a condition's over its side's objects
+    (bit i for the i-th object in ``objects_of`` order), a constraint's
+    over the pairs (:mod:`rebac_miner.tvl`'s layout; see :func:`spread`).
 
     An identity condition (``id in {...}``) takes its planes from the
-    positions of the named objects; every other condition is evaluated once
-    per object and memoized on the object model.
+    positions of the named objects.  Any other atomic is evaluated once, as
+    :func:`tval_condition` or :func:`tval_constraint` would, and memoized
+    on the object model.
     """
-    if ac.path == (ID_FIELD,) and ac.op == "in":
-        size = len(om.objects_of(cls))
-        named = [oid for oid in ac.value if om.has(oid) and om.get(oid).type == cls]
-        t = mask_of((om._position[oid] for oid in named), size)
-        return t, ((1 << size) - 1) & ~t
-    key = (cls, ac.path, ac.op, ac.value)
+    if slot is _CONSTRAINT:
+        key = (s_cls, r_cls, atomic.path1, atomic.op, atomic.path2)
+    else:
+        cls = s_cls if slot is _SUBJECT else r_cls
+        if atomic.path == (ID_FIELD,) and atomic.op == "in":
+            size = len(om.objects_of(cls))
+            named = (o for o in atomic.value if om.has(o) and om.get(o).type == cls)
+            t = mask_of((om._position[oid] for oid in named), size)
+            return t, ((1 << size) - 1) & ~t
+        key = (cls, atomic.path, atomic.op, atomic.value)
     try:
-        return om._condition_masks[key]
+        return om._planes[key]
     except KeyError:
         pass
-    planes = om._condition_masks[key] = planes_of(
-        _condition_base(ac, nav(cm, om, obj.id, ac.path)) for obj in om.objects_of(cls)
-    )
+    if slot is _CONSTRAINT:
+        planes = _constraint_planes(cm, om, s_cls, r_cls, atomic)
+    else:
+        objects = om.objects_of(cls)
+        planes = planes_of(
+            _condition_base(atomic, nav(cm, om, o.id, atomic.path)) for o in objects
+        )
+    om._planes[key] = planes
     return planes
 
 
-def constraint_planes(
-    cm: ClassModel, om: ObjectModel, s_cls: str, r_cls: str, con: AtomicConstraint
-) -> tuple[int, int]:
-    """(T, F) bitplanes of ``con``, read as positive, over the pairs of a
-    subject of ``s_cls`` and a resource of ``r_cls``, in the pair layout of
-    :mod:`rebac_miner.tvl`; memoized on the object model.
-
-    Subjects whose ``path1`` navigates to equal values share a row of
-    resources, so the constraint is evaluated once per distinct
-    subject-side value and resource, with the same evaluator as
-    :func:`tval_constraint`.
-    """
-    key = (s_cls, r_cls, con.path1, con.op, con.path2)
-    try:
-        return om._constraint_masks[key]
-    except KeyError:
-        pass
+def _constraint_planes(cm, om, s_cls: str, r_cls: str, con: AtomicConstraint):
+    """Subjects whose ``path1`` navigates to equal values share a row of
+    resources, so ``con`` is evaluated once per distinct subject-side
+    value and resource."""
     r_values = [nav(cm, om, r.id, con.path2) for r in om.objects_of(r_cls)]
     row_of: dict = {}
     rows = []
@@ -693,10 +734,17 @@ def constraint_planes(
         if v1 not in row_of:
             row_of[v1] = planes_of(_constraint_base(con.op, v1, v2) for v2 in r_values)
         rows.append(row_of[v1])
-    planes = om._constraint_masks[key] = tuple(
-        pair_plane((row[side] for row in rows), len(r_values)) for side in (0, 1)
-    )
-    return planes
+    return tuple(pair_plane((r[side] for r in rows), len(r_values)) for side in (0, 1))
+
+
+def spread(slot: Slot, plane: int, n_s: int, n_r: int) -> int:
+    """A plane of :func:`slot_planes` for ``slot`` in the pair layout over
+    ``n_s`` subjects and ``n_r`` resources."""
+    if slot is _SUBJECT:
+        return subject_rows(plane, n_s, n_r)
+    if slot is _RESOURCE:
+        return resource_rows(plane, n_s, n_r)
+    return plane
 
 
 def rule_plane(cm: ClassModel, om: ObjectModel, rule: Rule) -> int:
@@ -705,60 +753,52 @@ def rule_plane(cm: ClassModel, om: ObjectModel, rule: Rule) -> int:
     and resource classes: the pairs on which all its atomics are exactly T.
     The rule grants each of these pairs every one of its actions.
 
-    Computed as an AND of per-atomic T-planes (:func:`condition_planes`,
-    :func:`constraint_planes`; a negated atomic is exactly T where its
-    positive form is F) memoized on ``om``, so each atomic is evaluated
-    once per object (or pair) of an object model, however many rules share
-    it.  The memo is safe for the reason given on :class:`ObjectModel`:
-    the model never changes, so neither does an atomic's truth on it.
+    Computed as an AND of per-atomic T-planes (:func:`slot_planes`; a
+    negated atomic is exactly T where its positive form is F) memoized on
+    ``om``, so each atomic is evaluated once per object (or pair) of an
+    object model, however many rules share it.  The memo is safe for the
+    reason given on :class:`ObjectModel`: the model never changes, so
+    neither does an atomic's truth on it.
     """
     s_cls, r_cls = rule.subject_type, rule.resource_type
     n_s, n_r = len(om.objects_of(s_cls)), len(om.objects_of(r_cls))
-    s_mask = (1 << n_s) - 1
-    # Index [negated] picks the T-plane, or for a negated atomic the F-plane.
-    for ac in rule.subject_condition:
-        s_mask &= condition_planes(cm, om, s_cls, ac)[ac.negated]
-    if not s_mask:
-        return 0
-    r_mask = (1 << n_r) - 1
-    for ac in rule.resource_condition:
-        r_mask &= condition_planes(cm, om, r_cls, ac)[ac.negated]
-    if not r_mask:
-        return 0
-    pairs = subject_rows(s_mask, n_s, n_r) & resource_rows(r_mask, n_s, n_r)
-    for con in rule.constraint:
-        pairs &= constraint_planes(cm, om, s_cls, r_cls, con)[con.negated]
-    return pairs
+    full = (1 << n_s) - 1, (1 << n_r) - 1, (1 << (n_s * n_r)) - 1  # by Slot
+    masks = []
+    for slot in _SLOTS:
+        mask = full[slot]
+        # Index [negated] picks the T-plane, or for a negated atomic the F-plane.
+        for atomic in rule.part(slot):
+            mask &= slot_planes(cm, om, s_cls, r_cls, slot, atomic)[atomic.negated]
+        if not mask:
+            return 0
+        masks.append(mask)
+    # Spread only once no slot is empty: spreading costs more than a lookup.
+    s_mask, r_mask, pairs = masks
+    return subject_rows(s_mask, n_s, n_r) & resource_rows(r_mask, n_s, n_r) & pairs
 
 
 def planes_without_each(cm: ClassModel, om: ObjectModel, rule: Rule) -> list[int]:
     """Entry k is :func:`rule_plane` of ``rule`` minus its k-th atomic, in
     :meth:`Rule.atomics` order.
 
-    Each slot group (subject conditions, resource conditions, constraints)
-    keeps prefix and suffix ANDs of its atomics' T-planes, so leaving out
-    one atomic costs one AND of a prefix and a suffix instead of a new
-    AND over every other atomic.
+    Each slot keeps prefix and suffix ANDs of its atomics' T-planes, so
+    leaving out one atomic costs one AND of a prefix and a suffix instead
+    of a new AND over every other atomic.
     """
     s_cls, r_cls = rule.subject_type, rule.resource_type
     n_s, n_r = len(om.objects_of(s_cls)), len(om.objects_of(r_cls))
-    planes: dict[str, list[int]] = {"subject": [], "resource": [], "constraint": []}
-    for slot, atomic in rule.atomics():
-        if slot == "constraint":
-            plane = constraint_planes(cm, om, s_cls, r_cls, atomic)[atomic.negated]
-        else:
-            cls = s_cls if slot == "subject" else r_cls
-            plane = condition_planes(cm, om, cls, atomic)[atomic.negated]
-        planes[slot].append(plane)
-    s_without, s_all = _and_without_each(planes["subject"], (1 << n_s) - 1)
-    r_without, r_all = _and_without_each(planes["resource"], (1 << n_r) - 1)
-    c_without, c_all = _and_without_each(planes["constraint"], (1 << (n_s * n_r)) - 1)
-    s_all, r_all = subject_rows(s_all, n_s, n_r), resource_rows(r_all, n_s, n_r)
-    return (
-        [subject_rows(m, n_s, n_r) & r_all & c_all for m in s_without]
-        + [s_all & resource_rows(m, n_s, n_r) & c_all for m in r_without]
-        + [s_all & r_all & c for c in c_without]
-    )
+    full = (1 << n_s) - 1, (1 << n_r) - 1, (1 << (n_s * n_r)) - 1  # by Slot
+    without, every = [], []
+    for slot, atomics in zip(_SLOTS, rule.by_slot):
+        masks, mask = _and_without_each(
+            [slot_planes(cm, om, s_cls, r_cls, slot, a)[a.negated] for a in atomics],
+            full[slot],
+        )
+        without.append([spread(slot, m, n_s, n_r) for m in masks])
+        every.append(spread(slot, mask, n_s, n_r))
+    s_all, r_all, c_all = every
+    others = (r_all & c_all, s_all & c_all, s_all & r_all)  # indexed by Slot
+    return [plane & others[slot] for slot in _SLOTS for plane in without[slot]]
 
 
 def _and_without_each(planes: list[int], full: int) -> tuple[list[int], int]:
@@ -816,12 +856,7 @@ def wsc(x) -> int:
     if isinstance(x, AtomicConstraint):
         return len(x.path1) + len(x.path2) + (1 if x.negated else 0)
     if isinstance(x, Rule):
-        return (
-            sum(wsc(c) for c in x.subject_condition)
-            + sum(wsc(c) for c in x.resource_condition)
-            + sum(wsc(c) for c in x.constraint)
-            + len(x.actions)
-        )
+        return x.wsc
     if isinstance(x, Policy):
         return sum(wsc(r) for r in x.rules)
     raise TypeError(f"wsc undefined for {type(x).__name__}")

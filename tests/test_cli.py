@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from rebac_miner.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "running-example"
@@ -181,6 +183,31 @@ class TestEval:
              "-o", str(tmp_path / "report.json")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ('"negated": false', '"negated": "false"'),
+            ('"actions": [\n        "read"', '"actions": [\n        "read", 1'),
+            ('"Handbook"', 'true, {"x": 1}'),
+        ],
+        ids=["negated-string", "action-number", "atom-object"],
+    )
+    def test_malformed_policy_exits_2(self, tmp_path, capsys, old, new):
+        text = (FIXTURES / "groundtruth.json").read_text()
+        assert old in text
+        broken = tmp_path / "broken.json"
+        broken.write_text(text.replace(old, new))
+        code = main(
+            ["eval",
+             "--mined", str(broken),
+             "--reference", str(FIXTURES / "groundtruth.json"),
+             "--classmodel", str(FIXTURES / "classmodel.json"),
+             "--objectmodel", str(FIXTURES / "objectmodel.json"),
+             "-o", str(tmp_path / "report.json")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestLearnFormulaCommand:

@@ -3,7 +3,6 @@ from hypothesis import given, settings, strategies as st
 
 from rebac_miner.features import (
     ExtractionLimits,
-    FeatureKind,
     FeatureTable,
     TaskFeature,
     build_dataset,
@@ -24,6 +23,7 @@ from rebac_miner.model import (
     Multiplicity,
     ObjectInstance,
     ObjectModel,
+    Slot,
     SraTuple,
     tval_condition,
     tval_constraint,
@@ -235,9 +235,9 @@ class TestBuildDataset:
         for row in ds.rows:
             sid, rid = row.provenance
             for i, entry in enumerate(table.entries):
-                if entry.kind is FeatureKind.SUBJECT_CONDITION:
+                if entry.kind is Slot.SUBJECT:
                     want = tval_condition(cm, om, sid, entry.payload)
-                elif entry.kind is FeatureKind.RESOURCE_CONDITION:
+                elif entry.kind is Slot.RESOURCE:
                     want = tval_condition(cm, om, rid, entry.payload)
                 else:
                     want = tval_constraint(cm, om, sid, rid, entry.payload)
@@ -318,9 +318,9 @@ class TestIdColumns:
 
 
 ORG_ENTRIES = (
-    [TaskFeature(FeatureKind.SUBJECT_CONDITION, ac) for ac in ORG_CONDITIONS["Emp"]]
-    + [TaskFeature(FeatureKind.RESOURCE_CONDITION, ac) for ac in ORG_CONDITIONS["Task"]]
-    + [TaskFeature(FeatureKind.CONSTRAINT, c) for c in ORG_CONSTRAINTS[("Emp", "Task")]]
+    [TaskFeature(Slot.SUBJECT, ac) for ac in ORG_CONDITIONS["Emp"]]
+    + [TaskFeature(Slot.RESOURCE, ac) for ac in ORG_CONDITIONS["Task"]]
+    + [TaskFeature(Slot.CONSTRAINT, c) for c in ORG_CONSTRAINTS[("Emp", "Task")]]
 )
 
 
@@ -340,9 +340,9 @@ def reference_rows(acl, subject_type, resource_type, action, entries):
         for r in om.objects_of(resource_type):
             cells = []
             for e in entries:
-                if e.kind is FeatureKind.SUBJECT_CONDITION:
+                if e.kind is Slot.SUBJECT:
                     cells.append(tval_condition(cm, om, s.id, e.payload))
-                elif e.kind is FeatureKind.RESOURCE_CONDITION:
+                elif e.kind is Slot.RESOURCE:
                     cells.append(tval_condition(cm, om, r.id, e.payload))
                 else:
                     cells.append(tval_constraint(cm, om, s.id, r.id, e.payload))

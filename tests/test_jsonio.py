@@ -94,6 +94,28 @@ class TestFixtureFiles:
         assert meaning(policy) == acl.au
 
 
+def _constraint(document):
+    return document["rules"][0]["constraint"][0]
+
+
+def _condition(document):
+    return document["rules"][1]["resourceCondition"][0]
+
+
+# Edits of the running example's reference policy that make it malformed.
+BAD_POLICY_EDITS = {
+    "negated-string": lambda d: _constraint(d).update(negated="false"),
+    "negated-number": lambda d: _condition(d).update(negated=0),
+    "action-number": lambda d: d["rules"][0].update(actions=["read", 1]),
+    "policy-action-object": lambda d: d.update(actions=[{}]),
+    "atom-object": lambda d: _condition(d).update(value=[True, {"x": 1}]),
+    "atom-number": lambda d: _condition(d).update(value=[1]),
+    "contains-list": lambda d: _condition(d).update(op="contains", value=["a"]),
+    "type-list": lambda d: d["rules"][1].update(subjectType=["Student"]),
+    "conditions-number": lambda d: d["rules"][1].update(resourceCondition=5),
+}
+
+
 class TestSchemaErrors:
     def test_bad_multiplicity(self):
         with pytest.raises(jsonio.SchemaError):
@@ -128,6 +150,24 @@ class TestSchemaErrors:
                     ],
                 }
             )
+
+    @pytest.mark.parametrize("edit", BAD_POLICY_EDITS.values(), ids=list(BAD_POLICY_EDITS))
+    def test_bad_policy_values(self, edit):
+        document = json.loads((FIXTURES / "groundtruth.json").read_text())
+        edit(document)
+        with pytest.raises(jsonio.SchemaError):
+            jsonio.rules_from_json(document)
+
+    def test_absent_negated_is_false(self):
+        document = json.loads((FIXTURES / "groundtruth.json").read_text())
+        for rule in document["rules"]:
+            for atomic in rule["resourceCondition"] + rule["constraint"]:
+                del atomic["negated"]
+        _, rules = jsonio.rules_from_json(document)
+        assert not any(a.negated for r in rules for _, a in r.atomics())
+        assert sorted(rules, key=lambda r: r.sort_key) == sorted(
+            running_example_rules(), key=lambda r: r.sort_key
+        )
 
     def test_csv_bad_cell(self):
         with pytest.raises(jsonio.SchemaError):

@@ -38,11 +38,13 @@ from rebac_miner.model import (
     ObjectModel,
     Policy,
     Rule,
+    Slot,
     SraTuple,
     meaning,
     policy_wsc,
     rule_meaning,
     sort_rules,
+    wsc,
 )
 from rebac_miner.tvl import Conjunction, DnfFormula, Literal, Polarity
 from tests.test_model import ORG_ACTIONS, ORG_CM, org_models, org_rules
@@ -566,6 +568,39 @@ class TestMergeAndSimplify:
             if last_wsc is not None:
                 assert current <= last_wsc
             last_wsc = current
+
+    def test_resource_condition_wins_a_constraint_swap_tie(self):
+        # One employee and one task, so every condition true of either
+        # object has the constraint's effect.  The cheapest such conditions
+        # have WSC 2 on both sides (subject.active=true sorts first among the
+        # subject's); at equal WSC a resource condition is tried first.
+        om = ObjectModel([
+            ObjectInstance("d0", "Dept", {"parent": None}),
+            ObjectInstance("e0", "Emp", {
+                "dept": "d0", "skills": frozenset(), "mentor": None, "active": True,
+            }),
+            ObjectInstance("t0", "Task", {
+                "dept": "d0", "needs": frozenset(), "focus": None, "owner": "e0",
+                "team": frozenset(), "urgent": True,
+            }),
+        ])
+        constraint = AtomicConstraint(("dept",), "equal", ("owner", "dept"))
+        rule = Rule(
+            "Emp", frozenset(), "Task", frozenset(), frozenset({constraint}),
+            frozenset({"read"}),
+        )
+        acl = AclPolicy(ORG_CM, om, frozenset({"read"}), rule_meaning(ORG_CM, om, rule))
+        ctx = _Phase2([rule], acl, ExtractionLimits(), None)
+        base = rule.without_atomic(Slot.CONSTRAINT, constraint)
+        target = ctx.meaning_of(rule)
+        for slot, condition in (
+            (Slot.SUBJECT, cond(("active",), True)),
+            (Slot.RESOURCE, cond(("dept",), "d0")),
+        ):
+            assert wsc(condition) == 2 < wsc(constraint)
+            assert ctx.meaning_of(base.with_atomic(slot, condition)) == target
+        miner._constraints_to_conditions(ctx)
+        assert ctx.rules == (base.with_atomic(Slot.RESOURCE, cond(("dept",), "d0")),)
 
 
 def replace_actions(rule, actions):

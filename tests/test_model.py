@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rebac_miner import miner
+from rebac_miner import jsonio, miner
 from rebac_miner.model import (
     UNKNOWN,
     AclPolicy,
@@ -18,6 +18,7 @@ from rebac_miner.model import (
     ObjectModel,
     Policy,
     Rule,
+    Slot,
     SraTuple,
     meaning,
     nav,
@@ -30,6 +31,7 @@ from rebac_miner.model import (
     tval_constraint,
     validate_object_model,
     validate_rule,
+    value_sort_key,
     wsc,
 )
 from rebac_miner.tvl import TruthValue
@@ -818,9 +820,8 @@ class TestRuleMeaningMatchesSatisfies:
         assert rule_meaning(ORG_CM, first, in_d0) == granted
         assert rule_meaning(ORG_CM, second, in_d0) == frozenset()
         assert rule_meaning(ORG_CM, first, in_d0) == granted
-        assert first._condition_masks is not second._condition_masks
-        assert first._constraint_masks is not second._constraint_masks
-        assert first._condition_masks != second._condition_masks
+        assert first._planes is not second._planes
+        assert first._planes != second._planes
 
 
 def decoded(om, planes):
@@ -838,9 +839,9 @@ def decoded(om, planes):
 
 
 SLOT_FIELDS = {
-    "subject": "subject_condition",
-    "resource": "resource_condition",
-    "constraint": "constraint",
+    Slot.SUBJECT: "subject_condition",
+    Slot.RESOURCE: "resource_condition",
+    Slot.CONSTRAINT: "constraint",
 }
 
 
@@ -854,6 +855,84 @@ def org_model_and_au(draw):
     tuples = [SraTuple(s, r, a) for s in ids for r in ids for a in actions]
     au = draw(st.sets(st.sampled_from(tuples), max_size=40))
     return om, frozenset(au)
+
+
+def fresh_sorted(rule, slot):
+    """Oracle: one slot's atomics, sorted from scratch."""
+    return sorted(getattr(rule, SLOT_FIELDS[slot]), key=lambda a: a.sort_key)
+
+
+def assert_canonical(rule):
+    """Every view :class:`Rule` caches equals its definition from scratch."""
+    for atomic in rule.subject_condition | rule.resource_condition:
+        assert atomic.sort_key == (
+            atomic.path, atomic.op, atomic.negated, value_sort_key(atomic.value)
+        )
+    for atomic in rule.constraint:
+        assert atomic.sort_key == (atomic.path1, atomic.op, atomic.path2, atomic.negated)
+    assert rule.atomics() == tuple(
+        (slot, a) for slot in Slot for a in fresh_sorted(rule, slot)
+    )
+    assert rule.sort_key == (
+        rule.subject_type,
+        rule.resource_type,
+        tuple(sorted(c.sort_key for c in rule.subject_condition)),
+        tuple(sorted(c.sort_key for c in rule.resource_condition)),
+        tuple(sorted(c.sort_key for c in rule.constraint)),
+        tuple(sorted(rule.actions)),
+    )
+    sc = "; ".join(c.text("subject") for c in fresh_sorted(rule, Slot.SUBJECT))
+    rc = "; ".join(c.text("resource") for c in fresh_sorted(rule, Slot.RESOURCE))
+    con = "; ".join(c.text() for c in fresh_sorted(rule, Slot.CONSTRAINT))
+    assert rule.text() == (
+        f"<{rule.subject_type}; {sc or 'true'}; {rule.resource_type}; {rc or 'true'};"
+        f" {con or 'true'}; {{{','.join(sorted(rule.actions))}}}>"
+    )
+    assert jsonio.rule_to_json(rule) == {
+        "subjectType": rule.subject_type,
+        "subjectCondition": [
+            jsonio._condition_to_json(c) for c in fresh_sorted(rule, Slot.SUBJECT)
+        ],
+        "resourceType": rule.resource_type,
+        "resourceCondition": [
+            jsonio._condition_to_json(c) for c in fresh_sorted(rule, Slot.RESOURCE)
+        ],
+        "constraint": [
+            jsonio._constraint_to_json(c) for c in fresh_sorted(rule, Slot.CONSTRAINT)
+        ],
+        "actions": sorted(rule.actions),
+    }
+    assert wsc(rule) == rule.wsc == sum(
+        wsc(a) for field in SLOT_FIELDS.values() for a in getattr(rule, field)
+    ) + len(rule.actions)
+
+
+class TestRuleCanonicalOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(rule=org_rules(), data=st.data())
+    def test_cached_views_and_edits(self, rule, data):
+        assert_canonical(rule)
+        assert_canonical(rule)  # a second read returns the cached values
+        for slot, atomic in rule.atomics():
+            field = SLOT_FIELDS[slot]
+            shrunk = rule.without_atomic(slot, atomic)
+            assert shrunk == replace(rule, **{field: getattr(rule, field) - {atomic}})
+            assert_canonical(shrunk)
+            if slot is not Slot.CONSTRAINT:
+                rest = miner._value_set_merge_key(rule, slot, atomic)[0]
+                assert rest == shrunk.sort_key
+        pools = {
+            Slot.SUBJECT: ORG_CONDITIONS[rule.subject_type],
+            Slot.RESOURCE: ORG_CONDITIONS[rule.resource_type],
+            Slot.CONSTRAINT: ORG_CONSTRAINTS.get((rule.subject_type, rule.resource_type)),
+        }
+        for slot, pool in pools.items():
+            if pool:
+                atomic = data.draw(st.sampled_from(pool))
+                field = SLOT_FIELDS[slot]
+                grown = rule.with_atomic(slot, atomic)
+                assert grown == replace(rule, **{field: getattr(rule, field) | {atomic}})
+                assert_canonical(grown)
 
 
 class TestPlanes:

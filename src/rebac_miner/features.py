@@ -299,8 +299,8 @@ def extend_with_id_columns(
 
     Returns the extended table and dataset, a supplier building the
     ``subject.id = s and resource.id = r`` conjunction for a row index, and
-    the set of appended feature ids (to hide from tree induction).  Cell
-    values come straight from row provenance, so they are never unknown.
+    the appended feature ids, through which those conjunctions are checked
+    and turned into rules.  Cell values come from row provenance, never U.
     """
     rows_of: dict[tuple[Slot, str], list[int]] = {}
     for k, (sid, rid) in enumerate(dataset.provenance):

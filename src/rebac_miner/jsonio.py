@@ -213,10 +213,10 @@ def _condition_from_json(raw) -> AtomicCondition:
         _require(key in raw, f"condition: missing {key}")
     value = raw["value"]
     if raw["op"] == "in":
+        # Checked before the set is built: a set cannot hold a JSON object
+        # or array.  AtomicCondition checks every other constant.
         _require(isinstance(value, list), "'in' conditions take a list of atoms")
         value = frozenset(_atom_from_json(v, "condition constant") for v in value)
-    elif raw["op"] == "contains":
-        _atom_from_json(value, "condition constant")
     try:
         return AtomicCondition(
             _path_from_text(raw["path"]),

@@ -5,9 +5,11 @@ portion of the dataset, harvests the conjunctions of its T paths, and
 scrubs them of is-unknown literals: each such literal is removed when the
 conjunction stays valid, otherwise replaced by the first ordinary literal
 that keeps the conjunction valid and the batch covering.  Features whose
-is-unknown tests resist both are blacklisted from later trees.  Rows still
-uncovered after the iteration budget are covered one at a time with
-per-vector conjunctions.
+is-unknown tests resist both are blacklisted from later trees.
+:func:`cover_rest` covers the T rows still uncovered one at a time with
+per-vector conjunctions and checks the result; the miner's identity route
+reruns only this step on a failed attempt's formula, with identity
+conjunctions.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from functools import partial
+from typing import Callable, Iterable, Union
 
 from rebac_miner.tree import build_tree, extract_true_paths
 from rebac_miner.tvl import (
@@ -78,37 +81,36 @@ class FailedFeatures:
 class LearningError(Exception):
     """The learned formula mis-evaluates a row; the dataset cannot be
     exactly characterized with the available features (it is not monotonic
-    or lacks separating features)."""
+    or lacks separating features).  ``learned`` is the fallback-free result
+    the failed cover started from."""
 
-    def __init__(self, row: LabeledRow):
+    def __init__(self, row: LabeledRow, learned: LearnResult):
         self.row = row
+        self.learned = learned
+        problem = "does not grant" if row.label is T else "would grant"
         super().__init__(
-            f"formula would grant a row labeled {row.label}"
+            f"formula {problem} a row labeled {row.label}"
             + (f" (pair {row.provenance})" if row.provenance else "")
         )
 
 
-def default_cover_conjunction(
-    dataset: LabeledDataset, row: int, features: tuple[FeatureId, ...]
-) -> Conjunction:
+def default_cover_conjunction(dataset: LabeledDataset, row: int) -> Conjunction:
     """Positive literal per T cell of row ``row``, negative per F cell; U
     cells contribute nothing.  Evaluates to T on that row by construction."""
     bit = 1 << row
     return Conjunction.of(
         Literal(feature, polarity)
-        for feature in features
+        for feature in dataset.features
         for polarity in (Polarity.POSITIVE, Polarity.NEGATIVE)
         if value_rows(dataset.planes[feature.index], LITERAL_VALUE[polarity], bit)
     )
 
 
 def _replacement_literals(
-    original: Conjunction,
-    features: tuple[FeatureId, ...],
-    hidden: frozenset[FeatureId],
+    original: Conjunction, features: tuple[FeatureId, ...]
 ) -> tuple[Literal, ...]:
     used = original.feature_indices()
-    free = [f for f in features if f.index not in used and f not in hidden]
+    free = [f for f in features if f.index not in used]
     literals = [Literal(f, Polarity.POSITIVE) for f in free]
     literals += [Literal(f, Polarity.NEGATIVE) for f in free]
     # Positive polarity first, then ascending cost, then index.
@@ -121,7 +123,6 @@ def eliminate_unknown_literal(
     dataset: LabeledDataset,
     batch: Iterable[Conjunction],
     working: int,
-    hidden: frozenset[FeatureId] = frozenset(),
 ) -> Union[Conjunction, FailedFeatures]:
     """Scrub is-unknown literals out of one conjunction.
 
@@ -137,7 +138,7 @@ def eliminate_unknown_literal(
     to_cover = working & dataset.labels[0]
     batch_rows = dnf_rows(DnfFormula.of(batch), dataset)
     current = conjunction
-    candidates = _replacement_literals(conjunction, dataset.features, hidden)
+    candidates = _replacement_literals(conjunction, dataset.features)
     for unknown_lit in conjunction.unknown_literals():
         attempt = current.without(unknown_lit)
         attempt_rows = conjunction_rows(attempt, dataset)
@@ -162,34 +163,22 @@ def eliminate_unknown_literal(
 
 
 def learn_formula(
-    dataset: LabeledDataset,
-    config: LearnerConfig = LearnerConfig(),
-    fallback_conj: Optional[Callable[[int], Conjunction]] = None,
-    hidden: frozenset[FeatureId] = frozenset(),
+    dataset: LabeledDataset, config: LearnerConfig = LearnerConfig()
 ) -> LearnResult:
     """Learn a DNF formula that evaluates to T exactly on the T-labeled rows.
 
-    ``hidden`` features never appear in trees or replacement candidates;
-    they exist only so that conjunctions supplied by ``fallback_conj`` (the
-    per-vector identity route, called with the index of each row left
-    uncovered) can be evaluated against the rows.
-
-    Raises LearningError when the final formula would grant a row labeled
-    F or U; monotonicity is not checked up front, the post-verification is
-    the cheaper and stronger check.
+    Up to ``config.max_iter`` tree iterations, then :func:`cover_rest` with
+    :func:`default_cover_conjunction` for the rows they leave uncovered.
+    Raises LearningError when the final formula mis-evaluates a row.
     """
-    disjuncts: dict = {}
+    formula = DnfFormula()
     blacklist: set[FeatureId] = set()
     iterations = 0
     label_t = dataset.labels[0]
-
-    def formula() -> DnfFormula:
-        return DnfFormula.of(disjuncts.values())
-
-    while not covers(formula(), dataset) and iterations < config.max_iter:
+    while not covers(formula, dataset) and iterations < config.max_iter:
         # Every row but the T rows the formula already grants.
-        working = dataset.all_rows & ~(label_t & dnf_rows(formula(), dataset))
-        tree = build_tree(dataset, excluded=frozenset(blacklist) | hidden, rows=working)
+        working = dataset.all_rows & ~(label_t & dnf_rows(formula, dataset))
+        tree = build_tree(dataset, excluded=frozenset(blacklist), rows=working)
         batch = {c.sort_key: c for c in extract_true_paths(tree)}
         pending = [c for c in batch.values() if c.unknown_literals()]
         # Most-covering conjunctions first, so the features that end up
@@ -202,40 +191,46 @@ def learn_formula(
         )
         for conjunction in pending:
             del batch[conjunction.sort_key]
-            outcome = eliminate_unknown_literal(
-                conjunction, dataset, batch.values(), working, hidden
-            )
+            outcome = eliminate_unknown_literal(conjunction, dataset, batch.values(), working)
             if isinstance(outcome, FailedFeatures):
                 blacklist.update(outcome.features)
             else:
                 batch[outcome.sort_key] = outcome
-        for conjunction in batch.values():
-            disjuncts.setdefault(conjunction.sort_key, conjunction)
+        formula = DnfFormula.of([*formula.disjuncts, *batch.values()])
         iterations += 1
 
-    used_fallback = False
-    remaining = uncovered_t_rows(formula(), dataset)
-    if remaining:
-        used_fallback = True
-        visible = tuple(f for f in dataset.features if f not in hidden)
-        for row in bit_indices(remaining):
-            if fallback_conj is not None:
-                conjunction = fallback_conj(row)
-            else:
-                conjunction = default_cover_conjunction(dataset, row, visible)
-            if not conjunction.literals:
-                log.warning(
-                    "fallback produced an empty conjunction (all-unknown row"
-                    " %s); the formula becomes always-true",
-                    dataset.rows[row].provenance,
-                )
-            disjuncts.setdefault(conjunction.sort_key, conjunction)
+    learned = LearnResult(formula, False, frozenset(blacklist), iterations)
+    return cover_rest(learned, dataset, partial(default_cover_conjunction, dataset))
 
-    final = remove_redundant(formula())
+
+def cover_rest(
+    learned: LearnResult, dataset: LabeledDataset, cover: Callable[[int], Conjunction]
+) -> LearnResult:
+    """Add ``cover(row)`` for each T row ``learned.formula`` misses, drop
+    absorbed disjuncts and check the result on every row of ``dataset``,
+    which may append columns (identity columns) for the covers to use.
+
+    Raises LearningError, with ``learned`` attached, when the result grants
+    a row not labeled T or misses one labeled T; monotonicity is not checked
+    up front, the post-verification is the cheaper and stronger check.
+    """
+    remaining = uncovered_t_rows(learned.formula, dataset)
+    disjuncts = list(learned.formula.disjuncts)
+    for row in bit_indices(remaining):
+        conjunction = cover(row)
+        if not conjunction.literals:
+            log.warning(
+                "fallback produced an empty conjunction (all-unknown row"
+                " %s); the formula becomes always-true",
+                dataset.provenance[row],
+            )
+        disjuncts.append(conjunction)
+
+    final = remove_redundant(DnfFormula.of(disjuncts))
     violation = first_validity_violation(final, dataset)
     if violation is not None:
-        raise LearningError(violation)
+        raise LearningError(violation, learned)
     uncovered = uncovered_t_rows(final, dataset)
-    if uncovered:  # unreachable with the fallbacks above
-        raise LearningError(dataset.rows[bit_indices(uncovered)[0]])
-    return LearnResult(final, used_fallback, frozenset(blacklist), iterations)
+    if uncovered:
+        raise LearningError(dataset.rows[bit_indices(uncovered)[0]], learned)
+    return LearnResult(final, bool(remaining), learned.blacklisted, learned.iterations)

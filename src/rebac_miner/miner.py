@@ -4,8 +4,9 @@ Phase 1 decomposes the problem per (subject type, resource type, action),
 learns one DNF formula per task, and turns its conjunctions into rules.
 Identity conditions stay out of the first attempt; when a task's dataset
 cannot be exactly characterized without them, the configured strategy
-either relearns over a table that includes identity conditions or covers
-stray rows with per-pair identity conjunctions.
+either relearns over a table that includes identity conditions or keeps
+the first attempt's learned conjunctions and covers the T rows they miss
+with per-pair identity conjunctions.
 
 Phase 2 optionally eliminates negated atomics (producing negation-free
 policies) and then merges and simplifies rules to a fixpoint.  Phase 2a
@@ -24,7 +25,7 @@ import logging
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from operator import and_, or_
 from typing import Callable, Collection, Iterable, Mapping, Optional
 
@@ -42,6 +43,7 @@ from rebac_miner.learner import (
     LearnResult,
     LearnerConfig,
     LearningError,
+    cover_rest,
     learn_formula,
 )
 from rebac_miner.model import (
@@ -214,28 +216,22 @@ def _run_task(acl, cfg, key, unknown_as_false) -> TaskReport:
     retried = False
     try:
         result = learn_formula(dataset, cfg.learner)
-    except LearningError:
+    except LearningError as failed:
         retried = True
         if cfg.id_strategy is IdStrategy.RETRY_WITH_ID_FEATURES:
             table, dataset = prepare(replace(cfg.limits, include_id_conditions=True))
-            try:
-                result = learn_formula(dataset, cfg.learner)
-            except LearningError as exc:
-                raise MinerError(
-                    f"task {key}: inconsistent even with identity conditions"
-                    f" ({exc})"
-                ) from exc
+            finish = partial(learn_formula, dataset, cfg.learner)
+            what = "identity conditions"
         else:
-            table, dataset, supplier, hidden = extend_with_id_columns(table, dataset)
-            try:
-                result = learn_formula(
-                    dataset, cfg.learner, fallback_conj=supplier, hidden=hidden
-                )
-            except LearningError as exc:
-                raise MinerError(
-                    f"task {key}: inconsistent even with per-pair identity"
-                    f" conjunctions ({exc})"
-                ) from exc
+            # The first attempt's conjunctions stand: only the T rows they
+            # miss are covered again, by per-pair identity conjunctions.
+            table, dataset, supplier, _ = extend_with_id_columns(table, dataset)
+            finish = partial(cover_rest, failed.learned, dataset, supplier)
+            what = "per-pair identity conjunctions"
+        try:
+            result = finish()
+        except LearningError as exc:
+            raise MinerError(f"task {key}: inconsistent even with {what} ({exc})") from exc
     return TaskReport(
         subject_type, resource_type, action, table, dataset, result, retried
     )

@@ -333,11 +333,14 @@ class AtomicCondition:
         if self.op == "in":
             if not isinstance(self.value, frozenset):
                 raise ModelError("'in' conditions take a set of atoms")
+            atoms = self.value
         elif self.op == "contains":
-            if isinstance(self.value, (frozenset, set)):
-                raise ModelError("'contains' conditions take a single atom")
+            atoms = (self.value,)
         else:
             raise ModelError(f"unknown condition operator: {self.op!r}")
+        for atom in atoms:  # not the int 1: it would share "1"'s sort key
+            if not isinstance(atom, (str, bool)):
+                raise ModelError(f"bad condition constant: {atom!r} (not str or bool)")
 
     @cached_property
     def sort_key(self):

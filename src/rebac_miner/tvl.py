@@ -245,8 +245,10 @@ class _Rows(Sequence):
     def __len__(self) -> int:
         return self._dataset.size
 
-    def __getitem__(self, k: int) -> LabeledRow:
+    def __getitem__(self, k):
         ds = self._dataset
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(ds.size)[k])
         k = range(ds.size)[k]
         cells = tuple(_cells((t >> k & 1, f >> k & 1), 1)[0] for t, f in ds.planes)
         label = _cells((ds.labels[0] >> k & 1, ds.labels[1] >> k & 1), 1)[0]

@@ -111,6 +111,7 @@ BAD_POLICY_EDITS = {
     "atom-object": lambda d: _condition(d).update(value=[True, {"x": 1}]),
     "atom-number": lambda d: _condition(d).update(value=[1]),
     "contains-list": lambda d: _condition(d).update(op="contains", value=["a"]),
+    "contains-number": lambda d: _condition(d).update(op="contains", value=1.5),
     "type-list": lambda d: d["rules"][1].update(subjectType=["Student"]),
     "conditions-number": lambda d: d["rules"][1].update(resourceCondition=5),
 }

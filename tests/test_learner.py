@@ -5,8 +5,10 @@ import pytest
 from rebac_miner.learner import (
     FailedFeatures,
     IdStrategy,
+    LearnResult,
     LearnerConfig,
     LearningError,
+    cover_rest,
     default_cover_conjunction,
     eliminate_unknown_literal,
     learn_formula,
@@ -58,7 +60,7 @@ class TestDefaultCoverConjunction:
     def test_direct(self):
         features = tuple(FeatureId(i, f"f{i}", 1) for i in range(3))
         ds = make_dataset(features, ((None, (T, F, U), T),))
-        conj = default_cover_conjunction(ds, 0, features)
+        conj = default_cover_conjunction(ds, 0)
         assert conj == Conjunction.of(
             [lit(features[0]), lit(features[1], Polarity.NEGATIVE)]
         )
@@ -66,10 +68,10 @@ class TestDefaultCoverConjunction:
     def test_all_unknown_is_empty(self):
         features = (FeatureId(0),)
         ds = make_dataset(features, ((None, (U,), T),))
-        assert default_cover_conjunction(ds, 0, features) == Conjunction()
+        assert default_cover_conjunction(ds, 0) == Conjunction()
 
     def test_example_row4(self, example_dataset):
-        conj = default_cover_conjunction(example_dataset, 3, example_dataset.features)
+        conj = default_cover_conjunction(example_dataset, 3)
         assert conj == Conjunction.of([lit(example_dataset.features[2])])
 
 
@@ -180,33 +182,56 @@ class TestLearnFormula:
         for row in ds.rows:
             assert (eval_dnf(result.formula, row.vector) is T) == (row.label is T)
 
-    def test_custom_fallback_supplier_used(self):
-        # Force total coverage failure in the tree phase by blacklisting
-        # everything: single feature, U-valued on the T row.
+    def test_determinism(self, example_dataset):
+        a = learn_formula(example_dataset)
+        b = learn_formula(example_dataset)
+        assert a == b
+
+
+class TestCoverRest:
+    def test_custom_supplier_covers_failed_attempt(self):
+        # Force total coverage failure in the tree phase: a single feature,
+        # U-valued on every row.  The first attempt's per-vector cover is
+        # empty, so it grants the F row too and fails.
         f0 = FeatureId(0, "f0", 1)
         extra = FeatureId(1, "row-tag", 1)
-        ds = make_dataset(
-            (f0, extra),
-            ((("s1", "r1"), (U, T), T), (("s2", "r2"), (U, F), F)),
-        )
+        rows = ((("s1", "r1"), (U, T), T), (("s2", "r2"), (U, F), F))
+        narrow = make_dataset((f0,), tuple((p, cells[:1], label) for p, cells, label in rows))
+        with pytest.raises(LearningError) as err:
+            learn_formula(narrow, LearnerConfig(max_iter=1))
+        # The same rows with one more column that the supplier can use.
+        ds = make_dataset((f0, extra), rows)
         calls = []
 
         def supplier(row):
             calls.append(ds.rows[row].provenance)
             return Conjunction.of([lit(extra)])
 
-        result = learn_formula(
-            ds, LearnerConfig(max_iter=1), fallback_conj=supplier,
-            hidden=frozenset({extra}),
-        )
+        result = cover_rest(err.value.learned, ds, supplier)
         assert calls == [("s1", "r1")]
         assert result.used_fallback is True
         assert result.formula == DnfFormula.of([Conjunction.of([lit(extra)])])
+        assert result.iterations == err.value.learned.iterations == 1
 
-    def test_determinism(self, example_dataset):
-        a = learn_formula(example_dataset)
-        b = learn_formula(example_dataset)
-        assert a == b
+    @pytest.mark.parametrize(
+        "cells, wrong, message",
+        [
+            ((U, F), ("s1", "r1"), "formula does not grant a row labeled T"),
+            ((T, T), ("s2", "r2"), "formula would grant a row labeled F"),
+        ],
+        ids=["misses-its-row", "grants-f-row"],
+    )
+    def test_failure_names_the_misevaluated_row(self, cells, wrong, message):
+        f0 = FeatureId(0, "f0", 1)
+        ds = make_dataset(
+            (f0,), ((("s1", "r1"), cells[:1], T), (("s2", "r2"), cells[1:], F))
+        )
+        learned = LearnResult(DnfFormula(), False, frozenset(), 1)
+        with pytest.raises(LearningError) as err:
+            cover_rest(learned, ds, lambda row: Conjunction.of([lit(f0)]))
+        assert err.value.row.provenance == wrong
+        assert err.value.learned is learned
+        assert str(err.value).startswith(message)
 
 
 def random_monotonic_dataset(rng, max_features=5, max_rows=30):

@@ -4,7 +4,7 @@ import logging
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rebac_miner import jsonio, miner
+from rebac_miner import jsonio, learner, miner
 from rebac_miner.datagen import (
     builtin_spec,
     generate,
@@ -736,6 +736,27 @@ class TestRegressionCells:
         mine_detailed(acl, MinerConfig(), observer=lambda *e: events.append(e))
         assert events
         assert event_stream_digest(events) == REGRESSION_EVENTS_DIGEST
+
+    def test_per_vector_route_grows_no_more_trees(self, monkeypatch):
+        # Both tasks fail their first attempt and take the per-vector
+        # identity route, which reuses that attempt's conjunctions: every
+        # tree grown is one of the tasks' reported iterations.
+        spec = builtin_spec("org-chart")
+        om, acl = generate(spec, 20, seed=2)
+        degraded = inject_unknowns(om, spec, 2, seed=2)
+        acl = AclPolicy(spec.class_model, degraded, acl.actions, acl.au)
+        trees = []
+        build_tree = learner.build_tree
+
+        def counting(*args, **kwargs):
+            trees.append(None)
+            return build_tree(*args, **kwargs)
+
+        monkeypatch.setattr(learner, "build_tree", counting)
+        result = mine_detailed(acl, MinerConfig())
+        assert len(result.tasks) == 2
+        assert all(t.retried_with_ids and t.result.used_fallback for t in result.tasks)
+        assert len(trees) == sum(t.result.iterations for t in result.tasks)
 
     @pytest.mark.parametrize("seed", sorted(REGRESSION_DIGESTS))
     @pytest.mark.parametrize("allow_negation", [True, False])

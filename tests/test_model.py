@@ -558,6 +558,24 @@ class TestRuleValidation:
         with pytest.raises(ModelError):
             validate_rule(cm, bad)
 
+    @pytest.mark.parametrize(
+        "op, value",
+        [
+            ("in", frozenset({1})),
+            ("in", frozenset({"CS", 1.5})),
+            ("contains", 1),
+            ("contains", 1.5),
+            ("contains", [1]),
+            ("contains", frozenset({"CS"})),
+        ],
+        ids=["in-int", "in-float", "contains-int", "contains-float",
+             "contains-list", "contains-set"],
+    )
+    def test_non_atom_constants_rejected(self, op, value):
+        # The int 1 and the string "1" would share a sort key.
+        with pytest.raises(ModelError):
+            AtomicCondition(("type",), op, value)
+
     def test_running_example_rules_validate(self, cm):
         for rule in running_example_rules():
             validate_rule(cm, rule)

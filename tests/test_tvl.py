@@ -352,6 +352,13 @@ class TestDatasetPlanes:
         assert bits(label_f, len(rows)) == [row.label is F for row in rows]
         assert list(ds.rows) == rows
         assert [ds.rows[k] for k in range(len(rows))] == rows
+        assert list(ds.rows[1:3]) == rows[1:3]
+        assert list(ds.rows[::-2]) == rows[::-2]
+        assert list(ds.rows[:]) == rows
+        if rows:
+            assert ds.rows[-1] == rows[-1]
+        with pytest.raises(IndexError):
+            ds.rows[len(rows)]
 
     def test_malformed_planes_rejected(self):
         LabeledDataset((f0,), ((1, 0),), (0, 1), 1, (None,))

@@ -41,7 +41,6 @@ from rebac_miner.tvl import (
     Polarity,
     TruthValue,
     mask_of,
-    pair_plane,
     value_rows,
 )
 
@@ -173,8 +172,13 @@ def enumerate_condition_features(
     Boolean paths contribute the two constant tests; reference paths
     contribute one condition per observed constant, with the operator
     picked by the path's multiplicity.  Identity conditions (path "id")
-    appear only on request.
+    appear only on request.  Memoized on ``om`` per (class, limits).
     """
+    key = (cls, limits)
+    try:
+        return om._conditions[key]
+    except KeyError:
+        pass
     out = []
     for path in enumerate_paths(cm, cls, limits.max_condition_path_len):
         if path == (ID_FIELD,) and not limits.include_id_conditions:
@@ -189,7 +193,8 @@ def enumerate_condition_features(
                 out.append(AtomicCondition(path, "contains", atom))
             else:
                 out.append(AtomicCondition(path, "in", frozenset({atom})))
-    return tuple(sorted(out, key=lambda ac: ac.sort_key))
+    om._conditions[key] = tuple(sorted(out, key=lambda ac: ac.sort_key))
+    return om._conditions[key]
 
 
 def enumerate_constraint_features(
@@ -210,13 +215,13 @@ def enumerate_constraint_features(
     sides2 += enumerate_paths(
         cm, resource_type, limits.max_constraint_path_len, include_id_path=False
     )
+    typed2 = [(p2, *path_type(cm, resource_type, p2)) for p2 in sides2]
     out = []
     for p1 in sides1:
         t1, m1 = path_type(cm, subject_type, p1)
-        for p2 in sides2:
+        for p2, t2, m2 in typed2:
             if not p1 and not p2 and subject_type != resource_type:
                 continue
-            t2, m2 = path_type(cm, resource_type, p2)
             if t1 != t2:
                 continue
             out += [AtomicConstraint(p1, op, p2) for op in constraint_ops(m1, m2)]
@@ -235,9 +240,10 @@ def build_dataset(
 
     Cells are the three-valued truths of the table's (positive) features;
     the label is T when the tuple is authorized and F otherwise (never U:
-    the authorization list is complete by definition).  A condition's
-    planes are its per-object planes from the object model spread over the
-    pairs; a constraint's are its per-pair planes
+    the authorization list is complete by definition), read from the
+    task's plane in :attr:`~rebac_miner.model.AclPolicy.au_planes`.  A
+    condition's planes are its per-object planes from the object model
+    spread over the pairs; a constraint's are its per-pair planes
     (:func:`~rebac_miner.model.slot_planes`, :func:`~rebac_miner.model.spread`).
     """
     cm, om = acl.class_model, acl.object_model
@@ -251,12 +257,7 @@ def build_dataset(
         )
         for e in table.entries
     ]
-    r_pos = {rid: j for j, rid in enumerate(resources)}
-    granted: dict[str, int] = {}  # subject -> mask of granted resources
-    for t in acl.au:
-        if t.action == action and t.resource in r_pos:
-            granted[t.subject] = granted.get(t.subject, 0) | 1 << r_pos[t.resource]
-    label_t = pair_plane((granted.get(sid, 0) for sid in subjects), n_r)
+    label_t = acl.au_planes.get((subject_type, resource_type, action), 0)
     return LabeledDataset(
         table.feature_ids,
         tuple(planes),

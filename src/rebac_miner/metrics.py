@@ -1,10 +1,13 @@
 """Policy comparison: Jaccard, syntactic similarity, semantic similarity.
 
 Syntactic similarity is built bottom-up from atomic conditions through
-condition sets and rules to policies; the policy score averages, over the
-first policy's rules, each rule's best match in the second policy (and is
-therefore deliberately asymmetric).  Semantic similarity is the Jaccard
-similarity of the granted-authorization sets.
+condition sets and rules to policies.  Two condition sets score the
+average, over the paths either one constrains, of the best match between
+their conditions on that path; the policy score averages, over the first
+policy's rules, each rule's best match in the second policy (and is
+therefore deliberately asymmetric).  Every score lies in [0, 1].
+Semantic similarity is the Jaccard similarity of the granted-authorization
+sets.
 """
 
 from __future__ import annotations
@@ -44,12 +47,22 @@ def syn_sim_atomic_condition(ac1: AtomicCondition, ac2: AtomicCondition) -> floa
 
 
 def syn_condition_sets(s1, s2) -> float:
-    """Sum of pairwise atomic similarities over the union of paths."""
+    """Average over the union of paths of each path's best-matching pair
+    of atomic conditions, one from each set (0 when one set has no
+    condition on the path); 1 for two empty sets."""
     s1, s2 = tuple(s1), tuple(s2)
     paths = {ac.path for ac in s1} | {ac.path for ac in s2}
     if not paths:
         return 1.0
-    total = sum(syn_sim_atomic_condition(a, b) for a in s1 for b in s2)
+    total = sum(
+        max(
+            (syn_sim_atomic_condition(a, b)
+             for a in s1 if a.path == path
+             for b in s2 if b.path == path),
+            default=0.0,
+        )
+        for path in paths
+    )
     return total / len(paths)
 
 

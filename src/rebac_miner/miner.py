@@ -25,7 +25,7 @@ import logging
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cache, partial, reduce
+from functools import partial, reduce
 from operator import and_, or_
 from typing import Callable, Collection, Iterable, Mapping, Optional
 
@@ -146,12 +146,7 @@ def mine_detailed(
         if t.action not in acl.actions:
             raise ModelError(f"authorization uses undeclared action: {t}")
 
-    keys = sorted(
-        {
-            (om.get(t.subject).type, om.get(t.resource).type, t.action)
-            for t in acl.au
-        }
-    )
+    keys = sorted(acl.au_planes)
 
     def run(key):
         return _run_task(acl, cfg, key, unknown_as_false)
@@ -617,10 +612,6 @@ def _drop_atomics(ctx: _Phase2) -> None:
 
 
 def _constraints_to_conditions(ctx: _Phase2) -> None:
-    @cache
-    def conditions(cls: str) -> tuple[AtomicCondition, ...]:
-        return enumerate_condition_features(ctx.cm, ctx.om, cls, ctx.limits)
-
     for rule in ctx.rules:
         if rule not in ctx.rules:
             continue
@@ -637,7 +628,7 @@ def _constraints_to_conditions(ctx: _Phase2) -> None:
                     (Slot.RESOURCE, working.resource_type),
                     (Slot.SUBJECT, working.subject_type),
                 ))
-                for cond in conditions(cls)
+                for cond in enumerate_condition_features(ctx.cm, ctx.om, cls, ctx.limits)
                 if wsc(cond) < wsc(constraint)
             ]
             options.sort(key=lambda o: (o[0], o[1], o[3].sort_key))

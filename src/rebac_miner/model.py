@@ -23,7 +23,6 @@ from rebac_miner.tvl import (
     mask_of,
     pair_indices,
     pair_plane,
-    planes_of,
     resource_rows,
     subject_rows,
 )
@@ -152,15 +151,17 @@ class ObjectInstance:
 class ObjectModel:
     """A set of objects with globally unique ids.
 
-    Immutable after construction.  Two results are memoized on the model
+    Immutable after construction.  Four results are memoized on the model
     for the class model it is used with: navigation values per (object,
-    path), and the (T, F) bitplanes of :func:`slot_planes` per class (or
-    subject and resource class) and positive atomic.  A negated atomic
-    reads the same entry.  Caching is safe
-    because objects and field values never change after construction and
-    each memo depends only on them, the class model and its key; one object
-    model must therefore not be evaluated against two different class
-    models.
+    path) (:func:`nav`); the :class:`ValueIndex` per (class, path)
+    (:func:`value_index`); the (T, F) bitplanes of :func:`slot_planes` per
+    class (or subject and resource class) and positive atomic, which a
+    negated atomic reads too; and the candidate conditions per (class,
+    extraction limits) (``features.enumerate_condition_features``).
+    Caching is safe because objects and field values never change after
+    construction and each memo depends only on them, the class model and
+    its key; one object model must therefore not be evaluated against two
+    different class models.
     """
 
     def __init__(self, objects: Iterable[ObjectInstance]):
@@ -179,7 +180,9 @@ class ObjectModel:
             obj.id: i for objs in self._by_type.values() for i, obj in enumerate(objs)
         }
         self._nav_cache: dict[tuple[str, PathT], Value] = {}
+        self._index: dict[tuple[str, PathT], ValueIndex] = {}
         self._planes: dict[tuple, tuple[int, int]] = {}
+        self._conditions: dict[tuple, tuple] = {}
 
     def __iter__(self):
         return iter(self.objects())
@@ -525,15 +528,16 @@ class AclPolicy:
         model never change.
         """
         om = self.object_model
+        size = {cls: len(objects) for cls, objects in om._by_type.items()}
+        position = om._position
         positions: dict[tuple[str, str, str], list[int]] = {}
-        for t in self.au:
-            s_type, r_type = om.get(t.subject).type, om.get(t.resource).type
-            n_r = len(om.objects_of(r_type))
-            positions.setdefault((s_type, r_type, t.action), []).append(
-                om._position[t.subject] * n_r + om._position[t.resource]
+        for subject, resource, action in self.au:
+            s_type, r_type = om.get(subject).type, om.get(resource).type
+            positions.setdefault((s_type, r_type, action), []).append(
+                position[subject] * size[r_type] + position[resource]
             )
         return MappingProxyType({
-            (s, r, a): mask_of(bits, len(om.objects_of(s)) * len(om.objects_of(r)))
+            (s, r, a): mask_of(bits, size[s] * size[r])
             for (s, r, a), bits in positions.items()
         })
 
@@ -687,6 +691,58 @@ def satisfies(cm: ClassModel, om: ObjectModel, t: SraTuple, rule: Rule) -> bool:
     )
 
 
+class ValueIndex(NamedTuple):
+    """One path's navigated values over a class's objects, as masks (bit i
+    for the i-th object in ``objects_of`` order).
+
+    ``by`` maps each atom, and None, to the objects whose value equals it
+    or (for a many path) contains it; ``unknown`` holds the objects whose
+    value is UNKNOWN or contains it.  No object of a many path maps to
+    None, and UNKNOWN is never a key of ``by``.
+    """
+
+    by: Mapping[object, int]
+    unknown: int
+    full: int
+    many: bool
+
+
+def value_index(cm: ClassModel, om: ObjectModel, cls: str, path: PathT) -> ValueIndex:
+    """The :class:`ValueIndex` of ``path`` over ``cls``, memoized on ``om``."""
+    key = (cls, path)
+    try:
+        return om._index[key]
+    except KeyError:
+        pass
+    objects = om.objects_of(cls)
+    positions: dict[object, list[int]] = {}
+    unknown = []
+    for i, obj in enumerate(objects):
+        value = nav(cm, om, obj.id, path)
+        for atom in value if isinstance(value, frozenset) else (value,):
+            if atom is UNKNOWN:
+                unknown.append(i)
+            else:
+                positions.setdefault(atom, []).append(i)
+    size = len(objects)
+    index = ValueIndex(
+        {atom: mask_of(bits, size) for atom, bits in positions.items()},
+        mask_of(unknown, size),
+        (1 << size) - 1,
+        path_type(cm, cls, path)[1] is Multiplicity.MANY,
+    )
+    om._index[key] = index
+    return index
+
+
+def _any_of(index: ValueIndex, atoms) -> int:
+    """The objects whose value equals or contains any of ``atoms``."""
+    mask = 0
+    for atom in atoms:
+        mask |= index.by.get(atom, 0)
+    return mask
+
+
 def slot_planes(
     cm: ClassModel, om: ObjectModel, s_cls: str, r_cls: str, slot: Slot, atomic
 ) -> tuple[int, int]:
@@ -696,9 +752,13 @@ def slot_planes(
     over the pairs (:mod:`rebac_miner.tvl`'s layout; see :func:`spread`).
 
     An identity condition (``id in {...}``) takes its planes from the
-    positions of the named objects.  Any other atomic is evaluated once, as
-    :func:`tval_condition` or :func:`tval_constraint` would, and memoized
-    on the object model.
+    positions of the named objects.  Any other atomic gets its planes by
+    mask algebra over the :func:`value_index` of its path(s), equal cell
+    by cell to :func:`tval_condition` or :func:`tval_constraint`, and
+    memoized on the object model.  A condition's T plane is the OR of its
+    constants' masks (for a many path, the mask of its one constant) and
+    its U plane the unknown mask minus T; a constraint's are built per
+    distinct subject-side value (:func:`_constraint_planes`).
     """
     if slot is _CONSTRAINT:
         key = (s_cls, r_cls, atomic.path1, atomic.op, atomic.path2)
@@ -717,27 +777,66 @@ def slot_planes(
     if slot is _CONSTRAINT:
         planes = _constraint_planes(cm, om, s_cls, r_cls, atomic)
     else:
-        objects = om.objects_of(cls)
-        planes = planes_of(
-            _condition_base(atomic, nav(cm, om, o.id, atomic.path)) for o in objects
-        )
+        index = value_index(cm, om, cls, atomic.path)
+        # A many path's values are sets: T holds its objects containing the
+        # constant itself (an "in" set is never an element, so T is empty).
+        t = index.by.get(atomic.value, 0) if index.many else _any_of(index, atomic.value)
+        planes = t, index.full & ~t & ~index.unknown
     om._planes[key] = planes
     return planes
 
 
 def _constraint_planes(cm, om, s_cls: str, r_cls: str, con: AtomicConstraint):
     """Subjects whose ``path1`` navigates to equal values share a row of
-    resources, so ``con`` is evaluated once per distinct subject-side
-    value and resource."""
-    r_values = [nav(cm, om, r.id, con.path2) for r in om.objects_of(r_cls)]
+    resources, so each distinct subject-side value gets one (T, F) row,
+    computed from the resource side's :func:`value_index` by
+    :func:`_constraint_row`."""
+    index = value_index(cm, om, r_cls, con.path2)
     row_of: dict = {}
     rows = []
     for s in om.objects_of(s_cls):
         v1 = nav(cm, om, s.id, con.path1)
         if v1 not in row_of:
-            row_of[v1] = planes_of(_constraint_base(con.op, v1, v2) for v2 in r_values)
+            row_of[v1] = _constraint_row(con.op, v1, index)
         rows.append(row_of[v1])
-    return tuple(pair_plane((r[side] for r in rows), len(r_values)) for side in (0, 1))
+    n_r = len(om.objects_of(r_cls))
+    return tuple(pair_plane((r[side] for r in rows), n_r) for side in (0, 1))
+
+
+def _constraint_row(op: str, v1: Value, index: ValueIndex) -> tuple[int, int]:
+    """(T, F) masks over the resources of ``op`` between the subject-side
+    value ``v1`` and each resource's value in ``index``; cell by cell the
+    truth :func:`_constraint_base` gives (via :func:`_membership` and
+    :func:`_subset` for the set operators)."""
+    full, unknown = index.full, index.unknown
+    if op == "equal":
+        if v1 is UNKNOWN:
+            return 0, 0
+        t = index.by.get(v1, 0)
+        return t, full & ~t & ~unknown
+    if op == "in":  # v1 in each resource's set
+        if v1 is UNKNOWN:  # only the definitely empty sets are decided
+            return 0, full & ~unknown & ~_any_of(index, index.by)
+        if v1 is None:
+            return 0, full
+        t = index.by.get(v1, 0)
+        return t, full & ~t & ~unknown
+    if op == "contains":  # each resource's value in v1's set
+        t = _any_of(index, v1)
+        if UNKNOWN in v1:  # only None is decided among the rest
+            return t, index.by.get(None, 0)
+        # An unknown resource value is F only against the empty set.
+        return t, full & ~t & (~unknown if v1 else full)
+    known = v1 - {UNKNOWN}
+    if op == "subseteq":  # v1's known atoms inside each resource's set
+        contain = full
+        for atom in known:
+            contain &= index.by.get(atom, 0)
+        return (0 if UNKNOWN in v1 else contain), full & ~contain & ~unknown
+    if op == "supseteq":  # each resource's known atoms inside v1's
+        inside = full & ~_any_of(index, (a for a in index.by if a not in known))
+        return inside & ~unknown, (0 if UNKNOWN in v1 else full & ~inside)
+    raise ModelError(f"unknown constraint operator: {op!r}")
 
 
 def spread(slot: Slot, plane: int, n_s: int, n_r: int) -> int:
@@ -758,8 +857,8 @@ def rule_plane(cm: ClassModel, om: ObjectModel, rule: Rule) -> int:
 
     Computed as an AND of per-atomic T-planes (:func:`slot_planes`; a
     negated atomic is exactly T where its positive form is F) memoized on
-    ``om``, so each atomic is evaluated once per object (or pair) of an
-    object model, however many rules share it.  The memo is safe for the
+    ``om``, so each atomic's planes are computed once per object model,
+    however many rules share it.  The memo is safe for the
     reason given on :class:`ObjectModel`: the model never changes, so
     neither does an atomic's truth on it.
     """

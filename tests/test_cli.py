@@ -155,6 +155,29 @@ class TestEval:
         report = json.loads(report_path.read_text())
         assert report["syntactic"] == 1.0 and report["semantic"] == 1.0
 
+    def test_two_conditions_on_one_path(self, tmp_path):
+        # The Handbook rule with a second condition on its path: scores stay
+        # in [0, 1] and the policy matches itself exactly.
+        document = json.loads((FIXTURES / "groundtruth.json").read_text())
+        handbook = document["rules"][1]["resourceCondition"]
+        handbook.append(
+            {"negated": True, "op": "in", "path": "type", "value": ["Memo"]}
+        )
+        policy = tmp_path / "two-conditions.json"
+        policy.write_text(json.dumps(document))
+        report_path = tmp_path / "report.json"
+        code = main(
+            ["eval",
+             "--mined", str(policy),
+             "--reference", str(policy),
+             "--classmodel", str(FIXTURES / "classmodel.json"),
+             "--objectmodel", str(FIXTURES / "objectmodel.json"),
+             "-o", str(report_path)]
+        )
+        assert code == 0
+        report = json.loads(report_path.read_text())
+        assert report["syntactic"] == 1.0 and report["semantic"] == 1.0
+
     def test_empty_mined_policy_semantic_zero(self, tmp_path):
         empty = tmp_path / "empty.json"
         empty.write_text('{"actions": ["read"], "rules": []}\n')

@@ -106,6 +106,14 @@ class TestEnumerateConditions:
             "CS-doc-3",
         }
 
+    def test_memoized_per_class_and_limits(self, acl):
+        cm, om = acl.class_model, acl.object_model
+        first = enumerate_condition_features(cm, om, "Document", LIMITS)
+        assert enumerate_condition_features(cm, om, "Document", ExtractionLimits()) is first
+        with_ids = ExtractionLimits(include_id_conditions=True)
+        assert enumerate_condition_features(cm, om, "Document", with_ids) != first
+        assert enumerate_condition_features(cm, om, "Student", LIMITS) != first
+
     def test_fieldless_class_yields_nothing(self, acl):
         got = enumerate_condition_features(
             acl.class_model, acl.object_model, "Department", LIMITS

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rebac_miner.metrics import (
     compare_policies,
@@ -12,10 +12,14 @@ from rebac_miner.metrics import (
 )
 from rebac_miner.model import (
     AtomicCondition,
+    ObjectModel,
     Policy,
     Rule,
 )
 from tests.test_model import (
+    ORG_ACTIONS,
+    ORG_CM,
+    org_rules,
     running_example_cm,
     running_example_om,
     running_example_rules,
@@ -95,6 +99,15 @@ class TestConditionSets:
         got = syn_condition_sets((cond(["dept"], "CS"),), (cond(["type"], "H"),))
         assert got == 0.0
 
+    def test_each_path_scores_its_best_pair(self):
+        # Two conditions on one path: the best pair counts, not the sum.
+        two = (cond(["type"], "H"), cond(["type"], "M", negated=True))
+        assert syn_condition_sets(two, two) == 1.0
+        one = (cond(["type"], "H"),)
+        assert syn_condition_sets(two, one) == syn_condition_sets(one, two) == 1.0
+        # A path only one side constrains scores 0.
+        assert syn_condition_sets(two + (cond(["dept"], "CS"),), two) == 0.5
+
 
 class TestRuleSimilarity:
     def test_identical(self):
@@ -155,3 +168,22 @@ class TestPolicyLevel:
         assert report.semantic == 1.0
         assert report.wsc_mined == report.wsc_reference == 6
         assert all(score == 1.0 for _, _, score in report.per_rule_best_match)
+
+
+class TestScoreRange:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rules1=st.lists(org_rules(), max_size=4),
+        rules2=st.lists(org_rules(), max_size=4),
+    )
+    def test_scores_lie_in_unit_interval(self, rules1, rules2):
+        # org_rules may put two conditions on one path (dept in {d0} and
+        # dept in {d0,d1}).
+        p1, p2 = (
+            Policy(ORG_CM, ObjectModel(()), frozenset(ORG_ACTIONS), tuple(rules))
+            for rules in (rules1, rules2)
+        )
+        for r1 in rules1:
+            for r2 in rules2:
+                assert 0.0 <= syn_rule(r1, r2) <= 1.0
+        assert 0.0 <= syn_policy(p1, p2) <= 1.0

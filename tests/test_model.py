@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rebac_miner import jsonio, miner
+from rebac_miner.features import ExtractionLimits, enumerate_condition_features
 from rebac_miner.model import (
     UNKNOWN,
     AclPolicy,
@@ -27,6 +28,7 @@ from rebac_miner.model import (
     rule_meaning,
     rule_plane,
     satisfies,
+    slot_planes,
     tval_condition,
     tval_constraint,
     validate_object_model,
@@ -681,10 +683,11 @@ ORG_IDS = ("e0", "e1", "e2", "t0", "t1", "t2", "d0", "nobody")
 
 
 @st.composite
-def org_models(draw):
-    """Small random ORG_CM object models; any field may be unknown."""
-    n_emp = draw(st.integers(0, 3))
-    n_task = draw(st.integers(0, 3))
+def org_models(draw, max_objects=3):
+    """Small random ORG_CM object models, with up to ``max_objects``
+    employees and as many tasks; any field may be unknown."""
+    n_emp = draw(st.integers(0, max_objects))
+    n_task = draw(st.integers(0, max_objects))
     emps = [f"e{i}" for i in range(n_emp)]
 
     def pick(options):
@@ -991,3 +994,41 @@ class TestPlanes:
         planes = miner._policy_meaning(rules, acl)
         assert all(planes.values())
         assert decoded(om, planes) == meaning(Policy(ORG_CM, om, actions, tuple(rules)))
+
+
+def plane_cells(planes, size):
+    """Oracle: the truth values a (T, F) plane pair stands for, bit by bit."""
+    t, f = planes
+    assert not t & f and not (t | f) >> size
+    return [T if t >> k & 1 else F if f >> k & 1 else U for k in range(size)]
+
+
+class TestSlotPlanesMatchTval:
+    # Up to ten objects per class, so masks cross a byte boundary.
+    @settings(max_examples=100, deadline=None)
+    @given(om=org_models(max_objects=10))
+    def test_every_org_atomic(self, om):
+        # ORG_CONDITIONS has multi-atom "in" sets and one path (dept) on two
+        # classes with objects; the enumerated conditions add every observed
+        # constant, identity conditions and an "in" on a many Boolean path.
+        limits = ExtractionLimits(include_id_conditions=True)
+        for cls in ("Emp", "Task", "Room"):
+            objects = om.objects_of(cls)
+            conditions = ORG_CONDITIONS[cls]
+            conditions += enumerate_condition_features(ORG_CM, om, cls, limits)
+            for ac in conditions:
+                want = [tval_condition(ORG_CM, om, o.id, ac) for o in objects]
+                for slot, s_cls, r_cls in (
+                    (Slot.SUBJECT, cls, "Task"),
+                    (Slot.RESOURCE, "Emp", cls),
+                ):
+                    planes = slot_planes(ORG_CM, om, s_cls, r_cls, slot, ac)
+                    assert plane_cells(planes, len(objects)) == want, ac
+        for (s_cls, r_cls), constraints in ORG_CONSTRAINTS.items():
+            pairs = [
+                (s.id, r.id) for s in om.objects_of(s_cls) for r in om.objects_of(r_cls)
+            ]
+            for con in constraints:
+                planes = slot_planes(ORG_CM, om, s_cls, r_cls, Slot.CONSTRAINT, con)
+                want = [tval_constraint(ORG_CM, om, s, r, con) for s, r in pairs]
+                assert plane_cells(planes, len(pairs)) == want, con

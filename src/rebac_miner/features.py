@@ -245,23 +245,30 @@ def build_dataset(
     condition's planes are its per-object planes from the object model
     spread over the pairs; a constraint's are its per-pair planes
     (:func:`~rebac_miner.model.slot_planes`, :func:`~rebac_miner.model.spread`).
+    A condition with no U cell takes one spread: its F plane is every pair
+    outside its T plane.
     """
     cm, om = acl.class_model, acl.object_model
     subjects = [s.id for s in om.objects_of(subject_type)]
     resources = [r.id for r in om.objects_of(resource_type)]
     n_s, n_r = len(subjects), len(resources)
-    planes = [
-        tuple(
-            spread(e.kind, p, n_s, n_r)
-            for p in slot_planes(cm, om, subject_type, resource_type, e.kind, e.payload)
-        )
-        for e in table.entries
-    ]
+    all_pairs = (1 << n_s * n_r) - 1
+    side = (1 << n_s) - 1, (1 << n_r) - 1  # every object, by condition Slot
+    constraint = Slot.CONSTRAINT
+    planes = []
+    for e in table.entries:
+        slot = e.kind
+        t, f = slot_planes(cm, om, subject_type, resource_type, slot, e.payload)
+        if slot is not constraint and not side[slot] & ~(t | f):
+            t = spread(slot, t, n_s, n_r)
+            planes.append((t, all_pairs & ~t))
+        else:
+            planes.append((spread(slot, t, n_s, n_r), spread(slot, f, n_s, n_r)))
     label_t = acl.au_planes.get((subject_type, resource_type, action), 0)
     return LabeledDataset(
         table.feature_ids,
         tuple(planes),
-        (label_t, ((1 << n_s * n_r) - 1) & ~label_t),
+        (label_t, all_pairs & ~label_t),
         n_s * n_r,
         tuple(product(subjects, resources)),
     )

@@ -320,21 +320,31 @@ def au_to_json(au: Iterable[SraTuple]) -> list:
 
 
 def au_from_json(document, om: ObjectModel | None = None) -> frozenset[SraTuple]:
+    """The authorizations of ``document``: an array of [subject id,
+    resource id, action] triples of strings, whose ids (given ``om``) name
+    objects of ``om``.  Anything else raises :class:`SchemaError` naming
+    the offending triple or id.  Once the triples are in an
+    :class:`~rebac_miner.model.AclPolicy`, its
+    :attr:`~rebac_miner.model.AclPolicy.au_planes` checks them against the
+    model (object ids and declared actions).
+    """
     _require(isinstance(document, list), "authorizations: expected an array of triples")
-    out = []
+    ids = None if om is None else om._by_id
     for raw in document:
-        _require(
+        if not (
             isinstance(raw, list)
             and len(raw) == 3
-            and all(isinstance(x, str) for x in raw),
-            f"authorizations: bad triple {raw!r}",
-        )
-        t = SraTuple(*raw)
-        if om is not None:
-            _require(om.has(t.subject), f"authorizations: unknown subject {t.subject}")
-            _require(om.has(t.resource), f"authorizations: unknown resource {t.resource}")
-        out.append(t)
-    return frozenset(out)
+            and isinstance(raw[0], str)
+            and isinstance(raw[1], str)
+            and isinstance(raw[2], str)
+        ):
+            raise SchemaError(f"authorizations: bad triple {raw!r}")
+        if ids is not None:
+            if raw[0] not in ids:
+                raise SchemaError(f"authorizations: unknown subject {raw[0]}")
+            if raw[1] not in ids:
+                raise SchemaError(f"authorizations: unknown resource {raw[1]}")
+    return frozenset(map(SraTuple._make, document))
 
 
 def acl_from_documents(cm_doc, om_doc, au_doc) -> AclPolicy:

@@ -51,7 +51,6 @@ from rebac_miner.model import (
     ID_FIELD,
     AclPolicy,
     AtomicCondition,
-    ModelError,
     Policy,
     Rule,
     Slot,
@@ -139,13 +138,16 @@ def mine_detailed(
     jobs: int = 1,
     observer: Optional[Observer] = None,
 ) -> MineResult:
-    cm, om = acl.class_model, acl.object_model
-    for t in acl.au:
-        if not om.has(t.subject) or not om.has(t.resource):
-            raise ModelError(f"authorization references unknown object: {t}")
-        if t.action not in acl.actions:
-            raise ModelError(f"authorization uses undeclared action: {t}")
+    """Mine ``acl`` into a policy and report each (subject type, resource
+    type, action) task it learned.
 
+    The tasks are the keys of ``acl.au_planes``, whose first use here also
+    checks the authorizations against the model: an unknown object or an
+    undeclared action raises :class:`~rebac_miner.model.ModelError` before
+    any learning.  Unless ``unknown_as_false``, the mined policy's meaning
+    is checked to equal the authorizations (:class:`MinerError` if not).
+    """
+    cm, om = acl.class_model, acl.object_model
     keys = sorted(acl.au_planes)
 
     def run(key):

@@ -151,17 +151,18 @@ class ObjectInstance:
 class ObjectModel:
     """A set of objects with globally unique ids.
 
-    Immutable after construction.  Four results are memoized on the model
-    for the class model it is used with: navigation values per (object,
-    path) (:func:`nav`); the :class:`ValueIndex` per (class, path)
-    (:func:`value_index`); the (T, F) bitplanes of :func:`slot_planes` per
-    class (or subject and resource class) and positive atomic, which a
-    negated atomic reads too; and the candidate conditions per (class,
-    extraction limits) (``features.enumerate_condition_features``).
-    Caching is safe because objects and field values never change after
-    construction and each memo depends only on them, the class model and
-    its key; one object model must therefore not be evaluated against two
-    different class models.
+    Immutable after construction.  Five results are memoized on the model
+    for the class model it is used with: :func:`path_type` per (class,
+    path), which :func:`nav` and :func:`value_index` share; navigation
+    values per (object, path) (:func:`nav`); the :class:`ValueIndex` per
+    (class, path) (:func:`value_index`); the (T, F) bitplanes of
+    :func:`slot_planes` per class (or subject and resource class) and
+    positive atomic, which a negated atomic reads too; and the candidate
+    conditions per (class, extraction limits)
+    (``features.enumerate_condition_features``).  Caching is safe because
+    objects and field values never change after construction and each memo
+    depends only on them, the class model and its key; one object model
+    must therefore not be evaluated against two different class models.
     """
 
     def __init__(self, objects: Iterable[ObjectInstance]):
@@ -176,9 +177,13 @@ class ObjectModel:
             cls: tuple(sorted(objs, key=lambda o: o.id))
             for cls, objs in by_type.items()
         }
-        self._position = {
-            obj.id: i for objs in self._by_type.values() for i, obj in enumerate(objs)
+        # id -> (class, position in ``objects_of`` order)
+        self._place = {
+            obj.id: (cls, i)
+            for cls, objs in self._by_type.items()
+            for i, obj in enumerate(objs)
         }
+        self._path_types: dict[tuple[str, PathT], tuple[str, Multiplicity]] = {}
         self._nav_cache: dict[tuple[str, PathT], Value] = {}
         self._index: dict[tuple[str, PathT], ValueIndex] = {}
         self._planes: dict[tuple, tuple[int, int]] = {}
@@ -275,7 +280,7 @@ def nav(cm: ClassModel, om: ObjectModel, oid: str, path: PathT) -> Value:
     except KeyError:
         pass
     start = om.get(oid).type
-    _, mult = path_type(cm, start, path)
+    _, mult = _path_type_memo(cm, om, start, path)
     result = _nav_scalar(cm, om, oid, start, path)
     if mult is Multiplicity.MANY and not isinstance(result, frozenset):
         if result is UNKNOWN:
@@ -285,6 +290,17 @@ def nav(cm: ClassModel, om: ObjectModel, oid: str, path: PathT) -> Value:
         else:  # unreachable: a many path always crosses a many hop
             result = frozenset({result})
     om._nav_cache[key] = result
+    return result
+
+
+def _path_type_memo(cm: ClassModel, om: ObjectModel, cls: str, path: PathT):
+    """:func:`path_type` of ``path`` from ``cls``, memoized on ``om``."""
+    key = (cls, path)
+    try:
+        return om._path_types[key]
+    except KeyError:
+        pass
+    result = om._path_types[key] = path_type(cm, cls, path)
     return result
 
 
@@ -522,19 +538,29 @@ class AclPolicy:
         to the plane of the pairs granted that action, in
         :mod:`rebac_miner.tvl`'s pair layout over the two classes' objects.
 
+        This is where the authorizations are checked against the model: a
+        tuple naming an object missing from the object model, or an action
+        missing from ``actions``, raises :class:`ModelError`.
+
         Keys with no grants are absent, so two such mappings are equal
         exactly when the tuple sets they encode are.  Computed once per
         policy, which is safe because a frozen ``AclPolicy`` and its object
         model never change.
         """
-        om = self.object_model
+        om, actions = self.object_model, self.actions
         size = {cls: len(objects) for cls, objects in om._by_type.items()}
-        position = om._position
+        place = om._place
         positions: dict[tuple[str, str, str], list[int]] = {}
-        for subject, resource, action in self.au:
-            s_type, r_type = om.get(subject).type, om.get(resource).type
+        for t in self.au:
+            subject, resource, action = t
+            try:
+                (s_type, s_pos), (r_type, r_pos) = place[subject], place[resource]
+            except KeyError:
+                raise ModelError(f"authorization references unknown object: {t}") from None
+            if action not in actions:
+                raise ModelError(f"authorization uses undeclared action: {t}")
             positions.setdefault((s_type, r_type, action), []).append(
-                position[subject] * size[r_type] + position[resource]
+                s_pos * size[r_type] + r_pos
             )
         return MappingProxyType({
             (s, r, a): mask_of(bits, size[s] * size[r])
@@ -729,7 +755,7 @@ def value_index(cm: ClassModel, om: ObjectModel, cls: str, path: PathT) -> Value
         {atom: mask_of(bits, size) for atom, bits in positions.items()},
         mask_of(unknown, size),
         (1 << size) - 1,
-        path_type(cm, cls, path)[1] is Multiplicity.MANY,
+        _path_type_memo(cm, om, cls, path)[1] is Multiplicity.MANY,
     )
     om._index[key] = index
     return index
@@ -766,8 +792,9 @@ def slot_planes(
         cls = s_cls if slot is _SUBJECT else r_cls
         if atomic.path == (ID_FIELD,) and atomic.op == "in":
             size = len(om.objects_of(cls))
-            named = (o for o in atomic.value if om.has(o) and om.get(o).type == cls)
-            t = mask_of((om._position[oid] for oid in named), size)
+            place = om._place
+            named = (o for o in atomic.value if o in place and place[o][0] == cls)
+            t = mask_of((place[oid][1] for oid in named), size)
             return t, ((1 << size) - 1) & ~t
         key = (cls, atomic.path, atomic.op, atomic.value)
     try:

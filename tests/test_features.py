@@ -14,6 +14,7 @@ from rebac_miner.features import (
 )
 from rebac_miner.learner import learn_formula
 from rebac_miner.model import (
+    UNKNOWN,
     AclPolicy,
     AtomicCondition,
     AtomicConstraint,
@@ -422,6 +423,39 @@ class TestDatasetMatchesPerCellReference:
         acl = org_acl(self._two_task_model(), [SraTuple("e0", "t0", "read")])
         # Only res.urgent=false varies between the two rows.
         assert assert_dataset_and_prune_match_reference(acl, ORG_ENTRIES[::-1]) == 1
+
+    def test_conditions_with_and_without_unknown_cells(self):
+        # A condition with no U cell gets its F plane as "every pair not
+        # T"; one with U cells must keep them apart from F.
+        emp = {"skills": frozenset(), "mentor": None}
+        task = {"needs": frozenset(), "focus": None, "owner": None, "team": frozenset()}
+        om = ObjectModel([
+            ObjectInstance("d0", "Dept", {"parent": None}),
+            ObjectInstance("d1", "Dept", {"parent": None}),
+            ObjectInstance("e0", "Emp", {**emp, "dept": "d0", "active": True}),
+            ObjectInstance("e1", "Emp", {**emp, "dept": UNKNOWN, "active": False}),
+            ObjectInstance("e2", "Emp", {**emp, "dept": "d1", "active": True}),
+            ObjectInstance("t0", "Task", {**task, "dept": "d0", "urgent": False}),
+            ObjectInstance("t1", "Task", {**task, "dept": UNKNOWN, "urgent": True}),
+        ])
+        active = AtomicCondition(("active",), "in", frozenset({True}))
+        urgent = AtomicCondition(("urgent",), "in", frozenset({False}))
+        dept = AtomicCondition(("dept",), "in", frozenset({"d0"}))
+        entries = [
+            TaskFeature(Slot.SUBJECT, active),
+            TaskFeature(Slot.RESOURCE, dept),
+            TaskFeature(Slot.CONSTRAINT, AtomicConstraint(("dept",), "equal", ("dept",))),
+            TaskFeature(Slot.SUBJECT, dept),
+            TaskFeature(Slot.RESOURCE, urgent),
+        ]
+
+        def has_u(cls, ac):
+            return any(tval_condition(ORG_CM, om, o.id, ac) is U for o in om.objects_of(cls))
+
+        assert not has_u("Emp", active) and not has_u("Task", urgent)
+        assert has_u("Emp", dept) and has_u("Task", dept)
+        acl = org_acl(om, [SraTuple("e0", "t0", "read"), SraTuple("e2", "t1", "read")])
+        assert assert_dataset_and_prune_match_reference(acl, entries) == len(entries)
 
     def test_prune_keeps_no_column(self):
         acl = org_acl(self._two_task_model(), [SraTuple("e0", "t0", "read")])

@@ -139,6 +139,23 @@ class TestSchemaErrors:
         with pytest.raises(jsonio.SchemaError):
             jsonio.au_from_json([["ghost", "CS-doc-1", "read"]], acl.object_model)
 
+    @pytest.mark.parametrize(
+        "document, named",
+        [
+            ({"au": []}, "expected an array of triples"),
+            ([("CS-student-1", "CS-doc-1", "read")], "('CS-student-1', 'CS-doc-1', 'read')"),
+            ([["e", "t", 3]], "['e', 't', 3]"),
+            ([["CS-student-1", "ghost", "read"]], "unknown resource ghost"),
+        ],
+        ids=["document-not-a-list", "triple-not-a-list", "non-string-element",
+             "unknown-resource"],
+    )
+    def test_au_shape_errors_name_the_culprit(self, document, named):
+        acl = running_example()
+        with pytest.raises(jsonio.SchemaError, match="^authorizations: ") as exc:
+            jsonio.au_from_json(document, acl.object_model)
+        assert named in str(exc.value)
+
     def test_condition_op_validated(self):
         with pytest.raises(jsonio.SchemaError):
             jsonio.rule_from_json(

@@ -33,6 +33,7 @@ from rebac_miner.model import (
     AtomicConstraint,
     ClassModel,
     FieldDecl,
+    ModelError,
     Multiplicity,
     ObjectInstance,
     ObjectModel,
@@ -86,6 +87,27 @@ class TestMineRunningExample:
         acl = running_example()
         empty = AclPolicy(acl.class_model, acl.object_model, acl.actions, frozenset())
         assert mine(empty, MinerConfig()).rules == ()
+
+
+class TestAuCheckedAgainstModel:
+    """A hand-built AclPolicy is checked as a loaded one is, before any
+    task is learned."""
+
+    def with_au(self, *tuples):
+        acl = running_example()
+        return AclPolicy(acl.class_model, acl.object_model, acl.actions, frozenset(tuples))
+
+    def test_unknown_object(self):
+        t = SraTuple("CS-student-1", "ghost", "read")
+        with pytest.raises(ModelError) as exc:
+            mine_detailed(self.with_au(t))
+        assert str(exc.value) == f"authorization references unknown object: {t}"
+
+    def test_undeclared_action(self):
+        t = SraTuple("CS-student-1", "CS-doc-1", "delete")
+        with pytest.raises(ModelError) as exc:
+            mine_detailed(self.with_au(SraTuple("CS-student-1", "CS-doc-2", "read"), t))
+        assert str(exc.value) == f"authorization uses undeclared action: {t}"
 
 
 class TestExtractRules:

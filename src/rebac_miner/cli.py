@@ -2,7 +2,11 @@
 
 Exit codes: 0 success, 2 usage or schema problems, 3 the mined policy does
 not grant exactly the input authorizations (or no formula characterizes a
-learn-formula dataset exactly).  Every flag can also be set
+learn-formula dataset exactly).  ``mine`` reports the miner's own final
+check: on the default route an inconsistent policy is refused before it is
+written, while ``--naive-unknown-as-false`` writes the policy and its
+manifest and then names the smallest tuple it misses and the smallest it
+grants beyond the input.  Every flag can also be set
 through an environment variable prefixed REBAC_MINER_ (dashes become
 underscores, e.g. REBAC_MINER_MAX_ITER); switches take 1/0, true/false
 or yes/no there.  A variable is parsed only when its subcommand runs and
@@ -17,6 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import sys
@@ -56,7 +61,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INCONSISTENT = 3
 
-ID_STRATEGIES = ("retry", "per-vector")
+ID_STRATEGIES = tuple(strategy.value for strategy in IdStrategy)
 SWITCH_VALUES = {
     "1": True, "true": True, "yes": True,
     "0": False, "false": False, "no": False,
@@ -65,7 +70,8 @@ SWITCH_VALUES = {
 
 # Smallest value each numeric flag takes.
 MINIMUM = {
-    "n": 1, "s": 0, "max_iter": 1, "max_cond_len": 1, "max_cons_len": 0, "jobs": 1,
+    "n": 1, "s": 0, "seed": 0, "max_iter": 1, "max_cond_len": 1, "max_cons_len": 0,
+    "jobs": 1,
 }
 
 
@@ -205,11 +211,7 @@ def cmd_generate(args) -> int:
 def _miner_config(args) -> MinerConfig:
     return MinerConfig(
         allow_negation=not args.no_negation,
-        id_strategy=(
-            IdStrategy.RETRY_WITH_ID_FEATURES
-            if args.id_strategy == "retry"
-            else IdStrategy.PER_VECTOR_ID_CONJUNCTION
-        ),
+        id_strategy=IdStrategy(args.id_strategy),
         limits=ExtractionLimits(
             max_condition_path_len=args.max_cond_len,
             max_constraint_path_len=args.max_cons_len,
@@ -239,14 +241,11 @@ def cmd_mine(args) -> int:
         jsonio.dumps(jsonio.rules_to_json(result.policy.actions, result.policy.rules)),
     )
     manifest.write(out.parent / "manifest.json")
-    granted = meaning(result.policy)
-    if granted != acl.au:
-        missing = sorted(acl.au - granted)
-        extra = sorted(granted - acl.au)
-        if missing:
-            print(f"inconsistent: does not grant {tuple(missing[0])}", file=sys.stderr)
-        if extra:
-            print(f"inconsistent: also grants {tuple(extra[0])}", file=sys.stderr)
+    if result.missing:
+        print(f"inconsistent: does not grant {tuple(result.missing)}", file=sys.stderr)
+    if result.extra:
+        print(f"inconsistent: also grants {tuple(result.extra)}", file=sys.stderr)
+    if result.missing or result.extra:
         return EXIT_INCONSISTENT
     print(f"wrote {out} ({len(result.policy.rules)} rules)")
     return EXIT_OK
@@ -347,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default=_EnvDefault("no_negation", False, _switch),
                    help="mine negation-free rules")
     m.add_argument("--id-strategy", choices=ID_STRATEGIES,
-                   default=_EnvDefault("id_strategy", "per-vector",
+                   default=_EnvDefault("id_strategy",
+                                       IdStrategy.PER_VECTOR_ID_CONJUNCTION.value,
                                        _one_of(*ID_STRATEGIES)))
     m.add_argument("--max-iter", type=int, default=_EnvDefault("max_iter", 5, int))
     m.add_argument("--max-cond-len", type=int, default=_EnvDefault("max_cond_len", 2, int))
@@ -389,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_args(argv=None) -> argparse.Namespace:
     """Parse the command line, then fill each flag of the chosen subcommand
     that was not given from its environment variable, and check the
-    numeric flags' ranges."""
+    numeric flags' ranges: each is finite and at least its ``MINIMUM``."""
     args = build_parser().parse_args(argv)
     for name, value in vars(args).items():
         source = "--" + name.replace("_", "-")
@@ -397,6 +397,8 @@ def parse_args(argv=None) -> argparse.Namespace:
             value = value.resolve()
             setattr(args, name, value)
             source = "REBAC_MINER_" + name.upper()
+        if name in MINIMUM and not math.isfinite(value):
+            raise UsageError(f"{source}={value}: must be a finite number")
         if name in MINIMUM and value < MINIMUM[name]:
             raise UsageError(f"{source}={value}: must be at least {MINIMUM[name]}")
     return args

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import logging
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -168,9 +169,10 @@ def inject_unknowns(
     instance's value is then independently replaced with probability p.
     Many-valued fields are replaced wholesale (stored sets cannot contain
     unknown).  Deterministic in (spec, s, seed); s=0 is the identity.
+    ``s`` must be finite and at least 0 (:class:`ValueError` if not).
     """
-    if s < 0:
-        raise ValueError("scaling factor must be >= 0")
+    if not 0 <= s < math.inf:  # also refuses nan
+        raise ValueError(f"scaling factor must be finite and >= 0, got {s}")
     rng = _rng(seed)
     replacements: dict[tuple[str, str], object] = {}
     for cls in sorted(spec.class_model.classes):

@@ -13,10 +13,11 @@ policies) and then merges and simplifies rules to a fixpoint.  Phase 2a
 keeps a rewritten rule only if it stays valid and keeps its own grants.
 Phase 2b changes the rules only through one gate, ``_Phase2.replace``,
 which accepts a change only if the policy's meaning is preserved exactly
-and its weighted structural complexity does not grow.  A final check
-compares the mined policy's meaning, one pair plane per (subject type,
-resource type, action), with the input authorizations' planes and refuses
-the policy on any difference.
+and its weighted structural complexity does not grow.  A final check,
+run on every route, compares the mined policy's meaning, one pair plane
+per (subject type, resource type, action), with the input authorizations'
+planes.  It refuses the policy on any difference, except on the naive
+unknown-as-false diagnostic, which reports the difference instead.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial, reduce
 from operator import and_, or_
-from typing import Callable, Collection, Iterable, Mapping, Optional
+from typing import Callable, Collection, Iterable, Optional
 
 from rebac_miner.features import (
     ExtractionLimits,
@@ -54,10 +55,13 @@ from rebac_miner.model import (
     Policy,
     Rule,
     Slot,
+    SraTuple,
+    meaning_mismatch,
     nav,
     path_type,
     plane_tuples,
     planes_without_each,
+    policy_planes,
     policy_wsc,
     sort_rules,
     wsc,
@@ -73,11 +77,6 @@ from rebac_miner.tvl import (
 )
 
 Observer = Callable[[str, tuple[Rule, ...]], None]
-
-# A policy meaning: (subject type, resource type, action) -> the plane of
-# the pairs granted that action (:func:`rebac_miner.model.rule_plane`'s
-# layout).  Zero planes are left out, so equal meanings are equal dicts.
-Meaning = Mapping[tuple[str, str, str], int]
 
 log = logging.getLogger(__name__)
 
@@ -110,8 +109,16 @@ class TaskReport:
 
 @dataclass(frozen=True)
 class MineResult:
+    """The mined policy, its tasks, and the final check's findings: the
+    smallest input authorization the policy does not grant (``missing``)
+    and the smallest tuple it grants beyond them (``extra``), each None if
+    there is none.  Both are None unless the run was ``unknown_as_false``,
+    since otherwise a difference raises :class:`MinerError`."""
+
     policy: Policy
     tasks: tuple[TaskReport, ...]
+    missing: Optional[SraTuple]
+    extra: Optional[SraTuple]
 
 
 def mine(acl: AclPolicy, cfg: MinerConfig = MinerConfig()) -> Policy:
@@ -144,8 +151,11 @@ def mine_detailed(
     The tasks are the keys of ``acl.au_planes``, whose first use here also
     checks the authorizations against the model: an unknown object or an
     undeclared action raises :class:`~rebac_miner.model.ModelError` before
-    any learning.  Unless ``unknown_as_false``, the mined policy's meaning
-    is checked to equal the authorizations (:class:`MinerError` if not).
+    any learning.  On every route the mined policy's meaning is checked
+    against the authorizations, each rule's plane computed afresh.  A
+    difference raises :class:`MinerError` naming its smallest tuple; with
+    ``unknown_as_false`` it is returned on the result's ``missing`` and
+    ``extra`` instead.
     """
     cm, om = acl.class_model, acl.object_model
     keys = sorted(acl.au_planes)
@@ -180,19 +190,13 @@ def mine_detailed(
     rules = merge_and_simplify(rules, acl, limits=cfg.limits, observer=observer)
 
     policy = Policy(cm, om, acl.actions, sort_rules(rules))
-    if not unknown_as_false:
-        granted, au = _policy_meaning(policy.rules, acl), acl.au_planes
-        if granted != au:
-            # Only a mismatch is decoded, to name its smallest tuple.
-            diff = min(
-                t
-                for s, r, a in {*granted, *au}
-                for t in plane_tuples(
-                    om, s, r, granted.get((s, r, a), 0) ^ au.get((s, r, a), 0), (a,)
-                )
-            )
-            raise MinerError(f"mined policy disagrees with input at {diff}")
-    return MineResult(policy, tuple(reports))
+    missing, extra = meaning_mismatch(
+        om, policy_planes(policy.rules, partial(rule_meaning, cm, om)), acl.au_planes
+    )
+    if not unknown_as_false and (missing or extra):
+        diff = min(t for t in (missing, extra) if t)
+        raise MinerError(f"mined policy disagrees with input at {diff}")
+    return MineResult(policy, tuple(reports), missing, extra)
 
 
 def _run_task(acl, cfg, key, unknown_as_false) -> TaskReport:
@@ -367,7 +371,7 @@ def _id_split(rule: Rule, acl: AclPolicy, others: Iterable[Rule]) -> tuple[Rule,
     om = acl.object_model
     s_cls, r_cls = rule.subject_type, rule.resource_type
     own = rule_meaning(acl.class_model, om, rule)
-    covered = _policy_meaning(others, acl)
+    covered = policy_planes(others, partial(rule_meaning, acl.class_model, om))
     uncovered = sorted(
         t
         for a in rule.actions
@@ -412,8 +416,9 @@ class _Phase2:
 
     ``replace`` is the only way a step changes ``rules``.  Meanings are
     pair planes: a rule's is one plane (:func:`rebac_miner.model.rule_plane`,
-    cached per rule) and a policy's is a :data:`Meaning`.  The policy
-    meaning of ``rules`` never changes, so it is computed once.
+    cached per rule by ``meaning_of``) and a policy's is a
+    :data:`rebac_miner.model.Meaning` built from those.  The policy meaning
+    of ``rules`` never changes, so it is computed once.
     """
 
     def __init__(self, rules, acl: AclPolicy, limits: ExtractionLimits, observer):
@@ -424,7 +429,7 @@ class _Phase2:
         self.observer = observer
         self._meanings: dict[Rule, int] = {}
         self.rules = sort_rules(rules)
-        self.meaning = self.policy_meaning(self.rules)
+        self.meaning = policy_planes(self.rules, self.meaning_of)
         self.wsc = policy_wsc(self.rules)
         self.changed = False
         self.outcomes: Counter[tuple[str, str]] = Counter()
@@ -441,19 +446,13 @@ class _Phase2:
         the AU must grant each of its pairs for every one of its actions."""
         return not plane & ~reduce(and_, _au_planes_of(rule, self.acl))
 
-    def policy_meaning(self, rules) -> Meaning:
-        out: dict[tuple[str, str, str], int] = {}
-        for rule in rules:
-            _add_meaning(out, rule, self.meaning_of(rule))
-        return out
-
     def replace(self, step: str, old: Collection[Rule], new: Iterable[Rule]) -> bool:
         """Swap ``old`` for ``new`` if the policy meaning is unchanged and
         the policy's structural complexity does not grow; tell the
         observer about every accepted change."""
         kept = [rule for rule in self.rules if rule not in old]
         new = list(new)
-        if self.policy_meaning(kept + new) != self.meaning:
+        if policy_planes(kept + new, self.meaning_of) != self.meaning:
             self.outcomes[step, "meaning"] += 1
             return False
         proposal = sort_rules(kept + new)
@@ -651,18 +650,3 @@ _STEPS = (
     _drop_atomics,
     _constraints_to_conditions,
 )
-
-
-def _add_meaning(out: dict, rule: Rule, plane: int) -> None:
-    """OR a rule's pair plane into a policy meaning, once per action."""
-    if plane:
-        for action in rule.actions:
-            key = (rule.subject_type, rule.resource_type, action)
-            out[key] = out.get(key, 0) | plane
-
-
-def _policy_meaning(rules, acl: AclPolicy) -> Meaning:
-    out: dict[tuple[str, str, str], int] = {}
-    for rule in rules:
-        _add_meaning(out, rule, rule_meaning(acl.class_model, acl.object_model, rule))
-    return out

@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass, replace
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
 from rebac_miner.tvl import (
     TruthValue,
@@ -525,6 +525,13 @@ class Policy:
     rules: tuple[Rule, ...]
 
 
+# A policy meaning: (subject type, resource type, action) -> the plane of
+# the pairs granted that action (:func:`rule_plane`'s layout).  Zero planes
+# are left out, so equal meanings are equal dicts.  :func:`policy_planes`
+# builds a rule set's; ``AclPolicy.au_planes`` is the authorizations'.
+Meaning = Mapping[tuple[str, str, str], int]
+
+
 @dataclass(frozen=True)
 class AclPolicy:
     class_model: ClassModel
@@ -533,9 +540,9 @@ class AclPolicy:
     au: frozenset[SraTuple]
 
     @cached_property
-    def au_planes(self) -> Mapping[tuple[str, str, str], int]:
-        """``au`` as pair planes: (subject type, resource type, action) maps
-        to the plane of the pairs granted that action, in
+    def au_planes(self) -> Meaning:
+        """``au`` as a :data:`Meaning`: (subject type, resource type, action)
+        maps to the plane of the pairs granted that action, in
         :mod:`rebac_miner.tvl`'s pair layout over the two classes' objects.
 
         This is where the authorizations are checked against the model: a
@@ -954,6 +961,48 @@ def plane_tuples(
         SraTuple(subjects[i].id, resources[j].id, a)
         for i, j in pair_indices(plane, len(resources))
         for a in actions
+    )
+
+
+def policy_planes(rules: Iterable[Rule], plane_of: Callable[[Rule], int]) -> Meaning:
+    """The :data:`Meaning` of ``rules``, given each rule's :func:`rule_plane`
+    as ``plane_of(rule)``: each plane ORed into the entry of each of the
+    rule's actions, with zero planes left out."""
+    out: dict[tuple[str, str, str], int] = {}
+    for rule in rules:
+        plane = plane_of(rule)
+        if plane:
+            for action in rule.actions:
+                key = (rule.subject_type, rule.resource_type, action)
+                out[key] = out.get(key, 0) | plane
+    return out
+
+
+def meaning_mismatch(
+    om: ObjectModel, granted: Meaning, au: Meaning
+) -> tuple[Optional[SraTuple], Optional[SraTuple]]:
+    """The smallest tuple of ``au`` that ``granted`` misses and the smallest
+    tuple ``granted`` holds beyond ``au``, each None if there is none.
+
+    Only the pairs on which the two meanings differ are decoded into
+    tuples; equal meanings decode none.
+    """
+
+    def smallest(planes) -> Optional[SraTuple]:
+        return min(
+            (
+                t
+                for (s, r, a), plane in planes
+                if plane
+                for t in plane_tuples(om, s, r, plane, (a,))
+            ),
+            default=None,
+        )
+
+    keys = granted.keys() | au.keys()
+    return (
+        smallest((k, au.get(k, 0) & ~granted.get(k, 0)) for k in keys),
+        smallest((k, granted.get(k, 0) & ~au.get(k, 0)) for k in keys),
     )
 
 

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from rebac_miner import jsonio, miner
 from rebac_miner.cli import main
+from rebac_miner.model import ID_FIELD, AtomicCondition, Policy, Rule, meaning
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "running-example"
 
@@ -80,6 +82,38 @@ class TestMine:
         assert code == 3
         err = capsys.readouterr().err
         assert "CS-student-1" in err and "CS-doc-2" in err
+
+    def test_naive_mode_reports_missing_and_extra(self, tmp_path, monkeypatch, capsys):
+        acl = jsonio.acl_from_documents(*(
+            json.loads((FIXTURES / f"{name}.json").read_text())
+            for name in ("classmodel", "objectmodel", "au")
+        ))
+        simplify = miner.merge_and_simplify
+        mined = []
+
+        def over_granting(rules, acl, **kwargs):
+            # Every document to one student: the naive policy still misses
+            # a tuple, and now also grants some beyond the input.
+            student = AtomicCondition((ID_FIELD,), "in", frozenset({"EE-student-1"}))
+            everything = Rule(
+                "Student", frozenset({student}), "Document",
+                frozenset(), frozenset(), frozenset({"read"}),
+            )
+            mined.extend(simplify(rules, acl, **kwargs) + (everything,))
+            return tuple(mined)
+
+        monkeypatch.setattr(miner, "merge_and_simplify", over_granting)
+        out = tmp_path / "policy.json"
+        code = main(
+            ["mine", *fixture_args(), "-o", str(out), "--naive-unknown-as-false"]
+        )
+        assert code == 3
+        granted = meaning(Policy(acl.class_model, acl.object_model, acl.actions, tuple(mined)))
+        missing, extra = min(acl.au - granted), min(granted - acl.au)
+        err = capsys.readouterr().err
+        assert f"inconsistent: does not grant {tuple(missing)}" in err
+        assert f"inconsistent: also grants {tuple(extra)}" in err
+        assert out.exists() and (tmp_path / "manifest.json").exists()
 
     def test_missing_object_id_exits_2(self, tmp_path):
         bad_au = tmp_path / "au.json"
@@ -330,12 +364,21 @@ class TestEnvironment:
             assert flag in capsys.readouterr().err
         assert main(["learn-formula", str(csv_file), "--max-iter", "0"]) == 2
         assert "--max-iter" in capsys.readouterr().err
+        for flag, value in (("--s", "nan"), ("--s", "inf"), ("--s", "1e309"),
+                            ("--seed", "-1")):
+            assert main(["generate", "--outdir", str(tmp_path), flag, value]) == 2, value
+            assert flag in capsys.readouterr().err
 
     def test_out_of_range_value_exits_2(self, tmp_path, monkeypatch, capsys):
         for name, value in (("MAX_ITER", "0"), ("MAX_COND_LEN", "0"),
                             ("MAX_CONS_LEN", "-1"), ("JOBS", "-2")):
             monkeypatch.setenv(f"REBAC_MINER_{name}", value)
             assert main(["mine", *fixture_args(), "-o", str(tmp_path / "p.json")]) == 2
+            assert f"REBAC_MINER_{name}" in capsys.readouterr().err
+            monkeypatch.delenv(f"REBAC_MINER_{name}")
+        for name, value in (("S", "nan"), ("SEED", "-5")):
+            monkeypatch.setenv(f"REBAC_MINER_{name}", value)
+            assert main(["generate", "--outdir", str(tmp_path)]) == 2, name
             assert f"REBAC_MINER_{name}" in capsys.readouterr().err
             monkeypatch.delenv(f"REBAC_MINER_{name}")
 

@@ -69,6 +69,13 @@ class TestInjectUnknowns:
         om, _ = generate(spec, 3, seed=7)
         assert inject_unknowns(om, spec, 0, seed=7) is om
 
+    def test_non_finite_scaling_factor_rejected(self):
+        spec = builtin_spec("org-chart")
+        om, _ = generate(spec, 3, seed=7)
+        for s in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                inject_unknowns(om, spec, s, seed=7)
+
     def test_deterministic(self):
         spec = builtin_spec("org-chart")
         om, _ = generate(spec, 3, seed=7)

@@ -42,6 +42,7 @@ from rebac_miner.model import (
     Slot,
     SraTuple,
     meaning,
+    policy_planes,
     policy_wsc,
     rule_meaning,
     sort_rules,
@@ -427,7 +428,7 @@ class TestMergeAndSimplify:
 
         lean, heavy = [same_dept, handbook], [bloated, handbook]
         ctx = phase2(lean)
-        assert ctx.policy_meaning(lean) == ctx.policy_meaning(heavy)
+        assert policy_planes(lean, ctx.meaning_of) == policy_planes(heavy, ctx.meaning_of)
         assert policy_wsc(heavy) > policy_wsc(lean)
         assert not ctx.replace("grow", [same_dept], [bloated])
         assert ctx.rules == sort_rules(lean)
@@ -685,6 +686,11 @@ class TestNaiveDiagnostic:
         granted = meaning(policy)
         assert SraTuple("CS-student-1", "CS-doc-2", "read") not in granted
         assert jaccard(granted, acl.au) == pytest.approx(2 / 3)
+
+    def test_final_check_reports_instead_of_raising(self):
+        result = mine_detailed(running_example(), unknown_as_false=True)
+        assert result.missing == SraTuple("CS-student-1", "CS-doc-2", "read")
+        assert result.extra is None
 
     def test_identity_on_fully_known_data(self):
         spec = builtin_spec("univ-mini")

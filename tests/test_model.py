@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,9 +23,11 @@ from rebac_miner.model import (
     Slot,
     SraTuple,
     meaning,
+    meaning_mismatch,
     nav,
     path_type,
     planes_without_each,
+    policy_planes,
     rule_meaning,
     rule_plane,
     satisfies,
@@ -989,11 +992,33 @@ class TestPlanes:
     @settings(max_examples=200, deadline=None)
     @given(om=org_models(), rules=st.lists(org_rules(), max_size=4))
     def test_policy_meaning_decodes_to_meaning(self, om, rules):
-        actions = frozenset(ORG_ACTIONS)
-        acl = AclPolicy(ORG_CM, om, actions, frozenset())
-        planes = miner._policy_meaning(rules, acl)
+        planes = policy_planes(rules, partial(rule_plane, ORG_CM, om))
         assert all(planes.values())
-        assert decoded(om, planes) == meaning(Policy(ORG_CM, om, actions, tuple(rules)))
+        assert decoded(om, planes) == frozenset().union(
+            *(rule_meaning(ORG_CM, om, rule) for rule in rules)
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(om=org_models(), rules=st.lists(org_rules(), max_size=4), data=st.data())
+    def test_meaning_mismatch_names_smallest_differences(self, om, rules, data):
+        granted = frozenset().union(*(rule_meaning(ORG_CM, om, rule) for rule in rules))
+        universe = sorted(
+            SraTuple(s.id, r.id, a)
+            for s_cls in ("Emp", "Task")
+            for r_cls in ("Emp", "Task", "Room")
+            for s in om.objects_of(s_cls)
+            for r in om.objects_of(r_cls)
+            for a in ORG_ACTIONS
+        )
+        # The AU is the granted set with a few tuples flipped, so equal
+        # sets and one-sided differences are both common.
+        flips = data.draw(st.sets(st.sampled_from(universe), max_size=4)) if universe else ()
+        au = granted.symmetric_difference(flips)
+        acl = AclPolicy(ORG_CM, om, frozenset(ORG_ACTIONS), au)
+        planes = policy_planes(rules, partial(rule_plane, ORG_CM, om))
+        missing, extra = meaning_mismatch(om, planes, acl.au_planes)
+        assert missing == min(au - granted, default=None)
+        assert extra == min(granted - au, default=None)
 
 
 def plane_cells(planes, size):

@@ -71,7 +71,6 @@ SWITCH_VALUES = {
 # Smallest value each numeric flag takes.
 MINIMUM = {
     "n": 1, "s": 0, "seed": 0, "max_iter": 1, "max_cond_len": 1, "max_cons_len": 0,
-    "jobs": 1,
 }
 
 
@@ -226,9 +225,7 @@ def cmd_mine(args) -> int:
     acl = _load_acl(args, manifest)
     cfg = _miner_config(args)
     manifest.start("mine")
-    result = mine_detailed(
-        acl, cfg, unknown_as_false=args.naive_unknown_as_false, jobs=args.jobs
-    )
+    result = mine_detailed(acl, cfg, unknown_as_false=args.naive_unknown_as_false)
     manifest.stop("mine")
     if args.dump_datasets:
         dump_dir = Path(args.dump_datasets)
@@ -361,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--dump-datasets", metavar="DIR",
                    default=_EnvDefault("dump_datasets"),
                    help="write each task's labeled feature vectors as CSV")
-    m.add_argument("--jobs", type=int, default=_EnvDefault("jobs", 1, int))
     m.set_defaults(func=cmd_mine)
 
     e = sub.add_parser("eval", help="score a mined policy against a reference")

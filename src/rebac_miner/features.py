@@ -17,7 +17,6 @@ from typing import Callable, Iterable
 from rebac_miner.model import (
     BOOLEAN,
     ID_FIELD,
-    UNKNOWN,
     AclPolicy,
     AtomicCondition,
     AtomicConstraint,
@@ -31,6 +30,7 @@ from rebac_miner.model import (
     path_type,
     slot_planes,
     spread,
+    value_index,
     wsc,
 )
 from rebac_miner.tvl import (
@@ -40,7 +40,6 @@ from rebac_miner.tvl import (
     Literal,
     Polarity,
     TruthValue,
-    mask_of,
     value_rows,
 )
 
@@ -149,19 +148,11 @@ def enumerate_paths(
 
 
 def observed_constants(cm: ClassModel, om: ObjectModel, start: str, path: PathT):
-    """Atoms stored in the path's terminal field anywhere in the model."""
+    """Atoms stored in the path's terminal field anywhere in the model: the
+    atoms of the terminal field's one-hop :func:`~rebac_miner.model.value_index`
+    over the class owning it, without None."""
     owner = path_type(cm, start, path[:-1])[0]
-    terminal = path[-1]
-    atoms = set()
-    for obj in om.objects_of(owner):
-        value = om.field_value(obj.id, terminal)
-        if value is UNKNOWN or value is None:
-            continue
-        if isinstance(value, frozenset):
-            atoms |= value
-        else:
-            atoms.add(value)
-    return atoms
+    return value_index(cm, om, owner, path[-1:]).by.keys() - {None}
 
 
 def enumerate_condition_features(
@@ -244,19 +235,37 @@ def build_dataset(
     task's plane in :attr:`~rebac_miner.model.AclPolicy.au_planes`.  A
     condition's planes are its per-object planes from the object model
     spread over the pairs; a constraint's are its per-pair planes
-    (:func:`~rebac_miner.model.slot_planes`, :func:`~rebac_miner.model.spread`).
-    A condition with no U cell takes one spread: its F plane is every pair
-    outside its T plane.
+    (:func:`_entry_planes`).
     """
-    cm, om = acl.class_model, acl.object_model
+    om = acl.object_model
     subjects = [s.id for s in om.objects_of(subject_type)]
     resources = [r.id for r in om.objects_of(resource_type)]
     n_s, n_r = len(subjects), len(resources)
     all_pairs = (1 << n_s * n_r) - 1
+    label_t = acl.au_planes.get((subject_type, resource_type, action), 0)
+    return LabeledDataset(
+        table.feature_ids,
+        _entry_planes(acl, subject_type, resource_type, table.entries),
+        (label_t, all_pairs & ~label_t),
+        n_s * n_r,
+        tuple(product(subjects, resources)),
+    )
+
+
+def _entry_planes(
+    acl: AclPolicy, subject_type: str, resource_type: str, entries: Iterable[TaskFeature]
+) -> tuple[tuple[int, int], ...]:
+    """The (T, F) planes of ``entries`` over the task's pairs: each one's
+    :func:`~rebac_miner.model.slot_planes`, spread over the pairs
+    (:func:`~rebac_miner.model.spread`).  A condition with no U cell takes
+    one spread: its F plane is every pair outside its T plane."""
+    cm, om = acl.class_model, acl.object_model
+    n_s, n_r = len(om.objects_of(subject_type)), len(om.objects_of(resource_type))
+    all_pairs = (1 << n_s * n_r) - 1
     side = (1 << n_s) - 1, (1 << n_r) - 1  # every object, by condition Slot
     constraint = Slot.CONSTRAINT
     planes = []
-    for e in table.entries:
+    for e in entries:
         slot = e.kind
         t, f = slot_planes(cm, om, subject_type, resource_type, slot, e.payload)
         if slot is not constraint and not side[slot] & ~(t | f):
@@ -264,14 +273,7 @@ def build_dataset(
             planes.append((t, all_pairs & ~t))
         else:
             planes.append((spread(slot, t, n_s, n_r), spread(slot, f, n_s, n_r)))
-    label_t = acl.au_planes.get((subject_type, resource_type, action), 0)
-    return LabeledDataset(
-        table.feature_ids,
-        tuple(planes),
-        (label_t, all_pairs & ~label_t),
-        n_s * n_r,
-        tuple(product(subjects, resources)),
-    )
+    return tuple(planes)
 
 
 def _constant(pair: tuple[int, int], everything: int) -> bool:
@@ -301,43 +303,40 @@ def prune_useless(
 
 
 def extend_with_id_columns(
-    table: FeatureTable, dataset: LabeledDataset
+    acl: AclPolicy,
+    subject_type: str,
+    resource_type: str,
+    table: FeatureTable,
+    dataset: LabeledDataset,
 ) -> tuple[FeatureTable, LabeledDataset, Callable, frozenset[FeatureId]]:
-    """Append identity-condition columns for every row's subject/resource.
+    """Append one identity-condition column per subject and per resource of
+    the task's ``dataset``, subjects first, each in ``objects_of`` order.
 
     Returns the extended table and dataset, a supplier building the
     ``subject.id = s and resource.id = r`` conjunction for a row index, and
     the appended feature ids, through which those conjunctions are checked
-    and turned into rules.  Cell values come from row provenance, never U.
+    and turned into rules.  The columns are built like
+    :func:`build_dataset`'s (:func:`_entry_planes`); an identity condition
+    is never U.
     """
-    rows_of: dict[tuple[Slot, str], list[int]] = {}
-    for k, (sid, rid) in enumerate(dataset.provenance):
-        rows_of.setdefault((Slot.SUBJECT, sid), []).append(k)
-        rows_of.setdefault((Slot.RESOURCE, rid), []).append(k)
-    keys = sorted(rows_of)  # subject ids, then resource ids
+    om = acl.object_model
+    subjects, resources = om.objects_of(subject_type), om.objects_of(resource_type)
     extra = tuple(
-        TaskFeature(kind, AtomicCondition((ID_FIELD,), "in", frozenset({oid})))
-        for kind, oid in keys
+        TaskFeature(kind, AtomicCondition((ID_FIELD,), "in", frozenset({obj.id})))
+        for kind, objects in ((Slot.SUBJECT, subjects), (Slot.RESOURCE, resources))
+        for obj in objects
     )
     base = len(table.entries)
     ids = table.feature_ids + tuple(
         FeatureId(base + i, e.label(), wsc(e.payload)) for i, e in enumerate(extra)
     )
-    everything = dataset.all_rows
-    planes = tuple(
-        (t, everything & ~t)
-        for t in (mask_of(rows_of[key], dataset.size) for key in keys)
-    )
-    literal_of = {k: Literal(f, Polarity.POSITIVE) for k, f in zip(keys, ids[base:])}
+    planes = _entry_planes(acl, subject_type, resource_type, extra)
+    literals = [Literal(f, Polarity.POSITIVE) for f in ids[base:]]
+    n_s, n_r = len(subjects), len(resources)
 
     def supplier(row: int) -> Conjunction:
-        sid, rid = dataset.provenance[row]
-        return Conjunction.of(
-            [
-                literal_of[Slot.SUBJECT, sid],
-                literal_of[Slot.RESOURCE, rid],
-            ]
-        )
+        i, j = divmod(row, n_r)  # the pair layout: row i*|R|+j
+        return Conjunction.of([literals[i], literals[n_s + j]])
 
     new_dataset = replace(dataset, features=ids, planes=dataset.planes + planes)
     new_table = FeatureTable(table.entries + extra, ids)

@@ -299,10 +299,21 @@ def rules_to_json(actions: Iterable[str], rules: Iterable[Rule]) -> dict:
 
 
 def rules_from_json(document, cm: ClassModel | None = None):
+    """The declared actions and the rules of a policy document.  Every
+    rule action must be listed in the policy's ``actions`` (an absent list
+    declares none), and given ``cm`` every rule must be well-formed over
+    it; anything else raises :class:`SchemaError`."""
     doc = _as_obj(document, "policy")
     _require(isinstance(doc.get("rules"), list), "policy: rules must be a list")
     rules = tuple(rule_from_json(r) for r in doc["rules"])
     actions = frozenset(_strings_from_json(doc.get("actions", []), "policy: actions"))
+    for rule in rules:
+        undeclared = sorted(rule.actions - actions)
+        if undeclared:
+            raise SchemaError(
+                f"rule {rule.text()}: action {undeclared[0]!r} is not in the"
+                " policy's actions"
+            )
     if cm is not None:
         try:
             for rule in rules:

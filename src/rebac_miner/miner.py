@@ -57,13 +57,13 @@ from rebac_miner.model import (
     Slot,
     SraTuple,
     meaning_mismatch,
-    nav,
     path_type,
     plane_tuples,
     planes_without_each,
     policy_planes,
     policy_wsc,
     sort_rules,
+    value_index,
     wsc,
 )
 # Imported under the name rule_meaning: the benchmark's tracer wraps
@@ -226,7 +226,9 @@ def _run_task(acl, cfg, key, unknown_as_false) -> TaskReport:
         else:
             # The first attempt's conjunctions stand: only the T rows they
             # miss are covered again, by per-pair identity conjunctions.
-            table, dataset, supplier, _ = extend_with_id_columns(table, dataset)
+            table, dataset, supplier, _ = extend_with_id_columns(
+                acl, subject_type, resource_type, table, dataset
+            )
             finish = partial(cover_rest, failed.learned, dataset, supplier)
             what = "per-pair identity conjunctions"
         try:
@@ -350,11 +352,10 @@ def _eliminate_one(rule, slot, atomic, acl, table) -> Optional[Rule]:
                 return candidate
 
         # (4) constants navigated by the rule's currently granted pairs
-        objects = om.objects_of(cls)
+        values = value_index(cm, om, cls, atomic.path).values
         atoms = set()
         for i, j in pair_indices(own, len(om.objects_of(rule.resource_type))):
-            oid = objects[i if slot is Slot.SUBJECT else j].id
-            value = nav(cm, om, oid, atomic.path)
+            value = values[i if slot is Slot.SUBJECT else j]
             if isinstance(value, (str, bool)):
                 atoms.add(value)
         if atoms:

@@ -151,14 +151,12 @@ class ObjectInstance:
 class ObjectModel:
     """A set of objects with globally unique ids.
 
-    Immutable after construction.  Five results are memoized on the model
-    for the class model it is used with: :func:`path_type` per (class,
-    path), which :func:`nav` and :func:`value_index` share; navigation
-    values per (object, path) (:func:`nav`); the :class:`ValueIndex` per
-    (class, path) (:func:`value_index`); the (T, F) bitplanes of
-    :func:`slot_planes` per class (or subject and resource class) and
-    positive atomic, which a negated atomic reads too; and the candidate
-    conditions per (class, extraction limits)
+    Immutable after construction.  Three results are memoized on the model
+    for the class model it is used with: the :class:`ValueIndex` per
+    (class, path) (:func:`value_index`), the one memo of navigated values;
+    the (T, F) bitplanes of :func:`slot_planes` per class (or subject and
+    resource class) and positive atomic, which a negated atomic reads too;
+    and the candidate conditions per (class, extraction limits)
     (``features.enumerate_condition_features``).  Caching is safe because
     objects and field values never change after construction and each memo
     depends only on them, the class model and its key; one object model
@@ -183,8 +181,6 @@ class ObjectModel:
             for cls, objs in self._by_type.items()
             for i, obj in enumerate(objs)
         }
-        self._path_types: dict[tuple[str, PathT], tuple[str, Multiplicity]] = {}
-        self._nav_cache: dict[tuple[str, PathT], Value] = {}
         self._index: dict[tuple[str, PathT], ValueIndex] = {}
         self._planes: dict[tuple, tuple[int, int]] = {}
         self._conditions: dict[tuple, tuple] = {}
@@ -271,37 +267,28 @@ def nav(cm: ClassModel, om: ObjectModel, oid: str, path: PathT) -> Value:
     Hitting unknown yields unknown for one/optional paths and contributes
     an unknown element for many paths; hitting None yields None for
     one/optional paths and contributes nothing for many paths.  The empty
-    path is the object itself.
+    path is the object itself.  Nothing is memoized: the miner reads
+    navigated values from :func:`value_index`, and this plain navigator is
+    its oracle and that of :func:`tval_condition` and
+    :func:`tval_constraint`.
     """
     path = tuple(path)
-    key = (oid, path)
-    try:
-        return om._nav_cache[key]
-    except KeyError:
-        pass
     start = om.get(oid).type
-    _, mult = _path_type_memo(cm, om, start, path)
-    result = _nav_scalar(cm, om, oid, start, path)
-    if mult is Multiplicity.MANY and not isinstance(result, frozenset):
-        if result is UNKNOWN:
-            result = frozenset({UNKNOWN})
-        elif result is None:
-            result = frozenset()
-        else:  # unreachable: a many path always crosses a many hop
-            result = frozenset({result})
-    om._nav_cache[key] = result
-    return result
+    many = path_type(cm, start, path)[1] is Multiplicity.MANY
+    return _navigate(cm, om, oid, start, path, many)
 
 
-def _path_type_memo(cm: ClassModel, om: ObjectModel, cls: str, path: PathT):
-    """:func:`path_type` of ``path`` from ``cls``, memoized on ``om``."""
-    key = (cls, path)
-    try:
-        return om._path_types[key]
-    except KeyError:
-        pass
-    result = om._path_types[key] = path_type(cm, cls, path)
-    return result
+def _navigate(cm, om, oid: str, cls: str, path: PathT, many: bool) -> Value:
+    """:func:`nav` of ``path`` from ``oid`` of class ``cls``, given whether
+    the path is many-valued: a many path's value is always a set."""
+    value = _nav_scalar(cm, om, oid, cls, path)
+    if many and not isinstance(value, frozenset):
+        if value is UNKNOWN:
+            return frozenset({UNKNOWN})
+        if value is None:
+            return frozenset()
+        return frozenset({value})  # unreachable: a many path crosses a many hop
+    return value
 
 
 def _nav_scalar(cm, om, oid: str, cls: str, path: PathT) -> Value:
@@ -725,8 +712,9 @@ def satisfies(cm: ClassModel, om: ObjectModel, t: SraTuple, rule: Rule) -> bool:
 
 
 class ValueIndex(NamedTuple):
-    """One path's navigated values over a class's objects, as masks (bit i
-    for the i-th object in ``objects_of`` order).
+    """One path's navigated values over a class's objects: ``values`` holds
+    each object's :func:`nav` value in ``objects_of`` order, and the rest
+    are masks over the same objects (bit i for the i-th).
 
     ``by`` maps each atom, and None, to the objects whose value equals it
     or (for a many path) contains it; ``unknown`` holds the objects whose
@@ -734,6 +722,7 @@ class ValueIndex(NamedTuple):
     None, and UNKNOWN is never a key of ``by``.
     """
 
+    values: tuple
     by: Mapping[object, int]
     unknown: int
     full: int
@@ -741,28 +730,32 @@ class ValueIndex(NamedTuple):
 
 
 def value_index(cm: ClassModel, om: ObjectModel, cls: str, path: PathT) -> ValueIndex:
-    """The :class:`ValueIndex` of ``path`` over ``cls``, memoized on ``om``."""
+    """The :class:`ValueIndex` of ``path`` over ``cls``, memoized on ``om``:
+    the path's multiplicity is looked up once and each object navigated
+    once."""
     key = (cls, path)
     try:
         return om._index[key]
     except KeyError:
         pass
+    many = path_type(cm, cls, path)[1] is Multiplicity.MANY
     objects = om.objects_of(cls)
+    values = tuple(_navigate(cm, om, obj.id, cls, path, many) for obj in objects)
     positions: dict[object, list[int]] = {}
     unknown = []
-    for i, obj in enumerate(objects):
-        value = nav(cm, om, obj.id, path)
-        for atom in value if isinstance(value, frozenset) else (value,):
+    for i, value in enumerate(values):
+        for atom in value if many else (value,):
             if atom is UNKNOWN:
                 unknown.append(i)
             else:
                 positions.setdefault(atom, []).append(i)
     size = len(objects)
     index = ValueIndex(
+        values,
         {atom: mask_of(bits, size) for atom, bits in positions.items()},
         mask_of(unknown, size),
         (1 << size) - 1,
-        _path_type_memo(cm, om, cls, path)[1] is Multiplicity.MANY,
+        many,
     )
     om._index[key] = index
     return index
@@ -784,25 +777,19 @@ def slot_planes(
     (bit i for the i-th object in ``objects_of`` order), a constraint's
     over the pairs (:mod:`rebac_miner.tvl`'s layout; see :func:`spread`).
 
-    An identity condition (``id in {...}``) takes its planes from the
-    positions of the named objects.  Any other atomic gets its planes by
-    mask algebra over the :func:`value_index` of its path(s), equal cell
-    by cell to :func:`tval_condition` or :func:`tval_constraint`, and
-    memoized on the object model.  A condition's T plane is the OR of its
-    constants' masks (for a many path, the mask of its one constant) and
-    its U plane the unknown mask minus T; a constraint's are built per
-    distinct subject-side value (:func:`_constraint_planes`).
+    Every atomic, an identity condition (``id in {...}``) included, gets
+    its planes by mask algebra over the :func:`value_index` of its
+    path(s), equal cell by cell to :func:`tval_condition` or
+    :func:`tval_constraint`, and memoized on the object model.  A
+    condition's T plane is the OR of its constants' masks (for a many
+    path, the mask of its one constant) and its U plane the unknown mask
+    minus T; a constraint's are built per distinct subject-side value
+    (:func:`_constraint_planes`).
     """
     if slot is _CONSTRAINT:
         key = (s_cls, r_cls, atomic.path1, atomic.op, atomic.path2)
     else:
         cls = s_cls if slot is _SUBJECT else r_cls
-        if atomic.path == (ID_FIELD,) and atomic.op == "in":
-            size = len(om.objects_of(cls))
-            place = om._place
-            named = (o for o in atomic.value if o in place and place[o][0] == cls)
-            t = mask_of((place[oid][1] for oid in named), size)
-            return t, ((1 << size) - 1) & ~t
         key = (cls, atomic.path, atomic.op, atomic.value)
     try:
         return om._planes[key]
@@ -821,15 +808,14 @@ def slot_planes(
 
 
 def _constraint_planes(cm, om, s_cls: str, r_cls: str, con: AtomicConstraint):
-    """Subjects whose ``path1`` navigates to equal values share a row of
-    resources, so each distinct subject-side value gets one (T, F) row,
-    computed from the resource side's :func:`value_index` by
-    :func:`_constraint_row`."""
+    """Subjects whose ``path1`` navigates to equal values (read from the
+    subject side's :func:`value_index`) share a row of resources, so each
+    distinct subject-side value gets one (T, F) row, computed from the
+    resource side's :func:`value_index` by :func:`_constraint_row`."""
     index = value_index(cm, om, r_cls, con.path2)
     row_of: dict = {}
     rows = []
-    for s in om.objects_of(s_cls):
-        v1 = nav(cm, om, s.id, con.path1)
+    for v1 in value_index(cm, om, s_cls, con.path1).values:
         if v1 not in row_of:
             row_of[v1] = _constraint_row(con.op, v1, index)
         rows.append(row_of[v1])

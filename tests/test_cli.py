@@ -266,6 +266,23 @@ class TestEval:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_undeclared_reference_action_exits_2(self, tmp_path, capsys):
+        document = json.loads((FIXTURES / "groundtruth.json").read_text())
+        del document["actions"]
+        reference = tmp_path / "reference.json"
+        reference.write_text(json.dumps(document))
+        code = main(
+            ["eval",
+             "--mined", str(FIXTURES / "groundtruth.json"),
+             "--reference", str(reference),
+             "--classmodel", str(FIXTURES / "classmodel.json"),
+             "--objectmodel", str(FIXTURES / "objectmodel.json"),
+             "-o", str(tmp_path / "report.json")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: rule <") and "'read'" in err
+
 
 class TestLearnFormulaCommand:
     def test_csv_roundtrip(self, tmp_path, capsys):
@@ -324,7 +341,7 @@ class TestEnvironment:
             monkeypatch.delenv(f"REBAC_MINER_{name}")
 
     def test_non_numeric_value_exits_2(self, tmp_path, monkeypatch, capsys):
-        for name in ("MAX_ITER", "JOBS", "MAX_COND_LEN", "MAX_CONS_LEN"):
+        for name in ("MAX_ITER", "MAX_COND_LEN", "MAX_CONS_LEN"):
             monkeypatch.setenv(f"REBAC_MINER_{name}", "abc")
             assert main(["mine", *fixture_args(), "-o", str(tmp_path / "p.json")]) == 2
             assert f"REBAC_MINER_{name}" in capsys.readouterr().err
@@ -358,8 +375,7 @@ class TestEnvironment:
         csv_file.write_text("f1,label\nT,T\nF,F\n")
         out = str(tmp_path / "p.json")
         for flag, value in (("--max-iter", "0"), ("--max-cond-len", "0"),
-                            ("--max-cons-len", "-1"), ("--jobs", "0"),
-                            ("--jobs", "-3")):
+                            ("--max-cons-len", "-1")):
             assert main(["mine", *fixture_args(), "-o", out, flag, value]) == 2, flag
             assert flag in capsys.readouterr().err
         assert main(["learn-formula", str(csv_file), "--max-iter", "0"]) == 2
@@ -371,7 +387,7 @@ class TestEnvironment:
 
     def test_out_of_range_value_exits_2(self, tmp_path, monkeypatch, capsys):
         for name, value in (("MAX_ITER", "0"), ("MAX_COND_LEN", "0"),
-                            ("MAX_CONS_LEN", "-1"), ("JOBS", "-2")):
+                            ("MAX_CONS_LEN", "-1")):
             monkeypatch.setenv(f"REBAC_MINER_{name}", value)
             assert main(["mine", *fixture_args(), "-o", str(tmp_path / "p.json")]) == 2
             assert f"REBAC_MINER_{name}" in capsys.readouterr().err
@@ -385,7 +401,14 @@ class TestEnvironment:
     def test_smallest_values_accepted(self, tmp_path):
         out = str(tmp_path / "p.json")
         assert main(["mine", *fixture_args(), "-o", out, "--max-iter", "1",
-                     "--max-cond-len", "1", "--max-cons-len", "0", "--jobs", "1"]) == 0
+                     "--max-cond-len", "1", "--max-cons-len", "0"]) == 0
+
+    def test_jobs_flag_removed(self, tmp_path, capsys):
+        out = str(tmp_path / "p.json")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["mine", *fixture_args(), "-o", out, "--jobs", "2"])
+        assert exit_info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_unknown_id_strategy_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REBAC_MINER_ID_STRATEGY", "sometimes")

@@ -30,7 +30,7 @@ from rebac_miner.model import (
     tval_constraint,
     wsc,
 )
-from rebac_miner.tvl import FeatureId, TruthValue, eval_dnf
+from rebac_miner.tvl import FeatureId, TruthValue, eval_conjunction, eval_dnf
 from tests.test_model import (
     ORG_ACTIONS,
     ORG_CM,
@@ -314,16 +314,36 @@ class TestIdColumns:
             acl.class_model, acl.object_model, "Student", "Document", LIMITS
         )
         ds = build_dataset(acl, "Student", "Document", "read", table)
-        table2, ds2, supplier, hidden = extend_with_id_columns(table, ds)
+        table2, ds2, supplier, hidden = extend_with_id_columns(
+            acl, "Student", "Document", table, ds
+        )
         assert len(table2) == len(table) + 2 + 3
         assert len(hidden) == 5
-        row = ds2.rows[0]
-        conj = supplier(0)
-        from rebac_miner.tvl import eval_conjunction
+        rows = list(ds2.rows)
+        for k, row in enumerate(rows):
+            conj = supplier(k)
+            assert eval_conjunction(conj, row.vector) is T
+            for other in rows[:k] + rows[k + 1:]:
+                assert eval_conjunction(conj, other.vector) is F
 
-        assert eval_conjunction(conj, row.vector) is T
-        for other in list(ds2.rows)[1:]:
-            assert eval_conjunction(conj, other.vector) is F
+    @settings(max_examples=25, deadline=None)
+    @given(org_models(max_objects=10))
+    def test_each_column_names_its_object(self, om):
+        acl = AclPolicy(ORG_CM, om, frozenset(ORG_ACTIONS), frozenset())
+        table = FeatureTable.build(
+            acl.class_model, acl.object_model, "Emp", "Task", LIMITS
+        )
+        ds = build_dataset(acl, "Emp", "Task", "read", table)
+        table2, ds2, _, hidden = extend_with_id_columns(acl, "Emp", "Task", table, ds)
+        assert ds2.planes[: len(table)] == ds.planes
+        appended = table2.entries[len(table):]
+        assert {f.index for f in hidden} == set(range(len(table), len(table2)))
+        for k, entry in enumerate(appended, start=len(table)):
+            (oid,) = entry.payload.value
+            side = 0 if entry.kind is Slot.SUBJECT else 1
+            for row, pair in enumerate(ds2.provenance):
+                cell = T if pair[side] == oid else F
+                assert ds2.rows[row].vector[k] is cell
 
 
 ORG_ENTRIES = (

@@ -114,6 +114,8 @@ BAD_POLICY_EDITS = {
     "contains-number": lambda d: _condition(d).update(op="contains", value=1.5),
     "type-list": lambda d: d["rules"][1].update(subjectType=["Student"]),
     "conditions-number": lambda d: d["rules"][1].update(resourceCondition=5),
+    "undeclared-action": lambda d: d["rules"][1].update(actions=["read", "write"]),
+    "actions-absent": lambda d: d.pop("actions"),
 }
 
 

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rebac_miner import jsonio, miner
-from rebac_miner.features import ExtractionLimits, enumerate_condition_features
+from rebac_miner.features import (
+    ExtractionLimits,
+    enumerate_condition_features,
+    enumerate_paths,
+    observed_constants,
+)
 from rebac_miner.model import (
     UNKNOWN,
     AclPolicy,
@@ -36,6 +41,7 @@ from rebac_miner.model import (
     tval_constraint,
     validate_object_model,
     validate_rule,
+    value_index,
     value_sort_key,
     wsc,
 )
@@ -1057,3 +1063,34 @@ class TestSlotPlanesMatchTval:
                 planes = slot_planes(ORG_CM, om, s_cls, r_cls, Slot.CONSTRAINT, con)
                 want = [tval_constraint(ORG_CM, om, s, r, con) for s, r in pairs]
                 assert plane_cells(planes, len(pairs)) == want, con
+
+
+def stored_constants(cm, om, start, path):
+    """Oracle for observed_constants: a scan of the atoms stored in the
+    path's terminal field on the class owning it."""
+    owner = path_type(cm, start, path[:-1])[0]
+    atoms = set()
+    for obj in om.objects_of(owner):
+        value = om.field_value(obj.id, path[-1])
+        if value is UNKNOWN or value is None:
+            continue
+        if isinstance(value, frozenset):
+            atoms |= value
+        else:
+            atoms.add(value)
+    return atoms
+
+
+class TestValueIndexMatchesNav:
+    @settings(max_examples=50, deadline=None)
+    @given(om=org_models(max_objects=10))
+    def test_values_and_observed_constants(self, om):
+        for cls in sorted(ORG_CM.classes):
+            objects = om.objects_of(cls)
+            for path in ((),) + enumerate_paths(ORG_CM, cls, 3):
+                values = value_index(ORG_CM, om, cls, path).values
+                assert values == tuple(nav(ORG_CM, om, o.id, path) for o in objects), path
+                if path:
+                    assert observed_constants(ORG_CM, om, cls, path) == stored_constants(
+                        ORG_CM, om, cls, path
+                    ), path

@@ -38,6 +38,11 @@ def split_gains(cells, labels, rows: RowSet, cands) -> list[float]:
     ``cells`` holds one (T, F) plane pair per column, ``labels`` the label
     planes, ``rows`` the row subset and ``cands`` the candidate column
     indices.
+
+    A column that is all T, all F or all U on ``rows`` gains 0.0 without a
+    table: its one non-empty cell holds every row, so the remainder is
+    1.0 times the parent entropy, computed from the same counts, and the
+    difference is exactly 0.0.
     """
     n = len(rows)
     if not n:
@@ -48,6 +53,9 @@ def split_gains(cells, labels, rows: RowSet, cands) -> list[float]:
     gains = []
     for c in cands:
         t, f = cells[c]
+        if rows & t == rows or rows & f == rows or not rows & (t | f):
+            gains.append(0.0)
+            continue
         on_t = [(t & part).bit_count() for part in by_label]
         on_f = [(f & part).bit_count() for part in by_label]
         on_u = [all_ - t_ - f_ for all_, t_, f_ in zip(totals, on_t, on_f)]

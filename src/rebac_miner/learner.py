@@ -169,16 +169,21 @@ def learn_formula(
 
     Up to ``config.max_iter`` tree iterations, then :func:`cover_rest` with
     :func:`default_cover_conjunction` for the rows they leave uncovered.
-    Raises LearningError when the final formula mis-evaluates a row.
+    Raises LearningError when the final formula mis-evaluates a row.  The
+    trees share one split-gain memo (see :func:`build_tree`), so a node
+    whose rows an earlier tree already split scores only new columns.
     """
     formula = DnfFormula()
     blacklist: set[FeatureId] = set()
+    gains: dict[int, dict[int, float]] = {}
     iterations = 0
     label_t = dataset.labels[0]
     while not covers(formula, dataset) and iterations < config.max_iter:
         # Every row but the T rows the formula already grants.
         working = dataset.all_rows & ~(label_t & dnf_rows(formula, dataset))
-        tree = build_tree(dataset, excluded=frozenset(blacklist), rows=working)
+        tree = build_tree(
+            dataset, excluded=frozenset(blacklist), rows=working, memo=gains
+        )
         batch = {c.sort_key: c for c in extract_true_paths(tree)}
         pending = [c for c in batch.values() if c.unknown_literals()]
         # Most-covering conjunctions first, so the features that end up

@@ -23,11 +23,12 @@ unknown-as-false diagnostic, which reports the difference instead.
 from __future__ import annotations
 
 import logging
+from bisect import insort
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial, reduce
-from operator import and_, or_
+from operator import and_, attrgetter, or_
 from typing import Callable, Collection, Iterable, Optional
 
 from rebac_miner.features import (
@@ -77,6 +78,8 @@ from rebac_miner.tvl import (
 )
 
 Observer = Callable[[str, tuple[Rule, ...]], None]
+
+_sort_key = attrgetter("sort_key")
 
 log = logging.getLogger(__name__)
 
@@ -419,7 +422,9 @@ class _Phase2:
     pair planes: a rule's is one plane (:func:`rebac_miner.model.rule_plane`,
     cached per rule by ``meaning_of``) and a policy's is a
     :data:`rebac_miner.model.Meaning` built from those.  The policy meaning
-    of ``rules`` never changes, so it is computed once.
+    of ``rules`` never changes, so it is computed once.  ``rules`` is kept
+    sorted and free of duplicates, ``current`` holds the same rules as a
+    set, and ``wsc`` is their policy WSC.
     """
 
     def __init__(self, rules, acl: AclPolicy, limits: ExtractionLimits, observer):
@@ -430,6 +435,7 @@ class _Phase2:
         self.observer = observer
         self._meanings: dict[Rule, int] = {}
         self.rules = sort_rules(rules)
+        self.current = set(self.rules)
         self.meaning = policy_planes(self.rules, self.meaning_of)
         self.wsc = policy_wsc(self.rules)
         self.changed = False
@@ -450,19 +456,40 @@ class _Phase2:
     def replace(self, step: str, old: Collection[Rule], new: Iterable[Rule]) -> bool:
         """Swap ``old`` for ``new`` if the policy meaning is unchanged and
         the policy's structural complexity does not grow; tell the
-        observer about every accepted change."""
+        observer about every accepted change.
+
+        Past the meaning check a proposal costs what it swaps: its WSC is
+        the current one minus the removed rules' plus the added rules' (the
+        new rules not already kept, found through ``current``), and only an
+        accepted proposal is ordered, by inserting the added rules into
+        the kept ones, which stay sorted.  Summing cached per-rule WSCs is
+        cheap; what a proposal used to pay for was the new rule's canonical
+        order, built from scratch (:meth:`Rule.with_atomic` and
+        :meth:`Rule.without_atomic` now derive it from the parent's), and
+        hashing every rule's deep ``sort_key`` to re-sort the policy.
+        """
+        old = set(old)
         kept = [rule for rule in self.rules if rule not in old]
         new = list(new)
         if policy_planes(kept + new, self.meaning_of) != self.meaning:
             self.outcomes[step, "meaning"] += 1
             return False
-        proposal = sort_rules(kept + new)
-        proposal_wsc = policy_wsc(proposal)  # a sum of per-rule cached WSCs
+        removed = old & self.current
+        added = [
+            rule
+            for rule in dict.fromkeys(new)
+            if rule in removed or rule not in self.current
+        ]
+        proposal_wsc = self.wsc - policy_wsc(removed) + policy_wsc(added)
         if proposal_wsc > self.wsc:
             self.outcomes[step, "wsc"] += 1
             return False
         self.outcomes[step, "accepted"] += 1
-        self.rules, self.wsc = proposal, proposal_wsc
+        for rule in added:
+            insort(kept, rule, key=_sort_key)
+        self.rules, self.wsc = tuple(kept), proposal_wsc
+        self.current -= removed
+        self.current.update(added)
         self.changed = True
         if self.observer is not None:
             self.observer(step, self.rules)
@@ -561,7 +588,7 @@ def _merge_value_sets(ctx: _Phase2) -> None:
         )
     )
     for group in candidates:
-        members = [(r, slot, ac) for r, slot, ac in group if r in ctx.rules]
+        members = [(r, slot, ac) for r, slot, ac in group if r in ctx.current]
         if len(members) < 2:
             continue
         rule0, slot, ac0 = members[0]
@@ -584,7 +611,7 @@ def _drop_covered_rules(ctx: _Phase2) -> None:
 
 def _drop_atomics(ctx: _Phase2) -> None:
     for rule in ctx.rules:
-        if rule not in ctx.rules:
+        if rule not in ctx.current:
             continue
         working = rule
         progressed = True
@@ -615,7 +642,7 @@ def _drop_atomics(ctx: _Phase2) -> None:
 
 def _constraints_to_conditions(ctx: _Phase2) -> None:
     for rule in ctx.rules:
-        if rule not in ctx.rules:
+        if rule not in ctx.current:
             continue
         working = rule
         for constraint in rule.by_slot[Slot.CONSTRAINT]:

@@ -12,8 +12,10 @@ constraints propagate unknowns into the three-valued logic of
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
@@ -151,11 +153,13 @@ class ObjectInstance:
 class ObjectModel:
     """A set of objects with globally unique ids.
 
-    Immutable after construction.  Three results are memoized on the model
+    Immutable after construction.  Four results are memoized on the model
     for the class model it is used with: the :class:`ValueIndex` per
     (class, path) (:func:`value_index`), the one memo of navigated values;
     the (T, F) bitplanes of :func:`slot_planes` per class (or subject and
     resource class) and positive atomic, which a negated atomic reads too;
+    the pair-layout T-plane per (subject class, resource class, slot,
+    atomic) that :func:`planes_without_each` ANDs (``_pair_t_plane``);
     and the candidate conditions per (class, extraction limits)
     (``features.enumerate_condition_features``).  Caching is safe because
     objects and field values never change after construction and each memo
@@ -183,6 +187,7 @@ class ObjectModel:
         }
         self._index: dict[tuple[str, PathT], ValueIndex] = {}
         self._planes: dict[tuple, tuple[int, int]] = {}
+        self._pair_planes: dict[tuple, int] = {}
         self._conditions: dict[tuple, tuple] = {}
 
     def __iter__(self):
@@ -425,6 +430,7 @@ _SLOT_FIELDS = ("subject_condition", "resource_condition", "constraint")
 # Slot's members as module names for per-atomic loops: on Python 3.11 an
 # Enum class is several times slower to iterate or read a member from.
 _SLOTS = _SUBJECT, _RESOURCE, _CONSTRAINT = tuple(Slot)
+_sort_key = attrgetter("sort_key")
 
 
 @dataclass(frozen=True)
@@ -435,8 +441,12 @@ class Rule:
     The atomics' canonical order (``by_slot``, ``atomics()``), the
     ``sort_key`` built from it and the ``wsc`` are computed once, on first
     use.  That is safe because a frozen rule's fields, and the frozen
-    atomics in them, never change; ``with_atomic``, ``without_atomic`` and
-    ``dataclasses.replace`` make a new rule with nothing cached.
+    atomics in them, never change.  ``with_atomic`` and ``without_atomic``
+    derive the new rule's four caches from this rule's: the atomic is
+    inserted into or removed from its slot's sorted atomics (no re-sort),
+    the same position is spliced into ``atomics()`` and ``sort_key``, and
+    the ``wsc`` moves by the atomic's.  ``dataclasses.replace`` makes a
+    new rule with nothing cached.
     """
 
     subject_type: str
@@ -455,10 +465,39 @@ class Rule:
         return getattr(self, _SLOT_FIELDS[slot])
 
     def with_atomic(self, slot: Slot, atomic) -> Rule:
-        return replace(self, **{_SLOT_FIELDS[slot]: self.part(slot) | {atomic}})
+        part = self.part(slot)
+        if atomic in part:
+            return self
+        k = bisect_left(self.by_slot[slot], atomic.sort_key, key=_sort_key)
+        return self._edited(slot, part | {atomic}, k, (atomic,), wsc(atomic))
 
     def without_atomic(self, slot: Slot, atomic) -> Rule:
-        return replace(self, **{_SLOT_FIELDS[slot]: self.part(slot) - {atomic}})
+        part = self.part(slot)
+        if atomic not in part:
+            return self
+        k = self.by_slot[slot].index(atomic)
+        return self._edited(slot, part - {atomic}, k, (), -wsc(atomic))
+
+    def _edited(self, slot: Slot, part: frozenset, k: int, inserted: tuple, delta: int):
+        """This rule with ``slot`` holding ``part``, its caches this rule's
+        with the slot's ``k``-th sorted atomic replaced by ``inserted`` (one
+        atomic, or none to remove it) and ``wsc`` moved by ``delta``."""
+        rule = replace(self, **{_SLOT_FIELDS[slot]: part})
+        slot = _SLOTS[slot]
+        drop = 1 - len(inserted)  # atomics removed at k
+        by_slot, key = list(self.by_slot), list(self.sort_key)
+        by_slot[slot] = by_slot[slot][:k] + inserted + by_slot[slot][k + drop:]
+        keys = key[2 + slot]  # the sort key holds its slots' keys from index 2
+        key[2 + slot] = keys[:k] + tuple(a.sort_key for a in inserted) + keys[k + drop:]
+        at = sum(map(len, self.by_slot[:slot])) + k  # the edit's place in atomics()
+        flat = self._atomics
+        rule.__dict__.update(
+            by_slot=tuple(by_slot),
+            _atomics=flat[:at] + tuple((slot, a) for a in inserted) + flat[at + drop:],
+            sort_key=tuple(key),
+            wsc=self.wsc + delta,
+        )
+        return rule
 
     @cached_property
     def by_slot(self) -> tuple[tuple, tuple, tuple]:
@@ -903,37 +942,40 @@ def planes_without_each(cm: ClassModel, om: ObjectModel, rule: Rule) -> list[int
     """Entry k is :func:`rule_plane` of ``rule`` minus its k-th atomic, in
     :meth:`Rule.atomics` order.
 
-    Each slot keeps prefix and suffix ANDs of its atomics' T-planes, so
-    leaving out one atomic costs one AND of a prefix and a suffix instead
-    of a new AND over every other atomic.
+    Each atomic's T-plane is read already spread over the pairs
+    (:func:`_pair_t_plane`, memoized on ``om``), so one prefix/suffix pass
+    over all of the rule's atomics gives every leave-one-out AND: leaving
+    out one atomic costs one AND of a prefix and a suffix, and nothing is
+    spread per call.
     """
     s_cls, r_cls = rule.subject_type, rule.resource_type
-    n_s, n_r = len(om.objects_of(s_cls)), len(om.objects_of(r_cls))
-    full = (1 << n_s) - 1, (1 << n_r) - 1, (1 << (n_s * n_r)) - 1  # by Slot
-    without, every = [], []
-    for slot, atomics in zip(_SLOTS, rule.by_slot):
-        masks, mask = _and_without_each(
-            [slot_planes(cm, om, s_cls, r_cls, slot, a)[a.negated] for a in atomics],
-            full[slot],
-        )
-        without.append([spread(slot, m, n_s, n_r) for m in masks])
-        every.append(spread(slot, mask, n_s, n_r))
-    s_all, r_all, c_all = every
-    others = (r_all & c_all, s_all & c_all, s_all & r_all)  # indexed by Slot
-    return [plane & others[slot] for slot in _SLOTS for plane in without[slot]]
-
-
-def _and_without_each(planes: list[int], full: int) -> tuple[list[int], int]:
-    """The AND of ``full`` and all of ``planes`` but the k-th, for each k,
-    from prefix and suffix ANDs; and the AND of ``full`` and all of them."""
-    prefix = [full]
+    n_pairs = len(om.objects_of(s_cls)) * len(om.objects_of(r_cls))
+    planes = [_pair_t_plane(cm, om, s_cls, r_cls, slot, a) for slot, a in rule.atomics()]
+    prefix = [(1 << n_pairs) - 1]
     for plane in planes:
         prefix.append(prefix[-1] & plane)
-    without, suffix = [0] * len(planes), full
+    without, suffix = [0] * len(planes), prefix[0]
     for k in range(len(planes) - 1, -1, -1):
         without[k] = prefix[k] & suffix
         suffix &= planes[k]
-    return without, prefix[-1]
+    return without
+
+
+def _pair_t_plane(
+    cm: ClassModel, om: ObjectModel, s_cls: str, r_cls: str, slot: Slot, atomic
+) -> int:
+    """The pairs of ``s_cls`` x ``r_cls`` on which ``atomic``, in ``slot``,
+    is exactly T (for a negated atomic, where its positive form is F): its
+    :func:`slot_planes` plane spread over the pairs, memoized on ``om``."""
+    key = (s_cls, r_cls, slot, atomic)
+    try:
+        return om._pair_planes[key]
+    except KeyError:
+        pass
+    n_s, n_r = len(om.objects_of(s_cls)), len(om.objects_of(r_cls))
+    plane = slot_planes(cm, om, s_cls, r_cls, slot, atomic)[atomic.negated]
+    plane = om._pair_planes[key] = spread(slot, plane, n_s, n_r)
+    return plane
 
 
 def plane_tuples(

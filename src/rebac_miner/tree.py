@@ -85,6 +85,7 @@ def build_tree(
     dataset: LabeledDataset,
     excluded: frozenset[FeatureId] = frozenset(),
     rows: Optional[int] = None,
+    memo: Optional[dict[int, dict[int, float]]] = None,
 ) -> DecisionTree:
     """Induce a tree classifying the dataset's rows in the ``rows`` mask
     (all rows by default).
@@ -93,8 +94,27 @@ def build_tree(
     partition (F leaf), or an exhausted candidate list (F leaf: never grant
     what cannot be separated).  Excluded features and features already used
     on the current path are not candidates.
+
+    ``memo`` maps a node's row mask to the gains already scored on those
+    rows, by column index; a node asks ``_kernels.split_gains`` only for
+    the columns it lacks, and adds them.  A gain depends only on the
+    dataset, the rows and the column, so one memo may be shared by every
+    tree grown over one dataset (the learner shares one per
+    ``learn_formula`` call) and the trees are those of fresh builds.
     """
     initial = tuple(f for f in dataset.features if f not in excluded)
+    if memo is None:
+        memo = {}
+
+    def gains(candidates: tuple[FeatureId, ...], rows: int) -> list[float]:
+        scored = memo.setdefault(rows, {})
+        missing = tuple(f.index for f in candidates if f.index not in scored)
+        if missing:
+            got = _kernels.split_gains(
+                dataset.planes, dataset.labels, RowSet(rows), missing
+            )
+            scored.update(zip(missing, got))
+        return [scored[f.index] for f in candidates]
 
     def recurse(rows: int, candidates: tuple[FeatureId, ...]) -> DecisionTree:
         if not rows:
@@ -104,7 +124,7 @@ def build_tree(
                 return Leaf(label)
         if not candidates:
             return Leaf(TruthValue.F)
-        best = _pick(candidates, _gains(dataset, candidates, rows))
+        best = _pick(candidates, gains(candidates, rows))
         remaining = tuple(f for f in candidates if f is not best)
         children = {
             edge: recurse(value_rows(dataset.planes[best.index], edge, rows), remaining)

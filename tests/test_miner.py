@@ -525,10 +525,58 @@ class TestMergeAndSimplify:
         out = merge_and_simplify(rules, acl, observer=lambda *e: events.append(e))
         last = policy_wsc(sort_rules(rules))
         for _, after in events:
+            assert after == sort_rules(after)
             assert granted(after) == au
             assert policy_wsc(after) <= last
             last = policy_wsc(after)
         assert granted(out) == au
+
+        # The same fixpoint driven step by step: after every accepted
+        # replace the incrementally kept WSC and rule set are the recomputed ones.
+        def check(step, after):
+            assert after is ctx.rules
+            assert ctx.wsc == policy_wsc(ctx.rules)
+            assert ctx.current == set(ctx.rules)
+
+        ctx = _Phase2(rules, acl, ExtractionLimits(), check)
+        ctx.changed = True
+        while ctx.changed:
+            ctx.changed = False
+            for step in miner._STEPS:
+                step(ctx)
+        assert ctx.rules == out
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        om=org_models(),
+        rules=st.lists(org_rules(), min_size=1, max_size=4),
+        data=st.data(),
+    )
+    def test_replace_matches_the_recomputed_policy(self, om, rules, data):
+        # Random proposals, removing rules the policy may or may not hold
+        # and adding duplicates, kept rules and edits of them: each verdict
+        # and each accepted policy is the one recomputed from scratch.
+        au = meaning(Policy(ORG_CM, om, frozenset(ORG_ACTIONS), tuple(rules)))
+        acl = AclPolicy(ORG_CM, om, frozenset(ORG_ACTIONS), au)
+        ctx = _Phase2(rules, acl, ExtractionLimits(), None)
+        pool = list(rules) + data.draw(st.lists(org_rules(), max_size=2))
+        for _ in range(data.draw(st.integers(1, 6))):
+            current = ctx.rules
+            old = data.draw(st.lists(st.sampled_from(pool + list(current)), max_size=2))
+            new = data.draw(st.lists(st.sampled_from(pool + list(current)), max_size=3))
+            edits = [(r, slot, a) for r in new for slot, a in r.atomics()]
+            if edits and data.draw(st.booleans()):
+                r, slot, a = data.draw(st.sampled_from(edits))
+                new.append(r.without_atomic(slot, a))
+            kept = [r for r in current if r not in old]
+            proposal = sort_rules(kept + new)
+            same = policy_planes(kept + new, ctx.meaning_of) == ctx.meaning
+            ok = same and policy_wsc(proposal) <= policy_wsc(current)
+            assert ctx.replace("random", old, new) == ok
+            assert ctx.rules == (proposal if ok else current)
+            assert ctx.wsc == policy_wsc(ctx.rules)
+            assert ctx.current == set(ctx.rules)
+            pool.extend(new)
 
     def narrow_rule(self):
         """One pair the running example's same-department rule also grants."""
@@ -742,6 +790,15 @@ REGRESSION_DIGESTS = {
 }
 
 
+# sha256 of the policy JSON mined from org-chart n=15, s=2, seed 2 with
+# identity conditions among the candidate features, per allow_negation:
+# the identity-laden rules make phase 2b's drop-atomic proposals many.
+INCLUDE_IDS_DIGESTS = {
+    True: "92766738a2809293fc81899c60d77b5a107232637f27d0f5086992a9f4cb5078",
+    False: "c554158e97b0bbd9402df60df470c521124eba33a590f7dfeb70f22495d9416c",
+}
+
+
 # sha256 of the phase-2b observer stream (each event's step and rule
 # texts, in order) for org-chart n=20, s=2, seed 2 with negation.
 REGRESSION_EVENTS_DIGEST = "f47ced78bc218225e86a02bfc0df01b274ad8dd4ecf84ba67558a07f806df381"
@@ -764,6 +821,24 @@ class TestRegressionCells:
         mine_detailed(acl, MinerConfig(), observer=lambda *e: events.append(e))
         assert events
         assert event_stream_digest(events) == REGRESSION_EVENTS_DIGEST
+
+    @pytest.mark.parametrize("allow_negation", [True, False])
+    def test_org_chart_n15_s2_with_identity_conditions(self, allow_negation):
+        spec = builtin_spec("org-chart")
+        om, acl = generate(spec, 15, seed=2)
+        degraded = inject_unknowns(om, spec, 2, seed=2)
+        acl = AclPolicy(spec.class_model, degraded, acl.actions, acl.au)
+        cfg = MinerConfig(
+            allow_negation=allow_negation,
+            limits=ExtractionLimits(include_id_conditions=True),
+        )
+        result = mine_detailed(acl, cfg)
+        assert meaning(result.policy) == acl.au
+        text = jsonio.dumps(
+            jsonio.rules_to_json(result.policy.actions, result.policy.rules)
+        )
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == INCLUDE_IDS_DIGESTS[allow_negation]
 
     def test_per_vector_route_grows_no_more_trees(self, monkeypatch):
         # Both tasks fail their first attempt and take the per-vector

@@ -937,6 +937,26 @@ def assert_canonical(rule):
     ) + len(rule.actions)
 
 
+def assert_derived(edited):
+    """An edited rule's spliced caches equal those of the same rule built
+    by its constructor, whose caches are computed from scratch."""
+    rebuilt = Rule(
+        edited.subject_type,
+        edited.subject_condition,
+        edited.resource_type,
+        edited.resource_condition,
+        edited.constraint,
+        edited.actions,
+    )
+    assert edited == rebuilt
+    assert edited.by_slot == rebuilt.by_slot
+    assert edited.atomics() == rebuilt.atomics()
+    assert all(type(slot) is Slot for slot, _ in edited.atomics())
+    assert edited.sort_key == rebuilt.sort_key
+    assert edited.wsc == rebuilt.wsc
+    assert edited.wsc == sum(wsc(a) for _, a in rebuilt.atomics()) + len(rebuilt.actions)
+
+
 class TestRuleCanonicalOrder:
     @settings(max_examples=200, deadline=None)
     @given(rule=org_rules(), data=st.data())
@@ -948,9 +968,24 @@ class TestRuleCanonicalOrder:
             shrunk = rule.without_atomic(slot, atomic)
             assert shrunk == replace(rule, **{field: getattr(rule, field) - {atomic}})
             assert_canonical(shrunk)
+            assert_derived(shrunk)
+            # Removing an absent atomic or adding a present one: no change.
+            assert_derived(shrunk.without_atomic(slot, atomic))
+            assert shrunk.without_atomic(slot, atomic) == shrunk
+            assert_derived(rule.with_atomic(slot, atomic))
+            assert rule.with_atomic(slot, atomic) == rule
+            # Putting it back derives the parent's caches from the child's.
+            regrown = shrunk.with_atomic(slot, atomic)
+            assert regrown == rule
+            assert_derived(regrown)
             if slot is not Slot.CONSTRAINT:
                 rest = miner._value_set_merge_key(rule, slot, atomic)[0]
                 assert rest == shrunk.sort_key
+        # A chain of edits, each derived from the last one's caches.
+        chained = rule
+        for slot, atomic in data.draw(st.permutations(rule.atomics())):
+            chained = chained.without_atomic(slot, atomic)
+            assert_derived(chained)
         pools = {
             Slot.SUBJECT: ORG_CONDITIONS[rule.subject_type],
             Slot.RESOURCE: ORG_CONDITIONS[rule.resource_type],
@@ -963,6 +998,12 @@ class TestRuleCanonicalOrder:
                 grown = rule.with_atomic(slot, atomic)
                 assert grown == replace(rule, **{field: getattr(rule, field) | {atomic}})
                 assert_canonical(grown)
+                assert_derived(grown)
+                if atomic not in getattr(rule, field):
+                    assert rule.without_atomic(slot, atomic) == rule
+                    assert_derived(rule.without_atomic(slot, atomic))
+                chained = chained.with_atomic(slot, atomic)
+                assert_derived(chained)
 
 
 class TestPlanes:

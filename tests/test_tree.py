@@ -122,6 +122,11 @@ def check_against_oracle(n_feat, cells, labels, rows, cands):
     assert len(row_set) == len(rows)
     assert len(got) == len(cands)
     assert got == pytest.approx(want, rel=0, abs=1e-12)
+    # A column constant on the rows (all T, all F or all U) gains exactly
+    # 0.0: the tolerance above would hide a shortcut that is slightly off.
+    for c, gain in zip(cands, got):
+        if len({cells[i][c] for i in rows}) <= 1:
+            assert gain == 0.0
 
 
 class TestSplitGains:
@@ -138,6 +143,56 @@ class TestSplitGains:
         rows = rng.sample(range(n_rows), 2000)
         cands = rng.sample(range(n_feat), 300)
         check_against_oracle(n_feat, cells, labels, rows, cands)
+
+
+@st.composite
+def shared_memo_builds(draw):
+    """A random dataset and several (excluded features, row subset) builds
+    over it."""
+    n_feat = draw(st.integers(1, 5))
+    n_rows = draw(st.integers(1, 24))
+    codes = st.sampled_from((F, U, T))
+    rows = tuple(
+        (None, tuple(draw(codes) for _ in range(n_feat)), draw(codes))
+        for _ in range(n_rows)
+    )
+    features = tuple(FeatureId(i, f"f{i}", draw(st.integers(1, 3))) for i in range(n_feat))
+    ds = make_dataset(features, rows)
+    builds = draw(st.lists(
+        st.tuples(
+            st.frozensets(st.sampled_from(ds.features)),
+            st.sets(st.integers(0, n_rows - 1)),
+        ),
+        min_size=1,
+        max_size=5,
+    ))
+    return ds, [(excluded, mask_of(sorted(r), n_rows)) for excluded, r in builds]
+
+
+class TestSharedMemo:
+    @settings(max_examples=300, deadline=None)
+    @given(problem=shared_memo_builds())
+    def test_same_trees_as_fresh_builds(self, problem):
+        ds, builds = problem
+        scored = []
+        split_gains = _kernels.split_gains
+
+        def recording(cells, labels, rows, cands):
+            scored.extend((int(rows), c) for c in cands)
+            return split_gains(cells, labels, rows, cands)
+
+        memo = {}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_kernels, "split_gains", recording)
+            shared = [build_tree(ds, excluded, rows, memo=memo) for excluded, rows in builds]
+        fresh = [build_tree(ds, excluded, rows) for excluded, rows in builds]
+        assert [format_tree(t) for t in shared] == [format_tree(t) for t in fresh]
+        # No (rows, column) pair is scored twice over the shared memo.
+        assert len(scored) == len(set(scored))
+        for rows, by_column in memo.items():
+            columns = tuple(by_column)
+            want = split_gains(ds.planes, ds.labels, RowSet(rows), columns)
+            assert list(by_column.values()) == want
 
 
 class TestChooseSplit:

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 usage or schema problems, 3 the mined policy does
 not grant exactly the input authorizations (or no formula characterizes a
-learn-formula dataset exactly).  ``mine`` reports the miner's own final
+learn-formula dataset exactly), 141 stdout's reader closed it early, as
+``| head`` does (the status a shell gives a process that SIGPIPE ended;
+the rest of stdout is discarded).  ``mine`` reports the miner's own final
 check: on the default route an inconsistent policy is refused before it is
 written, while ``--naive-unknown-as-false`` writes the policy and its
 manifest and then names the smallest tuple it misses and the smallest it
@@ -60,6 +62,7 @@ from rebac_miner.tree import build_tree, format_tree
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INCONSISTENT = 3
+EXIT_BROKEN_PIPE = 141
 
 ID_STRATEGIES = tuple(strategy.value for strategy in IdStrategy)
 SWITCH_VALUES = {
@@ -403,7 +406,16 @@ def parse_args(argv=None) -> argparse.Namespace:
 def main(argv=None) -> int:
     try:
         args = parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # Send the rest of stdout, the interpreter's last flush included,
+        # to devnull rather than at the closed pipe again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (UsageError, SchemaError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -27,9 +27,8 @@ from rebac_miner.model import (
     PathT,
     Slot,
     constraint_ops,
+    pair_planes,
     path_type,
-    slot_planes,
-    spread,
     value_index,
     wsc,
 )
@@ -232,10 +231,10 @@ def build_dataset(
     Cells are the three-valued truths of the table's (positive) features;
     the label is T when the tuple is authorized and F otherwise (never U:
     the authorization list is complete by definition), read from the
-    task's plane in :attr:`~rebac_miner.model.AclPolicy.au_planes`.  A
-    condition's planes are its per-object planes from the object model
-    spread over the pairs; a constraint's are its per-pair planes
-    (:func:`_entry_planes`).
+    task's plane in :attr:`~rebac_miner.model.AclPolicy.au_planes`.  Each
+    feature's planes are the pair-layout planes the object model keeps for
+    it (:func:`~rebac_miner.model.pair_planes`), which rule meanings and
+    phase 2b read as well.
     """
     om = acl.object_model
     subjects = [s.id for s in om.objects_of(subject_type)]
@@ -255,25 +254,13 @@ def build_dataset(
 def _entry_planes(
     acl: AclPolicy, subject_type: str, resource_type: str, entries: Iterable[TaskFeature]
 ) -> tuple[tuple[int, int], ...]:
-    """The (T, F) planes of ``entries`` over the task's pairs: each one's
-    :func:`~rebac_miner.model.slot_planes`, spread over the pairs
-    (:func:`~rebac_miner.model.spread`).  A condition with no U cell takes
-    one spread: its F plane is every pair outside its T plane."""
+    """The (T, F) planes of ``entries`` over the task's pairs, each the
+    object model's :func:`~rebac_miner.model.pair_planes`."""
     cm, om = acl.class_model, acl.object_model
-    n_s, n_r = len(om.objects_of(subject_type)), len(om.objects_of(resource_type))
-    all_pairs = (1 << n_s * n_r) - 1
-    side = (1 << n_s) - 1, (1 << n_r) - 1  # every object, by condition Slot
-    constraint = Slot.CONSTRAINT
-    planes = []
-    for e in entries:
-        slot = e.kind
-        t, f = slot_planes(cm, om, subject_type, resource_type, slot, e.payload)
-        if slot is not constraint and not side[slot] & ~(t | f):
-            t = spread(slot, t, n_s, n_r)
-            planes.append((t, all_pairs & ~t))
-        else:
-            planes.append((spread(slot, t, n_s, n_r), spread(slot, f, n_s, n_r)))
-    return tuple(planes)
+    return tuple(
+        pair_planes(cm, om, subject_type, resource_type, e.kind, e.payload)
+        for e in entries
+    )
 
 
 def _constant(pair: tuple[int, int], everything: int) -> bool:

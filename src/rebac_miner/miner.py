@@ -402,10 +402,10 @@ def _eliminate_all_negatives(rules, acl, tables) -> tuple[Rule, ...]:
     current = list(sort_rules(rules))
     out = []
     for i, rule in enumerate(current):
-        action = next(iter(rule.actions))
-        table = tables.get((rule.subject_type, rule.resource_type, action))
-        if table is None:
-            table = FeatureTable.from_entries([])
+        # Every rule here is one extract_rules made from a task's formula:
+        # it carries that task's one action, and the task's table is kept.
+        (action,) = rule.actions
+        table = tables[rule.subject_type, rule.resource_type, action]
         others = out + current[i + 1:]
         out.extend(eliminate_negative_features(rule, acl, table, others))
     return sort_rules(out)
@@ -434,6 +434,7 @@ class _Phase2:
         self.limits = limits
         self.observer = observer
         self._meanings: dict[Rule, int] = {}
+        self._options: dict[tuple[str, str], list] = {}
         self.rules = sort_rules(rules)
         self.current = set(self.rules)
         self.meaning = policy_planes(self.rules, self.meaning_of)
@@ -447,6 +448,21 @@ class _Phase2:
             got = rule_meaning(self.cm, self.om, rule)
             self._meanings[rule] = got
         return got
+
+    def condition_options(self, s_cls: str, r_cls: str) -> list:
+        """The conditions that may replace a constraint in a rule from
+        ``s_cls`` to ``r_cls``, built once per class pair as sorted (wsc,
+        rank, sort key, slot, condition), resource conditions ranked first."""
+        options = self._options.get((s_cls, r_cls))
+        if options is None:
+            options = self._options[s_cls, r_cls] = sorted(
+                (wsc(cond), rank, cond.sort_key, slot, cond)
+                for rank, (slot, cls) in enumerate(
+                    ((Slot.RESOURCE, r_cls), (Slot.SUBJECT, s_cls))
+                )
+                for cond in enumerate_condition_features(self.cm, self.om, cls, self.limits)
+            )
+        return options
 
     def within_au(self, rule: Rule, plane: int) -> bool:
         """Whether ``rule`` with pair plane ``plane`` grants only AU tuples:
@@ -650,18 +666,11 @@ def _constraints_to_conditions(ctx: _Phase2) -> None:
                 continue
             base = working.without_atomic(Slot.CONSTRAINT, constraint)
             target = ctx.meaning_of(working)
-            # At equal WSC a resource condition is tried before a subject one.
-            options = [
-                (wsc(cond), rank, slot, cond)
-                for rank, (slot, cls) in enumerate((
-                    (Slot.RESOURCE, working.resource_type),
-                    (Slot.SUBJECT, working.subject_type),
-                ))
-                for cond in enumerate_condition_features(ctx.cm, ctx.om, cls, ctx.limits)
-                if wsc(cond) < wsc(constraint)
-            ]
-            options.sort(key=lambda o: (o[0], o[1], o[3].sort_key))
-            for *_, slot, cond in options:
+            limit = wsc(constraint)  # only strictly cheaper conditions
+            options = ctx.condition_options(working.subject_type, working.resource_type)
+            for cost, _, _, slot, cond in options:
+                if cost >= limit:
+                    break
                 candidate = base.with_atomic(slot, cond)
                 if ctx.meaning_of(candidate) != target:
                     continue

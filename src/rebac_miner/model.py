@@ -153,14 +153,13 @@ class ObjectInstance:
 class ObjectModel:
     """A set of objects with globally unique ids.
 
-    Immutable after construction.  Four results are memoized on the model
+    Immutable after construction.  Three results are memoized on the model
     for the class model it is used with: the :class:`ValueIndex` per
     (class, path) (:func:`value_index`), the one memo of navigated values;
-    the (T, F) bitplanes of :func:`slot_planes` per class (or subject and
-    resource class) and positive atomic, which a negated atomic reads too;
-    the pair-layout T-plane per (subject class, resource class, slot,
-    atomic) that :func:`planes_without_each` ANDs (``_pair_t_plane``);
-    and the candidate conditions per (class, extraction limits)
+    the pair-layout (T, F) bitplanes of :func:`pair_planes` per (subject
+    class, resource class, slot) and positive atomic, which a negated
+    atomic reads too, and which datasets, rule meanings and phase 2b all
+    read; and the candidate conditions per (class, extraction limits)
     (``features.enumerate_condition_features``).  Caching is safe because
     objects and field values never change after construction and each memo
     depends only on them, the class model and its key; one object model
@@ -187,7 +186,6 @@ class ObjectModel:
         }
         self._index: dict[tuple[str, PathT], ValueIndex] = {}
         self._planes: dict[tuple, tuple[int, int]] = {}
-        self._pair_planes: dict[tuple, int] = {}
         self._conditions: dict[tuple, tuple] = {}
 
     def __iter__(self):
@@ -814,35 +812,58 @@ def slot_planes(
     """(T, F) bitplanes of ``atomic``, read as positive, in ``slot`` of a
     rule from ``s_cls`` to ``r_cls``: a condition's over its side's objects
     (bit i for the i-th object in ``objects_of`` order), a constraint's
-    over the pairs (:mod:`rebac_miner.tvl`'s layout; see :func:`spread`).
+    over the pairs (:mod:`rebac_miner.tvl`'s layout).
 
     Every atomic, an identity condition (``id in {...}``) included, gets
     its planes by mask algebra over the :func:`value_index` of its
     path(s), equal cell by cell to :func:`tval_condition` or
-    :func:`tval_constraint`, and memoized on the object model.  A
-    condition's T plane is the OR of its constants' masks (for a many
-    path, the mask of its one constant) and its U plane the unknown mask
-    minus T; a constraint's are built per distinct subject-side value
-    (:func:`_constraint_planes`).
+    :func:`tval_constraint`.  A condition's T plane is the OR of its
+    constants' masks (for a many path, the mask of its one constant) and
+    its U plane the unknown mask minus T; a constraint's are built per
+    distinct subject-side value (:func:`_constraint_planes`).  Nothing is
+    memoized here: :func:`pair_planes` keeps each atomic's planes, spread
+    over the pairs.
     """
     if slot is _CONSTRAINT:
-        key = (s_cls, r_cls, atomic.path1, atomic.op, atomic.path2)
+        return _constraint_planes(cm, om, s_cls, r_cls, atomic)
+    index = value_index(cm, om, s_cls if slot is _SUBJECT else r_cls, atomic.path)
+    # A many path's values are sets: T holds its objects containing the
+    # constant itself (an "in" set is never an element, so T is empty).
+    t = index.by.get(atomic.value, 0) if index.many else _any_of(index, atomic.value)
+    return t, index.full & ~t & ~index.unknown
+
+
+def pair_planes(
+    cm: ClassModel, om: ObjectModel, s_cls: str, r_cls: str, slot: Slot, atomic
+) -> tuple[int, int]:
+    """(T, F) bitplanes of ``atomic``, read as positive, in ``slot`` of a
+    rule from ``s_cls`` to ``r_cls``, over the pairs of the two classes
+    (:mod:`rebac_miner.tvl`'s layout): its :func:`slot_planes`, a
+    condition's spread from its side's objects to their pairs.  A negated
+    atomic is exactly T where its positive form is F, so index
+    ``atomic.negated`` is its T plane.
+
+    Memoized on ``om`` under the class pair, the slot and the positive
+    form's fields, so datasets, rule meanings and phase 2b read one memo
+    and each atomic is spread once per object model.  A condition with no
+    U cell is spread once: its F plane is every pair outside its T plane.
+    """
+    if slot is _CONSTRAINT:
+        key = (s_cls, r_cls, slot, atomic.path1, atomic.op, atomic.path2)
     else:
-        cls = s_cls if slot is _SUBJECT else r_cls
-        key = (cls, atomic.path, atomic.op, atomic.value)
+        key = (s_cls, r_cls, slot, atomic.path, atomic.op, atomic.value)
     try:
         return om._planes[key]
     except KeyError:
         pass
-    if slot is _CONSTRAINT:
-        planes = _constraint_planes(cm, om, s_cls, r_cls, atomic)
-    else:
-        index = value_index(cm, om, cls, atomic.path)
-        # A many path's values are sets: T holds its objects containing the
-        # constant itself (an "in" set is never an element, so T is empty).
-        t = index.by.get(atomic.value, 0) if index.many else _any_of(index, atomic.value)
-        planes = t, index.full & ~t & ~index.unknown
-    om._planes[key] = planes
+    t, f = slot_planes(cm, om, s_cls, r_cls, slot, atomic)
+    if slot is not _CONSTRAINT:
+        n_s, n_r = len(om.objects_of(s_cls)), len(om.objects_of(r_cls))
+        rows = subject_rows if slot is _SUBJECT else resource_rows
+        no_u = t | f == (1 << (n_s, n_r)[slot]) - 1  # every object of its side
+        t = rows(t, n_s, n_r)
+        f = ((1 << n_s * n_r) - 1) & ~t if no_u else rows(f, n_s, n_r)
+    planes = om._planes[key] = t, f
     return planes
 
 
@@ -898,59 +919,42 @@ def _constraint_row(op: str, v1: Value, index: ValueIndex) -> tuple[int, int]:
     raise ModelError(f"unknown constraint operator: {op!r}")
 
 
-def spread(slot: Slot, plane: int, n_s: int, n_r: int) -> int:
-    """A plane of :func:`slot_planes` for ``slot`` in the pair layout over
-    ``n_s`` subjects and ``n_r`` resources."""
-    if slot is _SUBJECT:
-        return subject_rows(plane, n_s, n_r)
-    if slot is _RESOURCE:
-        return resource_rows(plane, n_s, n_r)
-    return plane
-
-
 def rule_plane(cm: ClassModel, om: ObjectModel, rule: Rule) -> int:
     """The subject/resource pairs ``rule`` grants, as one plane in
     :mod:`rebac_miner.tvl`'s pair layout over the objects of its subject
     and resource classes: the pairs on which all its atomics are exactly T.
     The rule grants each of these pairs every one of its actions.
 
-    Computed as an AND of per-atomic T-planes (:func:`slot_planes`; a
-    negated atomic is exactly T where its positive form is F) memoized on
-    ``om``, so each atomic's planes are computed once per object model,
-    however many rules share it.  The memo is safe for the
-    reason given on :class:`ObjectModel`: the model never changes, so
-    neither does an atomic's truth on it.
+    Computed as an AND of its atomics' pair-layout T-planes
+    (:func:`pair_planes`, memoized on ``om``), which stops once the plane
+    is empty, so each atomic's planes are computed once per object model,
+    however many rules share it.  The memo is safe for the reason given on
+    :class:`ObjectModel`: the model never changes, so neither does an
+    atomic's truth on it.
     """
     s_cls, r_cls = rule.subject_type, rule.resource_type
-    n_s, n_r = len(om.objects_of(s_cls)), len(om.objects_of(r_cls))
-    full = (1 << n_s) - 1, (1 << n_r) - 1, (1 << (n_s * n_r)) - 1  # by Slot
-    masks = []
-    for slot in _SLOTS:
-        mask = full[slot]
-        # Index [negated] picks the T-plane, or for a negated atomic the F-plane.
-        for atomic in rule.part(slot):
-            mask &= slot_planes(cm, om, s_cls, r_cls, slot, atomic)[atomic.negated]
-        if not mask:
-            return 0
-        masks.append(mask)
-    # Spread only once no slot is empty: spreading costs more than a lookup.
-    s_mask, r_mask, pairs = masks
-    return subject_rows(s_mask, n_s, n_r) & resource_rows(r_mask, n_s, n_r) & pairs
+    plane = (1 << len(om.objects_of(s_cls)) * len(om.objects_of(r_cls))) - 1
+    for slot, atomic in rule.atomics():
+        plane &= pair_planes(cm, om, s_cls, r_cls, slot, atomic)[atomic.negated]
+        if not plane:
+            break
+    return plane
 
 
 def planes_without_each(cm: ClassModel, om: ObjectModel, rule: Rule) -> list[int]:
     """Entry k is :func:`rule_plane` of ``rule`` minus its k-th atomic, in
     :meth:`Rule.atomics` order.
 
-    Each atomic's T-plane is read already spread over the pairs
-    (:func:`_pair_t_plane`, memoized on ``om``), so one prefix/suffix pass
-    over all of the rule's atomics gives every leave-one-out AND: leaving
-    out one atomic costs one AND of a prefix and a suffix, and nothing is
-    spread per call.
+    Each atomic's T-plane is read from :func:`pair_planes`, so one
+    prefix/suffix pass over all of the rule's atomics gives every
+    leave-one-out AND: leaving out one atomic costs one AND of a prefix
+    and a suffix.
     """
     s_cls, r_cls = rule.subject_type, rule.resource_type
     n_pairs = len(om.objects_of(s_cls)) * len(om.objects_of(r_cls))
-    planes = [_pair_t_plane(cm, om, s_cls, r_cls, slot, a) for slot, a in rule.atomics()]
+    planes = [
+        pair_planes(cm, om, s_cls, r_cls, slot, a)[a.negated] for slot, a in rule.atomics()
+    ]
     prefix = [(1 << n_pairs) - 1]
     for plane in planes:
         prefix.append(prefix[-1] & plane)
@@ -959,23 +963,6 @@ def planes_without_each(cm: ClassModel, om: ObjectModel, rule: Rule) -> list[int
         without[k] = prefix[k] & suffix
         suffix &= planes[k]
     return without
-
-
-def _pair_t_plane(
-    cm: ClassModel, om: ObjectModel, s_cls: str, r_cls: str, slot: Slot, atomic
-) -> int:
-    """The pairs of ``s_cls`` x ``r_cls`` on which ``atomic``, in ``slot``,
-    is exactly T (for a negated atomic, where its positive form is F): its
-    :func:`slot_planes` plane spread over the pairs, memoized on ``om``."""
-    key = (s_cls, r_cls, slot, atomic)
-    try:
-        return om._pair_planes[key]
-    except KeyError:
-        pass
-    n_s, n_r = len(om.objects_of(s_cls)), len(om.objects_of(r_cls))
-    plane = slot_planes(cm, om, s_cls, r_cls, slot, atomic)[atomic.negated]
-    plane = om._pair_planes[key] = spread(slot, plane, n_s, n_r)
-    return plane
 
 
 def plane_tuples(

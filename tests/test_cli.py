@@ -1,10 +1,12 @@
+import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from rebac_miner import jsonio, miner
-from rebac_miner.cli import main
+from rebac_miner.cli import EXIT_BROKEN_PIPE, main
 from rebac_miner.model import ID_FIELD, AtomicCondition, Policy, Rule, meaning
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "running-example"
@@ -310,6 +312,41 @@ class TestLearnFormulaCommand:
         csv_file.write_text("a,b,label\nT,F,T\nT,F,F\n")
         assert main(["learn-formula", str(csv_file)]) == 3
         assert "labeled F" in capsys.readouterr().err
+
+
+class _Stdout(io.TextIOWrapper):
+    """A file-backed stdout whose ``write`` a test can patch."""
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("command", ["eval", "learn-formula"])
+    def test_exits_quietly(self, command, tmp_path, monkeypatch, capsys):
+        # What `rebac-miner ... | head -1` does once head has exited.
+        if command == "eval":
+            argv = ["eval",
+                    "--mined", str(FIXTURES / "groundtruth.json"),
+                    "--reference", str(FIXTURES / "groundtruth.json"),
+                    "--classmodel", str(FIXTURES / "classmodel.json"),
+                    "--objectmodel", str(FIXTURES / "objectmodel.json"),
+                    "-o", str(tmp_path / "report.json")]
+        else:
+            csv_file = tmp_path / "data.csv"
+            csv_file.write_text("f1,label\nT,T\nF,F\n")
+            argv = ["learn-formula", str(csv_file), "--dump-tree"]
+        stdout = _Stdout(open(tmp_path / "stdout", "wb"))
+
+        def closed_pipe(text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(stdout, "write", closed_pipe)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv) == EXIT_BROKEN_PIPE == 141
+        monkeypatch.undo()
+        # Later output goes to devnull, not at the closed pipe.
+        stdout.write("discarded\n")
+        stdout.close()
+        assert (tmp_path / "stdout").read_text() == ""
+        assert capsys.readouterr().err == ""
 
 
 class TestManifest:

@@ -30,6 +30,7 @@ from rebac_miner.model import (
     meaning,
     meaning_mismatch,
     nav,
+    pair_planes,
     path_type,
     planes_without_each,
     policy_planes,
@@ -1090,20 +1091,32 @@ class TestSlotPlanesMatchTval:
             conditions += enumerate_condition_features(ORG_CM, om, cls, limits)
             for ac in conditions:
                 want = [tval_condition(ORG_CM, om, o.id, ac) for o in objects]
+                # Two class pairs per slot, Emp x Emp among them: the pair
+                # layout's memo must tell the class pairs apart.
                 for slot, s_cls, r_cls in (
                     (Slot.SUBJECT, cls, "Task"),
+                    (Slot.SUBJECT, cls, "Emp"),
                     (Slot.RESOURCE, "Emp", cls),
+                    (Slot.RESOURCE, "Task", cls),
                 ):
                     planes = slot_planes(ORG_CM, om, s_cls, r_cls, slot, ac)
                     assert plane_cells(planes, len(objects)) == want, ac
+                    # Pair k = i*|R| + j holds subject i's or resource j's cell.
+                    n_s, n_r = len(om.objects_of(s_cls)), len(om.objects_of(r_cls))
+                    side = [divmod(k, n_r)[slot] for k in range(n_s * n_r)]
+                    planes = pair_planes(ORG_CM, om, s_cls, r_cls, slot, ac)
+                    assert plane_cells(planes, n_s * n_r) == [want[i] for i in side], (
+                        slot, s_cls, r_cls, ac,
+                    )
         for (s_cls, r_cls), constraints in ORG_CONSTRAINTS.items():
             pairs = [
                 (s.id, r.id) for s in om.objects_of(s_cls) for r in om.objects_of(r_cls)
             ]
             for con in constraints:
-                planes = slot_planes(ORG_CM, om, s_cls, r_cls, Slot.CONSTRAINT, con)
                 want = [tval_constraint(ORG_CM, om, s, r, con) for s, r in pairs]
-                assert plane_cells(planes, len(pairs)) == want, con
+                for planes_of in (slot_planes, pair_planes):
+                    planes = planes_of(ORG_CM, om, s_cls, r_cls, Slot.CONSTRAINT, con)
+                    assert plane_cells(planes, len(pairs)) == want, (s_cls, r_cls, con)
 
 
 def stored_constants(cm, om, start, path):

@@ -223,17 +223,32 @@ def _miner_config(args) -> MinerConfig:
     )
 
 
+def _dataset_file(subject_type: str, resource_type: str, action: str) -> str:
+    """The file name ``--dump-datasets`` gives a task's dataset; a name
+    that is not one path component would be written outside the directory,
+    so it is refused."""
+    name = f"{subject_type}_{resource_type}_{action}.csv"
+    if Path(name).name != name:
+        raise UsageError(
+            f"--dump-datasets: task file name {name!r} is not a single path component"
+        )
+    return name
+
+
 def cmd_mine(args) -> int:
     manifest = _Manifest("mine", args)
     acl = _load_acl(args, manifest)
     cfg = _miner_config(args)
+    if args.dump_datasets:
+        for key in acl.au_planes:  # the tasks: refuse a bad name before mining
+            _dataset_file(*key)
     manifest.start("mine")
     result = mine_detailed(acl, cfg, unknown_as_false=args.naive_unknown_as_false)
     manifest.stop("mine")
     if args.dump_datasets:
         dump_dir = Path(args.dump_datasets)
         for task in result.tasks:
-            name = f"{task.subject_type}_{task.resource_type}_{task.action}.csv"
+            name = _dataset_file(task.subject_type, task.resource_type, task.action)
             manifest.write_output(dump_dir / name, jsonio.dataset_to_csv(task.dataset))
     out = Path(args.out)
     manifest.write_output(

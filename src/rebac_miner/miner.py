@@ -10,7 +10,9 @@ with per-pair identity conjunctions.
 
 Phase 2 optionally eliminates negated atomics (producing negation-free
 policies) and then merges and simplifies rules to a fixpoint.  Phase 2a
-keeps a rewritten rule only if it stays valid and keeps its own grants.
+runs per task on the rules just extracted from its formula, with the
+task's feature table; it judges each candidate rewrite on pair planes and
+keeps one only if the rule stays valid and keeps its own grants.
 Phase 2b changes the rules only through one gate, ``_Phase2.replace``,
 which accepts a change only if the policy's meaning is preserved exactly
 and its weighted structural complexity does not grow.  A final check,
@@ -58,6 +60,7 @@ from rebac_miner.model import (
     Slot,
     SraTuple,
     meaning_mismatch,
+    pair_planes,
     path_type,
     plane_tuples,
     planes_without_each,
@@ -173,23 +176,18 @@ def mine_detailed(
         reports = [run(key) for key in keys]
 
     rules = []
-    tables = {}
     for report in reports:
-        key = (report.subject_type, report.resource_type, report.action)
-        tables[key] = report.table
-        rules.extend(
-            extract_rules(
-                report.result.formula,
-                report.table,
-                report.subject_type,
-                report.resource_type,
-                report.action,
-            )
+        task_rules = extract_rules(
+            report.result.formula,
+            report.table,
+            report.subject_type,
+            report.resource_type,
+            report.action,
         )
-    rules = sort_rules(rules)
+        if not cfg.allow_negation:
+            task_rules = _eliminate_task_negatives(task_rules, acl, report.table)
+        rules.extend(task_rules)
 
-    if not cfg.allow_negation:
-        rules = _eliminate_all_negatives(rules, acl, tables)
     rules = merge_and_simplify(rules, acl, limits=cfg.limits, observer=observer)
 
     policy = Policy(cm, om, acl.actions, sort_rules(rules))
@@ -273,6 +271,21 @@ def extract_rules(
 # Phase 2a: negative-feature elimination (negation-free mode only)
 
 
+def _eliminate_task_negatives(
+    rules: tuple[Rule, ...], acl: AclPolicy, table: FeatureTable
+) -> list[Rule]:
+    """Phase 2a for one task: its ``rules``, one action each, rewritten in
+    order by :func:`eliminate_negative_features` with the task's ``table``.
+    A rule's ``others`` are the task's rewritten rules before it and its
+    rules still to come; an identity split reads cover only for its own
+    (subject type, resource type, action), which only this task's rules
+    can grant."""
+    out: list[Rule] = []
+    for i, rule in enumerate(rules):
+        out.extend(eliminate_negative_features(rule, acl, table, out + list(rules[i + 1:])))
+    return out
+
+
 def eliminate_negative_features(
     rule: Rule,
     acl: AclPolicy,
@@ -288,7 +301,8 @@ def eliminate_negative_features(
     over the observed domain; (4) flip to the constants actually navigated
     by the rule's granted subjects/resources.  If some negated atomic
     survives all four, the rule is replaced by per-pair identity rules for
-    the tuples no other rule grants.
+    the tuples no rule of ``others`` grants.  Every candidate is judged on
+    pair planes (:func:`_eliminate_one`).
     """
     current = rule
     while True:
@@ -309,6 +323,14 @@ def _au_planes_of(rule: Rule, acl: AclPolicy) -> list[int]:
 
 
 def _eliminate_one(rule, slot, atomic, acl, table) -> Optional[Rule]:
+    """``rule`` with the negated ``atomic`` in ``slot`` dropped (substep 1)
+    or replaced (substeps 2-4), or None if no candidate is acceptable.
+
+    The rule without ``atomic`` is ``base``, and a candidate's pair plane
+    is ``base``'s plane ANDed with the new atomic's T plane from
+    :func:`~rebac_miner.model.pair_planes`: besides ``base``, only the
+    rewrite returned is built as a :class:`Rule`.
+    """
     cm, om = acl.class_model, acl.object_model
     au = _au_planes_of(rule, acl)
     # A rule grants the same pairs for each of its actions, so it is valid
@@ -316,59 +338,48 @@ def _eliminate_one(rule, slot, atomic, acl, table) -> Optional[Rule]:
     # its pairs that some action's AU plane holds.
     allowed = reduce(and_, au)
     base = rule.without_atomic(slot, atomic)
-    own = rule_meaning(cm, om, rule) & reduce(or_, au)
-
-    def acceptable(candidate: Rule) -> bool:
-        # Valid, and still granting everything the rule granted before.
-        granted = rule_meaning(cm, om, candidate)
-        return not granted & ~allowed and not own & ~granted
-
-    # (1) plain removal
-    if not rule_meaning(cm, om, base) & ~allowed:
+    base_plane = rule_meaning(cm, om, base)
+    if not base_plane & ~allowed:  # (1) plain removal
         return base
-
-    # (2) cheapest positive replacement from the feature table
-    candidates = sorted(
-        (entry for entry in table.entries),
-        key=lambda e: (wsc(e.payload), e.sort_key),
-    )
-    for entry in candidates:
-        candidate = base.with_atomic(entry.kind, entry.payload)
-        if candidate != rule and acceptable(candidate):
-            return candidate
-
-    if slot is not Slot.CONSTRAINT and atomic.op == "in":
-        cls = rule.subject_type if slot is Slot.SUBJECT else rule.resource_type
-        terminal = path_type(cm, cls, atomic.path)[0]
-
-        # (3) complement over the observed constant domain
-        if terminal == BOOLEAN:
-            domain = {True, False}
-        else:
-            domain = observed_constants(cm, om, cls, atomic.path)
-        complement = frozenset(domain) - atomic.value
-        if complement:
-            candidate = base.with_atomic(
-                slot, AtomicCondition(atomic.path, "in", complement)
-            )
-            if acceptable(candidate):
-                return candidate
-
-        # (4) constants navigated by the rule's currently granted pairs
-        values = value_index(cm, om, cls, atomic.path).values
-        atoms = set()
-        for i, j in pair_indices(own, len(om.objects_of(rule.resource_type))):
-            value = values[i if slot is Slot.SUBJECT else j]
-            if isinstance(value, (str, bool)):
-                atoms.add(value)
-        if atoms:
-            candidate = base.with_atomic(
-                slot, AtomicCondition(atomic.path, "in", frozenset(atoms))
-            )
-            if acceptable(candidate):
-                return candidate
-
+    own = rule_meaning(cm, om, rule) & reduce(or_, au)
+    s_cls, r_cls = rule.subject_type, rule.resource_type
+    for new_slot, new in _replacements(rule, slot, atomic, acl, table, own):
+        plane = base_plane & pair_planes(cm, om, s_cls, r_cls, new_slot, new)[new.negated]
+        # Valid, and still granting everything the rule granted before.
+        if not plane & ~allowed and not own & ~plane:
+            return base.with_atomic(new_slot, new)
     return None
+
+
+def _replacements(rule, slot, atomic, acl, table, own):
+    """The (slot, atomic) candidates of substeps (2)-(4) for the negated
+    ``atomic``, in order; ``own`` is the pair plane the rule must keep."""
+    # (2) positive table features, cheapest first
+    for entry in sorted(table.entries, key=lambda e: (wsc(e.payload), e.sort_key)):
+        yield entry.kind, entry.payload
+    if slot is Slot.CONSTRAINT or atomic.op != "in":
+        return
+    cm, om = acl.class_model, acl.object_model
+    cls = rule.subject_type if slot is Slot.SUBJECT else rule.resource_type
+
+    # (3) complement over the observed constant domain
+    if path_type(cm, cls, atomic.path)[0] == BOOLEAN:
+        domain = {True, False}
+    else:
+        domain = observed_constants(cm, om, cls, atomic.path)
+    complement = frozenset(domain) - atomic.value
+    if complement:
+        yield slot, AtomicCondition(atomic.path, "in", complement)
+
+    # (4) constants navigated by the rule's currently granted pairs
+    values = value_index(cm, om, cls, atomic.path).values
+    atoms = set()
+    for i, j in pair_indices(own, len(om.objects_of(rule.resource_type))):
+        value = values[i if slot is Slot.SUBJECT else j]
+        if isinstance(value, (str, bool)):
+            atoms.add(value)
+    if atoms:
+        yield slot, AtomicCondition(atomic.path, "in", frozenset(atoms))
 
 
 def _id_split(rule: Rule, acl: AclPolicy, others: Iterable[Rule]) -> tuple[Rule, ...]:
@@ -396,19 +407,6 @@ def _id_split(rule: Rule, acl: AclPolicy, others: Iterable[Rule]) -> tuple[Rule,
             )
         )
     return tuple(out)
-
-
-def _eliminate_all_negatives(rules, acl, tables) -> tuple[Rule, ...]:
-    current = list(sort_rules(rules))
-    out = []
-    for i, rule in enumerate(current):
-        # Every rule here is one extract_rules made from a task's formula:
-        # it carries that task's one action, and the task's table is kept.
-        (action,) = rule.actions
-        table = tables[rule.subject_type, rule.resource_type, action]
-        others = out + current[i + 1:]
-        out.extend(eliminate_negative_features(rule, acl, table, others))
-    return sort_rules(out)
 
 
 # ---------------------------------------------------------------------------
@@ -478,11 +476,7 @@ class _Phase2:
         the current one minus the removed rules' plus the added rules' (the
         new rules not already kept, found through ``current``), and only an
         accepted proposal is ordered, by inserting the added rules into
-        the kept ones, which stay sorted.  Summing cached per-rule WSCs is
-        cheap; what a proposal used to pay for was the new rule's canonical
-        order, built from scratch (:meth:`Rule.with_atomic` and
-        :meth:`Rule.without_atomic` now derive it from the parent's), and
-        hashing every rule's deep ``sort_key`` to re-sort the policy.
+        the kept ones, which stay sorted.
         """
         old = set(old)
         kept = [rule for rule in self.rules if rule not in old]
@@ -633,13 +627,12 @@ def _drop_atomics(ctx: _Phase2) -> None:
         progressed = True
         while progressed:
             progressed = False
-            base_size = _size(working, ctx.meaning_of(working))
             atomics = working.atomics()
             planes = planes_without_each(ctx.cm, ctx.om, working)
             candidates = [
                 (
                     slot is Slot.CONSTRAINT,  # conditions first
-                    _size(working, plane) - base_size,
+                    plane.bit_count(),
                     atomic.sort_key,
                     k,
                 )

@@ -156,10 +156,11 @@ class ObjectModel:
     Immutable after construction.  Three results are memoized on the model
     for the class model it is used with: the :class:`ValueIndex` per
     (class, path) (:func:`value_index`), the one memo of navigated values;
-    the pair-layout (T, F) bitplanes of :func:`pair_planes` per (subject
-    class, resource class, slot) and positive atomic, which a negated
-    atomic reads too, and which datasets, rule meanings and phase 2b all
-    read; and the candidate conditions per (class, extraction limits)
+    the pair-layout (T, F) bitplanes of :func:`pair_planes`, the one
+    builder of atomic planes, per (subject class, resource class, slot)
+    and positive atomic, which a negated atomic reads too, and which
+    datasets, rule meanings and both parts of phase 2 all read; and the
+    candidate conditions per (class, extraction limits)
     (``features.enumerate_condition_features``).  Caching is safe because
     objects and field values never change after construction and each memo
     depends only on them, the class model and its key; one object model
@@ -806,47 +807,28 @@ def _any_of(index: ValueIndex, atoms) -> int:
     return mask
 
 
-def slot_planes(
-    cm: ClassModel, om: ObjectModel, s_cls: str, r_cls: str, slot: Slot, atomic
-) -> tuple[int, int]:
-    """(T, F) bitplanes of ``atomic``, read as positive, in ``slot`` of a
-    rule from ``s_cls`` to ``r_cls``: a condition's over its side's objects
-    (bit i for the i-th object in ``objects_of`` order), a constraint's
-    over the pairs (:mod:`rebac_miner.tvl`'s layout).
-
-    Every atomic, an identity condition (``id in {...}``) included, gets
-    its planes by mask algebra over the :func:`value_index` of its
-    path(s), equal cell by cell to :func:`tval_condition` or
-    :func:`tval_constraint`.  A condition's T plane is the OR of its
-    constants' masks (for a many path, the mask of its one constant) and
-    its U plane the unknown mask minus T; a constraint's are built per
-    distinct subject-side value (:func:`_constraint_planes`).  Nothing is
-    memoized here: :func:`pair_planes` keeps each atomic's planes, spread
-    over the pairs.
-    """
-    if slot is _CONSTRAINT:
-        return _constraint_planes(cm, om, s_cls, r_cls, atomic)
-    index = value_index(cm, om, s_cls if slot is _SUBJECT else r_cls, atomic.path)
-    # A many path's values are sets: T holds its objects containing the
-    # constant itself (an "in" set is never an element, so T is empty).
-    t = index.by.get(atomic.value, 0) if index.many else _any_of(index, atomic.value)
-    return t, index.full & ~t & ~index.unknown
-
-
 def pair_planes(
     cm: ClassModel, om: ObjectModel, s_cls: str, r_cls: str, slot: Slot, atomic
 ) -> tuple[int, int]:
     """(T, F) bitplanes of ``atomic``, read as positive, in ``slot`` of a
     rule from ``s_cls`` to ``r_cls``, over the pairs of the two classes
-    (:mod:`rebac_miner.tvl`'s layout): its :func:`slot_planes`, a
-    condition's spread from its side's objects to their pairs.  A negated
-    atomic is exactly T where its positive form is F, so index
-    ``atomic.negated`` is its T plane.
+    (:mod:`rebac_miner.tvl`'s layout).  A negated atomic is exactly T where
+    its positive form is F, so index ``atomic.negated`` is its T plane.
+
+    Every atomic, an identity condition (``id in {...}``) included, gets
+    its planes by mask algebra over the :func:`value_index` of its
+    path(s), equal cell by cell to :func:`tval_condition` or
+    :func:`tval_constraint`.  A condition's T mask over its side's objects
+    is the OR of its constants' masks (for a many path, the mask of its
+    one constant), its U mask the unknown mask minus T, and its F mask the
+    rest; T and F are spread from the objects to their pairs, and with no
+    U cell the F plane is every pair outside the T plane.  A constraint's
+    planes are built per distinct subject-side value
+    (:func:`_constraint_planes`).
 
     Memoized on ``om`` under the class pair, the slot and the positive
-    form's fields, so datasets, rule meanings and phase 2b read one memo
-    and each atomic is spread once per object model.  A condition with no
-    U cell is spread once: its F plane is every pair outside its T plane.
+    form's fields: datasets, rule meanings and both parts of phase 2 read
+    this one memo, so each atomic's planes are built once per object model.
     """
     if slot is _CONSTRAINT:
         key = (s_cls, r_cls, slot, atomic.path1, atomic.op, atomic.path2)
@@ -856,14 +838,22 @@ def pair_planes(
         return om._planes[key]
     except KeyError:
         pass
-    t, f = slot_planes(cm, om, s_cls, r_cls, slot, atomic)
-    if slot is not _CONSTRAINT:
+    if slot is _CONSTRAINT:
+        planes = _constraint_planes(cm, om, s_cls, r_cls, atomic)
+    else:
+        index = value_index(cm, om, s_cls if slot is _SUBJECT else r_cls, atomic.path)
+        # A many path's values are sets: T holds its objects containing the
+        # constant itself (an "in" set is never an element, so T is empty).
+        t = index.by.get(atomic.value, 0) if index.many else _any_of(index, atomic.value)
+        u = index.unknown & ~t
         n_s, n_r = len(om.objects_of(s_cls)), len(om.objects_of(r_cls))
         rows = subject_rows if slot is _SUBJECT else resource_rows
-        no_u = t | f == (1 << (n_s, n_r)[slot]) - 1  # every object of its side
-        t = rows(t, n_s, n_r)
-        f = ((1 << n_s * n_r) - 1) & ~t if no_u else rows(f, n_s, n_r)
-    planes = om._planes[key] = t, f
+        pair_t = rows(t, n_s, n_r)
+        if u:
+            planes = pair_t, rows(index.full & ~t & ~index.unknown, n_s, n_r)
+        else:  # F is every pair outside T: spread one mask, not two
+            planes = pair_t, ((1 << n_s * n_r) - 1) & ~pair_t
+    om._planes[key] = planes
     return planes
 
 

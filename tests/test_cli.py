@@ -142,6 +142,22 @@ class TestMine:
         assert header.endswith(",label")
         assert len(rows) == 6
 
+    def test_dump_name_outside_directory_exits_2(self, tmp_path, capsys):
+        # An action from the input names a file; one that is not a single
+        # path component is refused before anything is written.
+        au = json.loads((FIXTURES / "au.json").read_text())
+        bad_au = tmp_path / "au.json"
+        bad_au.write_text(json.dumps([[s, r, "../../../outside"] for s, r, _ in au]))
+        args = fixture_args()
+        args[args.index("--au") + 1] = str(bad_au)
+        out = tmp_path / "policy.json"
+        code = main(
+            ["mine", *args, "-o", str(out), "--dump-datasets", str(tmp_path / "dump" / "sub")]
+        )
+        assert code == 2
+        assert "Student_Document_../../../outside.csv" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["au.json"]
+
     def test_mine_then_learn_formula_accepts_dump(self, tmp_path, capsys):
         dumps = tmp_path / "datasets"
         main(["mine", *fixture_args(), "-o", str(tmp_path / "p.json"),

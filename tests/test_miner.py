@@ -19,6 +19,7 @@ from rebac_miner.miner import (
     MinerConfig,
     MinerError,
     _Phase2,
+    _eliminate_task_negatives,
     eliminate_negative_features,
     extract_rules,
     merge_and_simplify,
@@ -289,6 +290,63 @@ class TestEliminateNegatives:
         assert granted == au
         assert all(not ac.negated for r in out for _, ac in r.atomics())
         assert any(ac.path == ("id",) for r in out for _, ac in r.atomics())
+
+    def test_id_split_counts_only_same_task_cover(self):
+        # The first read rule's negated constraint can neither be dropped
+        # nor replaced, so it splits into identity rules.  The second read
+        # rule grants two of its pairs; the write rule grants the third,
+        # but for another action, so that pair still needs an identity rule.
+        cm = ClassModel(
+            {
+                "Dept": {},
+                "User": {"dept": FieldDecl("Dept", Multiplicity.ONE)},
+                "Doc": {"dept": FieldDecl("Dept", Multiplicity.ONE)},
+            }
+        )
+        om = ObjectModel(
+            [
+                ObjectInstance("d1", "Dept", {}),
+                ObjectInstance("d2", "Dept", {}),
+                ObjectInstance("u1", "User", {"dept": "d1"}),
+                ObjectInstance("u2", "User", {"dept": "d2"}),
+                ObjectInstance("doc1", "Doc", {"dept": "d2"}),
+                ObjectInstance("doc2", "Doc", {"dept": "d1"}),
+                ObjectInstance("doc3", "Doc", {"dept": "d2"}),
+            ]
+        )
+        au = frozenset(
+            {
+                SraTuple("u1", "doc1", "read"),
+                SraTuple("u1", "doc3", "read"),
+                SraTuple("u2", "doc2", "read"),
+                SraTuple("u2", "doc2", "write"),
+            }
+        )
+        acl = AclPolicy(cm, om, frozenset({"read", "write"}), au)
+        other_dept = AtomicConstraint(("dept",), "equal", ("dept",), negated=True)
+        split = Rule(
+            "User", frozenset(), "Doc", frozenset(), frozenset({other_dept}),
+            frozenset({"read"}),
+        )
+        same_task = Rule(
+            "User", frozenset({cond(("dept",), "d1")}), "Doc",
+            frozenset({cond(("dept",), "d2")}), frozenset(), frozenset({"read"}),
+        )
+        other_action = Rule(
+            "User", frozenset({cond(("dept",), "d2")}), "Doc",
+            frozenset({cond(("dept",), "d1")}), frozenset(), frozenset({"write"}),
+        )
+        table = FeatureTable.from_entries([])
+        out = _eliminate_task_negatives((split, same_task), acl, table)
+        assert same_task in out
+        id_rules = [r for r in out if r != same_task]
+        granted = frozenset().union(*(rule_meaning(cm, om, r) for r in id_rules))
+        uncovered = rule_meaning(cm, om, split) - rule_meaning(cm, om, same_task)
+        assert granted == uncovered == {SraTuple("u2", "doc2", "read")}
+        assert all(ac.path == ("id",) for r in id_rules for _, ac in r.atomics())
+        # Another action's cover of the same pair does not count.
+        alone = eliminate_negative_features(split, acl, table, (same_task, other_action))
+        assert list(alone) == id_rules
 
     def test_unknown_bearing_complement_keeps_meaning(self):
         # With one task's status unknown, the complement rewrite must keep

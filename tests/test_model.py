@@ -37,7 +37,6 @@ from rebac_miner.model import (
     rule_meaning,
     rule_plane,
     satisfies,
-    slot_planes,
     tval_condition,
     tval_constraint,
     validate_object_model,
@@ -1099,8 +1098,6 @@ class TestSlotPlanesMatchTval:
                     (Slot.RESOURCE, "Emp", cls),
                     (Slot.RESOURCE, "Task", cls),
                 ):
-                    planes = slot_planes(ORG_CM, om, s_cls, r_cls, slot, ac)
-                    assert plane_cells(planes, len(objects)) == want, ac
                     # Pair k = i*|R| + j holds subject i's or resource j's cell.
                     n_s, n_r = len(om.objects_of(s_cls)), len(om.objects_of(r_cls))
                     side = [divmod(k, n_r)[slot] for k in range(n_s * n_r)]
@@ -1114,9 +1111,8 @@ class TestSlotPlanesMatchTval:
             ]
             for con in constraints:
                 want = [tval_constraint(ORG_CM, om, s, r, con) for s, r in pairs]
-                for planes_of in (slot_planes, pair_planes):
-                    planes = planes_of(ORG_CM, om, s_cls, r_cls, Slot.CONSTRAINT, con)
-                    assert plane_cells(planes, len(pairs)) == want, (s_cls, r_cls, con)
+                planes = pair_planes(ORG_CM, om, s_cls, r_cls, Slot.CONSTRAINT, con)
+                assert plane_cells(planes, len(pairs)) == want, (s_cls, r_cls, con)
 
 
 def stored_constants(cm, om, start, path):

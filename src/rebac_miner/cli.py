@@ -235,13 +235,27 @@ def _dataset_file(subject_type: str, resource_type: str, action: str) -> str:
     return name
 
 
+def _check_dataset_files(tasks) -> None:
+    """Refuse ``--dump-datasets`` for ``tasks`` if a task's file name is
+    refused or two tasks share one name (the later would overwrite the
+    earlier), naming both tasks."""
+    owner: dict[str, tuple[str, str, str]] = {}
+    for key in sorted(tasks):
+        name = _dataset_file(*key)
+        if name in owner:
+            raise UsageError(
+                f"--dump-datasets: tasks {owner[name]} and {key} would both be"
+                f" written to {name!r}"
+            )
+        owner[name] = key
+
+
 def cmd_mine(args) -> int:
     manifest = _Manifest("mine", args)
     acl = _load_acl(args, manifest)
     cfg = _miner_config(args)
     if args.dump_datasets:
-        for key in acl.au_planes:  # the tasks: refuse a bad name before mining
-            _dataset_file(*key)
+        _check_dataset_files(acl.au_planes)  # the tasks, before mining
     manifest.start("mine")
     result = mine_detailed(acl, cfg, unknown_as_false=args.naive_unknown_as_false)
     manifest.stop("mine")

@@ -11,7 +11,6 @@ through tree branches.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import product
 from typing import Callable, Iterable
 
 from rebac_miner.model import (
@@ -37,6 +36,7 @@ from rebac_miner.tvl import (
     FeatureId,
     LabeledDataset,
     Literal,
+    PairProvenance,
     Polarity,
     TruthValue,
     value_rows,
@@ -234,20 +234,23 @@ def build_dataset(
     task's plane in :attr:`~rebac_miner.model.AclPolicy.au_planes`.  Each
     feature's planes are the pair-layout planes the object model keeps for
     it (:func:`~rebac_miner.model.pair_planes`), which rule meanings and
-    phase 2b read as well.
+    phase 2b read as well.  Its provenance is a
+    :class:`~rebac_miner.tvl.PairProvenance` view over the two classes'
+    ids, so no per-row pair is made.
     """
     om = acl.object_model
-    subjects = [s.id for s in om.objects_of(subject_type)]
-    resources = [r.id for r in om.objects_of(resource_type)]
-    n_s, n_r = len(subjects), len(resources)
-    all_pairs = (1 << n_s * n_r) - 1
+    provenance = PairProvenance(
+        [s.id for s in om.objects_of(subject_type)],
+        [r.id for r in om.objects_of(resource_type)],
+    )
+    all_pairs = (1 << len(provenance)) - 1
     label_t = acl.au_planes.get((subject_type, resource_type, action), 0)
     return LabeledDataset(
         table.feature_ids,
         _entry_planes(acl, subject_type, resource_type, table.entries),
         (label_t, all_pairs & ~label_t),
-        n_s * n_r,
-        tuple(product(subjects, resources)),
+        len(provenance),
+        provenance,
     )
 
 

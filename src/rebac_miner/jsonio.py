@@ -331,16 +331,28 @@ def au_to_json(au: Iterable[SraTuple]) -> list:
 
 
 def au_from_json(document, om: ObjectModel | None = None) -> frozenset[SraTuple]:
-    """The authorizations of ``document``: an array of [subject id,
-    resource id, action] triples of strings, whose ids (given ``om``) name
-    objects of ``om``.  Anything else raises :class:`SchemaError` naming
-    the offending triple or id.  Once the triples are in an
+    """The authorizations of ``document`` as a tuple set, checked as by
+    :func:`_au_actions`."""
+    _au_actions(document, om)
+    return frozenset(map(SraTuple._make, document))
+
+
+def _au_actions(document, om: ObjectModel | None) -> frozenset[str]:
+    """Check an authorization document and return the actions it uses.
+
+    The document must be an array of [subject id, resource id, action]
+    triples of strings, whose ids (given ``om``) name objects of ``om``;
+    a triple may appear more than once.  Anything else raises
+    :class:`SchemaError` naming the first offending triple or id.  One
+    pass, which makes no object per triple.  Once the triples are in an
     :class:`~rebac_miner.model.AclPolicy`, its
     :attr:`~rebac_miner.model.AclPolicy.au_planes` checks them against the
     model (object ids and declared actions).
     """
     _require(isinstance(document, list), "authorizations: expected an array of triples")
     ids = None if om is None else om._by_id
+    actions: set[str] = set()
+    add = actions.add
     for raw in document:
         if not (
             isinstance(raw, list)
@@ -355,15 +367,18 @@ def au_from_json(document, om: ObjectModel | None = None) -> frozenset[SraTuple]
                 raise SchemaError(f"authorizations: unknown subject {raw[0]}")
             if raw[1] not in ids:
                 raise SchemaError(f"authorizations: unknown resource {raw[1]}")
-    return frozenset(map(SraTuple._make, document))
+        add(raw[2])
+    return frozenset(actions)
 
 
 def acl_from_documents(cm_doc, om_doc, au_doc) -> AclPolicy:
+    """The ACL of three parsed JSON documents.  The authorizations are read
+    once, by :func:`_au_actions`, and kept as the checked array itself
+    (:attr:`~rebac_miner.model.AclPolicy.triples`); the declared actions
+    are the ones they use."""
     cm = class_model_from_json(cm_doc)
     om = object_model_from_json(om_doc, cm)
-    au = au_from_json(au_doc, om)
-    actions = frozenset(t.action for t in au)
-    return AclPolicy(cm, om, actions, au)
+    return AclPolicy(cm, om, _au_actions(au_doc, om), au_doc)
 
 
 # --- similarity report ------------------------------------------------------

@@ -14,10 +14,19 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
+from typing import (
+    Callable,
+    Collection,
+    Iterable,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Union,
+)
 
 from rebac_miner.tvl import (
     TruthValue,
@@ -559,20 +568,41 @@ Meaning = Mapping[tuple[str, str, str], int]
 
 @dataclass(frozen=True)
 class AclPolicy:
+    """The input of mining: authorizations over a class and object model.
+
+    ``triples`` holds the authorizations as given, each a (subject id,
+    resource id, action) sequence: :func:`rebac_miner.jsonio.acl_from_documents`
+    passes the validated JSON array itself, Python callers a frozenset of
+    :class:`SraTuple`.  A triple given twice counts once, and ``triples``
+    must not change afterwards.  Nothing is checked on construction;
+    :attr:`au_planes` checks the triples against the model and is the form
+    the miner reads, and :attr:`au` is the tuple set, made only when read.
+    """
+
     class_model: ClassModel
     object_model: ObjectModel
     actions: frozenset[str]
-    au: frozenset[SraTuple]
+    triples: Collection[Sequence[str]]
+
+    @cached_property
+    def au(self) -> frozenset[SraTuple]:
+        """The authorizations as a set of :class:`SraTuple`: ``triples``
+        itself when it is a frozenset, otherwise one tuple per distinct
+        triple, made on first access and kept."""
+        if isinstance(self.triples, frozenset):
+            return self.triples
+        return frozenset(map(SraTuple._make, self.triples))
 
     @cached_property
     def au_planes(self) -> Meaning:
-        """``au`` as a :data:`Meaning`: (subject type, resource type, action)
-        maps to the plane of the pairs granted that action, in
+        """The authorizations as a :data:`Meaning`: (subject type, resource
+        type, action) maps to the plane of the pairs granted that action, in
         :mod:`rebac_miner.tvl`'s pair layout over the two classes' objects.
+        Built in one pass over ``triples``, which makes no tuple per triple.
 
-        This is where the authorizations are checked against the model: a
-        tuple naming an object missing from the object model, or an action
-        missing from ``actions``, raises :class:`ModelError`.
+        This is where the authorizations are checked against the model: the
+        first triple naming an object missing from the object model, or an
+        action missing from ``actions``, raises :class:`ModelError`.
 
         Keys with no grants are absent, so two such mappings are equal
         exactly when the tuple sets they encode are.  Computed once per
@@ -583,20 +613,26 @@ class AclPolicy:
         size = {cls: len(objects) for cls, objects in om._by_type.items()}
         place = om._place
         positions: dict[tuple[str, str, str], list[int]] = {}
-        for t in self.au:
+        for t in self.triples:
             subject, resource, action = t
             try:
                 (s_type, s_pos), (r_type, r_pos) = place[subject], place[resource]
             except KeyError:
-                raise ModelError(f"authorization references unknown object: {t}") from None
+                raise ModelError(
+                    f"authorization references unknown object: {SraTuple._make(t)}"
+                ) from None
             if action not in actions:
-                raise ModelError(f"authorization uses undeclared action: {t}")
-            positions.setdefault((s_type, r_type, action), []).append(
-                s_pos * size[r_type] + r_pos
-            )
+                raise ModelError(
+                    f"authorization uses undeclared action: {SraTuple._make(t)}"
+                )
+            row = s_pos * size[r_type] + r_pos
+            try:
+                positions[s_type, r_type, action].append(row)
+            except KeyError:
+                positions[s_type, r_type, action] = [row]
         return MappingProxyType({
-            (s, r, a): mask_of(bits, size[s] * size[r])
-            for (s, r, a), bits in positions.items()
+            (s, r, a): mask_of(rows, size[s] * size[r])
+            for (s, r, a), rows in positions.items()
         })
 
 
@@ -1024,10 +1060,15 @@ def rule_meaning(cm: ClassModel, om: ObjectModel, rule: Rule) -> frozenset[SraTu
 
 
 def meaning(policy: Policy) -> frozenset[SraTuple]:
-    out: set[SraTuple] = set()
-    for rule in policy.rules:
-        out |= rule_meaning(policy.class_model, policy.object_model, rule)
-    return frozenset(out)
+    """The authorizations ``policy`` grants: its :func:`policy_planes`,
+    each (subject type, resource type, action) plane decoded into tuples
+    once, however many rules grant into it.  Equal to the union of its
+    rules' :func:`rule_meaning`."""
+    cm, om = policy.class_model, policy.object_model
+    planes = policy_planes(policy.rules, partial(rule_plane, cm, om))
+    return frozenset().union(
+        *(plane_tuples(om, s, r, plane, (a,)) for (s, r, a), plane in planes.items())
+    )
 
 
 def wsc(x) -> int:

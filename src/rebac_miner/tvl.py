@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
+from itertools import product
 from typing import Optional
 
 
@@ -191,16 +192,18 @@ class LabeledDataset:
     """An ordered feature table plus labeled rows over it, as bitplanes.
 
     Column i is the (T, F) plane pair ``planes[i]`` and the labels are the
-    pair ``labels``, all over ``size`` rows; ``provenance`` holds each row's
-    (subject, resource) pair, or None.  :attr:`rows` derives
-    :class:`LabeledRow` objects from them on access.
+    pair ``labels``, all over ``size`` rows.  ``provenance`` is a sequence
+    of each row's (subject, resource) pair, or None: a mined task's is a
+    :class:`PairProvenance` view over its pair layout, which stores only
+    the two id lists, and a dataset read from CSV holds one None per row.
+    :attr:`rows` derives :class:`LabeledRow` objects from these on access.
     """
 
     features: tuple[FeatureId, ...]
     planes: tuple[tuple[int, int], ...]
     labels: tuple[int, int]
     size: int
-    provenance: tuple[Optional[tuple[str, str]], ...]
+    provenance: Sequence[Optional[tuple[str, str]]]
 
     def __post_init__(self):
         for pos, f in enumerate(self.features):
@@ -236,7 +239,46 @@ class LabeledDataset:
         return _Rows(self)
 
 
-class _Rows(Sequence):
+class _View(Sequence):
+    """A read-only sequence whose items are made on access by ``_at(k)``.
+    Indexing takes negative indices and raises IndexError out of range, as
+    a tuple does; a slice gives a tuple."""
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self._at, range(len(self))[k]))
+        return self._at(range(len(self))[k])
+
+
+class PairProvenance(_View):
+    """The (subject, resource) pair of each row of the pair layout over
+    ``subjects`` x ``resources``: row k is ``(subjects[k // R],
+    resources[k % R])``, R = ``len(resources)``.  Equal to the tuple of
+    those pairs, but made on access, so a dataset holds no per-row pair."""
+
+    def __init__(self, subjects: Sequence[str], resources: Sequence[str]):
+        self.subjects, self.resources = tuple(subjects), tuple(resources)
+
+    def __len__(self) -> int:
+        return len(self.subjects) * len(self.resources)
+
+    def _at(self, k: int) -> tuple[str, str]:
+        i, j = divmod(k, len(self.resources))
+        return self.subjects[i], self.resources[j]
+
+    def __iter__(self):
+        return product(self.subjects, self.resources)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+
+class _Rows(_View):
     """The rows of a dataset as :class:`LabeledRow` objects, made on access."""
 
     def __init__(self, dataset: LabeledDataset):
@@ -245,11 +287,8 @@ class _Rows(Sequence):
     def __len__(self) -> int:
         return self._dataset.size
 
-    def __getitem__(self, k):
+    def _at(self, k: int) -> LabeledRow:
         ds = self._dataset
-        if isinstance(k, slice):
-            return tuple(self[i] for i in range(ds.size)[k])
-        k = range(ds.size)[k]
         cells = tuple(_cells((t >> k & 1, f >> k & 1), 1)[0] for t, f in ds.planes)
         label = _cells((ds.labels[0] >> k & 1, ds.labels[1] >> k & 1), 1)[0]
         return LabeledRow(FeatureVector(cells), label, ds.provenance[k])

@@ -158,6 +158,33 @@ class TestMine:
         assert "Student_Document_../../../outside.csv" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["au.json"]
 
+    def test_dump_names_shared_by_two_tasks_exit_2(self, tmp_path, capsys):
+        # Tasks (A_B, C, x) and (A, B_C, x) both map to A_B_C_x.csv; the
+        # run is refused before mining, naming both tasks.
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        documents = {
+            "classmodel": {"classes": {c: {"fields": {}} for c in ("A", "A_B", "C", "B_C")}},
+            "objectmodel": {"objects": [
+                {"id": oid, "type": cls, "fields": {}}
+                for oid, cls in (("a1", "A"), ("ab1", "A_B"), ("c1", "C"), ("bc1", "B_C"))
+            ]},
+            "au": [["ab1", "c1", "x"], ["a1", "bc1", "x"]],
+        }
+        args = []
+        for name, document in documents.items():
+            (inputs / f"{name}.json").write_text(json.dumps(document))
+            args += [f"--{name}", str(inputs / f"{name}.json")]
+        code = main(
+            ["mine", *args, "-o", str(tmp_path / "policy.json"),
+             "--dump-datasets", str(tmp_path / "dump")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "('A', 'B_C', 'x')" in err and "('A_B', 'C', 'x')" in err
+        assert "A_B_C_x.csv" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
+
     def test_mine_then_learn_formula_accepts_dump(self, tmp_path, capsys):
         dumps = tmp_path / "datasets"
         main(["mine", *fixture_args(), "-o", str(tmp_path / "p.json"),

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -482,3 +484,38 @@ class TestDatasetMatchesPerCellReference:
         urgent = ORG_CONDITIONS["Task"][-1]
         constant = [e for e in ORG_ENTRIES if e.payload != urgent]
         assert assert_dataset_and_prune_match_reference(acl, constant) == 0
+
+
+class TestPairProvenance:
+    """A mined dataset's provenance is a view over its pair layout, equal
+    to the tuple of (subject, resource) pairs it stands for."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        om=org_models(max_objects=4),
+        s_cls=st.sampled_from(("Emp", "Task")),
+        r_cls=st.sampled_from(("Emp", "Task", "Room")),
+        data=st.data(),
+    )
+    def test_views_equal_the_pair_tuples(self, om, s_cls, r_cls, data):
+        acl = AclPolicy(ORG_CM, om, frozenset(ORG_ACTIONS), frozenset())
+        table = FeatureTable.build(ORG_CM, om, s_cls, r_cls, LIMITS)
+        ds = build_dataset(acl, s_cls, r_cls, "read", table)
+        _, pruned = prune_useless(table, ds)
+        _, extended, _, _ = extend_with_id_columns(acl, s_cls, r_cls, table, ds)
+        subjects = [s.id for s in om.objects_of(s_cls)]
+        want = tuple(product(subjects, [r.id for r in om.objects_of(r_cls)]))
+        n = len(want)
+        for dataset in (ds, pruned, extended):
+            view = dataset.provenance
+            assert len(view) == dataset.size == n
+            assert tuple(view) == want and view == want and want == view
+            assert [view[k] for k in range(-n, n)] == list(want * 2)
+            step = data.draw(st.sampled_from((1, 2, -1, -3)))
+            start, stop = data.draw(st.tuples(st.integers(-6, 6), st.integers(-6, 6)))
+            assert view[start:stop:step] == want[start:stop:step]
+            assert view[:] == want and view[::-1] == want[::-1]
+            assert [row.provenance for row in dataset.rows] == list(want)
+            for k in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    view[k]

@@ -45,7 +45,7 @@ from rebac_miner.model import (
     value_sort_key,
     wsc,
 )
-from rebac_miner.tvl import TruthValue
+from rebac_miner.tvl import TruthValue, mask_of
 
 F, U, T = TruthValue.F, TruthValue.U, TruthValue.T
 
@@ -887,6 +887,33 @@ def org_model_and_au(draw):
     return om, frozenset(au)
 
 
+@st.composite
+def org_au_documents(draw):
+    """An org model and a JSON authorization array over its objects: any
+    triples, repeated ones included, over actions "read" and "write"."""
+    om = draw(org_models())
+    ids = [obj.id for obj in om.objects()]
+    triples = [[s, r, a] for s in ids for r in ids for a in ORG_ACTIONS]
+    document = draw(st.lists(st.sampled_from(triples), max_size=40))
+    repeats = draw(st.lists(st.sampled_from(document), max_size=5)) if document else []
+    return om, [list(t) for t in document + repeats]
+
+
+def au_planes_by_tuples(om, au):
+    """Oracle: the planes of a set of :class:`SraTuple`, built one tuple at
+    a time as (subject type, resource type, action) -> bits."""
+    size = {cls: len(om.objects_of(cls)) for cls in ORG_CM.classes}
+    positions = {}
+    for t in au:
+        (s_type, s_pos), (r_type, r_pos) = om._place[t.subject], om._place[t.resource]
+        positions.setdefault((s_type, r_type, t.action), []).append(
+            s_pos * size[r_type] + r_pos
+        )
+    return {
+        (s, r, a): mask_of(bits, size[s] * size[r]) for (s, r, a), bits in positions.items()
+    }
+
+
 def fresh_sorted(rule, slot):
     """Oracle: one slot's atomics, sorted from scratch."""
     return sorted(getattr(rule, SLOT_FIELDS[slot]), key=lambda a: a.sort_key)
@@ -1031,6 +1058,34 @@ class TestPlanes:
         assert decoded(om, planes) == au
         assert acl.au_planes is planes
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=org_au_documents())
+    def test_au_read_into_planes_matches_per_tuple_loop(self, data):
+        om, document = data
+        acl = jsonio.acl_from_documents(
+            jsonio.class_model_to_json(ORG_CM), jsonio.object_model_to_json(om), document
+        )
+        au = frozenset(map(SraTuple._make, document))
+        assert acl.actions == {action for _, _, action in document}
+        assert acl.au == au
+        want = au_planes_by_tuples(acl.object_model, au)
+        assert dict(acl.au_planes) == want
+        # Declared but never granted: no plane; the tuple set gives the same.
+        declared = frozenset(ORG_ACTIONS + ("other",))
+        for triples in (document, au):
+            assert dict(AclPolicy(ORG_CM, om, declared, triples).au_planes) == want
+
+    def test_triples_checked_with_the_tuple_texts(self):
+        om = ObjectModel([ObjectInstance("d0", "Dept", {"parent": None})])
+        for triple, text in (
+            (["d0", "ghost", "read"], "authorization references unknown object"),
+            (["d0", "d0", "delete"], "authorization uses undeclared action"),
+        ):
+            acl = AclPolicy(ORG_CM, om, frozenset(ORG_ACTIONS), [["d0", "d0", "read"], triple])
+            with pytest.raises(ModelError) as exc:
+                acl.au_planes
+            assert str(exc.value) == f"{text}: {SraTuple(*triple)}"
+
     def test_au_planes_of_an_empty_au(self):
         om = ObjectModel([ObjectInstance("d0", "Dept", {"parent": None})])
         acl = AclPolicy(ORG_CM, om, frozenset(ORG_ACTIONS), frozenset())
@@ -1042,6 +1097,14 @@ class TestPlanes:
         planes = policy_planes(rules, partial(rule_plane, ORG_CM, om))
         assert all(planes.values())
         assert decoded(om, planes) == frozenset().union(
+            *(rule_meaning(ORG_CM, om, rule) for rule in rules)
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(om=org_models(), rules=st.lists(org_rules(), max_size=4))
+    def test_meaning_is_union_of_rule_meanings(self, om, rules):
+        policy = Policy(ORG_CM, om, frozenset(ORG_ACTIONS), tuple(rules))
+        assert meaning(policy) == frozenset().union(
             *(rule_meaning(ORG_CM, om, rule) for rule in rules)
         )
 

@@ -1,10 +1,12 @@
 """Command-line interface: generate, mine, eval, learn-formula.
 
-Exit codes: 0 success, 2 usage or schema problems, 3 the mined policy does
-not grant exactly the input authorizations (or no formula characterizes a
-learn-formula dataset exactly), 141 stdout's reader closed it early, as
-``| head`` does (the status a shell gives a process that SIGPIPE ended;
-the rest of stdout is discarded).  ``mine`` reports the miner's own final
+Exit codes: 0 success, 2 usage or schema problems or a file that cannot
+be read or written (a directory, text that is not UTF-8, a path under a
+regular file), 3 the mined policy does not grant exactly the input
+authorizations (or no formula characterizes a learn-formula dataset
+exactly), 141 stdout's reader closed it early, as ``| head`` does (the
+status a shell gives a process that SIGPIPE ended; the rest of stdout is
+discarded).  ``mine`` reports the miner's own final
 check: on the default route an inconsistent policy is refused before it is
 written, while ``--naive-unknown-as-false`` writes the policy and its
 manifest and then names the smallest tuple it misses and the smallest it
@@ -168,6 +170,13 @@ class _Manifest:
         Path(path).write_text(jsonio.dumps(self.document))
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def _load_json(path, manifest: _Manifest | None = None):
     path = Path(path)
     if not path.exists():
@@ -175,7 +184,7 @@ def _load_json(path, manifest: _Manifest | None = None):
     if manifest is not None:
         manifest.add_input(path)
     try:
-        return json.loads(path.read_text())
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
 
@@ -324,7 +333,7 @@ def cmd_learn_formula(args) -> int:
     if not path.exists():
         raise SchemaError(f"no such file: {path}")
     manifest.add_input(path)
-    dataset = jsonio.dataset_from_csv(path.read_text())
+    dataset = jsonio.dataset_from_csv(_read_text(path))
     if args.dump_tree:
         print(format_tree(build_tree(dataset)), end="")
     manifest.start("learn")
@@ -446,6 +455,9 @@ def main(argv=None) -> int:
         os.close(devnull)
         return EXIT_BROKEN_PIPE
     except (UsageError, SchemaError, ModelError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # a path that cannot be read or written; names it
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (MinerError, LearningError) as exc:

@@ -36,7 +36,6 @@ from rebac_miner.tvl import (
     FeatureId,
     LabeledDataset,
     Literal,
-    PairProvenance,
     Polarity,
     TruthValue,
     value_rows,
@@ -225,8 +224,8 @@ def build_dataset(
     action: str,
     table: FeatureTable,
 ) -> LabeledDataset:
-    """One row per subject/resource pair of the given types, in the pair
-    layout of :mod:`rebac_miner.tvl`.
+    """One row per subject/resource pair of the given types, in their
+    :class:`~rebac_miner.model.PairLayout`.
 
     Cells are the three-valued truths of the table's (positive) features;
     the label is T when the tuple is authorized and F otherwise (never U:
@@ -234,23 +233,17 @@ def build_dataset(
     task's plane in :attr:`~rebac_miner.model.AclPolicy.au_planes`.  Each
     feature's planes are the pair-layout planes the object model keeps for
     it (:func:`~rebac_miner.model.pair_planes`), which rule meanings and
-    phase 2b read as well.  Its provenance is a
-    :class:`~rebac_miner.tvl.PairProvenance` view over the two classes'
-    ids, so no per-row pair is made.
+    phase 2b read as well.  Its provenance is the layout itself, so no
+    per-row pair is made.
     """
-    om = acl.object_model
-    provenance = PairProvenance(
-        [s.id for s in om.objects_of(subject_type)],
-        [r.id for r in om.objects_of(resource_type)],
-    )
-    all_pairs = (1 << len(provenance)) - 1
+    layout = acl.object_model.pairs(subject_type, resource_type)
     label_t = acl.au_planes.get((subject_type, resource_type, action), 0)
     return LabeledDataset(
         table.feature_ids,
         _entry_planes(acl, subject_type, resource_type, table.entries),
-        (label_t, all_pairs & ~label_t),
-        len(provenance),
-        provenance,
+        (label_t, layout.full & ~label_t),
+        len(layout),
+        layout,
     )
 
 
@@ -300,7 +293,8 @@ def extend_with_id_columns(
     dataset: LabeledDataset,
 ) -> tuple[FeatureTable, LabeledDataset, Callable, frozenset[FeatureId]]:
     """Append one identity-condition column per subject and per resource of
-    the task's ``dataset``, subjects first, each in ``objects_of`` order.
+    the task's ``dataset``, subjects first, each in its
+    :class:`~rebac_miner.model.PairLayout`'s order.
 
     Returns the extended table and dataset, a supplier building the
     ``subject.id = s and resource.id = r`` conjunction for a row index, and
@@ -309,12 +303,12 @@ def extend_with_id_columns(
     :func:`build_dataset`'s (:func:`_entry_planes`); an identity condition
     is never U.
     """
-    om = acl.object_model
-    subjects, resources = om.objects_of(subject_type), om.objects_of(resource_type)
+    layout = acl.object_model.pairs(subject_type, resource_type)
+    sides = ((Slot.SUBJECT, layout.subjects), (Slot.RESOURCE, layout.resources))
     extra = tuple(
-        TaskFeature(kind, AtomicCondition((ID_FIELD,), "in", frozenset({obj.id})))
-        for kind, objects in ((Slot.SUBJECT, subjects), (Slot.RESOURCE, resources))
-        for obj in objects
+        TaskFeature(kind, AtomicCondition((ID_FIELD,), "in", frozenset({oid})))
+        for kind, oids in sides
+        for oid in oids
     )
     base = len(table.entries)
     ids = table.feature_ids + tuple(
@@ -322,10 +316,10 @@ def extend_with_id_columns(
     )
     planes = _entry_planes(acl, subject_type, resource_type, extra)
     literals = [Literal(f, Polarity.POSITIVE) for f in ids[base:]]
-    n_s, n_r = len(subjects), len(resources)
+    n_s = len(layout.subjects)
 
     def supplier(row: int) -> Conjunction:
-        i, j = divmod(row, n_r)  # the pair layout: row i*|R|+j
+        i, j = layout.position(row)
         return Conjunction.of([literals[i], literals[n_s + j]])
 
     new_dataset = replace(dataset, features=ids, planes=dataset.planes + planes)

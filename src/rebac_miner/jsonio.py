@@ -330,19 +330,12 @@ def au_to_json(au: Iterable[SraTuple]) -> list:
     return [[t.subject, t.resource, t.action] for t in sorted(au)]
 
 
-def au_from_json(document, om: ObjectModel | None = None) -> frozenset[SraTuple]:
-    """The authorizations of ``document`` as a tuple set, checked as by
-    :func:`_au_actions`."""
-    _au_actions(document, om)
-    return frozenset(map(SraTuple._make, document))
-
-
-def _au_actions(document, om: ObjectModel | None) -> frozenset[str]:
+def _au_actions(document, om: ObjectModel) -> frozenset[str]:
     """Check an authorization document and return the actions it uses.
 
     The document must be an array of [subject id, resource id, action]
-    triples of strings, whose ids (given ``om``) name objects of ``om``;
-    a triple may appear more than once.  Anything else raises
+    triples of strings, whose ids name objects of ``om``; a triple may
+    appear more than once.  Anything else raises
     :class:`SchemaError` naming the first offending triple or id.  One
     pass, which makes no object per triple.  Once the triples are in an
     :class:`~rebac_miner.model.AclPolicy`, its
@@ -350,7 +343,7 @@ def _au_actions(document, om: ObjectModel | None) -> frozenset[str]:
     model (object ids and declared actions).
     """
     _require(isinstance(document, list), "authorizations: expected an array of triples")
-    ids = None if om is None else om._by_id
+    ids = om._by_id
     actions: set[str] = set()
     add = actions.add
     for raw in document:
@@ -362,11 +355,10 @@ def _au_actions(document, om: ObjectModel | None) -> frozenset[str]:
             and isinstance(raw[2], str)
         ):
             raise SchemaError(f"authorizations: bad triple {raw!r}")
-        if ids is not None:
-            if raw[0] not in ids:
-                raise SchemaError(f"authorizations: unknown subject {raw[0]}")
-            if raw[1] not in ids:
-                raise SchemaError(f"authorizations: unknown resource {raw[1]}")
+        if raw[0] not in ids:
+            raise SchemaError(f"authorizations: unknown subject {raw[0]}")
+        if raw[1] not in ids:
+            raise SchemaError(f"authorizations: unknown resource {raw[1]}")
         add(raw[2])
     return frozenset(actions)
 
@@ -395,20 +387,6 @@ def report_to_json(report: SimilarityReport) -> dict:
             for rule, match, score in report.per_rule_best_match
         ],
     }
-
-
-def report_from_json(document) -> SimilarityReport:
-    doc = _as_obj(document, "report")
-    return SimilarityReport(
-        syntactic=float(doc["syntactic"]),
-        semantic=float(doc["semantic"]),
-        per_rule_best_match=tuple(
-            (m["rule"], m["bestMatch"], float(m["score"]))
-            for m in doc.get("perRuleBestMatch", [])
-        ),
-        wsc_mined=int(doc["wscMined"]),
-        wsc_reference=int(doc["wscReference"]),
-    )
 
 
 # --- datasets as CSV ---------------------------------------------------------

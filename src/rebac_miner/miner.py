@@ -73,12 +73,7 @@ from rebac_miner.model import (
 # Imported under the name rule_meaning: the benchmark's tracer wraps
 # miner.rule_meaning to time and count rule meanings per phase.
 from rebac_miner.model import rule_plane as rule_meaning
-from rebac_miner.tvl import (
-    DnfFormula,
-    LabeledDataset,
-    Polarity,
-    pair_indices,
-)
+from rebac_miner.tvl import DnfFormula, LabeledDataset, Polarity
 
 Observer = Callable[[str, tuple[Rule, ...]], None]
 
@@ -374,7 +369,7 @@ def _replacements(rule, slot, atomic, acl, table, own):
     # (4) constants navigated by the rule's currently granted pairs
     values = value_index(cm, om, cls, atomic.path).values
     atoms = set()
-    for i, j in pair_indices(own, len(om.objects_of(rule.resource_type))):
+    for i, j in om.pairs(rule.subject_type, rule.resource_type).positions(own):
         value = values[i if slot is Slot.SUBJECT else j]
         if isinstance(value, (str, bool)):
             atoms.add(value)

@@ -15,6 +15,7 @@ import enum
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
+from itertools import product
 from operator import attrgetter
 from types import MappingProxyType
 from typing import (
@@ -28,15 +29,7 @@ from typing import (
     Union,
 )
 
-from rebac_miner.tvl import (
-    TruthValue,
-    kleene_not,
-    mask_of,
-    pair_indices,
-    pair_plane,
-    resource_rows,
-    subject_rows,
-)
+from rebac_miner.tvl import TruthValue, View, bit_indices, kleene_not, mask_of
 
 F, U, T = TruthValue.F, TruthValue.U, TruthValue.T
 
@@ -159,10 +152,78 @@ class ObjectInstance:
     fields: Mapping[str, Value]
 
 
+class PairLayout(View):
+    """The subject/resource pairs of one subject class and one resource
+    class as the rows of a plane: with both classes' objects in
+    ``objects_of`` order, the pair of the i-th subject and the j-th
+    resource is row i*R + j, R = ``len(resources)``.  Dataset rows, atomic
+    planes, rule meanings and :attr:`AclPolicy.au_planes` all use this
+    layout, and only this class computes it (``au_planes`` inlines its row
+    formula, see there).
+
+    ``subjects`` and ``resources`` hold the two classes' ids and ``full``
+    is the plane of every pair.  As a sequence, row k is its (subject id,
+    resource id) pair: equal to the tuple of those pairs, but made on
+    access, so a mined dataset uses its layout as its provenance.
+    """
+
+    def __init__(self, subjects: Sequence[str], resources: Sequence[str]):
+        self.subjects, self.resources = tuple(subjects), tuple(resources)
+        self.full = (1 << len(self)) - 1
+
+    def __len__(self) -> int:
+        return len(self.subjects) * len(self.resources)
+
+    def _at(self, k: int) -> tuple[str, str]:
+        i, j = self.position(k)
+        return self.subjects[i], self.resources[j]
+
+    def __iter__(self):
+        return product(self.subjects, self.resources)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def position(self, row: int) -> tuple[int, int]:
+        """The (subject, resource) positions of ``row``."""
+        return divmod(row, len(self.resources))
+
+    def positions(self, plane: int) -> list[tuple[int, int]]:
+        """The (subject, resource) positions of the rows set in ``plane``,
+        lowest row first."""
+        n_r = len(self.resources)
+        return [divmod(k, n_r) for k in bit_indices(plane)]
+
+    def of_subjects(self, mask: int) -> int:
+        """The rows of the subjects in ``mask`` (bit i = i-th subject)."""
+        n_s, n_r = len(self.subjects), len(self.resources)
+        spaced = int(("0" * (n_r - 1)).join(format(mask, f"0{n_s}b")), 2)
+        return spaced * ((1 << n_r) - 1)
+
+    def of_resources(self, mask: int) -> int:
+        """The rows of the resources in ``mask`` (bit j = j-th resource)."""
+        if not self.resources:
+            return 0
+        return mask * (self.full // ((1 << len(self.resources)) - 1))
+
+    def of_subject_rows(self, per_subject: Iterable[int]) -> int:
+        """The rows given by one resource mask per subject, in subject order."""
+        n_r, out = len(self.resources), 0
+        for i, mask in enumerate(per_subject):
+            out |= mask << (i * n_r)
+        return out
+
+
 class ObjectModel:
     """A set of objects with globally unique ids.
 
-    Immutable after construction.  Three results are memoized on the model
+    Immutable after construction.  :meth:`pairs` gives each class pair's
+    :class:`PairLayout`, made once.  Three results are memoized on the model
     for the class model it is used with: the :class:`ValueIndex` per
     (class, path) (:func:`value_index`), the one memo of navigated values;
     the pair-layout (T, F) bitplanes of :func:`pair_planes`, the one
@@ -195,6 +256,7 @@ class ObjectModel:
             for i, obj in enumerate(objs)
         }
         self._index: dict[tuple[str, PathT], ValueIndex] = {}
+        self._pairs: dict[tuple[str, str], PairLayout] = {}
         self._planes: dict[tuple, tuple[int, int]] = {}
         self._conditions: dict[tuple, tuple] = {}
 
@@ -218,6 +280,17 @@ class ObjectModel:
 
     def objects_of(self, cls: str) -> tuple[ObjectInstance, ...]:
         return self._by_type.get(cls, ())
+
+    def pairs(self, s_cls: str, r_cls: str) -> PairLayout:
+        """The :class:`PairLayout` of ``s_cls`` x ``r_cls``, memoized."""
+        try:
+            return self._pairs[s_cls, r_cls]
+        except KeyError:
+            layout = self._pairs[s_cls, r_cls] = PairLayout(
+                [o.id for o in self.objects_of(s_cls)],
+                [o.id for o in self.objects_of(r_cls)],
+            )
+            return layout
 
     def field_value(self, oid: str, name: str) -> Value:
         obj = self.get(oid)
@@ -597,7 +670,7 @@ class AclPolicy:
     def au_planes(self) -> Meaning:
         """The authorizations as a :data:`Meaning`: (subject type, resource
         type, action) maps to the plane of the pairs granted that action, in
-        :mod:`rebac_miner.tvl`'s pair layout over the two classes' objects.
+        the two classes' :class:`PairLayout`.
         Built in one pass over ``triples``, which makes no tuple per triple.
 
         This is where the authorizations are checked against the model: the
@@ -625,6 +698,8 @@ class AclPolicy:
                 raise ModelError(
                     f"authorization uses undeclared action: {SraTuple._make(t)}"
                 )
+            # PairLayout's row i*R + j, inlined: a layout lookup and an
+            # (i, j) tuple per triple would cost more than the row itself.
             row = s_pos * size[r_type] + r_pos
             try:
                 positions[s_type, r_type, action].append(row)
@@ -847,9 +922,9 @@ def pair_planes(
     cm: ClassModel, om: ObjectModel, s_cls: str, r_cls: str, slot: Slot, atomic
 ) -> tuple[int, int]:
     """(T, F) bitplanes of ``atomic``, read as positive, in ``slot`` of a
-    rule from ``s_cls`` to ``r_cls``, over the pairs of the two classes
-    (:mod:`rebac_miner.tvl`'s layout).  A negated atomic is exactly T where
-    its positive form is F, so index ``atomic.negated`` is its T plane.
+    rule from ``s_cls`` to ``r_cls``, over the two classes'
+    :class:`PairLayout`.  A negated atomic is exactly T where its positive
+    form is F, so index ``atomic.negated`` is its T plane.
 
     Every atomic, an identity condition (``id in {...}``) included, gets
     its planes by mask algebra over the :func:`value_index` of its
@@ -857,7 +932,8 @@ def pair_planes(
     :func:`tval_constraint`.  A condition's T mask over its side's objects
     is the OR of its constants' masks (for a many path, the mask of its
     one constant), its U mask the unknown mask minus T, and its F mask the
-    rest; T and F are spread from the objects to their pairs, and with no
+    rest; T and F are spread from the objects to their pairs by the
+    layout's ``of_subjects`` or ``of_resources``, and with no
     U cell the F plane is every pair outside the T plane.  A constraint's
     planes are built per distinct subject-side value
     (:func:`_constraint_planes`).
@@ -882,13 +958,13 @@ def pair_planes(
         # constant itself (an "in" set is never an element, so T is empty).
         t = index.by.get(atomic.value, 0) if index.many else _any_of(index, atomic.value)
         u = index.unknown & ~t
-        n_s, n_r = len(om.objects_of(s_cls)), len(om.objects_of(r_cls))
-        rows = subject_rows if slot is _SUBJECT else resource_rows
-        pair_t = rows(t, n_s, n_r)
+        layout = om.pairs(s_cls, r_cls)
+        spread = layout.of_subjects if slot is _SUBJECT else layout.of_resources
+        pair_t = spread(t)
         if u:
-            planes = pair_t, rows(index.full & ~t & ~index.unknown, n_s, n_r)
+            planes = pair_t, spread(index.full & ~t & ~index.unknown)
         else:  # F is every pair outside T: spread one mask, not two
-            planes = pair_t, ((1 << n_s * n_r) - 1) & ~pair_t
+            planes = pair_t, layout.full & ~pair_t
     om._planes[key] = planes
     return planes
 
@@ -905,8 +981,8 @@ def _constraint_planes(cm, om, s_cls: str, r_cls: str, con: AtomicConstraint):
         if v1 not in row_of:
             row_of[v1] = _constraint_row(con.op, v1, index)
         rows.append(row_of[v1])
-    n_r = len(om.objects_of(r_cls))
-    return tuple(pair_plane((r[side] for r in rows), n_r) for side in (0, 1))
+    layout = om.pairs(s_cls, r_cls)
+    return tuple(layout.of_subject_rows(r[side] for r in rows) for side in (0, 1))
 
 
 def _constraint_row(op: str, v1: Value, index: ValueIndex) -> tuple[int, int]:
@@ -946,10 +1022,10 @@ def _constraint_row(op: str, v1: Value, index: ValueIndex) -> tuple[int, int]:
 
 
 def rule_plane(cm: ClassModel, om: ObjectModel, rule: Rule) -> int:
-    """The subject/resource pairs ``rule`` grants, as one plane in
-    :mod:`rebac_miner.tvl`'s pair layout over the objects of its subject
-    and resource classes: the pairs on which all its atomics are exactly T.
-    The rule grants each of these pairs every one of its actions.
+    """The subject/resource pairs ``rule`` grants, as one plane in the
+    :class:`PairLayout` of its subject and resource classes: the pairs on
+    which all its atomics are exactly T.  The rule grants each of these
+    pairs every one of its actions.
 
     Computed as an AND of its atomics' pair-layout T-planes
     (:func:`pair_planes`, memoized on ``om``), which stops once the plane
@@ -959,7 +1035,7 @@ def rule_plane(cm: ClassModel, om: ObjectModel, rule: Rule) -> int:
     atomic's truth on it.
     """
     s_cls, r_cls = rule.subject_type, rule.resource_type
-    plane = (1 << len(om.objects_of(s_cls)) * len(om.objects_of(r_cls))) - 1
+    plane = om.pairs(s_cls, r_cls).full
     for slot, atomic in rule.atomics():
         plane &= pair_planes(cm, om, s_cls, r_cls, slot, atomic)[atomic.negated]
         if not plane:
@@ -977,11 +1053,10 @@ def planes_without_each(cm: ClassModel, om: ObjectModel, rule: Rule) -> list[int
     and a suffix.
     """
     s_cls, r_cls = rule.subject_type, rule.resource_type
-    n_pairs = len(om.objects_of(s_cls)) * len(om.objects_of(r_cls))
     planes = [
         pair_planes(cm, om, s_cls, r_cls, slot, a)[a.negated] for slot, a in rule.atomics()
     ]
-    prefix = [(1 << n_pairs) - 1]
+    prefix = [om.pairs(s_cls, r_cls).full]
     for plane in planes:
         prefix.append(prefix[-1] & plane)
     without, suffix = [0] * len(planes), prefix[0]
@@ -996,11 +1071,12 @@ def plane_tuples(
 ) -> frozenset[SraTuple]:
     """The authorizations a pair plane over ``s_cls`` x ``r_cls`` stands
     for when each of its pairs is granted every one of ``actions``."""
-    subjects, resources = om.objects_of(s_cls), om.objects_of(r_cls)
+    layout = om.pairs(s_cls, r_cls)
+    subjects, resources = layout.subjects, layout.resources
     actions = tuple(actions)
     return frozenset(
-        SraTuple(subjects[i].id, resources[j].id, a)
-        for i, j in pair_indices(plane, len(resources))
+        SraTuple(subjects[i], resources[j], a)
+        for i, j in layout.positions(plane)
         for a in actions
     )
 

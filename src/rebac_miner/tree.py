@@ -10,7 +10,7 @@ classifier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from rebac_miner import _kernels
 from rebac_miner._kernels import RowSet
@@ -47,38 +47,13 @@ class Internal:
 DecisionTree = Union[Leaf, Internal]
 
 
-def _gains(
-    dataset: LabeledDataset, candidates: Sequence[FeatureId], rows: int
-) -> list[float]:
-    return _kernels.split_gains(
-        dataset.planes, dataset.labels, RowSet(rows), tuple(f.index for f in candidates)
-    )
-
-
-def information_gain(dataset: LabeledDataset, feature: FeatureId) -> float:
-    """Entropy of the labels minus the split remainder for ``feature``."""
-    if not dataset.size:
-        raise ValueError("information gain needs at least one row")
-    return _gains(dataset, (feature,), dataset.all_rows)[0]
-
-
 def _pick(candidates: Sequence[FeatureId], gains: Sequence[float]) -> FeatureId:
+    """The best-gain candidate; ties go to lower cost, then lower index."""
     best_gain = max(gains)
     tied = [
         f for f, g in zip(candidates, gains) if g >= best_gain - GAIN_TIE_TOLERANCE
     ]
     return min(tied, key=lambda f: (f.cost, f.index))
-
-
-def choose_split(
-    dataset: LabeledDataset, candidates: Iterable[FeatureId]
-) -> FeatureId:
-    """Best-gain candidate over all rows; ties go to lower cost, then lower
-    index."""
-    candidates = tuple(candidates)
-    if not candidates:
-        raise ValueError("no candidate features")
-    return _pick(candidates, _gains(dataset, candidates, dataset.all_rows))
 
 
 def build_tree(

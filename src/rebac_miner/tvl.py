@@ -5,9 +5,12 @@ F < U < T, conjunction is minimum and disjunction is maximum.  The separate
 *information* ordering puts U strictly below both definite values; every
 formula built from these connectives is monotone with respect to it.
 
-Labeled datasets are stored as bitplanes (see the section below), on
-which literals, conjunctions and DNF formulas are evaluated by bit
-operations; the per-row evaluators (``eval_*``) are their reference.
+Labeled datasets are stored as bitplanes over their rows (see the section
+below), on which literals, conjunctions and DNF formulas are evaluated by
+bit operations; the per-row evaluators (``eval_*``) are their reference.
+This module knows rows, truth values and formulas only: which subject and
+resource a mined dataset's row stands for is
+:class:`rebac_miner.model.PairLayout`'s to say.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
-from itertools import product
 from typing import Optional
 
 
@@ -108,9 +110,7 @@ class LabeledRow:
 #
 # A plane is a Python int over a sequence of rows: bit k stands for row k.
 # A three-valued column is a (T, F) pair of disjoint planes; its U rows are
-# those in neither, U = not(T or F).  A task's rows are its subject/resource
-# pairs in subject-major order: the pair of the i-th subject and the j-th
-# resource is row i*R + j, R the number of resources.
+# those in neither, U = not(T or F).
 
 
 def bit_indices(mask: int) -> list[int]:
@@ -141,32 +141,6 @@ def planes_of(values: Iterable[TruthValue]) -> tuple[int, int]:
     )
 
 
-def subject_rows(mask: int, n_subjects: int, n_resources: int) -> int:
-    """Pair rows of the subjects in ``mask`` (bit i = i-th subject)."""
-    spaced = int(("0" * (n_resources - 1)).join(format(mask, f"0{n_subjects}b")), 2)
-    return spaced * ((1 << n_resources) - 1)
-
-
-def resource_rows(mask: int, n_subjects: int, n_resources: int) -> int:
-    """Pair rows of the resources in ``mask`` (bit j = j-th resource)."""
-    if not n_resources:
-        return 0
-    return mask * (((1 << (n_subjects * n_resources)) - 1) // ((1 << n_resources) - 1))
-
-
-def pair_plane(per_subject: Iterable[int], n_resources: int) -> int:
-    """Pair rows from one resource mask per subject, in subject order."""
-    out = 0
-    for i, mask in enumerate(per_subject):
-        out |= mask << (i * n_resources)
-    return out
-
-
-def pair_indices(mask: int, n_resources: int) -> list[tuple[int, int]]:
-    """(subject, resource) positions of the pair rows set in ``mask``."""
-    return [divmod(k, n_resources) for k in bit_indices(mask)]
-
-
 def value_rows(pair: tuple[int, int], value: TruthValue, rows: int) -> int:
     """The rows of ``rows`` whose cell in the (T, F) plane pair is ``value``."""
     t, f = pair
@@ -193,9 +167,9 @@ class LabeledDataset:
 
     Column i is the (T, F) plane pair ``planes[i]`` and the labels are the
     pair ``labels``, all over ``size`` rows.  ``provenance`` is a sequence
-    of each row's (subject, resource) pair, or None: a mined task's is a
-    :class:`PairProvenance` view over its pair layout, which stores only
-    the two id lists, and a dataset read from CSV holds one None per row.
+    of each row's (subject, resource) pair, or None: a mined task's is its
+    :class:`~rebac_miner.model.PairLayout`, which stores only the two id
+    lists, and a dataset read from CSV holds one None per row.
     :attr:`rows` derives :class:`LabeledRow` objects from these on access.
     """
 
@@ -239,7 +213,7 @@ class LabeledDataset:
         return _Rows(self)
 
 
-class _View(Sequence):
+class View(Sequence):
     """A read-only sequence whose items are made on access by ``_at(k)``.
     Indexing takes negative indices and raises IndexError out of range, as
     a tuple does; a slice gives a tuple."""
@@ -250,35 +224,7 @@ class _View(Sequence):
         return self._at(range(len(self))[k])
 
 
-class PairProvenance(_View):
-    """The (subject, resource) pair of each row of the pair layout over
-    ``subjects`` x ``resources``: row k is ``(subjects[k // R],
-    resources[k % R])``, R = ``len(resources)``.  Equal to the tuple of
-    those pairs, but made on access, so a dataset holds no per-row pair."""
-
-    def __init__(self, subjects: Sequence[str], resources: Sequence[str]):
-        self.subjects, self.resources = tuple(subjects), tuple(resources)
-
-    def __len__(self) -> int:
-        return len(self.subjects) * len(self.resources)
-
-    def _at(self, k: int) -> tuple[str, str]:
-        i, j = divmod(k, len(self.resources))
-        return self.subjects[i], self.resources[j]
-
-    def __iter__(self):
-        return product(self.subjects, self.resources)
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-    def __hash__(self):
-        return hash(tuple(self))
-
-
-class _Rows(_View):
+class _Rows(View):
     """The rows of a dataset as :class:`LabeledRow` objects, made on access."""
 
     def __init__(self, dataset: LabeledDataset):
@@ -300,22 +246,6 @@ class _Rows(_View):
         labels = _cells(ds.labels, ds.size)
         for cells, label, prov in zip(vectors, labels, ds.provenance):
             yield LabeledRow(FeatureVector(cells), label, prov)
-
-
-def check_monotonic(
-    dataset: LabeledDataset,
-) -> Optional[tuple[LabeledRow, LabeledRow]]:
-    """Return a violating row pair, or None if the dataset is monotonic.
-
-    A violation is a pair where the first vector is information-below the
-    second but its label is not information-below the second's label.
-    """
-    rows = dataset.rows
-    for r1 in rows:
-        for r2 in rows:
-            if fv_leq(r1.vector, r2.vector) and not info_leq(r1.label, r2.label):
-                return (r1, r2)
-    return None
 
 
 class Polarity(enum.Enum):
@@ -405,9 +335,6 @@ class DnfFormula:
         unique = {c.sort_key: c for c in conjunctions}
         return cls(tuple(unique[k] for k in sorted(unique)))
 
-    def has_unknown_literals(self) -> bool:
-        return any(c.unknown_literals() for c in self.disjuncts)
-
     def __str__(self) -> str:
         if not self.disjuncts:
             return "false"
@@ -477,10 +404,6 @@ def first_validity_violation(
     """First row labeled F or U that the formula mis-evaluates as T."""
     wrong = dnf_rows(formula, dataset) & ~dataset.labels[0]
     return dataset.rows[bit_indices(wrong)[0]] if wrong else None
-
-
-def valid(formula: DnfFormula, dataset: LabeledDataset) -> bool:
-    return first_validity_violation(formula, dataset) is None
 
 
 def uncovered_t_rows(formula: DnfFormula, dataset: LabeledDataset) -> int:

@@ -357,6 +357,51 @@ class TestLearnFormulaCommand:
         assert "labeled F" in capsys.readouterr().err
 
 
+def _file_system_case(case, tmp_path):
+    """The command line of one file-system error case, and the path its
+    message must name."""
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"classes": {"Caf\u00e9": {}}}'.encode("latin-1"))
+    mine = ["mine", *fixture_args(), "-o", str(tmp_path / "p.json")]
+    if case == "mine-directory-input":
+        mine[mine.index("--classmodel") + 1] = str(tmp_path)
+        return mine, tmp_path
+    if case == "learn-formula-directory-input":
+        return ["learn-formula", str(tmp_path)], tmp_path
+    if case == "mine-non-utf8-input":
+        mine[mine.index("--classmodel") + 1] = str(latin1)
+        return mine, latin1
+    if case == "learn-formula-non-utf8-input":
+        csv_file = tmp_path / "data.csv"
+        csv_file.write_bytes("f\u00e9,label\nT,T\n".encode("latin-1"))
+        return ["learn-formula", str(csv_file)], csv_file
+    if case == "mine-out-under-file":
+        return mine[:-1] + [str(afile / "p.json")], afile
+    if case == "mine-dump-datasets-file":
+        return mine + ["--dump-datasets", str(afile)], afile
+    assert case == "generate-outdir-file"
+    return ["generate", "--n", "2", "--outdir", str(afile)], afile
+
+
+class TestFileSystemErrors:
+    """A path that cannot be read or written ends the run with exit 2 and
+    one error line naming the path, not a traceback."""
+
+    @pytest.mark.parametrize("case", [
+        "mine-directory-input", "learn-formula-directory-input",
+        "mine-non-utf8-input", "learn-formula-non-utf8-input",
+        "mine-out-under-file", "mine-dump-datasets-file", "generate-outdir-file",
+    ])
+    def test_exits_2_naming_the_path(self, case, tmp_path, capsys):
+        argv, path = _file_system_case(case, tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+
+
 class _Stdout(io.TextIOWrapper):
     """A file-backed stdout whose ``write`` a test can patch."""
 

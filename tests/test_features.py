@@ -26,6 +26,7 @@ from rebac_miner.model import (
     Multiplicity,
     ObjectInstance,
     ObjectModel,
+    PairLayout,
     Slot,
     SraTuple,
     tval_condition,
@@ -486,9 +487,48 @@ class TestDatasetMatchesPerCellReference:
         assert assert_dataset_and_prune_match_reference(acl, constant) == 0
 
 
-class TestPairProvenance:
-    """A mined dataset's provenance is a view over its pair layout, equal
-    to the tuple of (subject, resource) pairs it stands for."""
+@st.composite
+def layouts_and_masks(draw):
+    """A pair layout of 0, 1 or several subjects and resources, with random
+    masks over its subjects, its resources, each subject's resources and
+    its pairs."""
+    n_s, n_r = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+
+    def mask(n):
+        return draw(st.integers(0, (1 << n) - 1))
+
+    layout = PairLayout([f"s{i}" for i in range(n_s)], [f"r{j}" for j in range(n_r)])
+    return layout, mask(n_s), mask(n_r), [mask(n_r) for _ in range(n_s)], mask(n_s * n_r)
+
+
+class TestPairLayout:
+    """A pair layout's planes and positions equal a loop over the rows
+    i*R+j, and a mined dataset's provenance is its layout, equal to the
+    tuple of (subject, resource) pairs it stands for."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(layouts_and_masks())
+    def test_methods_match_a_per_bit_reference(self, case):
+        layout, subjects, resources, per_subject, plane = case
+        n_s, n_r = len(layout.subjects), len(layout.resources)
+        rows = {(i, j): i * n_r + j for i in range(n_s) for j in range(n_r)}
+
+        def plane_of(pairs):
+            return sum(1 << rows[p] for p in pairs)
+
+        assert layout.full == plane_of(rows)
+        assert layout.of_subjects(subjects) == plane_of(p for p in rows if subjects >> p[0] & 1)
+        assert layout.of_resources(resources) == plane_of(
+            p for p in rows if resources >> p[1] & 1
+        )
+        assert layout.of_subject_rows(per_subject) == plane_of(
+            p for p in rows if per_subject[p[0]] >> p[1] & 1
+        )
+        assert [layout.position(row) for row in rows.values()] == list(rows)
+        assert layout.positions(plane) == [p for p, row in rows.items() if plane >> row & 1]
+        assert [layout[row] for row in rows.values()] == [
+            (layout.subjects[i], layout.resources[j]) for i, j in rows
+        ]
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -501,6 +541,7 @@ class TestPairProvenance:
         acl = AclPolicy(ORG_CM, om, frozenset(ORG_ACTIONS), frozenset())
         table = FeatureTable.build(ORG_CM, om, s_cls, r_cls, LIMITS)
         ds = build_dataset(acl, s_cls, r_cls, "read", table)
+        assert ds.provenance is om.pairs(s_cls, r_cls)
         _, pruned = prune_useless(table, ds)
         _, extended, _, _ = extend_with_id_columns(acl, s_cls, r_cls, table, ds)
         subjects = [s.id for s in om.objects_of(s_cls)]

@@ -21,6 +21,16 @@ def reload(document):
     return json.loads(jsonio.dumps(document))
 
 
+def running_example_acl(au_document):
+    """The running example's models with ``au_document`` as authorizations."""
+    acl = running_example()
+    return jsonio.acl_from_documents(
+        reload(jsonio.class_model_to_json(acl.class_model)),
+        reload(jsonio.object_model_to_json(acl.object_model)),
+        au_document,
+    )
+
+
 class TestRoundTrips:
     def test_class_model(self):
         acl = running_example()
@@ -46,12 +56,17 @@ class TestRoundTrips:
     def test_au(self):
         acl = running_example()
         doc = reload(jsonio.au_to_json(acl.au))
-        assert jsonio.au_from_json(doc, acl.object_model) == acl.au
+        assert running_example_acl(doc).au == acl.au
 
     def test_report(self):
         report = SimilarityReport(0.95, 1.0, (("a", "b", 0.5),), 7, 8)
-        doc = reload(jsonio.report_to_json(report))
-        assert jsonio.report_from_json(doc) == report
+        assert reload(jsonio.report_to_json(report)) == {
+            "syntactic": 0.95,
+            "semantic": 1.0,
+            "wscMined": 7,
+            "wscReference": 8,
+            "perRuleBestMatch": [{"rule": "a", "bestMatch": "b", "score": 0.5}],
+        }
 
     def test_dataset_csv(self, example_dataset):
         text = jsonio.dataset_to_csv(example_dataset)
@@ -74,16 +89,15 @@ class TestRoundTrips:
 class TestFixtureFiles:
     def test_fixture_matches_library_example(self):
         acl = running_example()
-        cm = jsonio.class_model_from_json(
-            json.loads((FIXTURES / "classmodel.json").read_text())
+        fixture = jsonio.acl_from_documents(
+            *(
+                json.loads((FIXTURES / f"{name}.json").read_text())
+                for name in ("classmodel", "objectmodel", "au")
+            )
         )
-        om = jsonio.object_model_from_json(
-            json.loads((FIXTURES / "objectmodel.json").read_text()), cm
-        )
-        au = jsonio.au_from_json(json.loads((FIXTURES / "au.json").read_text()), om)
-        assert cm == acl.class_model
-        assert om.objects() == acl.object_model.objects()
-        assert au == acl.au
+        assert fixture.class_model == acl.class_model
+        assert fixture.object_model.objects() == acl.object_model.objects()
+        assert fixture.au == acl.au
 
     def test_groundtruth_meaning_is_au(self):
         acl = running_example()
@@ -134,12 +148,11 @@ class TestSchemaErrors:
 
     def test_au_requires_triples(self):
         with pytest.raises(jsonio.SchemaError):
-            jsonio.au_from_json([["s", "r"]])
+            running_example_acl([["s", "r"]])
 
     def test_au_checks_object_ids(self):
-        acl = running_example()
         with pytest.raises(jsonio.SchemaError):
-            jsonio.au_from_json([["ghost", "CS-doc-1", "read"]], acl.object_model)
+            running_example_acl([["ghost", "CS-doc-1", "read"]])
 
     @pytest.mark.parametrize(
         "document, named",
@@ -153,9 +166,8 @@ class TestSchemaErrors:
              "unknown-resource"],
     )
     def test_au_shape_errors_name_the_culprit(self, document, named):
-        acl = running_example()
         with pytest.raises(jsonio.SchemaError, match="^authorizations: ") as exc:
-            jsonio.au_from_json(document, acl.object_model)
+            running_example_acl(document)
         assert named in str(exc.value)
 
     def test_condition_op_validated(self):

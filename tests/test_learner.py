@@ -146,7 +146,8 @@ class TestLearnFormula:
             assert (got is T) == (row.label is T)
 
     def test_result_has_no_unknown_literals(self, example_dataset):
-        assert not learn_formula(example_dataset).formula.has_unknown_literals()
+        formula = learn_formula(example_dataset).formula
+        assert not any(c.unknown_literals() for c in formula.disjuncts)
 
     def test_non_monotonic_without_features_raises(self):
         # Identical vectors, contradictory labels: no formula can separate.

@@ -11,11 +11,9 @@ from rebac_miner.tree import (
     Internal,
     Leaf,
     build_tree,
-    choose_split,
     classify,
     extract_true_paths,
     format_tree,
-    information_gain,
 )
 from rebac_miner.tvl import (
     Conjunction,
@@ -51,6 +49,19 @@ def oracle_gain(rows, feature):
             h -= (len(part) / len(rows)) * oracle_entropy(part)
     return h
 
+
+def full_gain(ds, feature):
+    """The kernel's gain of ``feature`` over all of ``ds``'s rows."""
+    return _kernels.split_gains(
+        ds.planes, ds.labels, RowSet(ds.all_rows), (feature.index,)
+    )[0]
+
+
+def root_split(ds, candidates):
+    """The root split of a tree grown over ``candidates`` alone."""
+    return build_tree(ds, frozenset(ds.features) - set(candidates)).feature
+
+
 # Frozen from the hand computation: H(3T,3F)=1; splitting on
 # res.type=Handbook sends rows {1,4} (all T) down the T edge and rows
 # {2,3,5,6} (one T) down the U edge, remainder (4/6)*H(1/4,3/4).
@@ -64,16 +75,16 @@ class TestInformationGain:
             ((None, (T, F), T), (None, (F, U), T)),
         )
         for f in ds.features:
-            assert information_gain(ds, f) == pytest.approx(0.0, abs=1e-12)
+            assert full_gain(ds, f) == pytest.approx(0.0, abs=1e-12)
 
     def test_example_handbook_gain(self, example_dataset):
-        gain = information_gain(example_dataset, example_dataset.features[2])
+        gain = full_gain(example_dataset, example_dataset.features[2])
         assert gain == pytest.approx(EXAMPLE_HANDBOOK_GAIN, abs=1e-12)
         assert gain == pytest.approx(oracle_gain(example_dataset.rows, example_dataset.features[2]), abs=1e-12)
 
     def test_single_row_gain_zero(self):
         ds = make_dataset((FeatureId(0),), ((None, (U,), T),))
-        assert information_gain(ds, ds.features[0]) == pytest.approx(0.0)
+        assert full_gain(ds, ds.features[0]) == pytest.approx(0.0)
 
     def test_matches_oracle_on_random_datasets(self):
         rng = random.Random(42)
@@ -88,7 +99,7 @@ class TestInformationGain:
             )
             ds = make_dataset(features, rows)
             for f in features:
-                gain = information_gain(ds, f)
+                gain = full_gain(ds, f)
                 assert 0.0 - 1e-12 <= gain <= math.log2(3) + 1e-12
                 assert gain == pytest.approx(oracle_gain(ds.rows, f), abs=1e-9)
 
@@ -198,12 +209,12 @@ class TestSharedMemo:
 class TestChooseSplit:
     def test_single_candidate(self, example_dataset):
         only = example_dataset.features[1]
-        assert choose_split(example_dataset, [only]) is only
+        assert root_split(example_dataset, [only]) is only
 
     def test_prefers_higher_gain(self, example_dataset):
         handbook = example_dataset.features[2]
         no_gain = example_dataset.features[1]
-        assert choose_split(example_dataset, [no_gain, handbook]) is handbook
+        assert root_split(example_dataset, [no_gain, handbook]) is handbook
 
     def test_cost_breaks_ties(self):
         cheap = FeatureId(0, "cheap", 2)
@@ -212,19 +223,19 @@ class TestChooseSplit:
             (cheap, dear),
             ((None, (T, T), T), (None, (F, F), F)),
         )
-        assert choose_split(ds, ds.features) is cheap
+        assert root_split(ds, ds.features) is cheap
         ds2 = make_dataset(
             (FeatureId(0, "a", 3), FeatureId(1, "b", 2)),
             ((None, (T, T), T), (None, (F, F), F)),
         )
-        assert choose_split(ds2, ds2.features) is ds2.features[1]
+        assert root_split(ds2, ds2.features) is ds2.features[1]
 
     def test_index_breaks_remaining_ties(self):
         ds = make_dataset(
             (FeatureId(0, "a", 2), FeatureId(1, "b", 2)),
             ((None, (T, T), T), (None, (F, F), F)),
         )
-        assert choose_split(ds, ds.features) is ds.features[0]
+        assert root_split(ds, ds.features) is ds.features[0]
 
 
 class TestBuildTree:

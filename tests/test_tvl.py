@@ -14,7 +14,6 @@ from rebac_miner.tvl import (
     Literal,
     Polarity,
     TruthValue,
-    check_monotonic,
     conjunction_rows,
     covers,
     dnf_rows,
@@ -29,7 +28,6 @@ from rebac_miner.tvl import (
     kleene_or,
     remove_redundant,
     uncovered_t_rows,
-    valid,
 )
 from tests.conftest import make_dataset
 
@@ -115,33 +113,16 @@ class TestInfoOrdering:
 
 
 class TestMonotonicity:
-    def test_incomparable_vectors_ok(self):
-        ds = make_dataset(
-            (FeatureId(0),),
-            ((None, (T,), T), (None, (F,), F)),
-        )
-        assert check_monotonic(ds) is None
-
-    def test_violation_found(self):
-        ds = make_dataset(
-            (FeatureId(0),),
-            ((None, (U,), T), (None, (T,), F)),
-        )
-        witness = check_monotonic(ds)
-        assert witness is not None
-        r1, r2 = witness
-        assert r1.vector == vec(U) and r2.vector == vec(T)
-
     def test_example_violates_strict_ordering_but_is_learnable(self, example_dataset):
         # The all-unknown F row sits information-below the T rows, so the
-        # strict pairwise check reports a witness; what makes the dataset
+        # strict pairwise ordering is violated; what makes the dataset
         # learnable in the loose sense is that no T row sits below a non-T
         # row (a T verdict can never be forced onto a denial).
-        witness = check_monotonic(example_dataset)
-        assert witness is not None
-        r1, r2 = witness
-        assert fv_leq(r1.vector, r2.vector)
-        assert not info_leq(r1.label, r2.label)
+        assert any(
+            fv_leq(r1.vector, r2.vector) and not info_leq(r1.label, r2.label)
+            for r1 in example_dataset.rows
+            for r2 in example_dataset.rows
+        )
         for low in example_dataset.rows:
             for high in example_dataset.rows:
                 if low.label is T and fv_leq(low.vector, high.vector):
@@ -193,13 +174,13 @@ class TestEvaluation:
         formula = DnfFormula.of(
             [Conjunction.of([lit(handbook)]), Conjunction.of([lit(constraint)])]
         )
-        assert valid(formula, example_dataset)
+        assert first_validity_violation(formula, example_dataset) is None
         assert covers(formula, example_dataset)
 
     def test_always_true_is_invalid_with_f_row(self):
         ds = make_dataset((f0,), ((None, (F,), F),))
-        assert not valid(DnfFormula.of([Conjunction()]), ds)
-        assert valid(DnfFormula(), ds)
+        assert first_validity_violation(DnfFormula.of([Conjunction()]), ds) is not None
+        assert first_validity_violation(DnfFormula(), ds) is None
 
     def test_empty_formula_coverage(self):
         with_t = make_dataset((f0,), ((None, (T,), T),))
@@ -405,6 +386,5 @@ class TestPlanesMatchRowEvaluation:
         missed = [k for k, (row, g) in enumerate(zip(rows, granted))
                   if row.label is T and not g]
         assert first_validity_violation(formula, ds) == (wrong[0] if wrong else None)
-        assert valid(formula, ds) == (not wrong)
         assert [k for k in range(len(rows)) if uncovered_t_rows(formula, ds) >> k & 1] == missed
         assert covers(formula, ds) == (not missed)

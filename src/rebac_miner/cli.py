@@ -1,10 +1,10 @@
 """Command-line interface: generate, mine, eval, learn-formula.
 
 Exit codes: 0 success, 2 usage or schema problems or a file that cannot
-be read or written (a directory, text that is not UTF-8, a path under a
-regular file), 3 the mined policy does not grant exactly the input
-authorizations (or no formula characterizes a learn-formula dataset
-exactly), 141 stdout's reader closed it early, as ``| head`` does (the
+be read or written (a missing file, a directory, text that is not UTF-8,
+a path under a regular file), 3 the mined policy does not grant exactly
+the input authorizations (or no formula characterizes a learn-formula
+dataset exactly), 141 stdout's reader closed it early, as ``| head`` does (the
 status a shell gives a process that SIGPIPE ended; the rest of stdout is
 discarded).  ``mine`` reports the miner's own final
 check: on the default route an inconsistent policy is refused before it is
@@ -16,13 +16,15 @@ underscores, e.g. REBAC_MINER_MAX_ITER); switches take 1/0, true/false
 or yes/no there.  A variable is parsed only when its subcommand runs and
 its flag is not given.  Each command that writes files also writes a
 manifest.json recording inputs, configuration, and output digests.
-Outputs are byte-reproducible given the same inputs; ``generate`` also
-takes them from ``--seed``.
+Inputs are read as UTF-8 and outputs written as UTF-8, whatever the
+locale.  Outputs are byte-reproducible given the same inputs;
+``generate`` also takes them from ``--seed``.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import math
@@ -126,11 +128,11 @@ def _input_flag(parser, name: str):
     parser.add_argument(f"--{name}", default=from_env, required=from_env is None)
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 class _Manifest:
+    """The manifest of one command, and the only reader and writer of its
+    files: each is read or written once, as UTF-8 bytes, and digested as
+    read or written."""
+
     def __init__(self, command: str, args: argparse.Namespace):
         self.document = {
             "command": command,
@@ -149,9 +151,14 @@ class _Manifest:
         }
         self._marks: dict[str, float] = {}
 
-    def add_input(self, path):
+    def read(self, path) -> str:
         path = Path(path)
-        self.document["inputs"][str(path)] = _sha256(path)
+        data = path.read_bytes()
+        self.document["inputs"][str(path)] = hashlib.sha256(data).hexdigest()
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 text ({exc})") from exc
 
     def start(self, phase: str):
         self._marks[phase] = time.perf_counter()
@@ -161,30 +168,23 @@ class _Manifest:
         self.document["timingSeconds"][phase] = round(elapsed, 6)
 
     def write_output(self, path, text: str):
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
-        self.document["outputs"][str(path)] = _sha256(path)
+        path, data = Path(path), text.encode("utf-8")
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        except FileExistsError:  # the parent is a regular file
+            raise NotADirectoryError(
+                errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path.parent)
+            ) from None
+        path.write_bytes(data)
+        self.document["outputs"][str(path)] = hashlib.sha256(data).hexdigest()
 
     def write(self, path):
-        Path(path).write_text(jsonio.dumps(self.document))
+        Path(path).write_bytes(jsonio.dumps(self.document).encode("utf-8"))
 
 
-def _read_text(path: Path) -> str:
+def _load_json(path, manifest: _Manifest):
     try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path}: not UTF-8 text ({exc})") from exc
-
-
-def _load_json(path, manifest: _Manifest | None = None):
-    path = Path(path)
-    if not path.exists():
-        raise SchemaError(f"no such file: {path}")
-    if manifest is not None:
-        manifest.add_input(path)
-    try:
-        return json.loads(_read_text(path))
+        return json.loads(manifest.read(path))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
 
@@ -232,31 +232,28 @@ def _miner_config(args) -> MinerConfig:
     )
 
 
-def _dataset_file(subject_type: str, resource_type: str, action: str) -> str:
-    """The file name ``--dump-datasets`` gives a task's dataset; a name
-    that is not one path component would be written outside the directory,
-    so it is refused."""
-    name = f"{subject_type}_{resource_type}_{action}.csv"
-    if Path(name).name != name:
-        raise UsageError(
-            f"--dump-datasets: task file name {name!r} is not a single path component"
-        )
-    return name
-
-
-def _check_dataset_files(tasks) -> None:
-    """Refuse ``--dump-datasets`` for ``tasks`` if a task's file name is
-    refused or two tasks share one name (the later would overwrite the
-    earlier), naming both tasks."""
+def _check_dataset_files(tasks) -> dict[tuple[str, str, str], str]:
+    """The file name ``--dump-datasets`` gives each of ``tasks``, keyed by
+    (subject type, resource type, action):
+    ``<subject type>_<resource type>_<action>.csv``.  A name that is not
+    one path component (it would be written outside the directory), or
+    that two tasks share (the later would overwrite the earlier), is
+    refused, naming the tasks."""
     owner: dict[str, tuple[str, str, str]] = {}
     for key in sorted(tasks):
-        name = _dataset_file(*key)
+        name = "{}_{}_{}.csv".format(*key)
+        if Path(name).name != name:
+            raise UsageError(
+                f"--dump-datasets: task file name {name!r} is not a single"
+                " path component"
+            )
         if name in owner:
             raise UsageError(
                 f"--dump-datasets: tasks {owner[name]} and {key} would both be"
                 f" written to {name!r}"
             )
         owner[name] = key
+    return {key: name for name, key in owner.items()}
 
 
 def cmd_mine(args) -> int:
@@ -264,14 +261,14 @@ def cmd_mine(args) -> int:
     acl = _load_acl(args, manifest)
     cfg = _miner_config(args)
     if args.dump_datasets:
-        _check_dataset_files(acl.au_planes)  # the tasks, before mining
+        dump_files = _check_dataset_files(acl.au_planes)  # before mining
     manifest.start("mine")
     result = mine_detailed(acl, cfg, unknown_as_false=args.naive_unknown_as_false)
     manifest.stop("mine")
     if args.dump_datasets:
         dump_dir = Path(args.dump_datasets)
         for task in result.tasks:
-            name = _dataset_file(task.subject_type, task.resource_type, task.action)
+            name = dump_files[task.subject_type, task.resource_type, task.action]
             manifest.write_output(dump_dir / name, jsonio.dataset_to_csv(task.dataset))
     out = Path(args.out)
     manifest.write_output(
@@ -329,11 +326,7 @@ def cmd_eval(args) -> int:
 
 def cmd_learn_formula(args) -> int:
     manifest = _Manifest("learn-formula", args)
-    path = Path(args.dataset)
-    if not path.exists():
-        raise SchemaError(f"no such file: {path}")
-    manifest.add_input(path)
-    dataset = jsonio.dataset_from_csv(_read_text(path))
+    dataset = jsonio.dataset_from_csv(manifest.read(args.dataset))
     if args.dump_tree:
         print(format_tree(build_tree(dataset)), end="")
     manifest.start("learn")
@@ -416,8 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
     lf.add_argument("dataset")
     lf.add_argument("--max-iter", type=int, default=_EnvDefault("max_iter", 5, int))
     lf.add_argument("--dump-tree", action="store_true",
+                    default=_EnvDefault("dump_tree", False, _switch),
                     help="print the decision tree for the full dataset")
-    lf.add_argument("--out", "-o", help="also write the formula as JSON")
+    lf.add_argument("--out", "-o", default=_EnvDefault("out"),
+                    help="also write the formula as JSON")
     lf.set_defaults(func=cmd_learn_formula)
 
     return parser

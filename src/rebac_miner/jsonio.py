@@ -278,17 +278,14 @@ def rule_from_json(raw) -> Rule:
         _require(isinstance(items, list), f"rule: {key} must be a list")
         return frozenset(parse(item) for item in items)
 
-    try:
-        return Rule(
-            raw["subjectType"],
-            atomics("subjectCondition", _condition_from_json),
-            raw["resourceType"],
-            atomics("resourceCondition", _condition_from_json),
-            atomics("constraint", _constraint_from_json),
-            frozenset(actions),
-        )
-    except ModelError as exc:
-        raise SchemaError(str(exc)) from exc
+    return Rule(
+        raw["subjectType"],
+        atomics("subjectCondition", _condition_from_json),
+        raw["resourceType"],
+        atomics("resourceCondition", _condition_from_json),
+        atomics("constraint", _constraint_from_json),
+        frozenset(actions),
+    )
 
 
 def rules_to_json(actions: Iterable[str], rules: Iterable[Rule]) -> dict:

@@ -260,9 +260,6 @@ class ObjectModel:
         self._planes: dict[tuple, tuple[int, int]] = {}
         self._conditions: dict[tuple, tuple] = {}
 
-    def __iter__(self):
-        return iter(self.objects())
-
     def __len__(self):
         return len(self._by_id)
 

@@ -1,10 +1,15 @@
+import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import rebac_miner
 from rebac_miner import jsonio, miner
 from rebac_miner.cli import EXIT_BROKEN_PIPE, main
 from rebac_miner.model import ID_FIELD, AtomicCondition, Policy, Rule, meaning
@@ -128,6 +133,18 @@ class TestMine:
              "-o", str(tmp_path / "policy.json")]
         )
         assert code == 2
+
+    def test_invalid_object_model_exits_2(self, tmp_path, capsys):
+        om = json.loads((FIXTURES / "objectmodel.json").read_text())
+        (student,) = [o for o in om["objects"] if o["id"] == "CS-student-1"]
+        student["fields"]["dept"] = "ghost"
+        bad_om = tmp_path / "objectmodel.json"
+        bad_om.write_text(json.dumps(om))
+        args = fixture_args()
+        args[args.index("--objectmodel") + 1] = str(bad_om)
+        assert main(["mine", *args, "-o", str(tmp_path / "policy.json")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: CS-student-1.dept: dangling reference 'ghost'\n"
 
     def test_dump_datasets(self, tmp_path):
         out = tmp_path / "policy.json"
@@ -377,6 +394,11 @@ def _file_system_case(case, tmp_path):
         csv_file = tmp_path / "data.csv"
         csv_file.write_bytes("f\u00e9,label\nT,T\n".encode("latin-1"))
         return ["learn-formula", str(csv_file)], csv_file
+    if case == "mine-missing-input":
+        mine[mine.index("--classmodel") + 1] = str(tmp_path / "absent.json")
+        return mine, tmp_path / "absent.json"
+    if case == "learn-formula-missing-input":
+        return ["learn-formula", str(tmp_path / "absent.csv")], tmp_path / "absent.csv"
     if case == "mine-out-under-file":
         return mine[:-1] + [str(afile / "p.json")], afile
     if case == "mine-dump-datasets-file":
@@ -385,21 +407,84 @@ def _file_system_case(case, tmp_path):
     return ["generate", "--n", "2", "--outdir", str(afile)], afile
 
 
+# case of _file_system_case -> the reason its error line gives
+FILE_SYSTEM_REASONS = {
+    "mine-directory-input": "Is a directory",
+    "learn-formula-directory-input": "Is a directory",
+    "mine-non-utf8-input": "not UTF-8 text",
+    "learn-formula-non-utf8-input": "not UTF-8 text",
+    "mine-out-under-file": "Not a directory",
+    "mine-dump-datasets-file": "Not a directory",
+    "generate-outdir-file": "Not a directory",
+    "mine-missing-input": "No such file or directory",
+    "learn-formula-missing-input": "No such file or directory",
+}
+
+
 class TestFileSystemErrors:
     """A path that cannot be read or written ends the run with exit 2 and
-    one error line naming the path, not a traceback."""
+    one error line naming the path and the reason, not a traceback."""
 
-    @pytest.mark.parametrize("case", [
-        "mine-directory-input", "learn-formula-directory-input",
-        "mine-non-utf8-input", "learn-formula-non-utf8-input",
-        "mine-out-under-file", "mine-dump-datasets-file", "generate-outdir-file",
-    ])
-    def test_exits_2_naming_the_path(self, case, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "case, reason", FILE_SYSTEM_REASONS.items(), ids=list(FILE_SYSTEM_REASONS)
+    )
+    def test_exits_2_naming_the_path(self, case, reason, tmp_path, capsys):
         argv, path = _file_system_case(case, tmp_path)
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert str(path) in err
+        assert str(path) in err and reason in err
+
+
+# Three classes with ASCII names whose object ids are not ASCII: the
+# dumped dataset's feature labels carry the ids.
+NON_ASCII_DOCUMENTS = {
+    "classmodel": {"classes": {
+        "Emp": {"fields": {"dept": {"type": "Dept"}}},
+        "Doc": {"fields": {"dept": {"type": "Dept"}}},
+        "Dept": {"fields": {}},
+    }},
+    "objectmodel": {"objects": [
+        {"id": "\u00e91", "type": "Emp", "fields": {"dept": "d\u00e9pt-1"}},
+        {"id": "e2", "type": "Emp", "fields": {"dept": "dept-2"}},
+        {"id": "doc1", "type": "Doc", "fields": {"dept": "d\u00e9pt-1"}},
+        {"id": "doc2", "type": "Doc", "fields": {"dept": "dept-2"}},
+        {"id": "d\u00e9pt-1", "type": "Dept", "fields": {}},
+        {"id": "dept-2", "type": "Dept", "fields": {}},
+    ]},
+    "au": [["\u00e91", "doc1", "read"], ["e2", "doc2", "read"]],
+}
+
+# An ASCII locale with Python's own UTF-8 fallbacks switched off.
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+class TestAsciiLocale:
+    def test_dump_of_non_ascii_ids(self, tmp_path):
+        # Files are read and written as UTF-8 whatever the locale's encoding.
+        args = []
+        for name, document in NON_ASCII_DOCUMENTS.items():
+            path = tmp_path / f"{name}.json"
+            path.write_bytes(json.dumps(document, ensure_ascii=False).encode("utf-8"))
+            args += [f"--{name}", str(path)]
+        src = str(Path(rebac_miner.__file__).resolve().parents[1])
+        dumps = {}
+        for label, locale in (("utf8", {"PYTHONUTF8": "1"}), ("ascii", ASCII_LOCALE)):
+            env = {**os.environ, **locale}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            run = subprocess.run(
+                [sys.executable, "-m", "rebac_miner.cli", "mine", *args,
+                 "-o", str(tmp_path / label / "p.json"),
+                 "--dump-datasets", str(tmp_path / label / "datasets")],
+                env=env, capture_output=True, text=True,
+            )
+            assert run.returncode == 0, run.stderr
+            dumps[label] = {
+                p.name: p.read_bytes() for p in (tmp_path / label / "datasets").iterdir()
+            }
+        assert dumps["ascii"] == dumps["utf8"]
+        (csv,) = dumps["utf8"].values()
+        assert "d\u00e9pt-1".encode("utf-8") in csv
 
 
 class _Stdout(io.TextIOWrapper):
@@ -446,6 +531,27 @@ class TestManifest:
         assert len(manifest["inputs"]) == 3
         assert str(out) in manifest["outputs"]
         assert "mine" in manifest["timingSeconds"]
+
+    def test_each_file_read_once(self, tmp_path, monkeypatch):
+        # Each input is read once, digest and text from the same bytes, and
+        # no output is read back to digest it.
+        reads = Counter()
+        for name in ("read_bytes", "read_text"):
+            def counting(self, *args, _read=getattr(Path, name), **kwargs):
+                reads[str(self)] += 1
+                return _read(self, *args, **kwargs)
+
+            monkeypatch.setattr(Path, name, counting)
+        out = tmp_path / "policy.json"
+        argv = ["mine", *fixture_args(), "-o", str(out),
+                "--dump-datasets", str(tmp_path / "datasets")]
+        assert main(argv) == 0
+        monkeypatch.undo()
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert reads == Counter(dict.fromkeys(manifest["inputs"], 1))
+        assert len(manifest["outputs"]) == 2
+        for path, digest in {**manifest["inputs"], **manifest["outputs"]}.items():
+            assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == digest
 
 
 class TestEnvironment:
@@ -534,6 +640,20 @@ class TestEnvironment:
             main(["mine", *fixture_args(), "-o", out, "--jobs", "2"])
         assert exit_info.value.code == 2
         assert "--jobs" in capsys.readouterr().err
+
+    def test_learn_formula_dump_tree_variable(self, tmp_path, monkeypatch, capsys):
+        csv_file = tmp_path / "data.csv"
+        csv_file.write_text("f1,label\nT,T\nF,F\n")
+        monkeypatch.setenv("REBAC_MINER_DUMP_TREE", "1")
+        assert main(["learn-formula", str(csv_file)]) == 0
+        assert "split on f1" in capsys.readouterr().out
+
+    def test_learn_formula_out_variable(self, tmp_path, monkeypatch):
+        csv_file = tmp_path / "data.csv"
+        csv_file.write_text("f1,label\nT,T\nF,F\n")
+        monkeypatch.setenv("REBAC_MINER_OUT", str(tmp_path / "f.json"))
+        assert main(["learn-formula", str(csv_file)]) == 0
+        assert json.loads((tmp_path / "f.json").read_text())["formula"] == [["f1"]]
 
     def test_unknown_id_strategy_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REBAC_MINER_ID_STRATEGY", "sometimes")

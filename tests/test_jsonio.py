@@ -133,6 +133,79 @@ BAD_POLICY_EDITS = {
 }
 
 
+# A class model of departments and employees, and an object model over it
+# that is valid but for the edits each case of BAD_MODELS makes.
+VALIDATION_CLASS_MODEL = {"classes": {
+    "Dept": {},
+    "Emp": {"fields": {
+        "dept": {"type": "Dept"},
+        "depts": {"type": "Dept", "multiplicity": "many"},
+        "flag": {"type": "Boolean"},
+    }},
+}}
+
+
+def _objects(*extra, **fields):
+    """One department and one employee ``e1`` whose fields are valid but
+    for ``fields``, and the ``extra`` objects."""
+    valid = {"dept": "d1", "depts": ["d1"], "flag": True}
+    return {"objects": [
+        {"id": "d1", "type": "Dept", "fields": {}},
+        {"id": "e1", "type": "Emp", "fields": {**valid, **fields}},
+        *extra,
+    ]}
+
+
+# case -> (class model, object model, the SchemaError's text)
+BAD_MODELS = {
+    "reserved-class-name": (
+        {"classes": {"Boolean": {}}}, {"objects": []}, "reserved class name: Boolean",
+    ),
+    "unknown-type": (
+        VALIDATION_CLASS_MODEL, _objects({"id": "x1", "type": "Nope"}),
+        "object x1 has unknown type Nope",
+    ),
+    "undeclared-field": (
+        VALIDATION_CLASS_MODEL, _objects(color="red"),
+        "object e1 has undeclared field 'color'",
+    ),
+    "many-valued-not-a-set": (
+        VALIDATION_CLASS_MODEL, _objects(depts="d1"),
+        "e1.depts: many-valued field needs a set",
+    ),
+    "none-not-optional": (
+        VALIDATION_CLASS_MODEL, _objects(dept=None),
+        "e1.dept: None needs multiplicity optional",
+    ),
+    "not-a-boolean": (
+        VALIDATION_CLASS_MODEL, _objects(flag="yes"),
+        "e1.flag: expected a Boolean, got 'yes'",
+    ),
+    "dangling-reference": (
+        VALIDATION_CLASS_MODEL, _objects(depts=["d1", "ghost"]),
+        "e1.depts: dangling reference 'ghost'",
+    ),
+    "reference-of-wrong-type": (
+        VALIDATION_CLASS_MODEL, _objects(dept="e1"),
+        "e1.dept: reference 'e1' has type Emp, expected Dept",
+    ),
+}
+
+
+class TestModelValidation:
+    def test_valid_models_accepted(self):
+        acl = jsonio.acl_from_documents(VALIDATION_CLASS_MODEL, _objects(), [])
+        assert len(acl.object_model) == 2
+
+    @pytest.mark.parametrize(
+        "class_model, object_model, message", BAD_MODELS.values(), ids=list(BAD_MODELS)
+    )
+    def test_malformed_model_names_the_fault(self, class_model, object_model, message):
+        with pytest.raises(jsonio.SchemaError) as exc:
+            jsonio.acl_from_documents(class_model, object_model, [])
+        assert str(exc.value) == message
+
+
 class TestSchemaErrors:
     def test_bad_multiplicity(self):
         with pytest.raises(jsonio.SchemaError):

@@ -857,6 +857,17 @@ INCLUDE_IDS_DIGESTS = {
 }
 
 
+# sha256 of the policy JSON mined from org-chart, s=2 with the retry
+# identity strategy, per (n, seed, allow_negation): in each cell one of
+# the two tasks fails without identity features and is learned again with
+# them.
+RETRY_DIGESTS = {
+    (15, 2, True): "b5c8c9aefaf7c536ba87396e5fb066c84211ce9ecb10c329567d04e595e87bbe",
+    (15, 2, False): "0139bd2d8d0247ca0a2ca41469bac1a9b86f004165a95ec3daeed5f4a724515a",
+    (20, 3, False): "c0cb2cdb31a2e2e7e72b64e66f9e79ddd279cf182b655a875b03f010620b3549",
+}
+
+
 # sha256 of the phase-2b observer stream (each event's step and rule
 # texts, in order) for org-chart n=20, s=2, seed 2 with negation.
 REGRESSION_EVENTS_DIGEST = "f47ced78bc218225e86a02bfc0df01b274ad8dd4ecf84ba67558a07f806df381"
@@ -897,6 +908,24 @@ class TestRegressionCells:
         )
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == INCLUDE_IDS_DIGESTS[allow_negation]
+
+    @pytest.mark.parametrize("n, seed, allow_negation", sorted(RETRY_DIGESTS))
+    def test_org_chart_s2_retry_with_identity_features(self, n, seed, allow_negation):
+        spec = builtin_spec("org-chart")
+        om, acl = generate(spec, n, seed=seed)
+        degraded = inject_unknowns(om, spec, 2, seed=seed)
+        acl = AclPolicy(spec.class_model, degraded, acl.actions, acl.au)
+        cfg = MinerConfig(
+            allow_negation=allow_negation, id_strategy=IdStrategy.RETRY_WITH_ID_FEATURES
+        )
+        result = mine_detailed(acl, cfg)
+        assert any(t.retried_with_ids for t in result.tasks)
+        assert meaning(result.policy) == acl.au
+        text = jsonio.dumps(
+            jsonio.rules_to_json(result.policy.actions, result.policy.rules)
+        )
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == RETRY_DIGESTS[n, seed, allow_negation]
 
     def test_per_vector_route_grows_no_more_trees(self, monkeypatch):
         # Both tasks fail their first attempt and take the per-vector

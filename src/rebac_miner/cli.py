@@ -16,8 +16,9 @@ underscores, e.g. REBAC_MINER_MAX_ITER); switches take 1/0, true/false
 or yes/no there.  A variable is parsed only when its subcommand runs and
 its flag is not given.  Each command that writes files also writes a
 manifest.json recording inputs, configuration, and output digests.
-Inputs are read as UTF-8 and outputs written as UTF-8, whatever the
-locale.  Outputs are byte-reproducible given the same inputs;
+Inputs are read as UTF-8, and outputs and stdout written as UTF-8,
+whatever the locale; a ``--dump-datasets`` file name that the file
+system's encoding cannot hold exits 2.  Outputs are byte-reproducible given the same inputs;
 ``generate`` also takes them from ``--seed``.
 """
 
@@ -238,7 +239,8 @@ def _check_dataset_files(tasks) -> dict[tuple[str, str, str], str]:
     ``<subject type>_<resource type>_<action>.csv``.  A name that is not
     one path component (it would be written outside the directory), or
     that two tasks share (the later would overwrite the earlier), is
-    refused, naming the tasks."""
+    refused, naming the tasks; so is a name that the file system's
+    encoding cannot hold (a non-ASCII class name under an ASCII locale)."""
     owner: dict[str, tuple[str, str, str]] = {}
     for key in sorted(tasks):
         name = "{}_{}_{}.csv".format(*key)
@@ -247,6 +249,13 @@ def _check_dataset_files(tasks) -> dict[tuple[str, str, str], str]:
                 f"--dump-datasets: task file name {name!r} is not a single"
                 " path component"
             )
+        try:
+            os.fsencode(name)
+        except UnicodeEncodeError:
+            raise UsageError(
+                f"--dump-datasets: task file name {name!r} cannot be encoded in"
+                f" the file system's encoding ({sys.getfilesystemencoding()})"
+            ) from None
         if name in owner:
             raise UsageError(
                 f"--dump-datasets: tasks {owner[name]} and {key} would both be"
@@ -437,6 +446,11 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
+    reconfigure = getattr(sys.stdout, "reconfigure", None)
+    if reconfigure is not None:
+        # UTF-8 like the files written; a path from the command line that
+        # the locale could not decode is printed back as its own bytes.
+        reconfigure(encoding="utf-8", errors="surrogateescape")
     try:
         args = parse_args(argv)
         code = args.func(args)

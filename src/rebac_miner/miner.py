@@ -30,6 +30,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial, reduce
+from heapq import heapify, heappop, heappush
 from operator import and_, attrgetter, or_
 from typing import Callable, Collection, Iterable, Optional
 
@@ -63,7 +64,6 @@ from rebac_miner.model import (
     pair_planes,
     path_type,
     plane_tuples,
-    planes_without_each,
     policy_planes,
     policy_wsc,
     sort_rules,
@@ -415,9 +415,10 @@ class _Phase2:
     pair planes: a rule's is one plane (:func:`rebac_miner.model.rule_plane`,
     cached per rule by ``meaning_of``) and a policy's is a
     :data:`rebac_miner.model.Meaning` built from those.  The policy meaning
-    of ``rules`` never changes, so it is computed once.  ``rules`` is kept
-    sorted and free of duplicates, ``current`` holds the same rules as a
-    set, and ``wsc`` is their policy WSC.
+    of ``rules`` never changes, so it is computed once, and a proposal is
+    checked against it only on the keys it touches (``keeps_meaning``).
+    ``rules`` is kept sorted and free of duplicates, ``current`` holds the
+    same rules as a set, and ``wsc`` is their policy WSC.
     """
 
     def __init__(self, rules, acl: AclPolicy, limits: ExtractionLimits, observer):
@@ -462,24 +463,74 @@ class _Phase2:
         the AU must grant each of its pairs for every one of its actions."""
         return not plane & ~reduce(and_, _au_planes_of(rule, self.acl))
 
+    def keeps_meaning(self, removed: Collection[Rule], new: Iterable[Rule]) -> bool:
+        """Whether the current rules without ``removed`` (some of them) and
+        with ``new`` have the policy meaning ``meaning``.
+
+        Only the (subject type, resource type, action) keys of ``removed``
+        and ``new`` can change, so only they are checked: each new rule's
+        plane must lie in ``meaning``, and what the removed rules grant
+        beyond the new rules must be granted by kept rules of the same
+        key, which are scanned only while some of it is still uncovered.
+        Since the current rules' meaning is ``meaning``, this is exactly
+        ``policy_planes(kept + new) == meaning``.
+        """
+        gained: dict[tuple[str, str, str], int] = {}
+        for rule in new:
+            plane = self.meaning_of(rule)
+            if plane:
+                for action in rule.actions:
+                    key = (rule.subject_type, rule.resource_type, action)
+                    if plane & ~self.meaning.get(key, 0):
+                        return False
+                    gained[key] = gained.get(key, 0) | plane
+        lost: dict[tuple[str, str, str], int] = {}
+        for rule in removed:
+            plane = self.meaning_of(rule)
+            for action in rule.actions:
+                key = (rule.subject_type, rule.resource_type, action)
+                rest = plane & ~gained.get(key, 0)
+                if rest:
+                    lost[key] = lost.get(key, 0) | rest
+        if not lost:
+            return True
+        pairs = {(s_cls, r_cls) for s_cls, r_cls, _ in lost}
+        for rule in self.rules:
+            if (rule.subject_type, rule.resource_type) not in pairs or rule in removed:
+                continue
+            plane = self.meaning_of(rule)
+            for action in rule.actions:
+                key = (rule.subject_type, rule.resource_type, action)
+                rest = lost.get(key)
+                if rest is None:
+                    continue
+                rest &= ~plane
+                if rest:
+                    lost[key] = rest
+                    continue
+                del lost[key]
+                if not lost:
+                    return True
+        return False
+
     def replace(self, step: str, old: Collection[Rule], new: Iterable[Rule]) -> bool:
         """Swap ``old`` for ``new`` if the policy meaning is unchanged and
         the policy's structural complexity does not grow; tell the
         observer about every accepted change.
 
-        Past the meaning check a proposal costs what it swaps: its WSC is
-        the current one minus the removed rules' plus the added rules' (the
-        new rules not already kept, found through ``current``), and only an
-        accepted proposal is ordered, by inserting the added rules into
+        A proposal costs what it swaps.  Its meaning is checked on the
+        keys it touches only (``keeps_meaning``; rules of ``old`` that the
+        policy does not hold are ignored).  Its WSC is the current one
+        minus the removed rules' plus the added rules' (the new rules not
+        already kept, found through ``current``).  Only an accepted
+        proposal builds its rule list, by inserting the added rules into
         the kept ones, which stay sorted.
         """
-        old = set(old)
-        kept = [rule for rule in self.rules if rule not in old]
+        removed = self.current.intersection(old)
         new = list(new)
-        if policy_planes(kept + new, self.meaning_of) != self.meaning:
+        if not self.keeps_meaning(removed, new):
             self.outcomes[step, "meaning"] += 1
             return False
-        removed = old & self.current
         added = [
             rule
             for rule in dict.fromkeys(new)
@@ -490,6 +541,7 @@ class _Phase2:
             self.outcomes[step, "wsc"] += 1
             return False
         self.outcomes[step, "accepted"] += 1
+        kept = [rule for rule in self.rules if rule not in removed]
         for rule in added:
             insort(kept, rule, key=_sort_key)
         self.rules, self.wsc = tuple(kept), proposal_wsc
@@ -534,8 +586,12 @@ def merge_and_simplify(
 
 
 def _rewrite_bool_negations(ctx: _Phase2) -> None:
+    """Propose each rule with every negated one-constant Boolean condition,
+    ``not(p in {b})``, flipped to ``p in {not b}``; the rewritten rule is
+    built once, from all of its flips."""
     for rule in ctx.rules:
-        new_rule = rule
+        parts = (set(rule.subject_condition), set(rule.resource_condition))
+        flipped = False
         for slot, ac in rule.atomics():
             if slot is Slot.CONSTRAINT or not (
                 ac.negated and ac.op == "in" and len(ac.value) == 1
@@ -544,9 +600,15 @@ def _rewrite_bool_negations(ctx: _Phase2) -> None:
             atom = next(iter(ac.value))
             if not isinstance(atom, bool):
                 continue
-            flipped = AtomicCondition(ac.path, "in", frozenset({not atom}))
-            new_rule = new_rule.without_atomic(slot, ac).with_atomic(slot, flipped)
-        if new_rule != rule:
+            parts[slot].remove(ac)
+            parts[slot].add(AtomicCondition(ac.path, "in", frozenset({not atom})))
+            flipped = True
+        if flipped:
+            subject, resource = map(frozenset, parts)
+            new_rule = Rule(
+                rule.subject_type, subject, rule.resource_type, resource,
+                rule.constraint, rule.actions,
+            )
             ctx.replace("rewrite-bool-negation", (rule,), (new_rule,))
 
 
@@ -614,54 +676,118 @@ def _drop_covered_rules(ctx: _Phase2) -> None:
         ctx.replace("drop-covered-rule", (rule,), ())
 
 
+def _leave_one_out(full: int, planes: Iterable[int]) -> Callable[[int], int]:
+    """Given the T-planes of a rule's atomics over ``full``, the function
+    from one of those planes to the rule's pair plane without that atomic.
+
+    A pair is granted without atomic k if every atomic is T on it, or if
+    k is the only atomic that is not: with ``every`` and ``only_one`` the
+    pairs on which no atomic and exactly one atomic is not T, the plane
+    is ``every | (only_one & ~T_k)``, one step per atomic asked about.
+    """
+    one = two = 0  # pairs with at least one, at least two non-T atomics
+    for plane in planes:
+        miss = full & ~plane
+        two |= one & miss
+        one |= miss
+    every, only_one = full & ~one, one & ~two
+    return lambda plane: every | (only_one & ~plane)
+
+
 def _drop_atomics(ctx: _Phase2) -> None:
+    """Drop atomics from each rule, one at a time, while the rule stays
+    within the AU and ``replace`` accepts the drop.
+
+    The next atomic tried is the first, in this order, whose removal keeps
+    the rule within the AU: conditions before constraints, then the
+    smallest leave-one-out plane (the rule's plane without that atomic),
+    then ``atomic.sort_key``, then position in ``atomics()``.  If
+    ``replace`` refuses it, the next one in that order is tried; after an
+    accepted drop every atomic left is tried again.
+
+    Dropping an atomic only widens each other atomic's leave-one-out
+    plane.  So an atomic whose removal leaves the AU never becomes
+    droppable, and a plane size computed before later drops is a lower
+    bound on its size now.  The candidates sit in a heap keyed on such
+    sizes: a popped candidate whose size is still current comes first
+    (lazy greedy), and one whose size grew goes back with its new size.
+    Refused candidates wait for the next accepted drop.  The rule's
+    T-planes are read once; ``_leave_one_out`` gives any leave-one-out
+    plane in a few steps and is rebuilt once per accepted drop.
+    """
+    cm, om = ctx.cm, ctx.om
     for rule in ctx.rules:
         if rule not in ctx.current:
             continue
+        s_cls, r_cls = rule.subject_type, rule.resource_type
+        atomics = rule.atomics()
+        full = om.pairs(s_cls, r_cls).full
+        allowed = reduce(and_, _au_planes_of(rule, ctx.acl))
+        t = dict(enumerate(
+            pair_planes(cm, om, s_cls, r_cls, slot, a)[a.negated] for slot, a in atomics
+        ))  # the T-planes of the atomics not dropped, by position
+        without = _leave_one_out(full, t.values())
+        heap = [
+            (slot is Slot.CONSTRAINT, without(t[k]).bit_count(), a.sort_key, k)
+            for k, (slot, a) in enumerate(atomics)
+        ]
+        heapify(heap)
+        refused = []
         working = rule
-        progressed = True
-        while progressed:
-            progressed = False
-            atomics = working.atomics()
-            planes = planes_without_each(ctx.cm, ctx.om, working)
-            candidates = [
-                (
-                    slot is Slot.CONSTRAINT,  # conditions first
-                    plane.bit_count(),
-                    atomic.sort_key,
-                    k,
-                )
-                for k, ((slot, atomic), plane) in enumerate(zip(atomics, planes))
-            ]
-            for *_, k in sorted(candidates, key=lambda c: c[:3]):
-                if not ctx.within_au(working, planes[k]):
-                    continue
-                shrunk = working.without_atomic(*atomics[k])
-                ctx._meanings.setdefault(shrunk, planes[k])  # spares a rule_meaning
-                if ctx.replace("drop-atomic", (working,), (shrunk,)):
-                    working = shrunk
-                    progressed = True
-                    break
+        while heap:
+            entry = heappop(heap)
+            is_constraint, size, key, k = entry
+            plane = without(t[k])
+            if plane & ~allowed:
+                continue  # it never comes back within the AU
+            if plane.bit_count() != size:
+                heappush(heap, (is_constraint, plane.bit_count(), key, k))
+                continue
+            shrunk = working.without_atomic(*atomics[k])
+            ctx._meanings.setdefault(shrunk, plane)  # spares a rule_meaning
+            if not ctx.replace("drop-atomic", (working,), (shrunk,)):
+                refused.append(entry)
+                continue
+            working = shrunk
+            del t[k]
+            without = _leave_one_out(full, t.values())
+            for waiting in refused:
+                heappush(heap, waiting)
+            refused.clear()
 
 
 def _constraints_to_conditions(ctx: _Phase2) -> None:
+    """Swap each constraint for the first strictly cheaper condition, in
+    ``condition_options`` order, that leaves the rule's plane as it is.
+
+    A candidate is judged on planes, as the plane of the rule without the
+    constraint ANDed with the condition's T-plane; only a candidate with
+    the rule's plane is built as a :class:`Rule` and proposed.
+    """
+    cm, om = ctx.cm, ctx.om
     for rule in ctx.rules:
         if rule not in ctx.current:
             continue
+        s_cls, r_cls = rule.subject_type, rule.resource_type
+        options = ctx.condition_options(s_cls, r_cls)
         working = rule
         for constraint in rule.by_slot[Slot.CONSTRAINT]:
             if constraint not in working.constraint:
                 continue
-            base = working.without_atomic(Slot.CONSTRAINT, constraint)
-            target = ctx.meaning_of(working)
             limit = wsc(constraint)  # only strictly cheaper conditions
-            options = ctx.condition_options(working.subject_type, working.resource_type)
+            if not options or options[0][0] >= limit:
+                continue
+            base = working.without_atomic(Slot.CONSTRAINT, constraint)
+            base_plane = ctx.meaning_of(base)
+            target = ctx.meaning_of(working)
             for cost, _, _, slot, cond in options:
                 if cost >= limit:
                     break
-                candidate = base.with_atomic(slot, cond)
-                if ctx.meaning_of(candidate) != target:
+                plane = base_plane & pair_planes(cm, om, s_cls, r_cls, slot, cond)[cond.negated]
+                if plane != target:
                     continue
+                candidate = base.with_atomic(slot, cond)
+                ctx._meanings.setdefault(candidate, plane)
                 if ctx.replace("constraint-to-condition", (working,), (candidate,)):
                     working = candidate
                     break

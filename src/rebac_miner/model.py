@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields as dataclass_fields
 from functools import cached_property, partial
 from itertools import product
 from operator import attrgetter
@@ -559,8 +559,13 @@ class Rule:
     def _edited(self, slot: Slot, part: frozenset, k: int, inserted: tuple, delta: int):
         """This rule with ``slot`` holding ``part``, its caches this rule's
         with the slot's ``k``-th sorted atomic replaced by ``inserted`` (one
-        atomic, or none to remove it) and ``wsc`` moved by ``delta``."""
-        rule = replace(self, **{_SLOT_FIELDS[slot]: part})
+        atomic, or none to remove it) and ``wsc`` moved by ``delta``.
+
+        The rule is made without ``__init__``: its fields are this rule's,
+        and an edit leaves the actions, the one field ``__post_init__``
+        checks, as they are."""
+        state = {name: self.__dict__[name] for name in _RULE_FIELDS}
+        state[_SLOT_FIELDS[slot]] = part
         slot = _SLOTS[slot]
         drop = 1 - len(inserted)  # atomics removed at k
         by_slot, key = list(self.by_slot), list(self.sort_key)
@@ -569,7 +574,9 @@ class Rule:
         key[2 + slot] = keys[:k] + tuple(a.sort_key for a in inserted) + keys[k + drop:]
         at = sum(map(len, self.by_slot[:slot])) + k  # the edit's place in atomics()
         flat = self._atomics
+        rule = object.__new__(Rule)
         rule.__dict__.update(
+            state,
             by_slot=tuple(by_slot),
             _atomics=flat[:at] + tuple((slot, a) for a in inserted) + flat[at + drop:],
             sort_key=tuple(key),
@@ -613,6 +620,9 @@ class Rule:
         con = "; ".join(c.text() for c in constraint) or "true"
         acts = ",".join(sorted(self.actions))
         return f"<{self.subject_type}; {sc}; {self.resource_type}; {rc}; {con}; {{{acts}}}>"
+
+
+_RULE_FIELDS = tuple(f.name for f in dataclass_fields(Rule))
 
 
 class SraTuple(NamedTuple):
@@ -1038,29 +1048,6 @@ def rule_plane(cm: ClassModel, om: ObjectModel, rule: Rule) -> int:
         if not plane:
             break
     return plane
-
-
-def planes_without_each(cm: ClassModel, om: ObjectModel, rule: Rule) -> list[int]:
-    """Entry k is :func:`rule_plane` of ``rule`` minus its k-th atomic, in
-    :meth:`Rule.atomics` order.
-
-    Each atomic's T-plane is read from :func:`pair_planes`, so one
-    prefix/suffix pass over all of the rule's atomics gives every
-    leave-one-out AND: leaving out one atomic costs one AND of a prefix
-    and a suffix.
-    """
-    s_cls, r_cls = rule.subject_type, rule.resource_type
-    planes = [
-        pair_planes(cm, om, s_cls, r_cls, slot, a)[a.negated] for slot, a in rule.atomics()
-    ]
-    prefix = [om.pairs(s_cls, r_cls).full]
-    for plane in planes:
-        prefix.append(prefix[-1] & plane)
-    without, suffix = [0] * len(planes), prefix[0]
-    for k in range(len(planes) - 1, -1, -1):
-        without[k] = prefix[k] & suffix
-        suffix &= planes[k]
-    return without
 
 
 def plane_tuples(

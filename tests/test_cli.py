@@ -486,6 +486,60 @@ class TestAsciiLocale:
         (csv,) = dumps["utf8"].values()
         assert "d\u00e9pt-1".encode("utf-8") in csv
 
+    def run_ascii(self, *argv):
+        src = str(Path(rebac_miner.__file__).resolve().parents[1])
+        env = {**os.environ, **ASCII_LOCALE}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "rebac_miner.cli", *argv], env=env, capture_output=True
+        )
+
+    def test_learn_formula_prints_utf8(self, tmp_path, capsys):
+        # A non-ASCII feature label reaches stdout as UTF-8 bytes.
+        csv_file = tmp_path / "data.csv"
+        csv_file.write_bytes("f\u00e9,label\nT,T\nF,F\n".encode("utf-8"))
+        run = self.run_ascii("learn-formula", str(csv_file))
+        assert run.returncode == 0, run.stderr
+        assert main(["learn-formula", str(csv_file)]) == 0
+        assert run.stdout == capsys.readouterr().out.encode("utf-8")
+        assert "f\u00e9".encode("utf-8") in run.stdout
+
+    def test_mine_prints_a_non_ascii_output_path(self, tmp_path):
+        # The path's bytes, which the ASCII locale cannot decode, are
+        # printed back as given.
+        out = tmp_path / "d\u00e9" / "p.json"
+        run = self.run_ascii(
+            "mine",
+            "--classmodel", str(FIXTURES / "classmodel.json"),
+            "--objectmodel", str(FIXTURES / "objectmodel.json"),
+            "--au", str(FIXTURES / "au.json"),
+            "-o", str(out),
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.startswith(f"wrote {out} (".encode("utf-8"))
+        assert out.exists()
+
+    def test_dump_name_the_file_system_cannot_encode(self, tmp_path):
+        # A class name the ASCII file system encoding cannot hold makes a
+        # dump file name it cannot hold: exit 2 before mining, naming it.
+        text = json.dumps(NON_ASCII_DOCUMENTS, ensure_ascii=False).replace(
+            '"Emp"', '"Emp\u00e9"'
+        )
+        args = []
+        for name, document in json.loads(text).items():
+            path = tmp_path / f"{name}.json"
+            path.write_bytes(json.dumps(document, ensure_ascii=False).encode("utf-8"))
+            args += [f"--{name}", str(path)]
+        run = self.run_ascii(
+            "mine", *args, "-o", str(tmp_path / "out" / "p.json"),
+            "--dump-datasets", str(tmp_path / "out" / "datasets"),
+        )
+        err = run.stderr.decode("ascii")
+        assert run.returncode == 2, err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Emp\\xe9_Doc_read.csv" in err and "cannot be encoded" in err
+        assert not (tmp_path / "out").exists()
+
 
 class _Stdout(io.TextIOWrapper):
     """A file-backed stdout whose ``write`` a test can patch."""

@@ -1,5 +1,6 @@
 import hashlib
 import logging
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,9 +44,11 @@ from rebac_miner.model import (
     Slot,
     SraTuple,
     meaning,
+    pair_planes,
     policy_planes,
     policy_wsc,
     rule_meaning,
+    rule_plane,
     sort_rules,
     wsc,
 )
@@ -732,6 +735,252 @@ class TestMergeAndSimplify:
         assert ctx.rules == (base.with_atomic(Slot.RESOURCE, cond(("dept",), "d0")),)
 
 
+
+class RecordingPhase2(_Phase2):
+    """A ``_Phase2`` that records every proposal it is given and refuses
+    those whose call numbers (from 0) are in ``refuse``."""
+
+    def __init__(self, rules, acl, refuse=()):
+        super().__init__(rules, acl, ExtractionLimits(), None)
+        self.calls = []
+        self.refuse = set(refuse)
+
+    def replace(self, step, old, new):
+        old, new = tuple(old), tuple(new)
+        self.calls.append((step, old, new))
+        if len(self.calls) - 1 in self.refuse:
+            return False
+        return super().replace(step, old, new)
+
+
+def greedy_drop_oracle(ctx):
+    """The drop-atomic loop as a plain greedy: after every accepted drop
+    each atomic's leave-one-out plane is recomputed from scratch and every
+    candidate is tried again in (conditions first, plane size, sort key,
+    position) order; a refused candidate passes to the next one."""
+    for rule in ctx.rules:
+        if rule not in ctx.current:
+            continue
+        working = rule
+        progressed = True
+        while progressed:
+            progressed = False
+            atomics = working.atomics()
+            planes = [
+                rule_plane(ctx.cm, ctx.om, working.without_atomic(*item)) for item in atomics
+            ]
+            order = sorted(
+                range(len(atomics)),
+                key=lambda k: (
+                    atomics[k][0] is Slot.CONSTRAINT,
+                    planes[k].bit_count(),
+                    atomics[k][1].sort_key,
+                ),
+            )
+            for k in order:
+                if not ctx.within_au(working, planes[k]):
+                    continue
+                shrunk = working.without_atomic(*atomics[k])
+                if ctx.replace("drop-atomic", (working,), (shrunk,)):
+                    working = shrunk
+                    progressed = True
+                    break
+
+
+RUNNING_ATOMICS = (
+    (Slot.SUBJECT, cond(("dept",), "CS")),
+    (Slot.SUBJECT, cond(("id",), "CS-student-1")),
+    (Slot.SUBJECT, cond(("id",), "CS-student-1", "EE-student-1")),
+    (Slot.RESOURCE, cond(("dept",), "CS")),
+    (Slot.RESOURCE, cond(("type",), "Handbook")),
+    (Slot.RESOURCE, cond(("id",), "CS-doc-1")),
+    (Slot.RESOURCE, cond(("id",), "CS-doc-1", "CS-doc-2")),
+    (Slot.CONSTRAINT, AtomicConstraint(("dept",), "equal", ("dept",))),
+)
+
+
+@st.composite
+def running_example_rules_drawn(draw):
+    """Rules from students to documents of the running example, each
+    carrying any of ``RUNNING_ATOMICS``, some negated."""
+    parts = ([], [], [])
+    for slot, atomic in draw(st.lists(st.sampled_from(RUNNING_ATOMICS), unique=True)):
+        if draw(st.booleans()):
+            atomic = replace(atomic, negated=True)
+        parts[slot].append(atomic)
+    s, r, c = map(frozenset, parts)
+    return Rule("Student", s, "Document", r, c, frozenset({"read"}))
+
+
+@st.composite
+def drop_cases(draw):
+    """(acl, rules): random rules over a random org-chart model or the
+    running example, and an AU that holds their meaning and maybe more,
+    so that some drops within the AU change the policy's meaning."""
+    if draw(st.booleans()):
+        om = draw(org_models())
+        cm, actions = ORG_CM, frozenset(ORG_ACTIONS)
+        rules = draw(st.lists(org_rules(), min_size=1, max_size=4))
+    else:
+        example = running_example()
+        cm, om, actions = example.class_model, example.object_model, example.actions
+        rules = draw(st.lists(running_example_rules_drawn(), min_size=1, max_size=3))
+    granted = meaning(Policy(cm, om, actions, tuple(rules)))
+    typed = sorted(
+        SraTuple(s.id, r.id, a)
+        for rule in rules
+        for s in om.objects_of(rule.subject_type)
+        for r in om.objects_of(rule.resource_type)
+        for a in rule.actions
+    )
+    extra = draw(st.sets(st.sampled_from(typed))) if typed else set()
+    return AclPolicy(cm, om, actions, granted | frozenset(extra)), rules
+
+
+class TestPhase2bIncremental:
+    """Phase 2b's incremental steps make the proposals and verdicts of
+    their plain counterparts."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(om=org_models(), rules=st.lists(org_rules(), min_size=1, max_size=4), data=st.data())
+    def test_leave_one_out_matches_rule_plane(self, om, rules, data):
+        # After any atomics are dropped, the plane without each atomic left
+        # is the rule plane of the rule without it.
+        for rule in rules:
+            s_cls, r_cls = rule.subject_type, rule.resource_type
+            atomics = rule.atomics()
+            t = [pair_planes(ORG_CM, om, s_cls, r_cls, slot, a)[a.negated] for slot, a in atomics]
+            indices = range(len(atomics))
+            dropped = data.draw(st.sets(st.sampled_from(indices))) if atomics else set()
+            left = [k for k in indices if k not in dropped]
+            without = miner._leave_one_out(
+                om.pairs(s_cls, r_cls).full, (t[k] for k in left)
+            )
+            base = rule
+            for k in dropped:
+                base = base.without_atomic(*atomics[k])
+            for k in left:
+                shrunk = base.without_atomic(*atomics[k])
+                assert without(t[k]) == rule_plane(ORG_CM, om, shrunk)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=drop_cases(), refuse=st.sets(st.integers(0, 12), max_size=4))
+    def test_drop_atomics_proposes_as_the_greedy_loop(self, case, refuse):
+        # Same replace calls in the same order, with the same verdicts,
+        # whether replace refuses a proposal on its own (a drop within the
+        # AU that changes the meaning) or the stub refuses it.
+        acl, rules = case
+        oracle = RecordingPhase2(rules, acl, refuse)
+        greedy_drop_oracle(oracle)
+        lazy = RecordingPhase2(rules, acl, refuse)
+        miner._drop_atomics(lazy)
+        assert lazy.calls == oracle.calls
+        assert lazy.rules == oracle.rules
+        assert lazy.outcomes == oracle.outcomes
+
+    def test_drop_atomics_retries_a_refused_drop_after_the_next(self):
+        # One employee and one task: every atomic is T on the one pair, so
+        # every drop keeps the meaning.  The first proposal, dropping the
+        # subject condition, is refused; it is proposed again right after
+        # the next accepted drop, and the constraint goes last.
+        om = ObjectModel([
+            ObjectInstance("d0", "Dept", {"parent": None}),
+            ObjectInstance("e0", "Emp", {
+                "dept": "d0", "skills": frozenset(), "mentor": None, "active": True,
+            }),
+            ObjectInstance("t0", "Task", {
+                "dept": "d0", "needs": frozenset(), "focus": None, "owner": "e0",
+                "team": frozenset(), "urgent": True,
+            }),
+        ])
+        active, urgent = cond(("active",), True), cond(("urgent",), True)
+        constraint = AtomicConstraint(("dept",), "equal", ("dept",))
+        rule = Rule(
+            "Emp", frozenset({active}), "Task", frozenset({urgent}),
+            frozenset({constraint}), frozenset({"read"}),
+        )
+        acl = AclPolicy(
+            ORG_CM, om, frozenset({"read"}), frozenset({SraTuple("e0", "t0", "read")})
+        )
+        ctx = RecordingPhase2([rule], acl, refuse={0})
+        miner._drop_atomics(ctx)
+        no_urgent = rule.without_atomic(Slot.RESOURCE, urgent)
+        bare = no_urgent.without_atomic(Slot.SUBJECT, active)
+        assert ctx.calls == [
+            ("drop-atomic", (rule,), (rule.without_atomic(Slot.SUBJECT, active),)),
+            ("drop-atomic", (rule,), (no_urgent,)),
+            ("drop-atomic", (no_urgent,), (bare,)),
+            ("drop-atomic", (bare,), (bare.without_atomic(Slot.CONSTRAINT, constraint),)),
+        ]
+        assert ctx.rules == (bare.without_atomic(Slot.CONSTRAINT, constraint),)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        om=org_models(),
+        rules=st.lists(org_rules(), min_size=1, max_size=4),
+        data=st.data(),
+    )
+    def test_keeps_meaning_matches_the_full_comparison(self, om, rules, data):
+        # Drops, additions and swaps, with old rules the policy may not
+        # hold: the touched-keys check and replace's meaning verdict are
+        # the comparison of the recomputed policy meaning.
+        au = meaning(Policy(ORG_CM, om, frozenset(ORG_ACTIONS), tuple(rules)))
+        acl = AclPolicy(ORG_CM, om, frozenset(ORG_ACTIONS), au)
+        ctx = _Phase2(rules, acl, ExtractionLimits(), None)
+        outside = data.draw(st.lists(org_rules(), min_size=1, max_size=3))
+        for _ in range(data.draw(st.integers(1, 6))):
+            current = list(ctx.rules)
+            edits = [r.without_atomic(*item) for r in current for item in r.atomics()]
+            pool = current + outside + edits
+            kind = data.draw(st.sampled_from(("drop", "add", "swap") if current else ("add",)))
+            old = []
+            if kind != "add":
+                old = data.draw(st.lists(st.sampled_from(current), min_size=1, max_size=2))
+            if data.draw(st.booleans()):
+                old.append(data.draw(st.sampled_from(outside)))
+            new = []
+            if kind != "drop":
+                new = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+            kept = [r for r in current if r not in old]
+            same = policy_planes(kept + new, ctx.meaning_of) == ctx.meaning
+            assert ctx.keeps_meaning(ctx.current.intersection(old), new) == same
+            refused = ctx.outcomes["random", "meaning"]
+            accepted = ctx.replace("random", old, new)
+            assert ctx.outcomes["random", "meaning"] == refused + (not same)
+            assert not accepted or same
+            assert policy_planes(ctx.rules, ctx.meaning_of) == ctx.meaning
+
+    def test_bool_rewrite_builds_the_chained_edits(self):
+        # Several flips in both condition slots, one of them onto a
+        # condition the rule already holds: the rule built once equals the
+        # one built flip by flip.
+        rule = Rule(
+            "Emp",
+            frozenset({
+                cond(("active",), True, negated=True),
+                cond(("dept",), "d0", negated=True),
+            }),
+            "Task",
+            frozenset({
+                cond(("urgent",), False, negated=True),
+                cond(("urgent",), True),
+                cond(("dept",), "d1"),
+            }),
+            frozenset(),
+            frozenset({"read"}),
+        )
+        chained = rule
+        for slot, ac in rule.atomics():
+            if ac.negated and isinstance(next(iter(ac.value)), bool):
+                flipped = cond(ac.path, not next(iter(ac.value)))
+                chained = chained.without_atomic(slot, ac).with_atomic(slot, flipped)
+        om = ObjectModel([])
+        acl = AclPolicy(ORG_CM, om, frozenset(ORG_ACTIONS), frozenset())
+        ctx = RecordingPhase2([rule], acl)
+        miner._rewrite_bool_negations(ctx)
+        assert ctx.calls == [("rewrite-bool-negation", (rule,), (chained,))]
+        assert ctx.calls[0][2][0].sort_key == chained.sort_key
+
 def replace_actions(rule, actions):
     return Rule(
         rule.subject_type,
@@ -856,6 +1105,14 @@ INCLUDE_IDS_DIGESTS = {
     False: "c554158e97b0bbd9402df60df470c521124eba33a590f7dfeb70f22495d9416c",
 }
 
+# sha256 of the phase-2b observer stream (``event_stream_digest``) of the
+# same runs, per allow_negation: it pins the order of phase 2b's
+# proposals, the drop-atomic order in particular, not only where they end.
+INCLUDE_IDS_EVENTS_DIGESTS = {
+    True: "a61e2ed9bf2afd5877f7580c8a1363edee1a4f9b7e6dae4ae228423fe8e7e0e4",
+    False: "f427b13d18a271f3046b9eb2e3c48b14e22f6ce5052beb8e005075776e370055",
+}
+
 
 # sha256 of the policy JSON mined from org-chart, s=2 with the retry
 # identity strategy, per (n, seed, allow_negation): in each cell one of
@@ -901,13 +1158,15 @@ class TestRegressionCells:
             allow_negation=allow_negation,
             limits=ExtractionLimits(include_id_conditions=True),
         )
-        result = mine_detailed(acl, cfg)
+        events = []
+        result = mine_detailed(acl, cfg, observer=lambda *e: events.append(e))
         assert meaning(result.policy) == acl.au
         text = jsonio.dumps(
             jsonio.rules_to_json(result.policy.actions, result.policy.rules)
         )
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == INCLUDE_IDS_DIGESTS[allow_negation]
+        assert event_stream_digest(events) == INCLUDE_IDS_EVENTS_DIGESTS[allow_negation]
 
     @pytest.mark.parametrize("n, seed, allow_negation", sorted(RETRY_DIGESTS))
     def test_org_chart_s2_retry_with_identity_features(self, n, seed, allow_negation):

@@ -32,7 +32,6 @@ from rebac_miner.model import (
     nav,
     pair_planes,
     path_type,
-    planes_without_each,
     policy_planes,
     rule_meaning,
     rule_plane,
@@ -1034,18 +1033,6 @@ class TestRuleCanonicalOrder:
 
 
 class TestPlanes:
-    @settings(max_examples=200, deadline=None)
-    @given(om=org_models(), rules=st.lists(org_rules(), min_size=1, max_size=4))
-    def test_planes_without_each_matches_rule_plane(self, om, rules):
-        for rule in rules:
-            atomics = rule.atomics()
-            planes = planes_without_each(ORG_CM, om, rule)
-            assert len(planes) == len(atomics)
-            for (slot, atomic), plane in zip(atomics, planes):
-                field = SLOT_FIELDS[slot]
-                shrunk = replace(rule, **{field: getattr(rule, field) - {atomic}})
-                assert plane == rule_plane(ORG_CM, om, shrunk)
-
     @settings(max_examples=200, deadline=None)
     @given(data=org_model_and_au())
     def test_au_planes_decode_to_au(self, data):

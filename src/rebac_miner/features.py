@@ -37,8 +37,6 @@ from rebac_miner.tvl import (
     LabeledDataset,
     Literal,
     Polarity,
-    TruthValue,
-    value_rows,
 )
 
 
@@ -76,15 +74,6 @@ class FeatureTable:
     feature_ids: tuple[FeatureId, ...]
 
     @classmethod
-    def from_entries(cls, entries: Iterable[TaskFeature]) -> "FeatureTable":
-        unique = {e.sort_key: e for e in entries}
-        ordered = tuple(unique[k] for k in sorted(unique))
-        ids = tuple(
-            FeatureId(i, e.label(), wsc(e.payload)) for i, e in enumerate(ordered)
-        )
-        return cls(ordered, ids)
-
-    @classmethod
     def build(
         cls,
         cm: ClassModel,
@@ -93,21 +82,26 @@ class FeatureTable:
         resource_type: str,
         limits: ExtractionLimits,
     ) -> "FeatureTable":
-        entries = [
-            TaskFeature(Slot.SUBJECT, ac)
-            for ac in enumerate_condition_features(cm, om, subject_type, limits)
-        ]
-        entries += [
-            TaskFeature(Slot.RESOURCE, ac)
-            for ac in enumerate_condition_features(cm, om, resource_type, limits)
-        ]
-        entries += [
-            TaskFeature(Slot.CONSTRAINT, con)
-            for con in enumerate_constraint_features(
-                cm, subject_type, resource_type, limits
-            )
-        ]
-        return cls.from_entries(entries)
+        """The task's candidate features in ``sort_key`` order: subject
+        conditions, resource conditions, then constraints, each slot's in
+        its enumerator's order.  The enumerators return their features
+        sorted and without duplicates, and the slot leads the sort key, so
+        their lists are concatenated as they are, with no re-sort."""
+        slots = (
+            (Slot.SUBJECT, enumerate_condition_features(cm, om, subject_type, limits)),
+            (Slot.RESOURCE, enumerate_condition_features(cm, om, resource_type, limits)),
+            (
+                Slot.CONSTRAINT,
+                enumerate_constraint_features(cm, subject_type, resource_type, limits),
+            ),
+        )
+        entries = tuple(
+            TaskFeature(slot, payload) for slot, payloads in slots for payload in payloads
+        )
+        ids = tuple(
+            FeatureId(i, e.label(), wsc(e.payload)) for i, e in enumerate(entries)
+        )
+        return cls(entries, ids)
 
     def __len__(self):
         return len(self.entries)
@@ -259,24 +253,29 @@ def _entry_planes(
     )
 
 
-def _constant(pair: tuple[int, int], everything: int) -> bool:
-    return any(value_rows(pair, v, everything) == everything for v in TruthValue)
-
-
 def prune_useless(
     table: FeatureTable, dataset: LabeledDataset
 ) -> tuple[FeatureTable, LabeledDataset]:
     """Drop features whose value is constant across all rows; the kept
-    features stay in table order."""
+    features stay in table order, renumbered.
+
+    A column is constant when its (T, F) planes, which lie within the
+    dataset's rows, are all T (``t == all``), all F (``f == all``) or
+    all U (``t | f == 0``)."""
     if not dataset.size:
         return table, dataset
     everything = dataset.all_rows
-    keep = [i for i, p in enumerate(dataset.planes) if not _constant(p, everything)]
+    keep = [
+        i
+        for i, (t, f) in enumerate(dataset.planes)
+        if t != everything and f != everything and t | f
+    ]
     if len(keep) == len(table.entries):
         return table, dataset
+    ids = table.feature_ids
     new_table = FeatureTable(
         tuple(table.entries[i] for i in keep),
-        tuple(replace(table.feature_ids[i], index=n) for n, i in enumerate(keep)),
+        tuple(FeatureId(n, ids[i].label, ids[i].cost) for n, i in enumerate(keep)),
     )
     return new_table, replace(
         dataset,

@@ -165,11 +165,33 @@ class PairLayout(View):
     is the plane of every pair.  As a sequence, row k is its (subject id,
     resource id) pair: equal to the tuple of those pairs, but made on
     access, so a mined dataset uses its layout as its provenance.
+
+    Masks over one side are spread over the pairs by big-int arithmetic
+    on planes made once per layout, with S = ``len(subjects)`` and
+    w = min(S, R - 1): ``_firsts``, the first row of every subject (bits
+    i*R); ``_block``, one subject's R rows; ``_copies``, bits k*(R-1) for
+    k < w; and ``_diagonal``, bits k*R for k < w.  A resource mask times
+    ``_firsts`` repeats it for every subject.  A chunk of w subject bits
+    times ``_copies`` is w copies of the chunk at offsets k*(R-1), which
+    cannot overlap, so nothing carries: bit i of copy k lands on bit
+    i + k*(R-1), which is a first row i*R exactly when k = i, so ANDing
+    with ``_diagonal`` moves each bit i to bit i*R.  The chunks' results
+    are stacked by :func:`_stack`; when S < R one chunk is the whole mask.
+    Times ``_block`` fills in each subject's rows.
     """
 
     def __init__(self, subjects: Sequence[str], resources: Sequence[str]):
         self.subjects, self.resources = tuple(subjects), tuple(resources)
-        self.full = (1 << len(self)) - 1
+        n_s, n_r = len(self.subjects), len(self.resources)
+        size = n_s * n_r
+        self.full = (1 << size) - 1
+        self._block = (1 << n_r) - 1
+        # Each a sum of n powers 2**(k*d), made in C as (2**(n*d) - 1) // (2**d - 1).
+        self._firsts = self.full // self._block if n_r else 0
+        gap = n_r - 1
+        w = self._chunk = max(0, min(n_s, gap))
+        self._copies = ((1 << w * gap) - 1) // ((1 << gap) - 1) if w else 0
+        self._diagonal = ((1 << w * n_r) - 1) // self._block if w else 0
 
     def __len__(self) -> int:
         return len(self.subjects) * len(self.resources)
@@ -201,22 +223,43 @@ class PairLayout(View):
 
     def of_subjects(self, mask: int) -> int:
         """The rows of the subjects in ``mask`` (bit i = i-th subject)."""
-        n_s, n_r = len(self.subjects), len(self.resources)
-        spaced = int(("0" * (n_r - 1)).join(format(mask, f"0{n_s}b")), 2)
-        return spaced * ((1 << n_r) - 1)
+        n_s, n_r, w = len(self.subjects), len(self.resources), self._chunk
+        if not w:  # R <= 1: subject i's one row, if there is one, is row i
+            return mask * self._block
+        low = (1 << w) - 1
+        firsts = _stack(
+            [(mask >> q & low) * self._copies & self._diagonal for q in range(0, n_s, w)],
+            w * n_r,
+        )
+        return firsts * self._block
 
     def of_resources(self, mask: int) -> int:
         """The rows of the resources in ``mask`` (bit j = j-th resource)."""
-        if not self.resources:
-            return 0
-        return mask * (self.full // ((1 << len(self.resources)) - 1))
+        return mask * self._firsts
 
-    def of_subject_rows(self, per_subject: Iterable[int]) -> int:
+    def of_subject_rows(self, per_subject: Sequence[int]) -> int:
         """The rows given by one resource mask per subject, in subject order."""
-        n_r, out = len(self.resources), 0
-        for i, mask in enumerate(per_subject):
-            out |= mask << (i * n_r)
+        return _stack(per_subject, len(self.resources))
+
+
+# Up to this many parts, :func:`_stack` shifts each into place: the
+# shifts cost about the part count times the result's size, which at this
+# count is less than the halving's extra calls and slices.
+_STACK_RUN = 32
+
+
+def _stack(parts: Sequence[int], width: int) -> int:
+    """The OR of ``parts[q] << q * width``.  Past ``_STACK_RUN`` parts
+    the two halves are stacked apart and joined by one shift and OR, a
+    balanced tree whose every level costs the result's size once, so the
+    whole is not quadratic in the number of parts."""
+    if len(parts) <= _STACK_RUN:
+        out = 0
+        for q, part in enumerate(parts):
+            out |= part << q * width
         return out
+    mid = len(parts) // 2
+    return _stack(parts[:mid], width) | _stack(parts[mid:], width) << mid * width
 
 
 class ObjectModel:
@@ -886,9 +929,14 @@ class ValueIndex(NamedTuple):
 
 
 def value_index(cm: ClassModel, om: ObjectModel, cls: str, path: PathT) -> ValueIndex:
-    """The :class:`ValueIndex` of ``path`` over ``cls``, memoized on ``om``:
-    the path's multiplicity is looked up once and each object navigated
-    once."""
+    """The :class:`ValueIndex` of ``path`` over ``cls``, memoized on ``om``.
+
+    Only the empty path and one-hop paths navigate objects, each object
+    once.  A longer path's values are composed hop by hop
+    (:func:`_compose`) from two memoized indexes: its prefix's over
+    ``cls`` and its last field's one-hop index over the class the prefix
+    ends in.  The path's multiplicity is looked up once.
+    """
     key = (cls, path)
     try:
         return om._index[key]
@@ -896,7 +944,12 @@ def value_index(cm: ClassModel, om: ObjectModel, cls: str, path: PathT) -> Value
         pass
     many = path_type(cm, cls, path)[1] is Multiplicity.MANY
     objects = om.objects_of(cls)
-    values = tuple(_navigate(cm, om, obj.id, cls, path, many) for obj in objects)
+    if len(path) < 2:
+        values = tuple(_navigate(cm, om, obj.id, cls, path, many) for obj in objects)
+    else:
+        head = value_index(cm, om, cls, path[:-1])
+        mid = path_type(cm, cls, path[:-1])[0]
+        values = _compose(om, head, value_index(cm, om, mid, path[-1:]), many)
     positions: dict[object, list[int]] = {}
     unknown = []
     for i, value in enumerate(values):
@@ -915,6 +968,35 @@ def value_index(cm: ClassModel, om: ObjectModel, cls: str, path: PathT) -> Value
     )
     om._index[key] = index
     return index
+
+
+def _compose(om: ObjectModel, head: ValueIndex, last: ValueIndex, many: bool) -> tuple:
+    """Each object's :func:`nav` value along a path, given ``head``, the
+    :class:`ValueIndex` of the path without its last field, and ``last``,
+    that field's one-hop index over the class ``head`` ends in.
+
+    An object ``head`` reaches is found in ``last`` by its
+    ``ObjectModel._place``.  The rules are :func:`_nav_scalar`'s: from a
+    one or optional prefix, UNKNOWN stays UNKNOWN and None stays None, or
+    become {UNKNOWN} and the empty set when the whole path is many
+    (``many``); across a many prefix, each reached object's value is
+    merged into a set as :func:`_merge_into` does, so UNKNOWN is kept as
+    an element and None drops out.
+    """
+    place, tail = om._place, last.values
+    if head.many:
+        out = []
+        for value in head.values:
+            merged: set = set()
+            for el in value:
+                _merge_into(merged, UNKNOWN if el is UNKNOWN else tail[place[el][1]])
+            out.append(frozenset(merged))
+        return tuple(out)
+    unknown, none = (frozenset({UNKNOWN}), frozenset()) if many else (UNKNOWN, None)
+    return tuple(
+        unknown if v is UNKNOWN else none if v is None else tail[place[v][1]]
+        for v in head.values
+    )
 
 
 def _any_of(index: ValueIndex, atoms) -> int:
@@ -989,7 +1071,7 @@ def _constraint_planes(cm, om, s_cls: str, r_cls: str, con: AtomicConstraint):
             row_of[v1] = _constraint_row(con.op, v1, index)
         rows.append(row_of[v1])
     layout = om.pairs(s_cls, r_cls)
-    return tuple(layout.of_subject_rows(r[side] for r in rows) for side in (0, 1))
+    return tuple(layout.of_subject_rows([r[side] for r in rows]) for side in (0, 1))
 
 
 def _constraint_row(op: str, v1: Value, index: ValueIndex) -> tuple[int, int]:

@@ -65,7 +65,7 @@ def build_tree(
     """Induce a tree classifying the dataset's rows in the ``rows`` mask
     (all rows by default).
 
-    Recursion stops at a pure label (leaf with that label), an empty row
+    A node is a leaf at a pure label (leaf with that label), an empty row
     partition (F leaf), or an exhausted candidate list (F leaf: never grant
     what cannot be separated).  Excluded features and features already used
     on the current path are not candidates.
@@ -91,7 +91,7 @@ def build_tree(
             scored.update(zip(missing, got))
         return [scored[f.index] for f in candidates]
 
-    def recurse(rows: int, candidates: tuple[FeatureId, ...]) -> DecisionTree:
+    def leaf(rows: int, candidates: tuple[FeatureId, ...]) -> Optional[Leaf]:
         if not rows:
             return Leaf(TruthValue.F)
         for label in EDGE_VALUES:
@@ -99,15 +99,29 @@ def build_tree(
                 return Leaf(label)
         if not candidates:
             return Leaf(TruthValue.F)
-        best = _pick(candidates, gains(candidates, rows))
-        remaining = tuple(f for f in candidates if f is not best)
-        children = {
-            edge: recurse(value_rows(dataset.planes[best.index], edge, rows), remaining)
-            for edge in EDGE_VALUES
-        }
-        return Internal(best, children)
+        return None
 
-    return recurse(dataset.all_rows if rows is None else rows, initial)
+    # Nodes still to build, each with the children dict and edge it fills
+    # in.  Popped depth first and T before F before U, as a recursive
+    # build would visit them, so the memo fills in the same order; a
+    # stack, not recursion, since a split constant on a node's rows gives
+    # a child on the same rows, and a path can use every candidate.
+    top: dict = {}
+    pending = [(top, None, dataset.all_rows if rows is None else rows, initial)]
+    while pending:
+        parent, edge, rows, candidates = pending.pop()
+        node = leaf(rows, candidates)
+        if node is None:
+            best = _pick(candidates, gains(candidates, rows))
+            remaining = tuple(f for f in candidates if f is not best)
+            node = Internal(best, dict.fromkeys(EDGE_VALUES))
+            plane = dataset.planes[best.index]
+            pending += [
+                (node.children, e, value_rows(plane, e, rows), remaining)
+                for e in reversed(EDGE_VALUES)
+            ]
+        parent[edge] = node
+    return top[None]
 
 
 def classify(tree: DecisionTree, vector) -> TruthValue:
@@ -124,27 +138,36 @@ def extract_true_paths(tree: DecisionTree) -> tuple[Conjunction, ...]:
     a U edge an is-unknown literal.
     """
     out: list[Conjunction] = []
-
-    def walk(node: DecisionTree, prefix: tuple[Literal, ...]):
+    pending: list[tuple[DecisionTree, tuple[Literal, ...]]] = [(tree, ())]
+    while pending:  # depth first, T before F before U
+        node, prefix = pending.pop()
         if isinstance(node, Leaf):
             if node.label is TruthValue.T:
                 out.append(Conjunction.of(prefix))
-            return
-        for edge in EDGE_VALUES:
+            continue
+        for edge in reversed(EDGE_VALUES):
             literal = Literal(node.feature, EDGE_POLARITY[edge])
-            walk(node.children[edge], prefix + (literal,))
-
-    walk(tree, ())
+            pending.append((node.children[edge], prefix + (literal,)))
     return tuple(out)
 
 
 def format_tree(tree: DecisionTree, indent: str = "") -> str:
     """Indented text rendering, for debug dumps."""
-    if isinstance(tree, Leaf):
-        return f"{indent}leaf {tree.label}\n"
-    name = tree.feature.label or f"f{tree.feature.index}"
-    lines = [f"{indent}split on {name}\n"]
-    for edge in EDGE_VALUES:
-        lines.append(f"{indent}  {edge} ->\n")
-        lines.append(format_tree(tree.children[edge], indent + "    "))
+    lines = []
+    # Lines still to write: a string as it is, a (node, indent) pair as
+    # that node's rendering.
+    pending: list = [(tree, indent)]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, str):
+            lines.append(item)
+            continue
+        node, indent = item
+        if isinstance(node, Leaf):
+            lines.append(f"{indent}leaf {node.label}\n")
+            continue
+        name = node.feature.label or f"f{node.feature.index}"
+        lines.append(f"{indent}split on {name}\n")
+        for edge in reversed(EDGE_VALUES):
+            pending += [(node.children[edge], indent + "    "), f"{indent}  {edge} ->\n"]
     return "".join(lines)

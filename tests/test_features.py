@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -195,6 +196,43 @@ class TestEnumerateConstraints:
         assert AtomicConstraint((), "equal", ("owner",)) in cross
 
 
+class TestFeatureTableBuild:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        om=org_models(max_objects=4),
+        pair=st.sampled_from((("Emp", "Task"), ("Emp", "Emp"), ("Task", "Emp"))),
+        limits=st.sampled_from(
+            (LIMITS, ExtractionLimits(include_id_conditions=True), ExtractionLimits(1, 1))
+        ),
+    )
+    def test_direct_table_is_the_sorted_deduplicated_table(self, om, pair, limits):
+        # The enumerators' lists, concatenated, are the table a sort by
+        # sort_key with duplicates dropped gives, from any entry order:
+        # with Emp x Emp the two condition slots hold the same conditions.
+        s_cls, r_cls = pair
+        table = FeatureTable.build(ORG_CM, om, s_cls, r_cls, limits)
+        entries = [
+            TaskFeature(Slot.SUBJECT, ac)
+            for ac in enumerate_condition_features(ORG_CM, om, s_cls, limits)
+        ]
+        entries += [
+            TaskFeature(Slot.RESOURCE, ac)
+            for ac in enumerate_condition_features(ORG_CM, om, r_cls, limits)
+        ]
+        entries += [
+            TaskFeature(Slot.CONSTRAINT, con)
+            for con in enumerate_constraint_features(ORG_CM, s_cls, r_cls, limits)
+        ]
+        shuffled = entries[::-1] + entries[::2]
+        unique = {e.sort_key: e for e in shuffled}
+        ordered = tuple(unique[k] for k in sorted(unique))
+        assert len(ordered) == len(entries)
+        assert table.entries == ordered
+        assert table.feature_ids == tuple(
+            FeatureId(i, e.label(), wsc(e.payload)) for i, e in enumerate(ordered)
+        )
+
+
 class TestBuildDataset:
     def test_reproduces_example_cells(self, acl, example_dataset):
         table = FeatureTable.build(
@@ -288,9 +326,9 @@ class TestPrune:
             "Department",
             "Document",
             "read",
-            FeatureTable.from_entries([]),
+            FeatureTable((), ()),
         )
-        t2, d2 = prune_useless(FeatureTable.from_entries([]), empty)
+        t2, d2 = prune_useless(FeatureTable((), ()), empty)
         assert len(t2) == 0
 
     def test_pruning_preserves_learnability(self, acl):
@@ -489,16 +527,50 @@ class TestDatasetMatchesPerCellReference:
 
 @st.composite
 def layouts_and_masks(draw):
-    """A pair layout of 0, 1 or several subjects and resources, with random
-    masks over its subjects, its resources, each subject's resources and
-    its pairs."""
-    n_s, n_r = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    """A pair layout with random masks over its subjects, its resources,
+    each subject's resources and its pairs.
+
+    Shapes range from empty to 40 x 40, whose planes span many int
+    digits, with 1 x n and n x 1 among them; fewer subjects than
+    resources make one chunk in ``of_subjects`` and more make several, and
+    counts past ``_STACK_RUN``, odd ones included, take ``_stack``'s
+    halving."""
+    n_s, n_r = draw(
+        st.one_of(
+            st.tuples(st.integers(0, 5), st.integers(0, 5)),
+            st.tuples(st.just(1), st.integers(1, 40)),
+            st.tuples(st.integers(1, 40), st.just(1)),
+            st.tuples(st.integers(0, 40), st.integers(0, 40)),
+        )
+    )
 
     def mask(n):
         return draw(st.integers(0, (1 << n) - 1))
 
     layout = PairLayout([f"s{i}" for i in range(n_s)], [f"r{j}" for j in range(n_r)])
     return layout, mask(n_s), mask(n_r), [mask(n_r) for _ in range(n_s)], mask(n_s * n_r)
+
+
+def check_layout_against_per_bit_loop(layout, subjects, resources, per_subject, plane):
+    n_s, n_r = len(layout.subjects), len(layout.resources)
+    rows = {(i, j): i * n_r + j for i in range(n_s) for j in range(n_r)}
+
+    def plane_of(pairs):
+        return sum(1 << rows[p] for p in pairs)
+
+    assert layout.full == plane_of(rows)
+    assert layout.of_subjects(subjects) == plane_of(p for p in rows if subjects >> p[0] & 1)
+    assert layout.of_resources(resources) == plane_of(
+        p for p in rows if resources >> p[1] & 1
+    )
+    assert layout.of_subject_rows(per_subject) == plane_of(
+        p for p in rows if per_subject[p[0]] >> p[1] & 1
+    )
+    assert [layout.position(row) for row in rows.values()] == list(rows)
+    assert layout.positions(plane) == [p for p, row in rows.items() if plane >> row & 1]
+    assert [layout[row] for row in rows.values()] == [
+        (layout.subjects[i], layout.resources[j]) for i, j in rows
+    ]
 
 
 class TestPairLayout:
@@ -509,26 +581,21 @@ class TestPairLayout:
     @settings(max_examples=300, deadline=None)
     @given(layouts_and_masks())
     def test_methods_match_a_per_bit_reference(self, case):
-        layout, subjects, resources, per_subject, plane = case
-        n_s, n_r = len(layout.subjects), len(layout.resources)
-        rows = {(i, j): i * n_r + j for i in range(n_s) for j in range(n_r)}
+        check_layout_against_per_bit_loop(*case)
 
-        def plane_of(pairs):
-            return sum(1 << rows[p] for p in pairs)
+    @pytest.mark.parametrize(
+        "n_s, n_r", [(33, 40), (35, 36), (39, 7), (40, 40), (65, 3), (1, 40), (40, 1)]
+    )
+    def test_wide_layouts_match_a_per_bit_reference(self, n_s, n_r):
+        rng = random.Random(n_s * 100 + n_r)
+        layout = PairLayout([f"s{i}" for i in range(n_s)], [f"r{j}" for j in range(n_r)])
+        for density in (0.1, 0.5, 0.9):
+            def mask(n):
+                return sum(1 << k for k in range(n) if rng.random() < density)
 
-        assert layout.full == plane_of(rows)
-        assert layout.of_subjects(subjects) == plane_of(p for p in rows if subjects >> p[0] & 1)
-        assert layout.of_resources(resources) == plane_of(
-            p for p in rows if resources >> p[1] & 1
-        )
-        assert layout.of_subject_rows(per_subject) == plane_of(
-            p for p in rows if per_subject[p[0]] >> p[1] & 1
-        )
-        assert [layout.position(row) for row in rows.values()] == list(rows)
-        assert layout.positions(plane) == [p for p, row in rows.items() if plane >> row & 1]
-        assert [layout[row] for row in rows.values()] == [
-            (layout.subjects[i], layout.resources[j]) for i, j in rows
-        ]
+            check_layout_against_per_bit_loop(
+                layout, mask(n_s), mask(n_r), [mask(n_r) for _ in range(n_s)], mask(n_s * n_r)
+            )
 
     @settings(max_examples=50, deadline=None)
     @given(

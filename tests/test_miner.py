@@ -205,7 +205,7 @@ class TestEliminateNegatives:
             frozenset({"edit"}),
         )
         assert rule_meaning(acl.class_model, acl.object_model, rule) == acl.au
-        table = FeatureTable.from_entries([])  # force substep 3, not 2
+        table = FeatureTable((), ())  # force substep 3, not 2
         (out,) = eliminate_negative_features(rule, acl, table)
         assert out.resource_condition == frozenset(
             {cond(("status",), "in_progress", "not_started")}
@@ -230,7 +230,7 @@ class TestEliminateNegatives:
             frozenset(),
             frozenset({"edit"}),
         )
-        (out,) = eliminate_negative_features(rule, acl, FeatureTable.from_entries([]))
+        (out,) = eliminate_negative_features(rule, acl, FeatureTable((), ()))
         assert out.resource_condition == frozenset({cond(("status",), "not_started")})
 
     def test_droppable_negation_dropped(self):
@@ -251,7 +251,7 @@ class TestEliminateNegatives:
             frozenset({"edit"}),
         )
         (out,) = eliminate_negative_features(
-            rule, acl, FeatureTable.from_entries([])
+            rule, acl, FeatureTable((), ())
         )
         assert out.resource_condition == frozenset(
             {cond(("status",), "in_progress", "not_started")}
@@ -288,7 +288,7 @@ class TestEliminateNegatives:
             frozenset({"read"}),
         )
         assert rule_meaning(cm, om, rule) == au
-        out = eliminate_negative_features(rule, acl, FeatureTable.from_entries([]))
+        out = eliminate_negative_features(rule, acl, FeatureTable((), ()))
         granted = frozenset().union(*(rule_meaning(cm, om, r) for r in out))
         assert granted == au
         assert all(not ac.negated for r in out for _, ac in r.atomics())
@@ -339,7 +339,7 @@ class TestEliminateNegatives:
             "User", frozenset({cond(("dept",), "d2")}), "Doc",
             frozenset({cond(("dept",), "d1")}), frozenset(), frozenset({"write"}),
         )
-        table = FeatureTable.from_entries([])
+        table = FeatureTable((), ())
         out = _eliminate_task_negatives((split, same_task), acl, table)
         assert same_task in out
         id_rules = [r for r in out if r != same_task]
@@ -369,7 +369,7 @@ class TestEliminateNegatives:
             frozenset({"edit"}),
         )
         before = rule_meaning(acl.class_model, om2, rule)
-        out = eliminate_negative_features(rule, acl, FeatureTable.from_entries([]))
+        out = eliminate_negative_features(rule, acl, FeatureTable((), ()))
         granted = frozenset().union(
             *(rule_meaning(acl.class_model, om2, r) for r in out)
         )

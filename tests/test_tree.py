@@ -1,6 +1,7 @@
 import collections
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -333,3 +334,119 @@ class TestExtractTruePaths:
             ),
         }
         assert set(paths) == expected
+
+
+def recursive_reference(ds, excluded=frozenset(), rows=None, memo=None):
+    """The recursive build, extraction and rendering the iterative ones
+    replaced, kept as their oracle: (tree, T paths, text)."""
+    from rebac_miner.tree import EDGE_POLARITY, EDGE_VALUES, _pick
+    from rebac_miner.tvl import value_rows
+
+    memo = {} if memo is None else memo
+
+    def gains(candidates, rows):
+        scored = memo.setdefault(rows, {})
+        missing = tuple(f.index for f in candidates if f.index not in scored)
+        if missing:
+            got = _kernels.split_gains(ds.planes, ds.labels, RowSet(rows), missing)
+            scored.update(zip(missing, got))
+        return [scored[f.index] for f in candidates]
+
+    def build(rows, candidates):
+        if not rows:
+            return Leaf(F)
+        for label in EDGE_VALUES:
+            if value_rows(ds.labels, label, rows) == rows:
+                return Leaf(label)
+        if not candidates:
+            return Leaf(F)
+        best = _pick(candidates, gains(candidates, rows))
+        remaining = tuple(f for f in candidates if f is not best)
+        return Internal(best, {
+            edge: build(value_rows(ds.planes[best.index], edge, rows), remaining)
+            for edge in EDGE_VALUES
+        })
+
+    def paths(node, prefix):
+        if isinstance(node, Leaf):
+            return [Conjunction.of(prefix)] if node.label is T else []
+        return [
+            c
+            for edge in EDGE_VALUES
+            for c in paths(
+                node.children[edge], prefix + (Literal(node.feature, EDGE_POLARITY[edge]),)
+            )
+        ]
+
+    def text(node, indent):
+        if isinstance(node, Leaf):
+            return f"{indent}leaf {node.label}\n"
+        name = node.feature.label or f"f{node.feature.index}"
+        return f"{indent}split on {name}\n" + "".join(
+            f"{indent}  {edge} ->\n" + text(node.children[edge], indent + "    ")
+            for edge in EDGE_VALUES
+        )
+
+    initial = tuple(f for f in ds.features if f not in excluded)
+    tree = build(ds.all_rows if rows is None else rows, initial)
+    return tree, tuple(paths(tree, ())), text(tree, "")
+
+
+def tree_shape(node):
+    if isinstance(node, Leaf):
+        return node.label
+    return (node.feature, [(e, tree_shape(c)) for e, c in node.children.items()])
+
+
+class TestIterativeTreeWalks:
+    """build_tree, extract_true_paths and format_tree walk the tree with a
+    stack: they give what the recursive walks gave, scoring the same
+    (rows, columns) in the same order, and a tree as deep as the number
+    of columns stays within the default recursion limit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(problem=shared_memo_builds())
+    def test_match_the_recursive_walks(self, problem):
+        ds, builds = problem
+        calls = {"iterative": [], "recursive": []}
+        split_gains = _kernels.split_gains
+
+        def recording(into):
+            def scored(cells, labels, rows, cands):
+                calls[into].append((int(rows), cands))
+                return split_gains(cells, labels, rows, cands)
+            return scored
+
+        memos = {"iterative": {}, "recursive": {}}
+        for excluded, rows in builds:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(_kernels, "split_gains", recording("recursive"))
+                tree, paths, text = recursive_reference(
+                    ds, excluded, rows, memos["recursive"]
+                )
+                patch.setattr(_kernels, "split_gains", recording("iterative"))
+                got = build_tree(ds, excluded, rows, memo=memos["iterative"])
+            assert tree_shape(got) == tree_shape(tree)
+            assert extract_true_paths(got) == paths
+            assert format_tree(got) == text
+        assert calls["iterative"] == calls["recursive"]
+        assert memos["iterative"] == memos["recursive"]
+
+    def test_a_tree_as_deep_as_its_columns(self):
+        # Two rows with the same cells but labels T and F: every column is
+        # constant on them, so each split passes both rows down its T edge
+        # until the 600 columns run out.
+        n = 600
+        features = tuple(FeatureId(i, f"f{i}") for i in range(n))
+        ds = make_dataset(features, ((None, (T,) * n, T), (None, (T,) * n, F)))
+        assert sys.getrecursionlimit() <= 1000
+        tree = build_tree(ds)
+        depth, node = 0, tree
+        while isinstance(node, Internal):
+            assert node.children[F] == node.children[U] == Leaf(F)
+            depth, node = depth + 1, node.children[T]
+        assert depth == n and node == Leaf(F)
+        assert extract_true_paths(tree) == ()
+        text = format_tree(tree)
+        assert text.count("split on") == n and text.count("\n") == 6 * n + 1
+        assert f"\n{' ' * 4 * n}leaf F\n" in text

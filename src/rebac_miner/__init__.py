@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from rebac_miner.learner import (  # noqa: F401
     IdStrategy,
-    LearnerConfig,
     LearnResult,
     LearningError,
     learn_formula,

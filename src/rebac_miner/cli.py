@@ -46,7 +46,7 @@ from rebac_miner.datagen import (
     inject_unknowns,
 )
 from rebac_miner.features import ExtractionLimits
-from rebac_miner.learner import IdStrategy, LearnerConfig, LearningError, learn_formula
+from rebac_miner.learner import IdStrategy, LearningError, learn_formula
 from rebac_miner.metrics import compare_policies
 from rebac_miner.miner import (
     MinerConfig,
@@ -229,7 +229,7 @@ def _miner_config(args) -> MinerConfig:
             max_constraint_path_len=args.max_cons_len,
             include_id_conditions=args.include_ids,
         ),
-        learner=LearnerConfig(max_iter=args.max_iter),
+        max_iter=args.max_iter,
     )
 
 
@@ -339,7 +339,7 @@ def cmd_learn_formula(args) -> int:
     if args.dump_tree:
         print(format_tree(build_tree(dataset)), end="")
     manifest.start("learn")
-    result = learn_formula(dataset, LearnerConfig(max_iter=args.max_iter))
+    result = learn_formula(dataset, args.max_iter)
     manifest.stop("learn")
     print(str(result.formula))
     if args.out:

@@ -55,15 +55,6 @@ class IdStrategy(enum.Enum):
 
 
 @dataclass(frozen=True)
-class LearnerConfig:
-    max_iter: int = 5
-
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-
-
-@dataclass(frozen=True)
 class LearnResult:
     formula: DnfFormula
     used_fallback: bool
@@ -107,15 +98,17 @@ def default_cover_conjunction(dataset: LabeledDataset, row: int) -> Conjunction:
 
 
 def _replacement_literals(
-    original: Conjunction, features: tuple[FeatureId, ...]
+    original: Conjunction, dataset: LabeledDataset
 ) -> tuple[Literal, ...]:
+    """The positive literals of the features ``original`` does not use,
+    then their negative ones, each in the dataset's cost order."""
     used = original.feature_indices()
-    free = [f for f in features if f.index not in used]
-    literals = [Literal(f, Polarity.POSITIVE) for f in free]
-    literals += [Literal(f, Polarity.NEGATIVE) for f in free]
-    # Positive polarity first, then ascending cost, then index.
-    literals.sort(key=lambda l: (l.polarity.value, l.feature.cost, l.feature.index))
-    return tuple(literals)
+    free = [f for f in dataset.by_cost if f.index not in used]
+    return tuple(
+        Literal(f, polarity)
+        for polarity in (Polarity.POSITIVE, Polarity.NEGATIVE)
+        for f in free
+    )
 
 
 def eliminate_unknown_literal(
@@ -138,7 +131,7 @@ def eliminate_unknown_literal(
     to_cover = working & dataset.labels[0]
     batch_rows = dnf_rows(DnfFormula.of(batch), dataset)
     current = conjunction
-    candidates = _replacement_literals(conjunction, dataset.features)
+    candidates = _replacement_literals(conjunction, dataset)
     for unknown_lit in conjunction.unknown_literals():
         attempt = current.without(unknown_lit)
         attempt_rows = conjunction_rows(attempt, dataset)
@@ -162,23 +155,24 @@ def eliminate_unknown_literal(
     return current
 
 
-def learn_formula(
-    dataset: LabeledDataset, config: LearnerConfig = LearnerConfig()
-) -> LearnResult:
+def learn_formula(dataset: LabeledDataset, max_iter: int = 5) -> LearnResult:
     """Learn a DNF formula that evaluates to T exactly on the T-labeled rows.
 
-    Up to ``config.max_iter`` tree iterations, then :func:`cover_rest` with
-    :func:`default_cover_conjunction` for the rows they leave uncovered.
-    Raises LearningError when the final formula mis-evaluates a row.  The
-    trees share one split-gain memo (see :func:`build_tree`), so a node
-    whose rows an earlier tree already split scores only new columns.
+    Up to ``max_iter`` (at least 1, else ValueError) tree iterations, then
+    :func:`cover_rest` with :func:`default_cover_conjunction` for the rows
+    they leave uncovered.  Raises LearningError when the final formula
+    mis-evaluates a row.  The trees share one split-gain memo (see
+    :func:`build_tree`), so a node whose rows an earlier tree already
+    split scores only new columns.
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     formula = DnfFormula()
     blacklist: set[FeatureId] = set()
     gains: dict[int, dict[int, float]] = {}
     iterations = 0
     label_t = dataset.labels[0]
-    while not covers(formula, dataset) and iterations < config.max_iter:
+    while not covers(formula, dataset) and iterations < max_iter:
         # Every row but the T rows the formula already grants.
         working = dataset.all_rows & ~(label_t & dnf_rows(formula, dataset))
         tree = build_tree(

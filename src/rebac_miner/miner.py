@@ -46,7 +46,6 @@ from rebac_miner.features import (
 from rebac_miner.learner import (
     IdStrategy,
     LearnResult,
-    LearnerConfig,
     LearningError,
     cover_rest,
     learn_formula,
@@ -89,12 +88,13 @@ class MinerError(Exception):
 @dataclass(frozen=True)
 class MinerConfig:
     """allow_negation=True mines the negation-bearing language; False adds
-    the negative-feature elimination step."""
+    the negative-feature elimination step.  ``max_iter`` is each task's
+    :func:`~rebac_miner.learner.learn_formula` tree iteration bound."""
 
     allow_negation: bool = True
     id_strategy: IdStrategy = IdStrategy.PER_VECTOR_ID_CONJUNCTION
     limits: ExtractionLimits = ExtractionLimits()
-    learner: LearnerConfig = LearnerConfig()
+    max_iter: int = 5
 
 
 @dataclass(frozen=True)
@@ -212,12 +212,12 @@ def _run_task(acl, cfg, key, unknown_as_false) -> TaskReport:
     table, dataset = prepare(cfg.limits)
     retried = False
     try:
-        result = learn_formula(dataset, cfg.learner)
+        result = learn_formula(dataset, cfg.max_iter)
     except LearningError as failed:
         retried = True
         if cfg.id_strategy is IdStrategy.RETRY_WITH_ID_FEATURES:
             table, dataset = prepare(replace(cfg.limits, include_id_conditions=True))
-            finish = partial(learn_formula, dataset, cfg.learner)
+            finish = partial(learn_formula, dataset, cfg.max_iter)
             what = "identity conditions"
         else:
             # The first attempt's conjunctions stand: only the T rows they

@@ -1,16 +1,16 @@
 """Multi-way decision trees over three-valued feature vectors.
 
 C4.5-style induction: split on the feature with maximal information gain,
-ties broken by lower feature cost, then by lower feature index.  Each
-internal node has exactly three children, one per truth value; edges whose
-row partition is empty lead to F leaves so the tree stays a total
+ties broken by the dataset's cost order (lower cost, then lower index).
+Each internal node has exactly three children, one per truth value; edges
+whose row partition is empty lead to F leaves so the tree stays a total
 classifier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from rebac_miner import _kernels
 from rebac_miner._kernels import RowSet
@@ -47,15 +47,6 @@ class Internal:
 DecisionTree = Union[Leaf, Internal]
 
 
-def _pick(candidates: Sequence[FeatureId], gains: Sequence[float]) -> FeatureId:
-    """The best-gain candidate; ties go to lower cost, then lower index."""
-    best_gain = max(gains)
-    tied = [
-        f for f, g in zip(candidates, gains) if g >= best_gain - GAIN_TIE_TOLERANCE
-    ]
-    return min(tied, key=lambda f: (f.cost, f.index))
-
-
 def build_tree(
     dataset: LabeledDataset,
     excluded: frozenset[FeatureId] = frozenset(),
@@ -72,24 +63,28 @@ def build_tree(
 
     ``memo`` maps a node's row mask to the gains already scored on those
     rows, by column index; a node asks ``_kernels.split_gains`` only for
-    the columns it lacks, and adds them.  A gain depends only on the
-    dataset, the rows and the column, so one memo may be shared by every
-    tree grown over one dataset (the learner shares one per
-    ``learn_formula`` call) and the trees are those of fresh builds.
+    the columns it lacks, in ascending index order, and adds them.  A gain
+    depends only on the dataset, the rows and the column, so one memo may
+    be shared by every tree grown over one dataset (the learner shares one
+    per ``learn_formula`` call) and the trees are those of fresh builds.
     """
-    initial = tuple(f for f in dataset.features if f not in excluded)
+    initial = tuple(f for f in dataset.by_cost if f not in excluded)
     if memo is None:
         memo = {}
 
-    def gains(candidates: tuple[FeatureId, ...], rows: int) -> list[float]:
+    def pick(candidates: tuple[FeatureId, ...], rows: int) -> int:
+        """Position of the split among ``candidates`` (in cost order): the
+        first whose gain is within GAIN_TIE_TOLERANCE of the best."""
         scored = memo.setdefault(rows, {})
-        missing = tuple(f.index for f in candidates if f.index not in scored)
+        missing = tuple(sorted(f.index for f in candidates if f.index not in scored))
         if missing:
             got = _kernels.split_gains(
                 dataset.planes, dataset.labels, RowSet(rows), missing
             )
             scored.update(zip(missing, got))
-        return [scored[f.index] for f in candidates]
+        gains = [scored[f.index] for f in candidates]
+        floor = max(gains) - GAIN_TIE_TOLERANCE
+        return next(k for k, gain in enumerate(gains) if gain >= floor)
 
     def leaf(rows: int, candidates: tuple[FeatureId, ...]) -> Optional[Leaf]:
         if not rows:
@@ -112,8 +107,8 @@ def build_tree(
         parent, edge, rows, candidates = pending.pop()
         node = leaf(rows, candidates)
         if node is None:
-            best = _pick(candidates, gains(candidates, rows))
-            remaining = tuple(f for f in candidates if f is not best)
+            k = pick(candidates, rows)
+            best, remaining = candidates[k], candidates[:k] + candidates[k + 1 :]
             node = Internal(best, dict.fromkeys(EDGE_VALUES))
             plane = dataset.planes[best.index]
             pending += [

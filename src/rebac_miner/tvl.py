@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
+from functools import cached_property
 from typing import Optional
 
 
@@ -66,7 +67,8 @@ class FeatureId:
     """Column handle into a feature table.
 
     ``cost`` is the structural complexity of the underlying atomic
-    condition or constraint; the tree learner uses it to break gain ties.
+    condition or constraint; the learner prefers cheaper features, in the
+    order :attr:`LabeledDataset.by_cost` gives.
     ``index`` is the column position and must be unique within one table.
     """
 
@@ -204,9 +206,15 @@ class LabeledDataset:
             tuple(row.provenance for row in rows),
         )
 
-    @property
+    @cached_property
     def all_rows(self) -> int:
         return (1 << self.size) - 1
+
+    @cached_property
+    def by_cost(self) -> tuple[FeatureId, ...]:
+        """The features cheapest first (by cost, then index): the learner's
+        one order of preference among features."""
+        return tuple(sorted(self.features, key=lambda f: (f.cost, f.index)))
 
     @property
     def rows(self) -> "_Rows":
@@ -296,11 +304,11 @@ class Conjunction:
     def of(cls, literals: Iterable[Literal]) -> "Conjunction":
         return cls(frozenset(literals))
 
-    @property
+    @cached_property
     def sorted_literals(self) -> tuple[Literal, ...]:
         return tuple(sorted(self.literals, key=lambda l: l.sort_key))
 
-    @property
+    @cached_property
     def sort_key(self) -> tuple:
         return tuple(l.sort_key for l in self.sorted_literals)
 

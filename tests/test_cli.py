@@ -218,6 +218,25 @@ class TestMine:
         main(["mine", *fixture_args(), "-o", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_max_iter_reaches_the_learner(self, tmp_path):
+        # On this instance one tree iteration per task mines another policy
+        # than the default five.
+        indir = tmp_path / "in"
+        assert main(["generate", "--spec", "org-chart", "--n", "6", "--s", "2",
+                     "--seed", "5", "--outdir", str(indir)]) == 0
+        paths = {name: indir / f"{name}.json" for name in ("classmodel", "objectmodel", "au")}
+        acl = jsonio.acl_from_documents(*(json.loads(p.read_text()) for p in paths.values()))
+
+        def policy_bytes(cfg):
+            policy = miner.mine_detailed(acl, cfg).policy
+            return jsonio.dumps(jsonio.rules_to_json(policy.actions, policy.rules)).encode()
+
+        out = tmp_path / "policy.json"
+        inputs = [arg for name, path in paths.items() for arg in (f"--{name}", str(path))]
+        assert main(["mine", *inputs, "-o", str(out), "--max-iter", "1"]) == 0
+        assert out.read_bytes() == policy_bytes(miner.MinerConfig(max_iter=1))
+        assert out.read_bytes() != policy_bytes(miner.MinerConfig())
+
 
 class TestEval:
     def test_running_example_scores_one(self, tmp_path, capsys):
@@ -355,6 +374,19 @@ class TestLearnFormulaCommand:
         out = json.loads((tmp_path / "out.json").read_text())
         assert out["usedFallback"] is False
         assert (tmp_path / "manifest.json").exists()
+
+    def test_max_iter_reaches_the_learner(self, tmp_path):
+        # The first tree's only T path tests is-unknown(f0), which can be
+        # neither dropped nor replaced; f0 is blacklisted, and by default a
+        # second tree learns f1 and not(f2).
+        csv_file = tmp_path / "data.csv"
+        csv_file.write_text("f0,f1,f2,label\nU,T,F,T\nT,T,T,F\nF,F,T,F\nT,F,F,F\n")
+        iterations = []
+        for flags in ([], ["--max-iter", "1"]):
+            out = tmp_path / "out.json"
+            assert main(["learn-formula", str(csv_file), "-o", str(out), *flags]) == 0
+            iterations.append(json.loads(out.read_text())["iterations"])
+        assert iterations == [2, 1]
 
     def test_dump_tree(self, tmp_path, capsys):
         csv_file = tmp_path / "data.csv"

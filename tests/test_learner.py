@@ -1,12 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from rebac_miner import learner
 from rebac_miner.learner import (
     FailedFeatures,
     IdStrategy,
     LearnResult,
-    LearnerConfig,
     LearningError,
     cover_rest,
     default_cover_conjunction,
@@ -51,9 +52,13 @@ def brute_force_eval(formula, vector):
 
 
 class TestConfig:
-    def test_max_iter_validated(self):
-        with pytest.raises(ValueError):
-            LearnerConfig(max_iter=0)
+    def test_max_iter_validated(self, example_dataset, monkeypatch):
+        def no_tree(*args, **kwargs):
+            raise AssertionError("a tree was grown")
+
+        monkeypatch.setattr(learner, "build_tree", no_tree)
+        with pytest.raises(ValueError, match="max_iter"):
+            learn_formula(example_dataset, max_iter=0)
 
 
 class TestDefaultCoverConjunction:
@@ -107,6 +112,36 @@ class TestEliminateUnknownLiteral:
         conj = Conjunction.of([lit(f0, Polarity.IS_UNKNOWN)])
         out = eliminate_unknown_literal(conj, ds, (), ds.all_rows)
         assert out == FailedFeatures(frozenset({f0}))
+
+
+@st.composite
+def replacement_problems(draw):
+    """A dataset whose feature costs come from a small range, so costs tie,
+    and a conjunction over some of its features with an is-unknown
+    literal among others of any polarity."""
+    n = draw(st.integers(1, 8))
+    features = tuple(FeatureId(i, f"f{i}", draw(st.integers(1, 3))) for i in range(n))
+    ds = make_dataset(features, ((None, (U,) * n, T),))
+    chosen = draw(st.lists(st.sampled_from(features), min_size=1, unique=True))
+    polarities = [Polarity.IS_UNKNOWN]
+    polarities += [draw(st.sampled_from(Polarity)) for _ in chosen[1:]]
+    return ds, Conjunction.of(map(Literal, chosen, polarities))
+
+
+class TestReplacementOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(problem=replacement_problems())
+    def test_free_features_cheapest_first_positive_before_negative(self, problem):
+        ds, conjunction = problem
+        assert ds.by_cost == tuple(sorted(ds.features, key=lambda f: (f.cost, f.index)))
+        used = conjunction.feature_indices()
+        free = [f for f in ds.features if f.index not in used]
+        polarities = (Polarity.POSITIVE, Polarity.NEGATIVE)
+        expected = sorted(
+            (Literal(f, p) for f in free for p in polarities),
+            key=lambda l: (l.polarity.value, l.feature.cost, l.feature.index),
+        )
+        assert learner._replacement_literals(conjunction, ds) == tuple(expected)
 
 
 class TestLearnFormula:
@@ -174,7 +209,7 @@ class TestLearnFormula:
                 (None, (T, F, F), F),
             ),
         )
-        result = learn_formula(ds, LearnerConfig(max_iter=1))
+        result = learn_formula(ds, max_iter=1)
         assert result.used_fallback is True
         assert result.blacklisted == frozenset({f0})
         assert result.formula == DnfFormula.of(
@@ -199,7 +234,7 @@ class TestCoverRest:
         rows = ((("s1", "r1"), (U, T), T), (("s2", "r2"), (U, F), F))
         narrow = make_dataset((f0,), tuple((p, cells[:1], label) for p, cells, label in rows))
         with pytest.raises(LearningError) as err:
-            learn_formula(narrow, LearnerConfig(max_iter=1))
+            learn_formula(narrow, max_iter=1)
         # The same rows with one more column that the supplier can use.
         ds = make_dataset((f0, extra), rows)
         calls = []
@@ -274,4 +309,4 @@ class TestLearnerOracle:
         rng = random.Random(77)
         for _ in range(100):
             ds = random_monotonic_dataset(rng, max_features=4, max_rows=20)
-            learn_formula(ds, LearnerConfig(max_iter=1))
+            learn_formula(ds, max_iter=1)

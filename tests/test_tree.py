@@ -338,11 +338,20 @@ class TestExtractTruePaths:
 
 def recursive_reference(ds, excluded=frozenset(), rows=None, memo=None):
     """The recursive build, extraction and rendering the iterative ones
-    replaced, kept as their oracle: (tree, T paths, text)."""
-    from rebac_miner.tree import EDGE_POLARITY, EDGE_VALUES, _pick
+    replaced, kept as their oracle: (tree, T paths, text).  Independent of
+    the dataset's cost order: candidates stay in index order and the pick
+    is a ``min`` by (cost, index) over the tied ones."""
+    from rebac_miner.tree import EDGE_POLARITY, EDGE_VALUES, GAIN_TIE_TOLERANCE
     from rebac_miner.tvl import value_rows
 
     memo = {} if memo is None else memo
+
+    def pick(candidates, gains):
+        best_gain = max(gains)
+        tied = [
+            f for f, g in zip(candidates, gains) if g >= best_gain - GAIN_TIE_TOLERANCE
+        ]
+        return min(tied, key=lambda f: (f.cost, f.index))
 
     def gains(candidates, rows):
         scored = memo.setdefault(rows, {})
@@ -360,7 +369,7 @@ def recursive_reference(ds, excluded=frozenset(), rows=None, memo=None):
                 return Leaf(label)
         if not candidates:
             return Leaf(F)
-        best = _pick(candidates, gains(candidates, rows))
+        best = pick(candidates, gains(candidates, rows))
         remaining = tuple(f for f in candidates if f is not best)
         return Internal(best, {
             edge: build(value_rows(ds.planes[best.index], edge, rows), remaining)

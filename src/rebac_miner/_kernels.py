@@ -3,14 +3,13 @@
 A candidate's gain comes from its 3x3 table of (cell, label) counts over
 the row subset.  Columns and labels are (T, F) bitplanes
 (:class:`~rebac_miner.tvl.LabeledDataset`), so each count is one
-``int.bit_count()`` of an AND: six per candidate, the U-cell counts
-following from the label totals.  Entropies are summed in truth-value code
+``int.bit_count()`` of an AND: a candidate's rows are ANDed with its T and
+F planes, and those two results with the T and F label planes; the U
+counts follow by subtraction.  Entropies are summed in truth-value code
 order (F, U, T), left to right.
 """
 
 from math import log2
-
-from rebac_miner.tvl import TruthValue, value_rows
 
 
 class RowSet(int):
@@ -42,26 +41,47 @@ def split_gains(cells, labels, rows: RowSet, cands) -> list[float]:
     A column that is all T, all F or all U on ``rows`` gains 0.0 without a
     table: its one non-empty cell holds every row, so the remainder is
     1.0 times the parent entropy, computed from the same counts, and the
-    difference is exactly 0.0.
+    difference is exactly 0.0.  Any other gain depends only on the six
+    (label, cell) counts of the T and F cells, so it is computed once per
+    distinct six within a call.
     """
     n = len(rows)
     if not n:
         return [0.0] * len(cands)
-    by_label = tuple(value_rows(labels, value, rows) for value in TruthValue)
-    totals = [part.bit_count() for part in by_label]
-    h_parent = _entropy(totals, n)
+    label_t, label_f = labels
+    n_t = (rows & label_t).bit_count()
+    n_f = (rows & label_f).bit_count()
+    n_u = n - n_t - n_f
+    h_parent = _entropy((n_f, n_u, n_t), n)
+    by_counts: dict[tuple[int, ...], float] = {}
     gains = []
     for c in cands:
         t, f = cells[c]
-        if rows & t == rows or rows & f == rows or not rows & (t | f):
+        on_t = rows & t
+        on_f = rows & f
+        if on_t == rows or on_f == rows or not (on_t or on_f):
             gains.append(0.0)
             continue
-        on_t = [(t & part).bit_count() for part in by_label]
-        on_f = [(f & part).bit_count() for part in by_label]
-        on_u = [all_ - t_ - f_ for all_, t_, f_ in zip(totals, on_t, on_f)]
-        remainder = 0.0
-        for counts in (on_f, on_u, on_t):
-            total = sum(counts)
-            remainder += (total / n) * _entropy(counts, total)
-        gains.append(h_parent - remainder)
+        t_n, f_n = on_t.bit_count(), on_f.bit_count()
+        t_t, f_t = (on_t & label_t).bit_count(), (on_f & label_t).bit_count()
+        if n_u:  # else a cell's rows not labelled T are labelled F
+            t_f, f_f = (on_t & label_f).bit_count(), (on_f & label_f).bit_count()
+        else:
+            t_f, f_f = t_n - t_t, f_n - f_t
+        key = (t_n, t_t, t_f, f_n, f_t, f_f)
+        gain = by_counts.get(key)
+        if gain is None:
+            t_u, f_u = t_n - t_t - t_f, f_n - f_t - f_f
+            u_n = n - t_n - f_n
+            u_counts = (n_f - t_f - f_f, n_u - t_u - f_u, n_t - t_t - f_t)
+            # From 0.0, in cell order F, U, T: the sum a loop over the
+            # 3x3 table makes, to the last bit (signed zeros included).
+            remainder = (
+                0.0
+                + (f_n / n) * _entropy((f_f, f_u, f_t), f_n)
+                + (u_n / n) * _entropy(u_counts, u_n)
+                + (t_n / n) * _entropy((t_f, t_u, t_t), t_n)
+            )
+            gain = by_counts[key] = h_parent - remainder
+        gains.append(gain)
     return gains

@@ -10,7 +10,7 @@ through tree branches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from rebac_miner.model import (
@@ -277,10 +277,8 @@ def prune_useless(
         tuple(table.entries[i] for i in keep),
         tuple(FeatureId(n, ids[i].label, ids[i].cost) for n, i in enumerate(keep)),
     )
-    return new_table, replace(
-        dataset,
-        features=new_table.feature_ids,
-        planes=tuple(dataset.planes[i] for i in keep),
+    return new_table, dataset.with_columns(
+        new_table.feature_ids, tuple(dataset.planes[i] for i in keep)
     )
 
 
@@ -321,6 +319,6 @@ def extend_with_id_columns(
         i, j = layout.position(row)
         return Conjunction.of([literals[i], literals[n_s + j]])
 
-    new_dataset = replace(dataset, features=ids, planes=dataset.planes + planes)
+    new_dataset = dataset.with_columns(ids, dataset.planes, planes)
     new_table = FeatureTable(table.entries + extra, ids)
     return new_table, new_dataset, supplier, frozenset(ids[base:])

@@ -22,7 +22,6 @@ from typing import Callable, Iterable, Union
 
 from rebac_miner.tree import build_tree, extract_true_paths
 from rebac_miner.tvl import (
-    LITERAL_VALUE,
     Conjunction,
     DnfFormula,
     FeatureId,
@@ -36,10 +35,8 @@ from rebac_miner.tvl import (
     covers,
     dnf_rows,
     first_validity_violation,
-    literal_rows,
     remove_redundant,
     uncovered_t_rows,
-    value_rows,
 )
 
 log = logging.getLogger(__name__)
@@ -89,12 +86,13 @@ def default_cover_conjunction(dataset: LabeledDataset, row: int) -> Conjunction:
     """Positive literal per T cell of row ``row``, negative per F cell; U
     cells contribute nothing.  Evaluates to T on that row by construction."""
     bit = 1 << row
-    return Conjunction.of(
-        Literal(feature, polarity)
-        for feature in dataset.features
-        for polarity in (Polarity.POSITIVE, Polarity.NEGATIVE)
-        if value_rows(dataset.planes[feature.index], LITERAL_VALUE[polarity], bit)
-    )
+    literals = []
+    for feature, (t, f) in zip(dataset.features, dataset.planes):
+        if t & bit:
+            literals.append(Literal(feature, Polarity.POSITIVE))
+        elif f & bit:
+            literals.append(Literal(feature, Polarity.NEGATIVE))
+    return Conjunction.of(literals)
 
 
 def _replacement_literals(
@@ -103,12 +101,7 @@ def _replacement_literals(
     """The positive literals of the features ``original`` does not use,
     then their negative ones, each in the dataset's cost order."""
     used = original.feature_indices()
-    free = [f for f in dataset.by_cost if f.index not in used]
-    return tuple(
-        Literal(f, polarity)
-        for polarity in (Polarity.POSITIVE, Polarity.NEGATIVE)
-        for f in free
-    )
+    return tuple(l for l in dataset.literals_by_cost if l.feature.index not in used)
 
 
 def eliminate_unknown_literal(
@@ -128,22 +121,26 @@ def eliminate_unknown_literal(
     is-unknown literals are reported for blacklisting.
     """
     not_t = dataset.all_rows & ~dataset.labels[0]
-    to_cover = working & dataset.labels[0]
-    batch_rows = dnf_rows(DnfFormula.of(batch), dataset)
+    # The T rows of ``working`` the rest of the batch leaves uncovered.
+    to_cover = working & dataset.labels[0] & ~dnf_rows(DnfFormula.of(batch), dataset)
     current = conjunction
-    candidates = _replacement_literals(conjunction, dataset)
+    planes = dataset.planes
+    candidates = None  # made when a literal first needs replacing
     for unknown_lit in conjunction.unknown_literals():
         attempt = current.without(unknown_lit)
         attempt_rows = conjunction_rows(attempt, dataset)
         if not attempt_rows & not_t:
             current = attempt
             continue
+        if candidates is None:
+            candidates = _replacement_literals(conjunction, dataset)
         used = current.feature_indices()
         for candidate in candidates:
             if candidate.feature.index in used:
                 continue
-            rows = attempt_rows & literal_rows(candidate, dataset)
-            if not rows & not_t and not to_cover & ~(batch_rows | rows):
+            t, f = planes[candidate.feature.index]
+            rows = attempt_rows & (t if candidate.polarity is Polarity.POSITIVE else f)
+            if not rows & not_t and not to_cover & ~rows:
                 current = attempt.with_literal(candidate)
                 break
         # No removal and no replacement: the literal stays, which will

@@ -89,12 +89,17 @@ class MinerError(Exception):
 class MinerConfig:
     """allow_negation=True mines the negation-bearing language; False adds
     the negative-feature elimination step.  ``max_iter`` is each task's
-    :func:`~rebac_miner.learner.learn_formula` tree iteration bound."""
+    :func:`~rebac_miner.learner.learn_formula` tree iteration bound, at
+    least 1 (else ValueError when the config is made)."""
 
     allow_negation: bool = True
     id_strategy: IdStrategy = IdStrategy.PER_VECTOR_ID_CONJUNCTION
     limits: ExtractionLimits = ExtractionLimits()
     max_iter: int = 5
+
+    def __post_init__(self):
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from rebac_miner.tvl import (
     LabeledDataset,
     Literal,
     TruthValue,
-    value_rows,
 )
 
 GAIN_TIE_TOLERANCE = 1e-12
@@ -71,49 +70,75 @@ def build_tree(
     initial = tuple(f for f in dataset.by_cost if f not in excluded)
     if memo is None:
         memo = {}
+    planes = dataset.planes
+    label_t, label_f = dataset.labels
 
-    def pick(candidates: tuple[FeatureId, ...], rows: int) -> int:
-        """Position of the split among ``candidates`` (in cost order): the
-        first whose gain is within GAIN_TIE_TOLERANCE of the best."""
+    def pick(candidates: tuple[FeatureId, ...], start: int, rows: int):
+        """Position of the split among ``candidates[start:]`` (in cost
+        order), the first whose gain is within GAIN_TIE_TOLERANCE of the
+        best, and whether every candidate's gain is."""
         scored = memo.setdefault(rows, {})
-        missing = tuple(sorted(f.index for f in candidates if f.index not in scored))
+        remaining = candidates[start:] if start else candidates
+        missing = tuple(sorted(f.index for f in remaining if f.index not in scored))
         if missing:
-            got = _kernels.split_gains(
-                dataset.planes, dataset.labels, RowSet(rows), missing
-            )
+            got = _kernels.split_gains(planes, dataset.labels, RowSet(rows), missing)
             scored.update(zip(missing, got))
-        gains = [scored[f.index] for f in candidates]
+        gains = [scored[f.index] for f in remaining]
         floor = max(gains) - GAIN_TIE_TOLERANCE
-        return next(k for k, gain in enumerate(gains) if gain >= floor)
-
-    def leaf(rows: int, candidates: tuple[FeatureId, ...]) -> Optional[Leaf]:
-        if not rows:
-            return Leaf(TruthValue.F)
-        for label in EDGE_VALUES:
-            if value_rows(dataset.labels, label, rows) == rows:
-                return Leaf(label)
-        if not candidates:
-            return Leaf(TruthValue.F)
-        return None
+        k = next(k for k, gain in enumerate(gains) if gain >= floor)
+        return k, min(gains) >= floor
 
     # Nodes still to build, each with the children dict and edge it fills
-    # in.  Popped depth first and T before F before U, as a recursive
-    # build would visit them, so the memo fills in the same order; a
-    # stack, not recursion, since a split constant on a node's rows gives
-    # a child on the same rows, and a path can use every candidate.
+    # in, its candidates ``candidates[start:]``, and the rows of its parent
+    # if every candidate's gain tied there.  Popped depth first and T
+    # before F before U, as a recursive build would visit them, so the
+    # memo fills in the same order; a stack, not recursion, since a split
+    # constant on a node's rows gives a child on the same rows, and a path
+    # can use every candidate.
+    #
+    # Such a child of an all-tied parent is a chain link: its rows are
+    # neither empty nor pure (its parent's were not), its gains are its
+    # parent's less the pick's, so none exceeds the parent's best and all
+    # still tie, and its split is the next candidate, with no scoring.
     top: dict = {}
-    pending = [(top, None, dataset.all_rows if rows is None else rows, initial)]
+    pending = [
+        (top, None, dataset.all_rows if rows is None else rows, initial, 0, None)
+    ]
     while pending:
-        parent, edge, rows, candidates = pending.pop()
-        node = leaf(rows, candidates)
+        parent, edge, rows, candidates, start, tied_rows = pending.pop()
+        if rows == tied_rows:
+            node = None if start < len(candidates) else Leaf(TruthValue.F)
+            k, all_tied = 0, True
+        elif not rows:
+            node = Leaf(TruthValue.F)
+        elif rows & label_t == rows:
+            node = Leaf(TruthValue.T)
+        elif rows & label_f == rows:
+            node = Leaf(TruthValue.F)
+        elif not rows & (label_t | label_f):
+            node = Leaf(TruthValue.U)
+        elif start == len(candidates):
+            node = Leaf(TruthValue.F)
+        else:
+            node = None
+            k, all_tied = pick(candidates, start, rows)
         if node is None:
-            k = pick(candidates, rows)
-            best, remaining = candidates[k], candidates[:k] + candidates[k + 1 :]
+            best = candidates[start + k]
+            if k:
+                candidates = candidates[start : start + k] + candidates[start + k + 1 :]
+                start = 0
+            else:
+                start += 1
             node = Internal(best, dict.fromkeys(EDGE_VALUES))
-            plane = dataset.planes[best.index]
+            t, f = planes[best.index]
+            tied_rows = rows if all_tied else None
             pending += [
-                (node.children, e, value_rows(plane, e, rows), remaining)
-                for e in reversed(EDGE_VALUES)
+                (node.children, e, edge_rows, candidates, start, tied_rows)
+                for e, edge_rows in (
+                    (TruthValue.U, rows & ~(t | f)),
+                    (TruthValue.F, rows & f),
+                    (TruthValue.T, rows & t),
+                )
             ]
         parent[edge] = node
     return top[None]
@@ -133,16 +158,25 @@ def extract_true_paths(tree: DecisionTree) -> tuple[Conjunction, ...]:
     a U edge an is-unknown literal.
     """
     out: list[Conjunction] = []
-    pending: list[tuple[DecisionTree, tuple[Literal, ...]]] = [(tree, ())]
+    # The (feature, polarity) pairs of the edges to the node popped last.
+    # A pending node carries its depth and its own edge's pair; F and U
+    # leaves are not pushed, and Literals are made only at a T leaf.
+    path: list = []
+    pending: list = [(tree, 0, None)]
     while pending:  # depth first, T before F before U
-        node, prefix = pending.pop()
+        node, depth, step = pending.pop()
+        del path[depth:]
+        if step is not None:
+            path.append(step)
         if isinstance(node, Leaf):
             if node.label is TruthValue.T:
-                out.append(Conjunction.of(prefix))
+                out.append(Conjunction.of(Literal(*pair) for pair in path))
             continue
+        depth = len(path)
         for edge in reversed(EDGE_VALUES):
-            literal = Literal(node.feature, EDGE_POLARITY[edge])
-            pending.append((node.children[edge], prefix + (literal,)))
+            child = node.children[edge]
+            if isinstance(child, Internal) or child.label is TruthValue.T:
+                pending.append((child, depth, (node.feature, EDGE_POLARITY[edge])))
     return tuple(out)
 
 

@@ -143,16 +143,6 @@ def planes_of(values: Iterable[TruthValue]) -> tuple[int, int]:
     )
 
 
-def value_rows(pair: tuple[int, int], value: TruthValue, rows: int) -> int:
-    """The rows of ``rows`` whose cell in the (T, F) plane pair is ``value``."""
-    t, f = pair
-    if value is T:
-        return rows & t
-    if value is F:
-        return rows & f
-    return rows & ~(t | f)
-
-
 def _cells(pair: tuple[int, int], size: int) -> tuple[TruthValue, ...]:
     """The truth values of a (T, F) plane pair, row by row."""
     if not size:
@@ -182,13 +172,41 @@ class LabeledDataset:
     provenance: Sequence[Optional[tuple[str, str]]]
 
     def __post_init__(self):
+        self._check(self.planes + (self.labels,))
+
+    def _check(self, planes: tuple[tuple[int, int], ...]) -> None:
+        """Raise ValueError unless feature i has index i, there is a plane
+        pair per feature and a provenance per row, and each pair of
+        ``planes`` is disjoint and within the rows."""
         for pos, f in enumerate(self.features):
             if f.index != pos:
                 raise ValueError(f"feature at position {pos} has index {f.index}")
         if len(self.planes) != len(self.features) or len(self.provenance) != self.size:
             raise ValueError("need a plane pair per feature and a provenance per row")
-        if any(t & f or (t | f) >> self.size for t, f in self.planes + (self.labels,)):
+        if any(t & f or (t | f) >> self.size for t, f in planes):
             raise ValueError("T and F planes must be disjoint and within the rows")
+
+    def with_columns(
+        self,
+        features: tuple[FeatureId, ...],
+        kept: tuple[tuple[int, int], ...],
+        added: tuple[tuple[int, int], ...] = (),
+    ) -> "LabeledDataset":
+        """This dataset's rows and labels under new columns: ``kept``, plane
+        pairs taken from this dataset, then ``added``.  Only the added
+        pairs are checked for disjointness and range; the kept ones were
+        when this dataset was made."""
+        copy = object.__new__(LabeledDataset)
+        for name, value in (
+            ("features", features),
+            ("planes", kept + added),
+            ("labels", self.labels),
+            ("size", self.size),
+            ("provenance", self.provenance),
+        ):
+            object.__setattr__(copy, name, value)
+        copy._check(added)
+        return copy
 
     @classmethod
     def from_rows(
@@ -215,6 +233,17 @@ class LabeledDataset:
         """The features cheapest first (by cost, then index): the learner's
         one order of preference among features."""
         return tuple(sorted(self.features, key=lambda f: (f.cost, f.index)))
+
+    @cached_property
+    def literals_by_cost(self) -> tuple["Literal", ...]:
+        """The positive literal of each feature in :attr:`by_cost` order,
+        then the negative ones in the same order: is-unknown elimination's
+        order of preference among replacement literals."""
+        return tuple(
+            Literal(f, polarity)
+            for polarity in (Polarity.POSITIVE, Polarity.NEGATIVE)
+            for f in self.by_cost
+        )
 
     @property
     def rows(self) -> "_Rows":
@@ -385,9 +414,15 @@ LITERAL_VALUE = {Polarity.POSITIVE: T, Polarity.NEGATIVE: F, Polarity.IS_UNKNOWN
 
 
 def literal_rows(literal: Literal, dataset: LabeledDataset) -> int:
-    """Rows on which ``literal`` is T."""
-    pair = dataset.planes[literal.feature.index]
-    return value_rows(pair, LITERAL_VALUE[literal.polarity], dataset.all_rows)
+    """Rows on which ``literal`` is T: its column's T or F plane as it is,
+    or for an is-unknown literal the rows in neither."""
+    t, f = dataset.planes[literal.feature.index]
+    polarity = literal.polarity
+    if polarity is Polarity.POSITIVE:
+        return t
+    if polarity is Polarity.NEGATIVE:
+        return f
+    return dataset.all_rows & ~(t | f)
 
 
 def conjunction_rows(conjunction: Conjunction, dataset: LabeledDataset) -> int:

@@ -34,7 +34,13 @@ from rebac_miner.model import (
     tval_constraint,
     wsc,
 )
-from rebac_miner.tvl import FeatureId, TruthValue, eval_conjunction, eval_dnf
+from rebac_miner.tvl import (
+    FeatureId,
+    LabeledDataset,
+    TruthValue,
+    eval_conjunction,
+    eval_dnf,
+)
 from tests.test_model import (
     ORG_ACTIONS,
     ORG_CM,
@@ -366,6 +372,33 @@ class TestIdColumns:
             assert eval_conjunction(conj, row.vector) is T
             for other in rows[:k] + rows[k + 1:]:
                 assert eval_conjunction(conj, other.vector) is F
+
+    def test_copies_check_only_the_planes_they_add(self, acl, monkeypatch):
+        table = FeatureTable.build(
+            acl.class_model, acl.object_model, "Student", "Document", LIMITS
+        )
+        ds = build_dataset(acl, "Student", "Document", "read", table)
+        checked = []
+        check = LabeledDataset._check
+
+        def recording(self, planes):
+            checked.append(planes)
+            return check(self, planes)
+
+        monkeypatch.setattr(LabeledDataset, "_check", recording)
+        _, extended, _, _ = extend_with_id_columns(acl, "Student", "Document", table, ds)
+        constant = ds.with_columns(
+            table.feature_ids + (FeatureId(len(table), "constant"),),
+            ds.planes,
+            ((ds.all_rows, 0),),
+        )
+        constant_table = FeatureTable(table.entries + table.entries[:1], constant.features)
+        _, pruned = prune_useless(constant_table, constant)
+        assert checked == [extended.planes[len(ds.planes):], ((ds.all_rows, 0),), ()]
+        assert pruned == ds
+        assert extended == LabeledDataset(
+            extended.features, extended.planes, ds.labels, ds.size, ds.provenance
+        )
 
     @settings(max_examples=25, deadline=None)
     @given(org_models(max_objects=10))

@@ -22,6 +22,7 @@ from rebac_miner.tvl import (
     Literal,
     Polarity,
     TruthValue,
+    eval_conjunction,
     eval_dnf,
 )
 from tests.conftest import make_dataset
@@ -61,6 +62,24 @@ class TestConfig:
             learn_formula(example_dataset, max_iter=0)
 
 
+def per_feature_cover(dataset, row):
+    """The cover conjunction as it was made with one plane lookup per
+    feature and polarity, kept as an oracle."""
+    bit = 1 << row
+    value = {Polarity.POSITIVE: T, Polarity.NEGATIVE: F}
+
+    def rows_with(pair, cell, rows):
+        t, f = pair
+        return rows & (t if cell is T else f)
+
+    return Conjunction.of(
+        Literal(feature, polarity)
+        for feature in dataset.features
+        for polarity in (Polarity.POSITIVE, Polarity.NEGATIVE)
+        if rows_with(dataset.planes[feature.index], value[polarity], bit)
+    )
+
+
 class TestDefaultCoverConjunction:
     def test_direct(self):
         features = tuple(FeatureId(i, f"f{i}", 1) for i in range(3))
@@ -78,6 +97,22 @@ class TestDefaultCoverConjunction:
     def test_example_row4(self, example_dataset):
         conj = default_cover_conjunction(example_dataset, 3)
         assert conj == Conjunction.of([lit(example_dataset.features[2])])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_the_per_feature_cover(self, data):
+        n_feat = data.draw(st.integers(0, 6))
+        codes = st.sampled_from((F, U, T))
+        rows = data.draw(st.lists(
+            st.tuples(st.just(None), st.tuples(*[codes] * n_feat), codes),
+            min_size=1,
+            max_size=70,
+        ))
+        ds = make_dataset(tuple(FeatureId(i) for i in range(n_feat)), rows)
+        for k, row in enumerate(ds.rows):
+            conj = default_cover_conjunction(ds, k)
+            assert conj == per_feature_cover(ds, k)
+            assert eval_conjunction(conj, row.vector) is T
 
 
 class TestEliminateUnknownLiteral:

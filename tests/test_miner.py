@@ -93,6 +93,15 @@ class TestMineRunningExample:
         empty = AclPolicy(acl.class_model, acl.object_model, acl.actions, frozenset())
         assert mine(empty, MinerConfig()).rules == ()
 
+    def test_max_iter_below_one_refused_before_any_table(self, monkeypatch):
+        def no_table(*args, **kwargs):
+            raise AssertionError("a feature table was built")
+
+        monkeypatch.setattr(FeatureTable, "build", no_table)
+        acl = running_example()
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            mine_detailed(acl, MinerConfig(max_iter=0))
+
 
 class TestAuCheckedAgainstModel:
     """A hand-built AclPolicy is checked as a loaded one is, before any

@@ -23,6 +23,7 @@ from rebac_miner.tvl import (
     Polarity,
     TruthValue,
     mask_of,
+    planes_of,
 )
 from tests.conftest import make_dataset
 
@@ -49,6 +50,52 @@ def oracle_gain(rows, feature):
         if part:
             h -= (len(part) / len(rows)) * oracle_entropy(part)
     return h
+
+
+def value_rows(pair, value, rows):
+    """The rows of ``rows`` whose cell in the (T, F) plane pair is
+    ``value``, as the oracles below read planes."""
+    t, f = pair
+    if value is T:
+        return rows & t
+    if value is F:
+        return rows & f
+    return rows & ~(t | f)
+
+
+def reference_entropy(counts, total):
+    h = 0.0
+    for count in counts:
+        if count:
+            p = count / total
+            h += p * math.log2(p)
+    return -h
+
+
+def reference_split_gains(cells, labels, rows, cands):
+    """The scorer as it was before its per-call count memo, kept verbatim
+    as the oracle its floats must equal under ``==``."""
+    n = len(rows)
+    if not n:
+        return [0.0] * len(cands)
+    by_label = tuple(value_rows(labels, value, rows) for value in TruthValue)
+    totals = [part.bit_count() for part in by_label]
+    h_parent = reference_entropy(totals, n)
+    gains = []
+    for c in cands:
+        t, f = cells[c]
+        if rows & t == rows or rows & f == rows or not rows & (t | f):
+            gains.append(0.0)
+            continue
+        on_t = [(t & part).bit_count() for part in by_label]
+        on_f = [(f & part).bit_count() for part in by_label]
+        on_u = [all_ - t_ - f_ for all_, t_, f_ in zip(totals, on_t, on_f)]
+        remainder = 0.0
+        for counts in (on_f, on_u, on_t):
+            total = sum(counts)
+            remainder += (total / n) * reference_entropy(counts, total)
+        gains.append(h_parent - remainder)
+    return gains
 
 
 def full_gain(ds, feature):
@@ -141,11 +188,38 @@ def check_against_oracle(n_feat, cells, labels, rows, cands):
             assert gain == 0.0
 
 
+@st.composite
+def scorer_problems(draw):
+    """Random columns over up to 40 rows, with duplicated and constant
+    columns among them, labels with or without U, and a row mask that may
+    be empty or full; candidates in any order, repeats allowed."""
+    n_rows = draw(st.integers(0, 40))
+    codes = st.sampled_from((F, U, T))
+    column = st.lists(codes, min_size=n_rows, max_size=n_rows)
+    columns = draw(st.lists(column, min_size=1, max_size=5))
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            columns.append(draw(st.sampled_from(columns)))
+        else:
+            columns.append([draw(codes)] * n_rows)
+    label_codes = draw(st.sampled_from(((F, U, T), (F, T))))
+    labels = draw(st.lists(st.sampled_from(label_codes), min_size=n_rows, max_size=n_rows))
+    everything = (1 << n_rows) - 1
+    rows = draw(st.one_of(st.just(0), st.just(everything), st.integers(0, everything)))
+    cands = draw(st.lists(st.integers(0, len(columns) - 1), max_size=12))
+    return tuple(map(planes_of, columns)), planes_of(labels), RowSet(rows), tuple(cands)
+
+
 class TestSplitGains:
     @settings(max_examples=300, deadline=None)
     @given(problem=split_problems())
     def test_matches_oracle(self, problem):
         check_against_oracle(*problem)
+
+    @settings(max_examples=500, deadline=None)
+    @given(problem=scorer_problems())
+    def test_equals_the_reference_scorer(self, problem):
+        assert _kernels.split_gains(*problem) == reference_split_gains(*problem)
 
     def test_matches_oracle_on_a_large_problem(self):
         rng = random.Random(9)
@@ -177,6 +251,40 @@ def shared_memo_builds(draw):
         ),
         min_size=1,
         max_size=5,
+    ))
+    return ds, [(excluded, mask_of(sorted(r), n_rows)) for excluded, r in builds]
+
+
+@st.composite
+def chained_builds(draw):
+    """Like :func:`shared_memo_builds`, but half the datasets repeat a few
+    cell vectors under different labels, with a constant column or two:
+    the nodes over a repeated vector's rows tie every gain at 0.0 and
+    split on their constant columns, which is a chain of links."""
+    if draw(st.booleans()):
+        return draw(shared_memo_builds())
+    n_feat = draw(st.integers(1, 6))
+    codes = st.sampled_from((F, U, T))
+    constant = draw(st.lists(st.tuples(st.integers(0, n_feat - 1), codes), max_size=2))
+    vectors = []
+    for _ in range(draw(st.integers(1, 3))):
+        cells = [draw(codes) for _ in range(n_feat)]
+        for i, value in constant:
+            cells[i] = value
+        vectors.append(tuple(cells))
+    n_rows = draw(st.integers(2, 16))
+    rows = tuple(
+        (None, draw(st.sampled_from(vectors)), draw(codes)) for _ in range(n_rows)
+    )
+    features = tuple(FeatureId(i, f"f{i}", draw(st.integers(1, 3))) for i in range(n_feat))
+    ds = make_dataset(features, rows)
+    builds = draw(st.lists(
+        st.tuples(
+            st.frozensets(st.sampled_from(ds.features)),
+            st.sets(st.integers(0, n_rows - 1)),
+        ),
+        min_size=1,
+        max_size=3,
     ))
     return ds, [(excluded, mask_of(sorted(r), n_rows)) for excluded, r in builds]
 
@@ -338,13 +446,15 @@ class TestExtractTruePaths:
 
 def recursive_reference(ds, excluded=frozenset(), rows=None, memo=None):
     """The recursive build, extraction and rendering the iterative ones
-    replaced, kept as their oracle: (tree, T paths, text).  Independent of
-    the dataset's cost order: candidates stay in index order and the pick
-    is a ``min`` by (cost, index) over the tied ones."""
+    replaced, kept as their oracle: (tree, T paths, text, chain links).
+    Independent of the dataset's cost order: candidates stay in index
+    order and the pick is a ``min`` by (cost, index) over the tied ones.
+    A chain link is an internal node on the rows of a parent where every
+    candidate's gain tied."""
     from rebac_miner.tree import EDGE_POLARITY, EDGE_VALUES, GAIN_TIE_TOLERANCE
-    from rebac_miner.tvl import value_rows
 
     memo = {} if memo is None else memo
+    chain_links = []
 
     def pick(candidates, gains):
         best_gain = max(gains)
@@ -361,7 +471,7 @@ def recursive_reference(ds, excluded=frozenset(), rows=None, memo=None):
             scored.update(zip(missing, got))
         return [scored[f.index] for f in candidates]
 
-    def build(rows, candidates):
+    def build(rows, candidates, tied_rows=None):
         if not rows:
             return Leaf(F)
         for label in EDGE_VALUES:
@@ -369,10 +479,18 @@ def recursive_reference(ds, excluded=frozenset(), rows=None, memo=None):
                 return Leaf(label)
         if not candidates:
             return Leaf(F)
-        best = pick(candidates, gains(candidates, rows))
+        if rows == tied_rows:
+            chain_links.append(rows)
+        scores = gains(candidates, rows)
+        best = pick(candidates, scores)
+        all_tied = min(scores) >= max(scores) - GAIN_TIE_TOLERANCE
         remaining = tuple(f for f in candidates if f is not best)
         return Internal(best, {
-            edge: build(value_rows(ds.planes[best.index], edge, rows), remaining)
+            edge: build(
+                value_rows(ds.planes[best.index], edge, rows),
+                remaining,
+                rows if all_tied else None,
+            )
             for edge in EDGE_VALUES
         })
 
@@ -398,7 +516,7 @@ def recursive_reference(ds, excluded=frozenset(), rows=None, memo=None):
 
     initial = tuple(f for f in ds.features if f not in excluded)
     tree = build(ds.all_rows if rows is None else rows, initial)
-    return tree, tuple(paths(tree, ())), text(tree, "")
+    return tree, tuple(paths(tree, ())), text(tree, ""), len(chain_links)
 
 
 def tree_shape(node):
@@ -413,33 +531,67 @@ class TestIterativeTreeWalks:
     (rows, columns) in the same order, and a tree as deep as the number
     of columns stays within the default recursion limit."""
 
-    @settings(max_examples=200, deadline=None)
-    @given(problem=shared_memo_builds())
-    def test_match_the_recursive_walks(self, problem):
-        ds, builds = problem
-        calls = {"iterative": [], "recursive": []}
-        split_gains = _kernels.split_gains
+    def test_match_the_recursive_walks(self):
+        chain_links = []
 
-        def recording(into):
-            def scored(cells, labels, rows, cands):
-                calls[into].append((int(rows), cands))
-                return split_gains(cells, labels, rows, cands)
-            return scored
+        @settings(max_examples=200, deadline=None)
+        @given(problem=chained_builds())
+        def check(problem):
+            ds, builds = problem
+            calls = {"iterative": [], "recursive": []}
+            split_gains = _kernels.split_gains
 
-        memos = {"iterative": {}, "recursive": {}}
-        for excluded, rows in builds:
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(_kernels, "split_gains", recording("recursive"))
-                tree, paths, text = recursive_reference(
-                    ds, excluded, rows, memos["recursive"]
-                )
-                patch.setattr(_kernels, "split_gains", recording("iterative"))
-                got = build_tree(ds, excluded, rows, memo=memos["iterative"])
+            def recording(into):
+                def scored(cells, labels, rows, cands):
+                    calls[into].append((int(rows), cands))
+                    return split_gains(cells, labels, rows, cands)
+                return scored
+
+            memos = {"iterative": {}, "recursive": {}}
+            for excluded, rows in builds:
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(_kernels, "split_gains", recording("recursive"))
+                    tree, paths, text, links = recursive_reference(
+                        ds, excluded, rows, memos["recursive"]
+                    )
+                    patch.setattr(_kernels, "split_gains", recording("iterative"))
+                    got = build_tree(ds, excluded, rows, memo=memos["iterative"])
+                assert tree_shape(got) == tree_shape(tree)
+                assert extract_true_paths(got) == paths
+                assert format_tree(got) == text
+                chain_links.append(links)
+            assert calls["iterative"] == calls["recursive"]
+            assert memos["iterative"] == memos["recursive"]
+
+        check()
+        # The generated datasets do exercise chain links.
+        assert any(chain_links)
+
+    def test_an_xor_under_598_constant_columns(self):
+        # Every gain ties at the root (the constant columns gain 0.0, and
+        # so does each XOR input on its own): a chain of 598 links on all
+        # four rows, then the XOR's three splits.
+        n = 600
+        features = tuple(FeatureId(i, f"f{i}") for i in range(n))
+        xor = ((T, T, T), (T, F, F), (F, T, F), (F, F, T))
+        ds = make_dataset(
+            features, tuple((None, (T,) * (n - 2) + (a, b), label) for a, b, label in xor)
+        )
+        got = build_tree(ds)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(10 * n)  # for the recursive oracle only
+        try:
+            tree, paths, text, links = recursive_reference(ds)
             assert tree_shape(got) == tree_shape(tree)
-            assert extract_true_paths(got) == paths
-            assert format_tree(got) == text
-        assert calls["iterative"] == calls["recursive"]
-        assert memos["iterative"] == memos["recursive"]
+        finally:
+            sys.setrecursionlimit(limit)
+        assert format_tree(got) == text
+        assert text.count("split on") == n + 1 and links == n - 2
+        head = [Literal(f, Polarity.POSITIVE) for f in features[: n - 2]]
+        assert extract_true_paths(got) == paths == (
+            Conjunction.of(head + [Literal(f, Polarity.POSITIVE) for f in features[-2:]]),
+            Conjunction.of(head + [Literal(f, Polarity.NEGATIVE) for f in features[-2:]]),
+        )
 
     def test_a_tree_as_deep_as_its_columns(self):
         # Two rows with the same cells but labels T and F: every column is

@@ -26,6 +26,7 @@ from rebac_miner.tvl import (
     kleene_and,
     kleene_not,
     kleene_or,
+    literal_rows,
     remove_redundant,
     uncovered_t_rows,
 )
@@ -349,6 +350,21 @@ class TestDatasetPlanes:
         with pytest.raises(ValueError):
             LabeledDataset((f0,), ((1, 0),), (0, 1), 1, ())
 
+    def test_copies_check_the_planes_they_add(self):
+        ds = LabeledDataset((f0,), ((1, 0),), (0, 1), 1, (None,))
+        f1 = FeatureId(1)
+        copy = ds.with_columns((f0, f1), ds.planes, ((0, 1),))
+        assert copy == LabeledDataset((f0, f1), ((1, 0), (0, 1)), (0, 1), 1, (None,))
+        assert copy.all_rows == 1 and copy.by_cost == (f0, f1)
+        assert ds.with_columns((), ()) == LabeledDataset((), (), (0, 1), 1, (None,))
+        for added in (((1, 1),), ((2, 0),)):
+            with pytest.raises(ValueError):
+                ds.with_columns((f0, f1), ds.planes, added)
+        with pytest.raises(ValueError):
+            ds.with_columns((f0, f1), ds.planes)
+        with pytest.raises(ValueError):
+            ds.with_columns((f1,), ds.planes)
+
 
 @st.composite
 def formulas_and_rows(draw):
@@ -376,6 +392,17 @@ class TestPlanesMatchRowEvaluation:
         assert bits(dnf_rows(formula, ds), len(rows)) == [
             eval_dnf(formula, row.vector) is T for row in rows
         ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(labeled_rows())
+    def test_literal_rows(self, width_rows):
+        width, rows = width_rows
+        features = tuple(FeatureId(i) for i in range(width))
+        ds = LabeledDataset.from_rows(features, rows)
+        for literal in (Literal(f, p) for f in features for p in Polarity):
+            assert bits(literal_rows(literal, ds), len(rows)) == [
+                eval_literal(literal, row.vector) is T for row in rows
+            ]
 
     @settings(max_examples=300, deadline=None)
     @given(formulas_and_rows())

@@ -30,7 +30,6 @@ from rebac_miner.model import (
     ObjectModel,
     Policy,
     Rule,
-    SraTuple,
     meaning,
     validate_object_model,
 )
@@ -369,59 +368,3 @@ def builtin_spec(name: str) -> GeneratorSpec:
         raise ValueError(
             f"unknown generator spec {name!r}; available: {sorted(BUILTIN_SPECS)}"
         ) from None
-
-
-def running_example() -> AclPolicy:
-    """The fixed two-student/three-document example, with its unknowns."""
-    cm = ClassModel(
-        {
-            "Department": {},
-            "DocType": {},
-            "Student": {"dept": FieldDecl("Department", Multiplicity.ONE)},
-            "Document": {
-                "dept": FieldDecl("Department", Multiplicity.ONE),
-                "type": FieldDecl("DocType", Multiplicity.ONE),
-            },
-        }
-    )
-    om = ObjectModel(
-        [
-            ObjectInstance("CS", "Department", {}),
-            ObjectInstance("Handbook", "DocType", {}),
-            ObjectInstance("CS-student-1", "Student", {"dept": "CS"}),
-            ObjectInstance("EE-student-1", "Student", {"dept": UNKNOWN}),
-            ObjectInstance("CS-doc-1", "Document", {"dept": UNKNOWN, "type": "Handbook"}),
-            ObjectInstance("CS-doc-2", "Document", {"dept": "CS", "type": UNKNOWN}),
-            ObjectInstance("CS-doc-3", "Document", {"dept": UNKNOWN, "type": UNKNOWN}),
-        ]
-    )
-    au = frozenset(
-        {
-            SraTuple("CS-student-1", "CS-doc-1", "read"),
-            SraTuple("CS-student-1", "CS-doc-2", "read"),
-            SraTuple("EE-student-1", "CS-doc-1", "read"),
-        }
-    )
-    return AclPolicy(cm, om, frozenset({"read"}), au)
-
-
-def running_example_rules() -> tuple[Rule, ...]:
-    """The two rules the running example's authorizations encode."""
-    return (
-        Rule(
-            "Student",
-            frozenset(),
-            "Document",
-            frozenset(),
-            frozenset({AtomicConstraint(("dept",), "equal", ("dept",))}),
-            frozenset({"read"}),
-        ),
-        Rule(
-            "Student",
-            frozenset(),
-            "Document",
-            frozenset({_cond(("type",), "Handbook")}),
-            frozenset(),
-            frozenset({"read"}),
-        ),
-    )

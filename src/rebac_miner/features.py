@@ -11,7 +11,7 @@ through tree branches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from rebac_miner.model import (
     BOOLEAN,
@@ -230,26 +230,18 @@ def build_dataset(
     phase 2b read as well.  Its provenance is the layout itself, so no
     per-row pair is made.
     """
-    layout = acl.object_model.pairs(subject_type, resource_type)
+    cm, om = acl.class_model, acl.object_model
+    layout = om.pairs(subject_type, resource_type)
     label_t = acl.au_planes.get((subject_type, resource_type, action), 0)
     return LabeledDataset(
         table.feature_ids,
-        _entry_planes(acl, subject_type, resource_type, table.entries),
+        tuple(
+            pair_planes(cm, om, subject_type, resource_type, e.kind, e.payload)
+            for e in table.entries
+        ),
         (label_t, layout.full & ~label_t),
         len(layout),
         layout,
-    )
-
-
-def _entry_planes(
-    acl: AclPolicy, subject_type: str, resource_type: str, entries: Iterable[TaskFeature]
-) -> tuple[tuple[int, int], ...]:
-    """The (T, F) planes of ``entries`` over the task's pairs, each the
-    object model's :func:`~rebac_miner.model.pair_planes`."""
-    cm, om = acl.class_model, acl.object_model
-    return tuple(
-        pair_planes(cm, om, subject_type, resource_type, e.kind, e.payload)
-        for e in entries
     )
 
 
@@ -297,10 +289,11 @@ def extend_with_id_columns(
     ``subject.id = s and resource.id = r`` conjunction for a row index, and
     the appended feature ids, through which those conjunctions are checked
     and turned into rules.  The columns are built like
-    :func:`build_dataset`'s (:func:`_entry_planes`); an identity condition
-    is never U.
+    :func:`build_dataset`'s, from :func:`~rebac_miner.model.pair_planes`;
+    an identity condition is never U.
     """
-    layout = acl.object_model.pairs(subject_type, resource_type)
+    cm, om = acl.class_model, acl.object_model
+    layout = om.pairs(subject_type, resource_type)
     sides = ((Slot.SUBJECT, layout.subjects), (Slot.RESOURCE, layout.resources))
     extra = tuple(
         TaskFeature(kind, AtomicCondition((ID_FIELD,), "in", frozenset({oid})))
@@ -311,7 +304,9 @@ def extend_with_id_columns(
     ids = table.feature_ids + tuple(
         FeatureId(base + i, e.label(), wsc(e.payload)) for i, e in enumerate(extra)
     )
-    planes = _entry_planes(acl, subject_type, resource_type, extra)
+    planes = tuple(
+        pair_planes(cm, om, subject_type, resource_type, e.kind, e.payload) for e in extra
+    )
     literals = [Literal(f, Polarity.POSITIVE) for f in ids[base:]]
     n_s = len(layout.subjects)
 

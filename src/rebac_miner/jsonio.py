@@ -146,7 +146,7 @@ def object_model_to_json(om: ObjectModel) -> dict:
     }
 
 
-def object_model_from_json(document, cm: ClassModel | None = None) -> ObjectModel:
+def object_model_from_json(document, cm: ClassModel) -> ObjectModel:
     doc = _as_obj(document, "object model")
     raw_objects = doc.get("objects")
     _require(isinstance(raw_objects, list), "object model: objects must be a list")
@@ -162,8 +162,7 @@ def object_model_from_json(document, cm: ClassModel | None = None) -> ObjectMode
         instances.append(ObjectInstance(raw["id"], raw["type"], fields))
     try:
         om = ObjectModel(instances)
-        if cm is not None:
-            validate_object_model(cm, om)
+        validate_object_model(cm, om)
     except ModelError as exc:
         raise SchemaError(str(exc)) from exc
     return om
@@ -295,11 +294,11 @@ def rules_to_json(actions: Iterable[str], rules: Iterable[Rule]) -> dict:
     }
 
 
-def rules_from_json(document, cm: ClassModel | None = None):
+def rules_from_json(document, cm: ClassModel):
     """The declared actions and the rules of a policy document.  Every
     rule action must be listed in the policy's ``actions`` (an absent list
-    declares none), and given ``cm`` every rule must be well-formed over
-    it; anything else raises :class:`SchemaError`."""
+    declares none), and every rule must be well-formed over ``cm``;
+    anything else raises :class:`SchemaError`."""
     doc = _as_obj(document, "policy")
     _require(isinstance(doc.get("rules"), list), "policy: rules must be a list")
     rules = tuple(rule_from_json(r) for r in doc["rules"])
@@ -311,12 +310,11 @@ def rules_from_json(document, cm: ClassModel | None = None):
                 f"rule {rule.text()}: action {undeclared[0]!r} is not in the"
                 " policy's actions"
             )
-    if cm is not None:
-        try:
-            for rule in rules:
-                validate_rule(cm, rule)
-        except ModelError as exc:
-            raise SchemaError(str(exc)) from exc
+    try:
+        for rule in rules:
+            validate_rule(cm, rule)
+    except ModelError as exc:
+        raise SchemaError(str(exc)) from exc
     return actions, rules
 
 

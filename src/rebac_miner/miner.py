@@ -25,7 +25,6 @@ unknown-as-false diagnostic, which reports the difference instead.
 from __future__ import annotations
 
 import logging
-from bisect import insort
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -322,6 +321,13 @@ def _au_planes_of(rule: Rule, acl: AclPolicy) -> list[int]:
     return [au.get((rule.subject_type, rule.resource_type, a), 0) for a in rule.actions]
 
 
+def _allowed(rule: Rule, acl: AclPolicy) -> int:
+    """The pairs ``rule`` may grant and stay within the AU.  A rule grants
+    the same pairs for each of its actions, so this is the AND of its
+    actions' AU planes."""
+    return reduce(and_, _au_planes_of(rule, acl))
+
+
 def _eliminate_one(rule, slot, atomic, acl, table) -> Optional[Rule]:
     """``rule`` with the negated ``atomic`` in ``slot`` dropped (substep 1)
     or replaced (substeps 2-4), or None if no candidate is acceptable.
@@ -332,16 +338,13 @@ def _eliminate_one(rule, slot, atomic, acl, table) -> Optional[Rule]:
     rewrite returned is built as a :class:`Rule`.
     """
     cm, om = acl.class_model, acl.object_model
-    au = _au_planes_of(rule, acl)
-    # A rule grants the same pairs for each of its actions, so it is valid
-    # when its pairs lie in every action's AU plane, and it grants exactly
-    # its pairs that some action's AU plane holds.
-    allowed = reduce(and_, au)
+    allowed = _allowed(rule, acl)
     base = rule.without_atomic(slot, atomic)
     base_plane = rule_meaning(cm, om, base)
     if not base_plane & ~allowed:  # (1) plain removal
         return base
-    own = rule_meaning(cm, om, rule) & reduce(or_, au)
+    # What the rule grants: its pairs that some action's AU plane holds.
+    own = rule_meaning(cm, om, rule) & reduce(or_, _au_planes_of(rule, acl))
     s_cls, r_cls = rule.subject_type, rule.resource_type
     for new_slot, new in _replacements(rule, slot, atomic, acl, table, own):
         plane = base_plane & pair_planes(cm, om, s_cls, r_cls, new_slot, new)[new.negated]
@@ -416,14 +419,15 @@ def _id_split(rule: Rule, acl: AclPolicy, others: Iterable[Rule]) -> tuple[Rule,
 class _Phase2:
     """Phase 2b's current rules and the one gate that changes them.
 
-    ``replace`` is the only way a step changes ``rules``.  Meanings are
-    pair planes: a rule's is one plane (:func:`rebac_miner.model.rule_plane`,
-    cached per rule by ``meaning_of``) and a policy's is a
+    ``replace`` is the only way a step changes the rules.  ``current`` is
+    the one store of them, a dict whose keys are the rules; ``rules`` is
+    the same rules sorted by ``sort_key``, built on its first read after a
+    change, and ``wsc`` is their policy WSC.  Meanings are pair planes: a
+    rule's is one plane (:func:`rebac_miner.model.rule_plane`, cached per
+    rule by ``meaning_of``) and a policy's is a
     :data:`rebac_miner.model.Meaning` built from those.  The policy meaning
-    of ``rules`` never changes, so it is computed once, and a proposal is
+    of the rules never changes, so it is computed once, and a proposal is
     checked against it only on the keys it touches (``keeps_meaning``).
-    ``rules`` is kept sorted and free of duplicates, ``current`` holds the
-    same rules as a set, and ``wsc`` is their policy WSC.
     """
 
     def __init__(self, rules, acl: AclPolicy, limits: ExtractionLimits, observer):
@@ -434,12 +438,18 @@ class _Phase2:
         self.observer = observer
         self._meanings: dict[Rule, int] = {}
         self._options: dict[tuple[str, str], list] = {}
-        self.rules = sort_rules(rules)
-        self.current = set(self.rules)
-        self.meaning = policy_planes(self.rules, self.meaning_of)
-        self.wsc = policy_wsc(self.rules)
+        self.current = dict.fromkeys(sort_rules(rules))
+        self._sorted: Optional[tuple[Rule, ...]] = None
+        self.meaning = policy_planes(self.current, self.meaning_of)
+        self.wsc = policy_wsc(self.current)
         self.changed = False
         self.outcomes: Counter[tuple[str, str]] = Counter()
+
+    @property
+    def rules(self) -> tuple[Rule, ...]:
+        if self._sorted is None:
+            self._sorted = tuple(sorted(self.current, key=_sort_key))
+        return self._sorted
 
     def meaning_of(self, rule: Rule) -> int:
         got = self._meanings.get(rule)
@@ -463,11 +473,6 @@ class _Phase2:
             )
         return options
 
-    def within_au(self, rule: Rule, plane: int) -> bool:
-        """Whether ``rule`` with pair plane ``plane`` grants only AU tuples:
-        the AU must grant each of its pairs for every one of its actions."""
-        return not plane & ~reduce(and_, _au_planes_of(rule, self.acl))
-
     def keeps_meaning(self, removed: Collection[Rule], new: Iterable[Rule]) -> bool:
         """Whether the current rules without ``removed`` (some of them) and
         with ``new`` have the policy meaning ``meaning``.
@@ -478,7 +483,8 @@ class _Phase2:
         beyond the new rules must be granted by kept rules of the same
         key, which are scanned only while some of it is still uncovered.
         Since the current rules' meaning is ``meaning``, this is exactly
-        ``policy_planes(kept + new) == meaning``.
+        ``policy_planes(kept + new) == meaning``, whatever order
+        ``current`` is scanned in.
         """
         gained: dict[tuple[str, str, str], int] = {}
         for rule in new:
@@ -500,7 +506,7 @@ class _Phase2:
         if not lost:
             return True
         pairs = {(s_cls, r_cls) for s_cls, r_cls, _ in lost}
-        for rule in self.rules:
+        for rule in self.current:
             if (rule.subject_type, rule.resource_type) not in pairs or rule in removed:
                 continue
             plane = self.meaning_of(rule)
@@ -527,11 +533,11 @@ class _Phase2:
         keys it touches only (``keeps_meaning``; rules of ``old`` that the
         policy does not hold are ignored).  Its WSC is the current one
         minus the removed rules' plus the added rules' (the new rules not
-        already kept, found through ``current``).  Only an accepted
-        proposal builds its rule list, by inserting the added rules into
-        the kept ones, which stay sorted.
+        already kept).  An accepted proposal deletes the removed rules
+        from ``current`` and adds the new ones; the observer gets the
+        sorted ``rules``.
         """
-        removed = self.current.intersection(old)
+        removed = self.current.keys() & old
         new = list(new)
         if not self.keeps_meaning(removed, new):
             self.outcomes[step, "meaning"] += 1
@@ -546,13 +552,10 @@ class _Phase2:
             self.outcomes[step, "wsc"] += 1
             return False
         self.outcomes[step, "accepted"] += 1
-        kept = [rule for rule in self.rules if rule not in removed]
-        for rule in added:
-            insort(kept, rule, key=_sort_key)
-        self.rules, self.wsc = tuple(kept), proposal_wsc
-        self.current -= removed
-        self.current.update(added)
-        self.changed = True
+        for rule in removed:
+            del self.current[rule]
+        self.current.update(dict.fromkeys(added))
+        self._sorted, self.wsc, self.changed = None, proposal_wsc, True
         if self.observer is not None:
             self.observer(step, self.rules)
         return True
@@ -592,11 +595,9 @@ def merge_and_simplify(
 
 def _rewrite_bool_negations(ctx: _Phase2) -> None:
     """Propose each rule with every negated one-constant Boolean condition,
-    ``not(p in {b})``, flipped to ``p in {not b}``; the rewritten rule is
-    built once, from all of its flips."""
+    ``not(p in {b})``, flipped to ``p in {not b}``, as one proposal."""
     for rule in ctx.rules:
-        parts = (set(rule.subject_condition), set(rule.resource_condition))
-        flipped = False
+        new_rule = rule
         for slot, ac in rule.atomics():
             if slot is Slot.CONSTRAINT or not (
                 ac.negated and ac.op == "in" and len(ac.value) == 1
@@ -605,15 +606,10 @@ def _rewrite_bool_negations(ctx: _Phase2) -> None:
             atom = next(iter(ac.value))
             if not isinstance(atom, bool):
                 continue
-            parts[slot].remove(ac)
-            parts[slot].add(AtomicCondition(ac.path, "in", frozenset({not atom})))
-            flipped = True
-        if flipped:
-            subject, resource = map(frozenset, parts)
-            new_rule = Rule(
-                rule.subject_type, subject, rule.resource_type, resource,
-                rule.constraint, rule.actions,
+            new_rule = new_rule.without_atomic(slot, ac).with_atomic(
+                slot, AtomicCondition(ac.path, "in", frozenset({not atom}))
             )
+        if new_rule is not rule:
             ctx.replace("rewrite-bool-negation", (rule,), (new_rule,))
 
 
@@ -628,12 +624,8 @@ def _merge_actions(ctx: _Phase2) -> None:
 
 
 def _value_set_merge_key(rule: Rule, slot: Slot, ac: AtomicCondition):
-    """``rule.sort_key`` without ``ac``, and what a value-set merge keeps of it."""
-    key = list(rule.sort_key)
-    keys = key[2 + slot]  # a rule's sort key holds its slots' keys from index 2
-    k = rule.by_slot[slot].index(ac)
-    key[2 + slot] = keys[:k] + keys[k + 1:]
-    return (tuple(key), slot, ac.path, ac.op, ac.negated)
+    """``rule``'s sort key without ``ac``, and what a value-set merge keeps of it."""
+    return (rule.without_atomic(slot, ac).sort_key, slot, ac.path, ac.op, ac.negated)
 
 
 def _size(rule: Rule, plane: int) -> int:
@@ -668,7 +660,7 @@ def _merge_value_sets(ctx: _Phase2) -> None:
         merged = rule0.without_atomic(slot, ac0).with_atomic(
             slot, AtomicCondition(ac0.path, "in", union)
         )
-        if ctx.within_au(merged, ctx.meaning_of(merged)):
+        if not ctx.meaning_of(merged) & ~_allowed(merged, ctx.acl):
             ctx.replace("merge-value-sets", [r for r, _, _ in members], (merged,))
 
 
@@ -727,7 +719,7 @@ def _drop_atomics(ctx: _Phase2) -> None:
         s_cls, r_cls = rule.subject_type, rule.resource_type
         atomics = rule.atomics()
         full = om.pairs(s_cls, r_cls).full
-        allowed = reduce(and_, _au_planes_of(rule, ctx.acl))
+        allowed = _allowed(rule, ctx.acl)
         t = dict(enumerate(
             pair_planes(cm, om, s_cls, r_cls, slot, a)[a.negated] for slot, a in atomics
         ))  # the T-planes of the atomics not dropped, by position

@@ -180,12 +180,12 @@ def extract_true_paths(tree: DecisionTree) -> tuple[Conjunction, ...]:
     return tuple(out)
 
 
-def format_tree(tree: DecisionTree, indent: str = "") -> str:
+def format_tree(tree: DecisionTree) -> str:
     """Indented text rendering, for debug dumps."""
     lines = []
     # Lines still to write: a string as it is, a (node, indent) pair as
     # that node's rendering.
-    pending: list = [(tree, indent)]
+    pending: list = [(tree, "")]
     while pending:
         item = pending.pop()
         if isinstance(item, str):

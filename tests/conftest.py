@@ -1,5 +1,10 @@
+import json
+from pathlib import Path
+
 import pytest
 
+from rebac_miner import jsonio
+from rebac_miner.model import AclPolicy, Rule
 from rebac_miner.tvl import (
     FeatureId,
     FeatureVector,
@@ -9,6 +14,22 @@ from rebac_miner.tvl import (
 )
 
 F, U, T = TruthValue.F, TruthValue.U, TruthValue.T
+
+RUNNING_EXAMPLE = Path(__file__).resolve().parent.parent / "fixtures" / "running-example"
+
+
+def running_example() -> tuple[AclPolicy, tuple[Rule, ...]]:
+    """The two-student/three-document worked example, read from its fixture
+    through ``jsonio``: its ACL (with its unknowns) and its ground-truth
+    rules, the same-department rule and then the handbook rule."""
+
+    def load(name):
+        return json.loads((RUNNING_EXAMPLE / f"{name}.json").read_text(encoding="utf-8"))
+
+    acl = jsonio.acl_from_documents(load("classmodel"), load("objectmodel"), load("au"))
+    _, rules = jsonio.rules_from_json(load("groundtruth"), acl.class_model)
+    return acl, rules
+
 
 # The two-student/three-document worked example: features are
 # sub.dept=CS, res.dept=CS, res.type=Handbook, sub.dept=res.dept.

@@ -5,7 +5,6 @@ import json
 import random
 import statistics
 import time
-from pathlib import Path
 
 import pytest
 
@@ -14,7 +13,6 @@ from rebac_miner.datagen import (
     builtin_spec,
     generate,
     inject_unknowns,
-    running_example_rules,
     unknown_fraction,
 )
 from rebac_miner.features import ExtractionLimits, FeatureTable, build_dataset
@@ -56,10 +54,10 @@ from rebac_miner.tvl import (
     kleene_not,
     kleene_or,
 )
+from tests.conftest import RUNNING_EXAMPLE, running_example
 
 F, U, T = TruthValue.F, TruthValue.U, TruthValue.T
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "running-example"
 LIMITS = ExtractionLimits()
 
 
@@ -69,23 +67,13 @@ def report(criterion: str, ok: bool, detail: str = ""):
     assert ok, f"{criterion}: {detail}"
 
 
-def load_fixture_acl() -> AclPolicy:
-    from rebac_miner import jsonio
-
-    return jsonio.acl_from_documents(
-        json.loads((FIXTURES / "classmodel.json").read_text()),
-        json.loads((FIXTURES / "objectmodel.json").read_text()),
-        json.loads((FIXTURES / "au.json").read_text()),
-    )
-
-
 def test_criterion_1_running_example_exactness():
-    acl = load_fixture_acl()
+    acl, truth_rules = running_example()
     started = time.perf_counter()
     result = mine_detailed(acl, MinerConfig())
     elapsed = time.perf_counter() - started
 
-    expected = sort_rules(running_example_rules())
+    expected = sort_rules(truth_rules)
     rules_ok = result.policy.rules == expected
     per_rule = all(
         max(syn_rule(r, e) for e in expected) == 1.0 for r in result.policy.rules
@@ -112,7 +100,7 @@ def test_criterion_1_running_example_exactness():
 
 
 def test_criterion_2_example_cells():
-    acl = load_fixture_acl()
+    acl, _ = running_example()
     table = FeatureTable.build(
         acl.class_model, acl.object_model, "Student", "Document", LIMITS
     )
@@ -139,7 +127,7 @@ def test_criterion_2_example_cells():
 
 
 def test_criterion_3_tree_shape():
-    acl = load_fixture_acl()
+    acl, _ = running_example()
     table = FeatureTable.build(
         acl.class_model, acl.object_model, "Student", "Document", LIMITS
     )
@@ -160,18 +148,18 @@ def test_criterion_4_naive_baseline(tmp_path, capsys):
     code = cli_main(
         [
             "mine",
-            "--classmodel", str(FIXTURES / "classmodel.json"),
-            "--objectmodel", str(FIXTURES / "objectmodel.json"),
-            "--au", str(FIXTURES / "au.json"),
+            "--classmodel", str(RUNNING_EXAMPLE / "classmodel.json"),
+            "--objectmodel", str(RUNNING_EXAMPLE / "objectmodel.json"),
+            "--au", str(RUNNING_EXAMPLE / "au.json"),
             "-o", str(out),
             "--naive-unknown-as-false",
         ]
     )
     capsys.readouterr()
-    acl = load_fixture_acl()
+    acl, _ = running_example()
     from rebac_miner import jsonio
 
-    actions, rules = jsonio.rules_from_json(json.loads(out.read_text()))
+    actions, rules = jsonio.rules_from_json(json.loads(out.read_text()), acl.class_model)
     policy = Policy(acl.class_model, acl.object_model, actions, tuple(rules))
     denied = SraTuple("CS-student-1", "CS-doc-2", "read") not in meaning(policy)
     report(
@@ -395,7 +383,7 @@ def test_criterion_9_injection_statistics():
 
 def test_criterion_10_wsc(grid_results):
     # Hand-computed structural complexities for five fixture rules.
-    same_dept, handbook = running_example_rules()
+    _, (same_dept, handbook) = running_example()
     five = [
         # constraint |1|+|1| plus one action
         (same_dept, 3),

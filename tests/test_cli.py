@@ -218,6 +218,30 @@ class TestMine:
         main(["mine", *fixture_args(), "-o", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_policy_does_not_depend_on_hash_order(self, tmp_path):
+        # With identity conditions among the features, phase 2b accepts
+        # over a thousand proposals on this instance; runs under two string
+        # hash seeds must still write the same policy bytes.
+        indir = tmp_path / "in"
+        assert main(["generate", "--spec", "org-chart", "--n", "15", "--s", "2",
+                     "--seed", "2", "--outdir", str(indir)]) == 0
+        inputs = [arg for name in ("classmodel", "objectmodel", "au")
+                  for arg in (f"--{name}", str(indir / f"{name}.json"))]
+        src = str(Path(rebac_miner.__file__).resolve().parents[1])
+        policies = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = tmp_path / f"policy-{seed}.json"
+            run = subprocess.run(
+                [sys.executable, "-m", "rebac_miner.cli", "mine", *inputs,
+                 "-o", str(out), "--include-ids"],
+                env=env, capture_output=True, text=True,
+            )
+            assert run.returncode == 0, run.stderr
+            policies.append(out.read_bytes())
+        assert policies[0] == policies[1]
+
     def test_max_iter_reaches_the_learner(self, tmp_path):
         # On this instance one tree iteration per task mines another policy
         # than the default five.

@@ -7,8 +7,6 @@ from rebac_miner.datagen import (
     builtin_spec,
     generate,
     inject_unknowns,
-    running_example,
-    running_example_rules,
     unknown_fraction,
 )
 from rebac_miner.model import (
@@ -18,6 +16,7 @@ from rebac_miner.model import (
     validate_object_model,
     validate_rule,
 )
+from tests.conftest import running_example
 
 
 class TestGenerate:
@@ -141,12 +140,10 @@ class TestInjectUnknowns:
 
 class TestRunningExample:
     def test_rules_reproduce_au(self):
-        acl = running_example()
-        policy = Policy(
-            acl.class_model, acl.object_model, acl.actions, running_example_rules()
-        )
+        acl, rules = running_example()
+        policy = Policy(acl.class_model, acl.object_model, acl.actions, rules)
         assert meaning(policy) == acl.au
 
     def test_validates(self):
-        acl = running_example()
+        acl, _ = running_example()
         validate_object_model(acl.class_model, acl.object_model)

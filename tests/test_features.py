@@ -41,32 +41,21 @@ from rebac_miner.tvl import (
     eval_conjunction,
     eval_dnf,
 )
+from tests.conftest import running_example
 from tests.test_model import (
     ORG_ACTIONS,
     ORG_CM,
     ORG_CONDITIONS,
     ORG_CONSTRAINTS,
-    RUNNING_AU,
     org_models,
-    running_example_cm,
-    running_example_om,
 )
 
 F, U, T = TruthValue.F, TruthValue.U, TruthValue.T
 
 
-def running_acl():
-    return AclPolicy(
-        running_example_cm(),
-        running_example_om(),
-        frozenset({"read"}),
-        RUNNING_AU,
-    )
-
-
 @pytest.fixture
 def acl():
-    return running_acl()
+    return running_example()[0]
 
 
 LIMITS = ExtractionLimits()

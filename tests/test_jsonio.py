@@ -1,20 +1,12 @@
 import json
-from pathlib import Path
 
 import pytest
 
 from rebac_miner import jsonio
-from rebac_miner.datagen import (
-    builtin_spec,
-    generate,
-    inject_unknowns,
-    running_example,
-    running_example_rules,
-)
+from rebac_miner.datagen import builtin_spec, generate, inject_unknowns
 from rebac_miner.metrics import SimilarityReport
 from rebac_miner.model import meaning, Policy
-
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "running-example"
+from tests.conftest import RUNNING_EXAMPLE, running_example
 
 
 def reload(document):
@@ -23,7 +15,7 @@ def reload(document):
 
 def running_example_acl(au_document):
     """The running example's models with ``au_document`` as authorizations."""
-    acl = running_example()
+    acl, _ = running_example()
     return jsonio.acl_from_documents(
         reload(jsonio.class_model_to_json(acl.class_model)),
         reload(jsonio.object_model_to_json(acl.object_model)),
@@ -33,7 +25,7 @@ def running_example_acl(au_document):
 
 class TestRoundTrips:
     def test_class_model(self):
-        acl = running_example()
+        acl, _ = running_example()
         doc = reload(jsonio.class_model_to_json(acl.class_model))
         assert jsonio.class_model_from_json(doc) == acl.class_model
 
@@ -46,15 +38,14 @@ class TestRoundTrips:
         assert back.objects() == om.objects()
 
     def test_policy(self):
-        acl = running_example()
-        rules = running_example_rules()
+        acl, rules = running_example()
         doc = reload(jsonio.rules_to_json(acl.actions, rules))
         actions, back = jsonio.rules_from_json(doc, acl.class_model)
         assert actions == acl.actions
         assert set(back) == set(rules)
 
     def test_au(self):
-        acl = running_example()
+        acl, _ = running_example()
         doc = reload(jsonio.au_to_json(acl.au))
         assert running_example_acl(doc).au == acl.au
 
@@ -76,7 +67,7 @@ class TestRoundTrips:
             assert a.vector == b.vector and a.label == b.label
 
     def test_serialization_is_canonical(self):
-        acl = running_example()
+        acl, _ = running_example()
         a = jsonio.dumps(jsonio.object_model_to_json(acl.object_model))
         b = jsonio.dumps(
             jsonio.object_model_to_json(
@@ -87,22 +78,23 @@ class TestRoundTrips:
 
 
 class TestFixtureFiles:
-    def test_fixture_matches_library_example(self):
-        acl = running_example()
-        fixture = jsonio.acl_from_documents(
-            *(
-                json.loads((FIXTURES / f"{name}.json").read_text())
-                for name in ("classmodel", "objectmodel", "au")
-            )
-        )
-        assert fixture.class_model == acl.class_model
-        assert fixture.object_model.objects() == acl.object_model.objects()
-        assert fixture.au == acl.au
+    def test_fixture_files_are_canonical(self):
+        # Each document reads back and writes out to the file's own bytes.
+        acl, rules = running_example()
+        written = {
+            "classmodel": jsonio.class_model_to_json(acl.class_model),
+            "objectmodel": jsonio.object_model_to_json(acl.object_model),
+            "au": jsonio.au_to_json(acl.au),
+            "groundtruth": jsonio.rules_to_json(acl.actions, rules),
+        }
+        for name, document in written.items():
+            text = (RUNNING_EXAMPLE / f"{name}.json").read_text(encoding="utf-8")
+            assert jsonio.dumps(document) == text, name
 
     def test_groundtruth_meaning_is_au(self):
-        acl = running_example()
+        acl, _ = running_example()
         actions, rules = jsonio.rules_from_json(
-            json.loads((FIXTURES / "groundtruth.json").read_text()), acl.class_model
+            json.loads((RUNNING_EXAMPLE / "groundtruth.json").read_text()), acl.class_model
         )
         policy = Policy(acl.class_model, acl.object_model, actions, tuple(rules))
         assert meaning(policy) == acl.au
@@ -216,7 +208,8 @@ class TestSchemaErrors:
     def test_bad_value_object(self):
         with pytest.raises(jsonio.SchemaError):
             jsonio.object_model_from_json(
-                {"objects": [{"id": "a", "type": "A", "fields": {"x": {"$oops": 1}}}]}
+                {"objects": [{"id": "a", "type": "Student", "fields": {"dept": {"$oops": 1}}}]},
+                running_example()[0].class_model,
             )
 
     def test_au_requires_triples(self):
@@ -258,21 +251,20 @@ class TestSchemaErrors:
 
     @pytest.mark.parametrize("edit", BAD_POLICY_EDITS.values(), ids=list(BAD_POLICY_EDITS))
     def test_bad_policy_values(self, edit):
-        document = json.loads((FIXTURES / "groundtruth.json").read_text())
+        document = json.loads((RUNNING_EXAMPLE / "groundtruth.json").read_text())
         edit(document)
         with pytest.raises(jsonio.SchemaError):
-            jsonio.rules_from_json(document)
+            jsonio.rules_from_json(document, running_example()[0].class_model)
 
     def test_absent_negated_is_false(self):
-        document = json.loads((FIXTURES / "groundtruth.json").read_text())
+        document = json.loads((RUNNING_EXAMPLE / "groundtruth.json").read_text())
         for rule in document["rules"]:
             for atomic in rule["resourceCondition"] + rule["constraint"]:
                 del atomic["negated"]
-        _, rules = jsonio.rules_from_json(document)
+        acl, truth = running_example()
+        _, rules = jsonio.rules_from_json(document, acl.class_model)
         assert not any(a.negated for r in rules for _, a in r.atomics())
-        assert sorted(rules, key=lambda r: r.sort_key) == sorted(
-            running_example_rules(), key=lambda r: r.sort_key
-        )
+        assert rules == truth
 
     def test_csv_bad_cell(self):
         with pytest.raises(jsonio.SchemaError):

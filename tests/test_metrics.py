@@ -16,13 +16,11 @@ from rebac_miner.model import (
     Policy,
     Rule,
 )
+from tests.conftest import running_example
 from tests.test_model import (
     ORG_ACTIONS,
     ORG_CM,
     org_rules,
-    running_example_cm,
-    running_example_om,
-    running_example_rules,
 )
 
 
@@ -111,7 +109,7 @@ class TestConditionSets:
 
 class TestRuleSimilarity:
     def test_identical(self):
-        r1, r2 = running_example_rules()
+        _, (r1, r2) = running_example()
         assert syn_rule(r1, r1) == 1.0
         assert syn_rule(r2, r2) == 1.0
 
@@ -128,20 +126,16 @@ class TestRuleSimilarity:
 
 class TestPolicyLevel:
     def make_policy(self, rules):
-        return Policy(
-            running_example_cm(),
-            running_example_om(),
-            frozenset({"read"}),
-            tuple(rules),
-        )
+        acl, _ = running_example()
+        return Policy(acl.class_model, acl.object_model, acl.actions, tuple(rules))
 
     def test_policy_vs_itself(self):
-        p = self.make_policy(running_example_rules())
+        p = self.make_policy(running_example()[1])
         assert syn_policy(p, p) == 1.0
         assert semantic_similarity(p, p) == 1.0
 
     def test_empty_vs_nonempty(self):
-        p = self.make_policy(running_example_rules())
+        p = self.make_policy(running_example()[1])
         empty = self.make_policy(())
         assert syn_policy(empty, p) == 0.0
         assert syn_policy(p, empty) == 0.0
@@ -149,20 +143,20 @@ class TestPolicyLevel:
         assert semantic_similarity(empty, p) == 0.0
 
     def test_disjoint_meanings_score_zero(self):
-        same_dept, handbook = running_example_rules()
+        _, (same_dept, handbook) = running_example()
         assert semantic_similarity(
             self.make_policy((same_dept,)), self.make_policy((handbook,))
         ) == 0.0
 
     def test_asymmetry_is_deliberate(self):
-        r1, r2 = running_example_rules()
+        _, (r1, r2) = running_example()
         p_both = self.make_policy((r1, r2))
         p_one = self.make_policy((r1,))
         assert syn_policy(p_one, p_both) == 1.0
         assert syn_policy(p_both, p_one) < 1.0
 
     def test_report_fields(self):
-        p = self.make_policy(running_example_rules())
+        p = self.make_policy(running_example()[1])
         report = compare_policies(p, p)
         assert report.syntactic == 1.0
         assert report.semantic == 1.0

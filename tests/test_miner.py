@@ -10,8 +10,6 @@ from rebac_miner.datagen import (
     builtin_spec,
     generate,
     inject_unknowns,
-    running_example,
-    running_example_rules,
 )
 from rebac_miner.features import ExtractionLimits, FeatureTable
 from rebac_miner.learner import IdStrategy
@@ -20,6 +18,7 @@ from rebac_miner.miner import (
     MinerConfig,
     MinerError,
     _Phase2,
+    _allowed,
     _eliminate_task_negatives,
     eliminate_negative_features,
     extract_rules,
@@ -53,6 +52,7 @@ from rebac_miner.model import (
     wsc,
 )
 from rebac_miner.tvl import Conjunction, DnfFormula, Literal, Polarity
+from tests.conftest import running_example
 from tests.test_model import ORG_ACTIONS, ORG_CM, org_models, org_rules
 
 
@@ -62,14 +62,14 @@ def cond(path, *atoms, negated=False):
 
 class TestMineRunningExample:
     def test_exact_recovery(self):
-        acl = running_example()
+        acl, _ = running_example()
         result = mine_detailed(acl, MinerConfig())
-        want = sort_rules(running_example_rules())
+        want = sort_rules(running_example()[1])
         assert result.policy.rules == want
         assert meaning(result.policy) == acl.au
 
     def test_intermediate_formula(self):
-        acl = running_example()
+        acl, _ = running_example()
         result = mine_detailed(acl, MinerConfig())
         (task,) = result.tasks
         labels = {
@@ -83,13 +83,13 @@ class TestMineRunningExample:
         assert task.result.iterations == 1
 
     def test_both_id_strategies_agree_here(self):
-        acl = running_example()
+        acl, _ = running_example()
         a = mine(acl, MinerConfig(id_strategy=IdStrategy.RETRY_WITH_ID_FEATURES))
         b = mine(acl, MinerConfig(id_strategy=IdStrategy.PER_VECTOR_ID_CONJUNCTION))
         assert a.rules == b.rules
 
     def test_empty_au(self):
-        acl = running_example()
+        acl, _ = running_example()
         empty = AclPolicy(acl.class_model, acl.object_model, acl.actions, frozenset())
         assert mine(empty, MinerConfig()).rules == ()
 
@@ -98,7 +98,7 @@ class TestMineRunningExample:
             raise AssertionError("a feature table was built")
 
         monkeypatch.setattr(FeatureTable, "build", no_table)
-        acl = running_example()
+        acl, _ = running_example()
         with pytest.raises(ValueError, match="max_iter must be >= 1"):
             mine_detailed(acl, MinerConfig(max_iter=0))
 
@@ -108,7 +108,7 @@ class TestAuCheckedAgainstModel:
     task is learned."""
 
     def with_au(self, *tuples):
-        acl = running_example()
+        acl, _ = running_example()
         return AclPolicy(acl.class_model, acl.object_model, acl.actions, frozenset(tuples))
 
     def test_unknown_object(self):
@@ -126,7 +126,7 @@ class TestAuCheckedAgainstModel:
 
 class TestExtractRules:
     def make_table(self):
-        acl = running_example()
+        acl, _ = running_example()
         return acl, FeatureTable.build(
             acl.class_model, acl.object_model, "Student", "Document",
             ExtractionLimits(),
@@ -143,7 +143,7 @@ class TestExtractRules:
             ]
         )
         rules = extract_rules(formula, table, "Student", "Document", "read")
-        assert rules == sort_rules(running_example_rules())
+        assert rules == sort_rules(running_example()[1])
 
     def test_empty_conjunction_grants_all(self):
         acl, table = self.make_table()
@@ -414,7 +414,7 @@ class TestEliminateNegatives:
 
 class TestMergeAndSimplify:
     def make_acl(self):
-        return running_example()
+        return running_example()[0]
 
     def test_action_union(self):
         acl = self.make_acl()
@@ -424,7 +424,7 @@ class TestMergeAndSimplify:
             frozenset({"read", "write"}),
             acl.au | {SraTuple(t.subject, t.resource, "write") for t in acl.au},
         )
-        base = running_example_rules()
+        _, base = running_example()
         rules = [replace_actions(r, {"read"}) for r in base]
         rules += [replace_actions(r, {"write"}) for r in base]
         merged = merge_and_simplify(rules, acl)
@@ -433,7 +433,7 @@ class TestMergeAndSimplify:
 
     def test_redundant_condition_dropped(self):
         acl = self.make_acl()
-        same_dept, handbook = running_example_rules()
+        _, (same_dept, handbook) = running_example()
         # A subject condition implied by the constraint for every granted
         # tuple: dropping it preserves the rule's meaning.
         bloated = Rule(
@@ -445,7 +445,7 @@ class TestMergeAndSimplify:
             same_dept.actions,
         )
         out = merge_and_simplify([bloated, handbook], acl)
-        assert sort_rules(out) == sort_rules(running_example_rules())
+        assert sort_rules(out) == sort_rules(running_example()[1])
 
     def test_boolean_negation_rewritten(self):
         cm = ClassModel(
@@ -475,7 +475,7 @@ class TestMergeAndSimplify:
         assert out.resource_condition == frozenset({cond(("secret",), False)})
 
     def bloated_same_dept(self):
-        same_dept, handbook = running_example_rules()
+        _, (same_dept, handbook) = running_example()
         # Same policy meaning as same_dept (see test_redundant_condition_dropped),
         # but one more atomic condition.
         bloated = Rule(
@@ -606,7 +606,7 @@ class TestMergeAndSimplify:
         def check(step, after):
             assert after is ctx.rules
             assert ctx.wsc == policy_wsc(ctx.rules)
-            assert ctx.current == set(ctx.rules)
+            assert set(ctx.current) == set(ctx.rules)
 
         ctx = _Phase2(rules, acl, ExtractionLimits(), check)
         ctx.changed = True
@@ -645,7 +645,7 @@ class TestMergeAndSimplify:
             assert ctx.replace("random", old, new) == ok
             assert ctx.rules == (proposal if ok else current)
             assert ctx.wsc == policy_wsc(ctx.rules)
-            assert ctx.current == set(ctx.rules)
+            assert set(ctx.current) == set(ctx.rules)
             pool.extend(new)
 
     def narrow_rule(self):
@@ -661,7 +661,7 @@ class TestMergeAndSimplify:
 
     def test_overlapping_rule_dropped(self):
         acl = self.make_acl()
-        same_dept, handbook = running_example_rules()
+        _, (same_dept, handbook) = running_example()
         out = merge_and_simplify([same_dept, handbook, self.narrow_rule()], acl)
         assert sort_rules(out) == sort_rules((same_dept, handbook))
 
@@ -669,7 +669,7 @@ class TestMergeAndSimplify:
         # Replacing a rule by one the policy already holds removes a rule:
         # the kept copy's WSC is not added a second time.
         acl = self.make_acl()
-        same_dept, handbook = running_example_rules()
+        _, (same_dept, handbook) = running_example()
         narrow = self.narrow_rule()
         ctx = _Phase2([same_dept, handbook, narrow], acl, ExtractionLimits(), None)
         assert ctx.replace("into-kept", [narrow], [same_dept])
@@ -679,13 +679,13 @@ class TestMergeAndSimplify:
     def test_within_au_needs_every_action(self):
         acl = self.make_acl()
         acl = AclPolicy(acl.class_model, acl.object_model, acl.actions | {"write"}, acl.au)
-        same_dept, handbook = running_example_rules()
+        _, (same_dept, handbook) = running_example()
         ctx = _Phase2([same_dept, handbook], acl, ExtractionLimits(), None)
         plane = ctx.meaning_of(same_dept)
         assert plane
-        assert ctx.within_au(same_dept, plane)
-        assert not ctx.within_au(replace_actions(same_dept, {"read", "write"}), plane)
-        assert ctx.within_au(replace_actions(same_dept, {"read", "write"}), 0)
+        both = replace_actions(same_dept, {"read", "write"})
+        assert not plane & ~_allowed(same_dept, acl)
+        assert plane & ~_allowed(both, acl)
 
     def test_meaning_never_changes_and_wsc_never_grows(self):
         spec = builtin_spec("org-chart")
@@ -787,7 +787,7 @@ def greedy_drop_oracle(ctx):
                 ),
             )
             for k in order:
-                if not ctx.within_au(working, planes[k]):
+                if planes[k] & ~_allowed(working, ctx.acl):
                     continue
                 shrunk = working.without_atomic(*atomics[k])
                 if ctx.replace("drop-atomic", (working,), (shrunk,)):
@@ -831,7 +831,7 @@ def drop_cases(draw):
         cm, actions = ORG_CM, frozenset(ORG_ACTIONS)
         rules = draw(st.lists(org_rules(), min_size=1, max_size=4))
     else:
-        example = running_example()
+        example, _ = running_example()
         cm, om, actions = example.class_model, example.object_model, example.actions
         rules = draw(st.lists(running_example_rules_drawn(), min_size=1, max_size=3))
     granted = meaning(Policy(cm, om, actions, tuple(rules)))
@@ -952,7 +952,7 @@ class TestPhase2bIncremental:
                 new = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
             kept = [r for r in current if r not in old]
             same = policy_planes(kept + new, ctx.meaning_of) == ctx.meaning
-            assert ctx.keeps_meaning(ctx.current.intersection(old), new) == same
+            assert ctx.keeps_meaning({r for r in old if r in ctx.current}, new) == same
             refused = ctx.outcomes["random", "meaning"]
             accepted = ctx.replace("random", old, new)
             assert ctx.outcomes["random", "meaning"] == refused + (not same)
@@ -1005,7 +1005,7 @@ class TestFinalCheck:
     """``mine_detailed`` refuses a policy whose meaning is not the AU."""
 
     ACLS = {
-        "running-example": running_example,
+        "running-example": lambda: running_example()[0],
         "org-chart-n5": lambda: generate(builtin_spec("org-chart"), 5, seed=1)[1],
     }
 
@@ -1045,14 +1045,14 @@ class TestFinalCheck:
 
 class TestNaiveDiagnostic:
     def test_denies_the_unknown_typed_document(self):
-        acl = running_example()
+        acl, _ = running_example()
         policy = naive_unknown_as_false_diagnostic(acl, MinerConfig())
         granted = meaning(policy)
         assert SraTuple("CS-student-1", "CS-doc-2", "read") not in granted
         assert jaccard(granted, acl.au) == pytest.approx(2 / 3)
 
     def test_final_check_reports_instead_of_raising(self):
-        result = mine_detailed(running_example(), unknown_as_false=True)
+        result = mine_detailed(running_example()[0], unknown_as_false=True)
         assert result.missing == SraTuple("CS-student-1", "CS-doc-2", "read")
         assert result.extra is None
 

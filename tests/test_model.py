@@ -45,6 +45,7 @@ from rebac_miner.model import (
     wsc,
 )
 from rebac_miner.tvl import TruthValue, mask_of
+from tests.conftest import running_example
 
 F, U, T = TruthValue.F, TruthValue.U, TruthValue.T
 
@@ -53,73 +54,14 @@ OPT = Multiplicity.OPTIONAL
 MANY = Multiplicity.MANY
 
 
-def running_example_cm():
-    return ClassModel(
-        {
-            "Department": {},
-            "DocType": {},
-            "Student": {"dept": FieldDecl("Department", ONE)},
-            "Document": {
-                "dept": FieldDecl("Department", ONE),
-                "type": FieldDecl("DocType", ONE),
-            },
-        }
-    )
-
-
-def running_example_om():
-    return ObjectModel(
-        [
-            ObjectInstance("CS", "Department", {}),
-            ObjectInstance("Handbook", "DocType", {}),
-            ObjectInstance("CS-student-1", "Student", {"dept": "CS"}),
-            ObjectInstance("EE-student-1", "Student", {"dept": UNKNOWN}),
-            ObjectInstance(
-                "CS-doc-1", "Document", {"dept": UNKNOWN, "type": "Handbook"}
-            ),
-            ObjectInstance("CS-doc-2", "Document", {"dept": "CS", "type": UNKNOWN}),
-            ObjectInstance("CS-doc-3", "Document", {"dept": UNKNOWN, "type": UNKNOWN}),
-        ]
-    )
-
-
-def running_example_rules():
-    same_dept = Rule(
-        "Student",
-        frozenset(),
-        "Document",
-        frozenset(),
-        frozenset({AtomicConstraint(("dept",), "equal", ("dept",))}),
-        frozenset({"read"}),
-    )
-    handbook = Rule(
-        "Student",
-        frozenset(),
-        "Document",
-        frozenset({AtomicCondition(("type",), "in", frozenset({"Handbook"}))}),
-        frozenset(),
-        frozenset({"read"}),
-    )
-    return (same_dept, handbook)
-
-
-RUNNING_AU = frozenset(
-    {
-        SraTuple("CS-student-1", "CS-doc-1", "read"),
-        SraTuple("CS-student-1", "CS-doc-2", "read"),
-        SraTuple("EE-student-1", "CS-doc-1", "read"),
-    }
-)
-
-
 @pytest.fixture
 def cm():
-    return running_example_cm()
+    return running_example()[0].class_model
 
 
 @pytest.fixture
 def om():
-    return running_example_om()
+    return running_example()[0].object_model
 
 
 class TestClassModel:
@@ -339,26 +281,26 @@ class TestTvalConstraint:
 
 class TestSatisfiesAndMeaning:
     def test_example_rows(self, cm, om):
-        same_dept, handbook = running_example_rules()
+        _, (same_dept, handbook) = running_example()
         assert satisfies(cm, om, SraTuple("CS-student-1", "CS-doc-2", "read"), same_dept)
         assert not satisfies(cm, om, SraTuple("CS-student-1", "CS-doc-3", "read"), same_dept)
         assert not satisfies(cm, om, SraTuple("CS-student-1", "CS-doc-3", "read"), handbook)
 
     def test_action_mismatch(self, cm, om):
-        same_dept, _ = running_example_rules()
+        same_dept, _ = running_example()[1]
         assert not satisfies(cm, om, SraTuple("CS-student-1", "CS-doc-2", "write"), same_dept)
 
     def test_meaning_matches_au(self, cm, om):
-        policy = Policy(cm, om, frozenset({"read"}), running_example_rules())
-        assert meaning(policy) == RUNNING_AU
+        policy = Policy(cm, om, frozenset({"read"}), running_example()[1])
+        assert meaning(policy) == running_example()[0].au
 
     def test_empty_policy(self, cm, om):
         assert meaning(Policy(cm, om, frozenset({"read"}), ())) == frozenset()
 
     def test_union_without_duplicates(self, cm, om):
-        rules = running_example_rules()
+        rules = running_example()[1]
         policy = Policy(cm, om, frozenset({"read"}), rules + rules)
-        assert meaning(policy) == RUNNING_AU
+        assert meaning(policy) == running_example()[0].au
 
     def test_meaning_agrees_with_independent_tval(self, cm, om):
         # Second, deliberately naive evaluation of the same semantics.
@@ -422,12 +364,12 @@ class TestSatisfiesAndMeaning:
             return out
 
         mine = set()
-        for rule in running_example_rules():
+        for rule in running_example()[1]:
             mine |= rule_meaning(cm, om, rule)
         naive = set()
-        for rule in running_example_rules():
+        for rule in running_example()[1]:
             naive |= naive_grants(rule)
-        assert mine == naive == RUNNING_AU
+        assert mine == naive == running_example()[0].au
 
 
 class TestRefinementMonotonicity:
@@ -587,7 +529,7 @@ class TestRuleValidation:
             AtomicCondition(("type",), op, value)
 
     def test_running_example_rules_validate(self, cm):
-        for rule in running_example_rules():
+        for rule in running_example()[1]:
             validate_rule(cm, rule)
 
 
@@ -600,11 +542,11 @@ class TestWsc:
         assert wsc(con) == 3
 
     def test_handbook_rule(self):
-        _, handbook = running_example_rules()
+        _, handbook = running_example()[1]
         assert wsc(handbook) == 3
 
     def test_policy_sums_rules(self, cm, om):
-        rules = running_example_rules()
+        rules = running_example()[1]
         policy = Policy(cm, om, frozenset({"read"}), rules)
         assert wsc(policy) == sum(wsc(r) for r in rules) == 6
 

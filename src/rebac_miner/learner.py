@@ -15,7 +15,6 @@ conjunctions.
 from __future__ import annotations
 
 import enum
-import logging
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Union
@@ -38,8 +37,6 @@ from rebac_miner.tvl import (
     remove_redundant,
     uncovered_t_rows,
 )
-
-log = logging.getLogger(__name__)
 
 T = TruthValue.T
 
@@ -202,31 +199,23 @@ def learn_formula(dataset: LabeledDataset, max_iter: int = 5) -> LearnResult:
 def cover_rest(
     learned: LearnResult, dataset: LabeledDataset, cover: Callable[[int], Conjunction]
 ) -> LearnResult:
-    """Add ``cover(row)`` for each T row ``learned.formula`` misses, drop
-    absorbed disjuncts and check the result on every row of ``dataset``,
-    which may append columns (identity columns) for the covers to use.
+    """Add ``cover(row)`` for each T row ``learned.formula`` misses, check
+    the result on every row of ``dataset``, which may append columns
+    (identity columns) for the covers to use, and drop absorbed disjuncts.
 
     Raises LearningError, with ``learned`` attached, when the result grants
     a row not labeled T or misses one labeled T; monotonicity is not checked
     up front, the post-verification is the cheaper and stronger check.
+    The formula is checked as built, since neither canonical order nor
+    absorbed disjuncts change its rows; only one that passes is tidied.
     """
     remaining = uncovered_t_rows(learned.formula, dataset)
-    disjuncts = list(learned.formula.disjuncts)
-    for row in bit_indices(remaining):
-        conjunction = cover(row)
-        if not conjunction.literals:
-            log.warning(
-                "fallback produced an empty conjunction (all-unknown row"
-                " %s); the formula becomes always-true",
-                dataset.provenance[row],
-            )
-        disjuncts.append(conjunction)
-
-    final = remove_redundant(DnfFormula.of(disjuncts))
-    violation = first_validity_violation(final, dataset)
+    built = DnfFormula((*learned.formula.disjuncts, *map(cover, bit_indices(remaining))))
+    violation = first_validity_violation(built, dataset)
     if violation is not None:
         raise LearningError(violation, learned)
-    uncovered = uncovered_t_rows(final, dataset)
+    uncovered = uncovered_t_rows(built, dataset)
     if uncovered:
         raise LearningError(dataset.rows[bit_indices(uncovered)[0]], learned)
+    final = remove_redundant(DnfFormula.of(built.disjuncts))
     return LearnResult(final, bool(remaining), learned.blacklisted, learned.iterations)

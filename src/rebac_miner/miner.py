@@ -30,6 +30,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial, reduce
 from heapq import heapify, heappop, heappush
+from itertools import accumulate
 from operator import and_, attrgetter, or_
 from typing import Callable, Collection, Iterable, Optional
 
@@ -250,7 +251,7 @@ def extract_rules(
     """One rule per disjunct; negative literals become negated atomics."""
     rules = []
     for conjunction in formula.disjuncts:
-        parts = (set(), set(), set())  # indexed by Slot
+        atomics = []
         for literal in conjunction.sorted_literals:
             if literal.polarity is Polarity.IS_UNKNOWN:
                 raise MinerError(
@@ -260,10 +261,18 @@ def extract_rules(
             payload = entry.payload
             if literal.polarity is Polarity.NEGATIVE:
                 payload = replace(payload, negated=True)
-            parts[entry.kind].add(payload)
-        s, r, c = map(frozenset, parts)
-        rules.append(Rule(subject_type, s, resource_type, r, c, frozenset({action})))
+            atomics.append((entry.kind, payload))
+        rules.append(_rule_of(subject_type, resource_type, atomics, frozenset({action})))
     return sort_rules(rules)
+
+
+def _rule_of(s_cls: str, r_cls: str, atomics: Iterable, actions: frozenset) -> Rule:
+    """The rule from ``s_cls`` to ``r_cls`` with ``atomics``, (slot, atomic) pairs."""
+    parts = (set(), set(), set())  # indexed by Slot
+    for slot, atomic in atomics:
+        parts[slot].add(atomic)
+    s, r, c = map(frozenset, parts)
+    return Rule(s_cls, s, r_cls, r, c, actions)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +300,7 @@ def eliminate_negative_features(
     table: FeatureTable,
     others: Iterable[Rule] = (),
 ) -> tuple[Rule, ...]:
-    """Rewrite one rule until it carries no negated atomics.
+    """Rewrite one rule in one pass so that it carries no negated atomics.
 
     Substeps per negated atomic, first success wins: (1) drop it if the
     rule stays valid; (2) swap in the cheapest positive table feature that
@@ -299,20 +308,45 @@ def eliminate_negative_features(
     negated membership condition, flip to the complement of its constants
     over the observed domain; (4) flip to the constants actually navigated
     by the rule's granted subjects/resources.  If some negated atomic
-    survives all four, the rule is replaced by per-pair identity rules for
-    the tuples no rule of ``others`` grants.  Every candidate is judged on
-    pair planes (:func:`_eliminate_one`).
+    survives all four, the rule as rewritten so far is replaced by
+    per-pair identity rules for the tuples no rule of ``others`` grants.
+    Candidates are judged on pair planes: without negated atomic k, the
+    rule's plane ``base`` is the AND of the T-planes (:func:`pair_planes`)
+    of the atomics kept or swapped in before k and of every atomic after k.
+    Only the rule returned, or the one split, is built as a :class:`Rule`.
     """
-    current = rule
-    while True:
-        negated = [(slot, ac) for slot, ac in current.atomics() if ac.negated]
-        if not negated:
-            return (current,)
-        slot, atomic = negated[0]
-        rewritten = _eliminate_one(current, slot, atomic, acl, table)
-        if rewritten is None:
-            return _id_split(current, acl, others)
-        current = rewritten
+    atomics = rule.atomics()
+    if not any(a.negated for _, a in atomics):
+        return (rule,)
+    cm, om = acl.class_model, acl.object_model
+    s_cls, r_cls = rule.subject_type, rule.resource_type
+    t = [pair_planes(cm, om, s_cls, r_cls, slot, a)[a.negated] for slot, a in atomics]
+    full = om.pairs(s_cls, r_cls).full
+    after = [*accumulate(reversed(t), and_, initial=full)][-2::-1]  # AND of t[k + 1:]
+    allowed = _allowed(rule, acl)
+    granting = reduce(or_, _au_planes_of(rule, acl))
+    kept, before = [], full  # the rewritten atomics before k, and their AND
+    for k, (slot, atomic) in enumerate(atomics):
+        if not atomic.negated:
+            kept.append((slot, atomic))
+            before &= t[k]
+            continue
+        base = before & after[k]
+        if not base & ~allowed:  # (1) plain removal
+            continue
+        # What the rule grants: its pairs that some action's AU plane holds.
+        own = base & t[k] & granting
+        for new_slot, new in _replacements(rule, slot, atomic, acl, table, own):
+            new_t = pair_planes(cm, om, s_cls, r_cls, new_slot, new)[new.negated]
+            # Valid, and still granting everything the rule granted before.
+            if not base & new_t & ~allowed and not own & ~new_t:
+                kept.append((new_slot, new))
+                before &= new_t
+                break
+        else:
+            rest = _rule_of(s_cls, r_cls, kept + list(atomics[k:]), rule.actions)
+            return _id_split(rest, acl, others)
+    return (_rule_of(s_cls, r_cls, kept, rule.actions),)
 
 
 def _au_planes_of(rule: Rule, acl: AclPolicy) -> list[int]:
@@ -326,32 +360,6 @@ def _allowed(rule: Rule, acl: AclPolicy) -> int:
     the same pairs for each of its actions, so this is the AND of its
     actions' AU planes."""
     return reduce(and_, _au_planes_of(rule, acl))
-
-
-def _eliminate_one(rule, slot, atomic, acl, table) -> Optional[Rule]:
-    """``rule`` with the negated ``atomic`` in ``slot`` dropped (substep 1)
-    or replaced (substeps 2-4), or None if no candidate is acceptable.
-
-    The rule without ``atomic`` is ``base``, and a candidate's pair plane
-    is ``base``'s plane ANDed with the new atomic's T plane from
-    :func:`~rebac_miner.model.pair_planes`: besides ``base``, only the
-    rewrite returned is built as a :class:`Rule`.
-    """
-    cm, om = acl.class_model, acl.object_model
-    allowed = _allowed(rule, acl)
-    base = rule.without_atomic(slot, atomic)
-    base_plane = rule_meaning(cm, om, base)
-    if not base_plane & ~allowed:  # (1) plain removal
-        return base
-    # What the rule grants: its pairs that some action's AU plane holds.
-    own = rule_meaning(cm, om, rule) & reduce(or_, _au_planes_of(rule, acl))
-    s_cls, r_cls = rule.subject_type, rule.resource_type
-    for new_slot, new in _replacements(rule, slot, atomic, acl, table, own):
-        plane = base_plane & pair_planes(cm, om, s_cls, r_cls, new_slot, new)[new.negated]
-        # Valid, and still granting everything the rule granted before.
-        if not plane & ~allowed and not own & ~plane:
-            return base.with_atomic(new_slot, new)
-    return None
 
 
 def _replacements(rule, slot, atomic, acl, table, own):

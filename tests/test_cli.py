@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -121,6 +122,44 @@ class TestMine:
         assert f"inconsistent: does not grant {tuple(missing)}" in err
         assert f"inconsistent: also grants {tuple(extra)}" in err
         assert out.exists() and (tmp_path / "manifest.json").exists()
+
+    def test_all_unknown_row_mines_without_a_warning(self, tmp_path, caplog):
+        # Each task's T row (e1, x1) is all-unknown, so the default cover
+        # of that row is the empty conjunction; the attempt that uses it is
+        # rejected, the identity route mines the policy, and nothing warns.
+        unknown = {"$unknown": True}
+        documents = {
+            "classmodel": {"classes": {
+                "Dept": {"fields": {}},
+                "Emp": {"fields": {"dept": {"type": "Dept"}}},
+                "Doc": {"fields": {"dept": {"type": "Dept"}}},
+            }},
+            "objectmodel": {"objects": [
+                {"id": "d1", "type": "Dept", "fields": {}},
+                {"id": "d2", "type": "Dept", "fields": {}},
+                {"id": "e1", "type": "Emp", "fields": {"dept": unknown}},
+                {"id": "e2", "type": "Emp", "fields": {"dept": unknown}},
+                {"id": "e3", "type": "Emp", "fields": {"dept": "d1"}},
+                {"id": "x1", "type": "Doc", "fields": {"dept": unknown}},
+                {"id": "x2", "type": "Doc", "fields": {"dept": "d2"}},
+            ]},
+            "au": [["e1", "x1", "read"], ["e3", "x2", "read"]],
+        }
+        args = []
+        for name, document in documents.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(document))
+            args += [f"--{name}", str(path)]
+        out = tmp_path / "policy.json"
+        with caplog.at_level(logging.WARNING):
+            assert main(["mine", *args, "-o", str(out)]) == 0
+        assert not caplog.records
+        cm = jsonio.class_model_from_json(documents["classmodel"])
+        _, rules = jsonio.rules_from_json(json.loads(out.read_text()), cm)
+        assert [r.text() for r in rules] == [
+            "<Emp; true; Doc; true; not(subject.dept = resource.dept); {read}>",
+            "<Emp; subject.id=e1; Doc; resource.id=x1; true; {read}>",
+        ]
 
     def test_missing_object_id_exits_2(self, tmp_path):
         bad_au = tmp_path / "au.json"
@@ -428,6 +467,21 @@ class TestLearnFormulaCommand:
         csv_file.write_text("a,b,label\nT,F,T\nT,F,F\n")
         assert main(["learn-formula", str(csv_file)]) == 3
         assert "labeled F" in capsys.readouterr().err
+
+    def test_all_unknown_rows_exit_3_with_one_error_line(self, tmp_path):
+        # The T row's default cover is empty, so the formula grants the F
+        # row too: exit 3 with the error line alone on stderr.
+        csv_file = tmp_path / "data.csv"
+        csv_file.write_text("f0,label\nU,T\nU,F\n")
+        src = str(Path(rebac_miner.__file__).resolve().parents[1])
+        env = {**os.environ}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "rebac_miner.cli", "learn-formula", str(csv_file)],
+            env=env, capture_output=True, text=True,
+        )
+        assert run.returncode == 3
+        assert run.stderr == "error: formula would grant a row labeled F\n"
 
 
 def _file_system_case(case, tmp_path):

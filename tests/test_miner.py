@@ -1,6 +1,8 @@
 import hashlib
 import logging
 from dataclasses import replace
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -410,6 +412,178 @@ class TestEliminateNegatives:
         assert after >= granted & acl.au
         assert after <= acl.au | granted
         assert not any(ac.negated for r in out for _, ac in r.atomics())
+
+
+def per_atomic_reference(rule, acl, table, others=()):
+    """Phase 2a as a per-atomic loop: the first negated atomic of the rule
+    as rewritten so far is dropped or replaced (``eliminate_one_reference``),
+    and the rewritten rule's atomics are scanned again."""
+    current = rule
+    while True:
+        negated = [(slot, ac) for slot, ac in current.atomics() if ac.negated]
+        if not negated:
+            return (current,)
+        slot, atomic = negated[0]
+        rewritten = eliminate_one_reference(current, slot, atomic, acl, table)
+        if rewritten is None:
+            return miner._id_split(current, acl, others)
+        current = rewritten
+
+
+def eliminate_one_reference(rule, slot, atomic, acl, table):
+    """``rule`` with the negated ``atomic`` dropped or replaced, or None,
+    each candidate judged on ``rule_plane`` of the rule without it."""
+    cm, om = acl.class_model, acl.object_model
+    allowed = _allowed(rule, acl)
+    base = rule.without_atomic(slot, atomic)
+    base_plane = rule_plane(cm, om, base)
+    if not base_plane & ~allowed:  # (1) plain removal
+        return base
+    # What the rule grants: its pairs that some action's AU plane holds.
+    own = rule_plane(cm, om, rule) & reduce(or_, miner._au_planes_of(rule, acl))
+    s_cls, r_cls = rule.subject_type, rule.resource_type
+    for new_slot, new in miner._replacements(rule, slot, atomic, acl, table, own):
+        plane = base_plane & pair_planes(cm, om, s_cls, r_cls, new_slot, new)[new.negated]
+        # Valid, and still granting everything the rule granted before.
+        if not plane & ~allowed and not own & ~plane:
+            return base.with_atomic(new_slot, new)
+    return None
+
+
+def phase_model(*granted):
+    """One user of department d1 and four tasks, each with a department, a
+    phase and a status (completed, in progress, not started); the user
+    may read the ``granted`` tasks."""
+    one = Multiplicity.ONE
+    cm = ClassModel({
+        "Dept": {},
+        "Status": {},
+        "User": {"dept": FieldDecl("Dept", one)},
+        "Task": {
+            "dept": FieldDecl("Dept", one),
+            "phase": FieldDecl("Status", one),
+            "status": FieldDecl("Status", one),
+        },
+    })
+    objs = [ObjectInstance(d, "Dept", {}) for d in ("d1", "d2")]
+    objs += [ObjectInstance(s, "Status", {}) for s in ("c", "ip", "ns")]
+    objs.append(ObjectInstance("u1", "User", {"dept": "d1"}))
+    for task, dept, phase, status in (
+        ("t1", "d2", "ns", "ns"),
+        ("t2", "d2", "ip", "ip"),
+        ("t3", "d2", "c", "ns"),
+        ("t4", "d1", "ns", "ns"),
+    ):
+        objs.append(
+            ObjectInstance(task, "Task", {"dept": dept, "phase": phase, "status": status})
+        )
+    au = frozenset(SraTuple("u1", t, "read") for t in granted)
+    return AclPolicy(cm, ObjectModel(objs), frozenset({"read"}), au)
+
+
+NOT_COMPLETED = (
+    cond(("phase",), "c", negated=True),
+    cond(("status",), "c", negated=True),
+)
+OTHER_DEPT = AtomicConstraint(("dept",), "equal", ("dept",), negated=True)
+
+
+class TestPhase2aOnePass:
+    """The one-pass rewrite returns what the per-atomic loop returns."""
+
+    @pytest.mark.parametrize("naive", [False, True])
+    @pytest.mark.parametrize("include_ids", [False, True])
+    @pytest.mark.parametrize("spec_name", ["org-chart", "univ-mini"])
+    def test_matches_the_per_atomic_loop_on_mined_rules(
+        self, spec_name, include_ids, naive, monkeypatch
+    ):
+        one_pass = miner.eliminate_negative_features
+        seen = []
+
+        def compared(rule, acl, table, others=()):
+            got = one_pass(rule, acl, table, others)
+            assert got == per_atomic_reference(rule, acl, table, others)
+            seen.append(sum(ac.negated for _, ac in rule.atomics()))
+            return got
+
+        monkeypatch.setattr(miner, "eliminate_negative_features", compared)
+        spec = builtin_spec(spec_name)
+        cfg = MinerConfig(
+            allow_negation=False,
+            limits=ExtractionLimits(include_id_conditions=include_ids),
+        )
+        for n in range(3, 9):
+            for s in (1, 2, 3, 4):
+                for seed in (1, 2, 3):
+                    om, acl = generate(spec, n, seed=seed)
+                    degraded = inject_unknowns(om, spec, s, seed=seed)
+                    acl = AclPolicy(spec.class_model, degraded, acl.actions, acl.au)
+                    mine_detailed(acl, cfg, unknown_as_false=naive)
+        assert max(seen) > 1
+
+    def test_replacement_before_a_later_drop(self):
+        # not(phase=c) goes first: without it t3 is granted, so it becomes
+        # phase in {ip, ns}; that replacement alone keeps t3 out, so
+        # not(status=c) is dropped.
+        acl = phase_model("t1", "t2", "t4")
+        rule = Rule(
+            "User", frozenset(), "Task", frozenset(NOT_COMPLETED), frozenset(),
+            frozenset({"read"}),
+        )
+        table = FeatureTable((), ())
+        expected = per_atomic_reference(rule, acl, table)
+        assert expected == (
+            replace(rule, resource_condition=frozenset({cond(("phase",), "ip", "ns")})),
+        )
+        assert eliminate_negative_features(rule, acl, table) == expected
+
+    def test_replacement_already_in_the_rule(self):
+        # resource.dept=d2 is in the rule and among the first table
+        # candidates for not(phase=c); it is tried, refused, and the
+        # complement phase in {ip, ns} is taken.
+        acl = phase_model("t1", "t2")
+        in_d2 = cond(("dept",), "d2")
+        rule = Rule(
+            "User", frozenset(), "Task", frozenset({in_d2, NOT_COMPLETED[0]}),
+            frozenset(), frozenset({"read"}),
+        )
+        table = FeatureTable.build(
+            acl.class_model, acl.object_model, "User", "Task", ExtractionLimits()
+        )
+        assert (Slot.RESOURCE, in_d2) in [(e.kind, e.payload) for e in table.entries]
+        expected = per_atomic_reference(rule, acl, table)
+        assert expected == (
+            replace(rule, resource_condition=frozenset({in_d2, cond(("phase",), "ip", "ns")})),
+        )
+        assert eliminate_negative_features(rule, acl, table) == expected
+
+    def test_id_split_after_a_replacement_and_a_drop(self, monkeypatch):
+        # As above, not(phase=c) is replaced and not(status=c) dropped; the
+        # negated constraint then neither drops (t4 would be granted) nor
+        # has a replacement, so the rule as rewritten is split.
+        acl = phase_model("t1", "t2")
+        rule = Rule(
+            "User", frozenset(), "Task", frozenset(NOT_COMPLETED),
+            frozenset({OTHER_DEPT}), frozenset({"read"}),
+        )
+        table = FeatureTable((), ())
+        expected = per_atomic_reference(rule, acl, table)
+        assert len(expected) == 2
+        split = miner._id_split
+        splits = []
+
+        def recording(rule, acl, others):
+            splits.append(rule)
+            return split(rule, acl, others)
+
+        monkeypatch.setattr(miner, "_id_split", recording)
+        assert eliminate_negative_features(rule, acl, table) == expected
+        assert splits == [
+            Rule(
+                "User", frozenset(), "Task", frozenset({cond(("phase",), "ip", "ns")}),
+                frozenset({OTHER_DEPT}), frozenset({"read"}),
+            )
+        ]
 
 
 class TestMergeAndSimplify:

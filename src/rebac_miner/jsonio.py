@@ -181,15 +181,10 @@ def _path_from_text(text) -> tuple[str, ...]:
 
 
 def _condition_to_json(ac: AtomicCondition) -> dict:
-    value = (
-        sorted(ac.value, key=value_sort_key)
-        if isinstance(ac.value, frozenset)
-        else ac.value
-    )
     return {
         "path": _path_to_text(ac.path),
         "op": ac.op,
-        "value": value,
+        "value": _value_to_json(ac.value),
         "negated": ac.negated,
     }
 
@@ -325,47 +320,22 @@ def au_to_json(au: Iterable[SraTuple]) -> list:
     return [[t.subject, t.resource, t.action] for t in sorted(au)]
 
 
-def _au_actions(document, om: ObjectModel) -> frozenset[str]:
-    """Check an authorization document and return the actions it uses.
-
-    The document must be an array of [subject id, resource id, action]
-    triples of strings, whose ids name objects of ``om``; a triple may
-    appear more than once.  Anything else raises
-    :class:`SchemaError` naming the first offending triple or id.  One
-    pass, which makes no object per triple.  Once the triples are in an
-    :class:`~rebac_miner.model.AclPolicy`, its
-    :attr:`~rebac_miner.model.AclPolicy.au_planes` checks them against the
-    model (object ids and declared actions).
-    """
-    _require(isinstance(document, list), "authorizations: expected an array of triples")
-    ids = om._by_id
-    actions: set[str] = set()
-    add = actions.add
-    for raw in document:
-        if not (
-            isinstance(raw, list)
-            and len(raw) == 3
-            and isinstance(raw[0], str)
-            and isinstance(raw[1], str)
-            and isinstance(raw[2], str)
-        ):
-            raise SchemaError(f"authorizations: bad triple {raw!r}")
-        if raw[0] not in ids:
-            raise SchemaError(f"authorizations: unknown subject {raw[0]}")
-        if raw[1] not in ids:
-            raise SchemaError(f"authorizations: unknown resource {raw[1]}")
-        add(raw[2])
-    return frozenset(actions)
-
-
 def acl_from_documents(cm_doc, om_doc, au_doc) -> AclPolicy:
-    """The ACL of three parsed JSON documents.  The authorizations are read
-    once, by :func:`_au_actions`, and kept as the checked array itself
-    (:attr:`~rebac_miner.model.AclPolicy.triples`); the declared actions
-    are the ones they use."""
+    """The ACL of three parsed JSON documents.  ``au_doc`` must be an array
+    of [subject id, resource id, action] triples of strings whose ids name
+    objects of the object model; a triple may appear more than once.  The
+    array is kept as given (:attr:`~rebac_miner.model.AclPolicy.triples`),
+    and the declared actions are the ones it uses.  It is read once, by
+    :attr:`~rebac_miner.model.AclPolicy.au_planes` while the policy is
+    built, so a bad document raises :class:`SchemaError` naming the first
+    offending triple before this returns."""
     cm = class_model_from_json(cm_doc)
     om = object_model_from_json(om_doc, cm)
-    return AclPolicy(cm, om, _au_actions(au_doc, om), au_doc)
+    _require(isinstance(au_doc, list), "authorizations: expected an array of triples")
+    try:
+        return AclPolicy(cm, om, None, au_doc)
+    except ModelError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 # --- similarity report ------------------------------------------------------

@@ -40,10 +40,9 @@ def syn_sim_atomic_condition(ac1: AtomicCondition, ac2: AtomicCondition) -> floa
     if ac1.path != ac2.path:
         return 0.0
     sign = jaccard(ac1.negated, ac2.negated)
-    path = jaccard(ac1.path, ac2.path)  # always 1 here, kept for the record
     v1 = ac1.value if isinstance(ac1.value, frozenset) else frozenset({ac1.value})
     v2 = ac2.value if isinstance(ac2.value, frozenset) else frozenset({ac2.value})
-    return (sign + path + jaccard(v1, v2)) / 3.0
+    return (sign + 1.0 + jaccard(v1, v2)) / 3.0
 
 
 def syn_condition_sets(s1, s2) -> float:

@@ -154,14 +154,16 @@ def mine_detailed(
     """Mine ``acl`` into a policy and report each (subject type, resource
     type, action) task it learned.
 
-    The tasks are the keys of ``acl.au_planes``, whose first use here also
-    checks the authorizations against the model: an unknown object or an
-    undeclared action raises :class:`~rebac_miner.model.ModelError` before
-    any learning.  On every route the mined policy's meaning is checked
-    against the authorizations, each rule's plane computed afresh.  A
-    difference raises :class:`MinerError` naming its smallest tuple; with
-    ``unknown_as_false`` it is returned on the result's ``missing`` and
-    ``extra`` instead.
+    The tasks are the keys of ``acl.au_planes``, whose first read checks
+    the authorizations against the model (an ACL built with
+    ``actions=None`` was read when built): a bad triple, an unknown object
+    or an undeclared action raises :class:`~rebac_miner.model.ModelError`
+    before any learning.  The policy's rules are phase 2b's, which are
+    unique and in ``sort_key`` order.  On every route the mined policy's
+    meaning is checked against the authorizations, each rule's plane
+    computed afresh.  A difference raises :class:`MinerError` naming its
+    smallest tuple; with ``unknown_as_false`` it is returned on the
+    result's ``missing`` and ``extra`` instead.
     """
     cm, om = acl.class_model, acl.object_model
     keys = sorted(acl.au_planes)
@@ -190,7 +192,7 @@ def mine_detailed(
 
     rules = merge_and_simplify(rules, acl, limits=cfg.limits, observer=observer)
 
-    policy = Policy(cm, om, acl.actions, sort_rules(rules))
+    policy = Policy(cm, om, acl.actions, rules)
     missing, extra = meaning_mismatch(
         om, policy_planes(policy.rules, partial(rule_meaning, cm, om)), acl.au_planes
     )
@@ -585,7 +587,9 @@ def merge_and_simplify(
     the rules only through ``_Phase2.replace``, which accepts a change
     only when the policy meaning is unchanged and the policy's weighted
     structural complexity does not grow.  The accepted and rejected
-    proposals per step are logged once at DEBUG.
+    proposals per step are logged once at DEBUG.  The rules come back
+    unique and in ``sort_key`` order, as :func:`~rebac_miner.model.sort_rules`
+    would give them.
     """
     ctx = _Phase2(rules, acl, limits, observer)
     ctx.changed = True

@@ -694,18 +694,29 @@ class AclPolicy:
     """The input of mining: authorizations over a class and object model.
 
     ``triples`` holds the authorizations as given, each a (subject id,
-    resource id, action) sequence: :func:`rebac_miner.jsonio.acl_from_documents`
-    passes the validated JSON array itself, Python callers a frozenset of
-    :class:`SraTuple`.  A triple given twice counts once, and ``triples``
-    must not change afterwards.  Nothing is checked on construction;
-    :attr:`au_planes` checks the triples against the model and is the form
-    the miner reads, and :attr:`au` is the tuple set, made only when read.
+    resource id, action) list or tuple:
+    :func:`rebac_miner.jsonio.acl_from_documents` passes the parsed JSON
+    array itself, Python callers a frozenset of :class:`SraTuple`.  A
+    triple given twice counts once, and ``triples`` must not change
+    afterwards.  :attr:`au_planes` is the one reader of the triples: it
+    checks them against the model and is the form the miner reads, and
+    :attr:`au` is the tuple set, made only when read.
+
+    ``actions=None`` means the actions the triples use: construction then
+    reads :attr:`au_planes`, so a bad triple raises :class:`ModelError`
+    there, and sets ``actions`` from its keys.  Declared actions are checked
+    when :attr:`au_planes` is first read.
     """
 
     class_model: ClassModel
     object_model: ObjectModel
-    actions: frozenset[str]
+    actions: Optional[frozenset[str]]
     triples: Collection[Sequence[str]]
+
+    def __post_init__(self):
+        if self.actions is None:
+            used = frozenset(action for _, _, action in self.au_planes)
+            object.__setattr__(self, "actions", used)
 
     @cached_property
     def au(self) -> frozenset[SraTuple]:
@@ -723,9 +734,10 @@ class AclPolicy:
         the two classes' :class:`PairLayout`.
         Built in one pass over ``triples``, which makes no tuple per triple.
 
-        This is where the authorizations are checked against the model: the
-        first triple naming an object missing from the object model, or an
-        action missing from ``actions``, raises :class:`ModelError`.
+        This is the only code that reads the triples, and it checks each one
+        as it reads it: the first triple that is not a list or tuple of three
+        strings, names an object missing from the object model, or uses an
+        action missing from declared ``actions`` raises :class:`ModelError`.
 
         Keys with no grants are absent, so two such mappings are equal
         exactly when the tuple sets they encode are.  Computed once per
@@ -737,6 +749,14 @@ class AclPolicy:
         place = om._place
         positions: dict[tuple[str, str, str], list[int]] = {}
         for t in self.triples:
+            if not (
+                isinstance(t, (list, tuple))
+                and len(t) == 3
+                and isinstance(t[0], str)
+                and isinstance(t[1], str)
+                and isinstance(t[2], str)
+            ):
+                raise ModelError(f"authorizations: bad triple {t!r}")
             subject, resource, action = t
             try:
                 (s_type, s_pos), (r_type, r_pos) = place[subject], place[resource]
@@ -744,7 +764,7 @@ class AclPolicy:
                 raise ModelError(
                     f"authorization references unknown object: {SraTuple._make(t)}"
                 ) from None
-            if action not in actions:
+            if actions is not None and action not in actions:
                 raise ModelError(
                     f"authorization uses undeclared action: {SraTuple._make(t)}"
                 )

@@ -272,9 +272,12 @@ class _Rows(View):
 
     def _at(self, k: int) -> LabeledRow:
         ds = self._dataset
-        cells = tuple(_cells((t >> k & 1, f >> k & 1), 1)[0] for t, f in ds.planes)
-        label = _cells((ds.labels[0] >> k & 1, ds.labels[1] >> k & 1), 1)[0]
-        return LabeledRow(FeatureVector(cells), label, ds.provenance[k])
+
+        def cell(t: int, f: int) -> TruthValue:
+            return T if t >> k & 1 else F if f >> k & 1 else U
+
+        cells = tuple(cell(t, f) for t, f in ds.planes)
+        return LabeledRow(FeatureVector(cells), cell(*ds.labels), ds.provenance[k])
 
     def __iter__(self):
         ds = self._dataset

@@ -50,6 +50,13 @@ class TestGenerate:
         om_b = (tmp_path / "b" / "objectmodel.json").read_text()
         assert om_a != om_b
 
+    @pytest.mark.parametrize("spec", ["univ-mini", "org-chart"])
+    def test_builtin_specs_generate_without_a_warning(self, spec, tmp_path, caplog):
+        with caplog.at_level(logging.WARNING):
+            assert main(["generate", "--spec", spec, "--n", "4", "--s", "2",
+                         "--seed", "1", "--outdir", str(tmp_path)]) == 0
+        assert not caplog.records
+
     def test_bad_spec_name_exits_2(self, tmp_path):
         assert main(["generate", "--spec", "nope", "--outdir", str(tmp_path)]) == 2
 

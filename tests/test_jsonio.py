@@ -5,7 +5,7 @@ import pytest
 from rebac_miner import jsonio
 from rebac_miner.datagen import builtin_spec, generate, inject_unknowns
 from rebac_miner.metrics import SimilarityReport
-from rebac_miner.model import meaning, Policy
+from rebac_miner.model import meaning, Policy, SraTuple
 from tests.conftest import RUNNING_EXAMPLE, running_example
 
 
@@ -221,20 +221,33 @@ class TestSchemaErrors:
             running_example_acl([["ghost", "CS-doc-1", "read"]])
 
     @pytest.mark.parametrize(
-        "document, named",
+        "document, text",
         [
-            ({"au": []}, "expected an array of triples"),
-            ([("CS-student-1", "CS-doc-1", "read")], "('CS-student-1', 'CS-doc-1', 'read')"),
-            ([["e", "t", 3]], "['e', 't', 3]"),
-            ([["CS-student-1", "ghost", "read"]], "unknown resource ghost"),
+            ({"au": []}, "authorizations: expected an array of triples"),
+            ([["e", "t", 3]], "authorizations: bad triple ['e', 't', 3]"),
+            # An unknown id gets the model's text, as a hand-built ACL does.
+            (
+                [["CS-student-1", "ghost", "read"]],
+                "authorization references unknown object: "
+                + str(SraTuple("CS-student-1", "ghost", "read")),
+            ),
         ],
-        ids=["document-not-a-list", "triple-not-a-list", "non-string-element",
-             "unknown-resource"],
+        ids=["document-not-a-list", "non-string-element", "unknown-resource"],
     )
-    def test_au_shape_errors_name_the_culprit(self, document, named):
-        with pytest.raises(jsonio.SchemaError, match="^authorizations: ") as exc:
+    def test_au_shape_errors_name_the_culprit(self, document, text):
+        with pytest.raises(jsonio.SchemaError) as exc:
             running_example_acl(document)
-        assert named in str(exc.value)
+        assert str(exc.value) == text
+
+    def test_au_tuple_triple_read_like_the_list(self):
+        # json.loads makes no tuples, but AclPolicy takes SraTuple triples,
+        # so a tuple is a triple like the equal list.
+        triple = ["CS-student-1", "CS-doc-1", "read"]
+        as_tuple = running_example_acl([tuple(triple)])
+        as_list = running_example_acl([triple])
+        assert as_tuple.actions == as_list.actions == {"read"}
+        assert as_tuple.au == as_list.au == {SraTuple(*triple)}
+        assert as_tuple.au_planes == as_list.au_planes
 
     def test_condition_op_validated(self):
         with pytest.raises(jsonio.SchemaError):

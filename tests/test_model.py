@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from functools import partial
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -840,6 +841,93 @@ def org_au_documents(draw):
     return om, [list(t) for t in document + repeats]
 
 
+@st.composite
+def org_au_documents_any(draw):
+    """An org model and a parsed JSON value for its authorizations: mostly
+    arrays whose entries are lists or tuples of object ids and actions,
+    repeated ones included; half of them also hold wrong lengths,
+    non-strings, nulls and unknown ids, or are not arrays at all."""
+    om = draw(org_models())
+    ids = [obj.id for obj in om.objects()]
+    known = st.sampled_from(ids)
+    action = st.sampled_from(ORG_ACTIONS)
+    triple = st.tuples(known, known, action)
+    entry = st.one_of(triple.map(list), triple)
+    if draw(st.booleans()):
+        word = st.sampled_from(ids + ["ghost", "other"])
+        element = st.one_of(word, st.none(), st.integers(-1, 1), st.booleans())
+        odd = st.lists(element, max_size=4)
+        entry = st.one_of(
+            entry,
+            st.lists(word, min_size=3, max_size=3),
+            odd,
+            odd.map(tuple),
+            st.none(),
+            st.text(max_size=3),
+            st.just({}),
+        )
+    document = draw(st.one_of(st.lists(entry, max_size=8), st.just({"au": []})))
+    if isinstance(document, list) and document:
+        document += draw(st.lists(st.sampled_from(document), max_size=3))
+    return om, document
+
+
+def old_au_actions(document, om):
+    """Reference: the old first pass, ``jsonio._au_actions``, as it was."""
+    jsonio._require(
+        isinstance(document, list), "authorizations: expected an array of triples"
+    )
+    ids = om._by_id
+    actions: set[str] = set()
+    add = actions.add
+    for raw in document:
+        if not (
+            isinstance(raw, list)
+            and len(raw) == 3
+            and isinstance(raw[0], str)
+            and isinstance(raw[1], str)
+            and isinstance(raw[2], str)
+        ):
+            raise jsonio.SchemaError(f"authorizations: bad triple {raw!r}")
+        if raw[0] not in ids:
+            raise jsonio.SchemaError(f"authorizations: unknown subject {raw[0]}")
+        if raw[1] not in ids:
+            raise jsonio.SchemaError(f"authorizations: unknown resource {raw[1]}")
+        add(raw[2])
+    return frozenset(actions)
+
+
+def old_au_planes(self):
+    """Reference: the old second pass, ``AclPolicy.au_planes``, as it was."""
+    om, actions = self.object_model, self.actions
+    size = {cls: len(objects) for cls, objects in om._by_type.items()}
+    place = om._place
+    positions: dict[tuple[str, str, str], list[int]] = {}
+    for t in self.triples:
+        subject, resource, action = t
+        try:
+            (s_type, s_pos), (r_type, r_pos) = place[subject], place[resource]
+        except KeyError:
+            raise ModelError(
+                f"authorization references unknown object: {SraTuple._make(t)}"
+            ) from None
+        if action not in actions:
+            raise ModelError(
+                f"authorization uses undeclared action: {SraTuple._make(t)}"
+            )
+        # PairLayout's row i*R + j, inlined: a layout lookup and an
+        # (i, j) tuple per triple would cost more than the row itself.
+        row = s_pos * size[r_type] + r_pos
+        try:
+            positions[s_type, r_type, action].append(row)
+        except KeyError:
+            positions[s_type, r_type, action] = [row]
+    return MappingProxyType({
+        (s, r, a): mask_of(rows, size[s] * size[r])
+        for (s, r, a), rows in positions.items()
+    })
+
+
 def au_planes_by_tuples(om, au):
     """Oracle: the planes of a set of :class:`SraTuple`, built one tuple at
     a time as (subject type, resource type, action) -> bits."""
@@ -1003,6 +1091,32 @@ class TestPlanes:
         declared = frozenset(ORG_ACTIONS + ("other",))
         for triples in (document, au):
             assert dict(AclPolicy(ORG_CM, om, declared, triples).au_planes) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=org_au_documents_any())
+    def test_one_pass_reader_matches_the_two_pass_reference(self, data):
+        # The reference reads the document with tuple triples made lists:
+        # the one-pass reader takes a tuple triple as the equal list.
+        om, document = data
+        cm_doc, om_doc = jsonio.class_model_to_json(ORG_CM), jsonio.object_model_to_json(om)
+        try:
+            acl = jsonio.acl_from_documents(cm_doc, om_doc, document)
+        except jsonio.SchemaError:
+            acl = None
+        as_lists = document
+        if isinstance(document, list):
+            as_lists = [list(t) if isinstance(t, tuple) else t for t in document]
+        try:
+            ref_om = jsonio.object_model_from_json(om_doc, ORG_CM)
+            ref = AclPolicy(ORG_CM, ref_om, old_au_actions(as_lists, ref_om), as_lists)
+            ref_planes = old_au_planes(ref)
+        except (jsonio.SchemaError, ModelError):
+            ref = None
+        assert (acl is None) == (ref is None)
+        if acl is not None:
+            assert acl.actions == ref.actions
+            assert acl.au_planes == ref_planes
+            assert acl.au == ref.au
 
     def test_triples_checked_with_the_tuple_texts(self):
         om = ObjectModel([ObjectInstance("d0", "Dept", {"parent": None})])

@@ -10,7 +10,8 @@ through tree branches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 from rebac_miner.model import (
@@ -61,6 +62,13 @@ class TaskFeature:
     @property
     def sort_key(self):
         return (self.kind.value,) + self.payload.sort_key
+
+    @cached_property
+    def negated_payload(self):
+        """The payload negated, made on first use: every negative literal of
+        this feature reads the same atomic, whose sort key is then computed
+        once."""
+        return replace(self.payload, negated=True)
 
     def label(self) -> str:
         return self.payload.text(*(("sub",), ("res",), ("sub", "res"))[self.kind])

@@ -2,7 +2,9 @@
 
 Encodings: the unknown placeholder is the reserved object
 ``{"$unknown": true}``; None is JSON null; many-valued fields are sorted
-arrays; paths are dot-joined text with the implicit trailing id omitted;
+arrays; paths are dot-joined text with the implicit trailing id omitted
+(a field name is never empty and holds no dot, so a path's text reads back
+as the path it was written from, and "" is the empty constraint path);
 an atomic's "negated" is a JSON boolean (absent means false); actions are
 strings and condition constants strings or booleans; an authorization
 list is an array of [subjectId, resourceId, action] triples.
@@ -176,8 +178,12 @@ def _path_to_text(path) -> str:
 
 
 def _path_from_text(text) -> tuple[str, ...]:
+    """The path whose text is ``text``: field names joined by ".", and ""
+    for the empty path.  A name may not be empty, so "dept." is refused."""
     _require(isinstance(text, str), f"bad path: {text!r}")
-    return tuple(p for p in text.split(".") if p)
+    path = tuple(text.split(".")) if text else ()
+    _require(all(path), f"bad path: {text!r} (empty field name)")
+    return path
 
 
 def _condition_to_json(ac: AtomicCondition) -> dict:

@@ -260,10 +260,8 @@ def extract_rules(
                     f"cannot extract a rule from an is-unknown literal: {literal}"
                 )
             entry = table.entry(literal.feature)
-            payload = entry.payload
-            if literal.polarity is Polarity.NEGATIVE:
-                payload = replace(payload, negated=True)
-            atomics.append((entry.kind, payload))
+            negative = literal.polarity is Polarity.NEGATIVE
+            atomics.append((entry.kind, entry.negated_payload if negative else entry.payload))
         rules.append(_rule_of(subject_type, resource_type, atomics, frozenset({action})))
     return sort_rules(rules)
 

@@ -4,9 +4,12 @@ Classes declare reference-typed or Boolean fields with multiplicities one,
 optional, or many; every class implicitly carries a String ``id`` field.
 Any stored field value may be the ``unknown`` placeholder (the value exists
 but is not known), which is distinct from None (an optional field holding
-nothing).  Path navigation and the truth values of atomic conditions and
-constraints propagate unknowns into the three-valued logic of
-:mod:`rebac_miner.tvl`.
+nothing).  Path values (:func:`value_index`) and the truth of atomic
+conditions, constraints and rules are computed only as masks over objects
+and bitplanes over subject/resource pairs (:func:`pair_planes`,
+:func:`rule_plane`), with unknowns read in the Kleene three-valued logic
+of :mod:`rebac_miner.tvl`.  The per-object and per-pair definitions they
+are tested against live in the test suite (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -29,9 +32,7 @@ from typing import (
     Union,
 )
 
-from rebac_miner.tvl import TruthValue, View, bit_indices, kleene_not, mask_of
-
-F, U, T = TruthValue.F, TruthValue.U, TruthValue.T
+from rebac_miner.tvl import View, bit_indices, mask_of
 
 BOOLEAN = "Boolean"
 STRING = "String"
@@ -83,7 +84,9 @@ class FieldDecl:
 
 @dataclass(frozen=True)
 class ClassModel:
-    """Class name -> field name -> declaration.  ``id`` is implicit."""
+    """Class name -> field name -> declaration.  ``id`` is implicit, and a
+    field name is non-empty and holds no ".", which joins a path's names
+    in its text."""
 
     classes: Mapping[str, Mapping[str, FieldDecl]]
 
@@ -92,6 +95,11 @@ class ClassModel:
             if cls in (BOOLEAN, STRING):
                 raise ModelError(f"reserved class name: {cls}")
             for name, decl in fields.items():
+                if not name or "." in name:
+                    raise ModelError(
+                        f"class {cls}: bad field name {name!r}"
+                        " (field names are non-empty and contain no '.')"
+                    )
                 if name == ID_FIELD:
                     raise ModelError(f"{cls}.{name}: 'id' is implicit and reserved")
                 if decl.type == BOOLEAN:
@@ -385,57 +393,6 @@ def _check_atom(cm, om, obj, name, decl, value) -> None:
                 f"{obj.id}.{name}: reference {value!r} has type "
                 f"{om.get(value).type}, expected {decl.type}"
             )
-
-
-def nav(cm: ClassModel, om: ObjectModel, oid: str, path: PathT) -> Value:
-    """Dereference ``path`` starting from the object ``oid``.
-
-    Hitting unknown yields unknown for one/optional paths and contributes
-    an unknown element for many paths; hitting None yields None for
-    one/optional paths and contributes nothing for many paths.  The empty
-    path is the object itself.  Nothing is memoized: the miner reads
-    navigated values from :func:`value_index`, and this plain navigator is
-    its oracle and that of :func:`tval_condition` and
-    :func:`tval_constraint`.
-    """
-    path = tuple(path)
-    start = om.get(oid).type
-    many = path_type(cm, start, path)[1] is Multiplicity.MANY
-    return _navigate(cm, om, oid, start, path, many)
-
-
-def _navigate(cm, om, oid: str, cls: str, path: PathT, many: bool) -> Value:
-    """:func:`nav` of ``path`` from ``oid`` of class ``cls``, given whether
-    the path is many-valued: a many path's value is always a set."""
-    value = _nav_scalar(cm, om, oid, cls, path)
-    if many and not isinstance(value, frozenset):
-        if value is UNKNOWN:
-            return frozenset({UNKNOWN})
-        if value is None:
-            return frozenset()
-        return frozenset({value})  # unreachable: a many path crosses a many hop
-    return value
-
-
-def _nav_scalar(cm, om, oid: str, cls: str, path: PathT) -> Value:
-    if not path:
-        return oid
-    decl = cm.field(cls, path[0])
-    value = om.field_value(oid, path[0])
-    rest = path[1:]
-    if value is UNKNOWN:
-        return frozenset({UNKNOWN}) if decl.multiplicity is Multiplicity.MANY else UNKNOWN
-    if value is None:
-        return None
-    if decl.multiplicity is Multiplicity.MANY:
-        out: set = set()
-        for el in value:
-            _merge_into(out, _nav_scalar(cm, om, el, decl.type, rest)
-                        if el is not UNKNOWN else UNKNOWN)
-        return frozenset(out)
-    if decl.type == BOOLEAN:
-        return value  # type-checking guarantees rest is empty
-    return _nav_scalar(cm, om, value, decl.type, rest)
 
 
 def _merge_into(out: set, sub: Value) -> None:
@@ -826,114 +783,12 @@ def constraint_ops(m1: Multiplicity, m2: Multiplicity) -> tuple[str, ...]:
     return ("equal",)
 
 
-def _contains_unknown(value: Value) -> bool:
-    return isinstance(value, frozenset) and UNKNOWN in value
-
-
-def tval_condition(
-    cm: ClassModel, om: ObjectModel, oid: str, ac: AtomicCondition
-) -> TruthValue:
-    """Three-valued truth of an atomic condition for one object."""
-    value = nav(cm, om, oid, ac.path)
-    base = _condition_base(ac, value)
-    if not ac.negated:
-        return base
-    if base is T and _contains_unknown(value):
-        return U
-    return kleene_not(base)
-
-
-def _condition_base(ac: AtomicCondition, value: Value) -> TruthValue:
-    """Truth of ``ac``, read as positive, given its navigated value."""
-    if isinstance(value, frozenset):
-        if ac.value in value:
-            return T
-        return U if UNKNOWN in value else F
-    if value is UNKNOWN:
-        return U
-    return T if value in ac.value else F
-
-
-def _membership(atom: Value, atoms: frozenset) -> TruthValue:
-    if atom is UNKNOWN:
-        # Undecidable unless the set is definitely empty.
-        return F if not atoms else U
-    if atom is None:
-        return F  # sets hold atoms only; nothing-at-all is never a member
-    if atom in atoms:
-        return T
-    return U if UNKNOWN in atoms else F
-
-
-def _subset(a: frozenset, b: frozenset) -> TruthValue:
-    """a subseteq b over sets that may contain unknown elements.
-
-    Definitely true when a is fully known and already inside b's known
-    part; definitely false when b is fully known and a known element of a
-    falls outside it; everything else is unknown.
-    """
-    a_known = a - {UNKNOWN}
-    b_known = b - {UNKNOWN}
-    if UNKNOWN not in a and a_known <= b_known:
-        return T
-    if UNKNOWN not in b and not (a_known <= b_known):
-        return F
-    return U
-
-
-def tval_constraint(
-    cm: ClassModel, om: ObjectModel, s_oid: str, r_oid: str, con: AtomicConstraint
-) -> TruthValue:
-    """Three-valued truth of an atomic constraint for a subject/resource pair."""
-    v1, v2 = nav(cm, om, s_oid, con.path1), nav(cm, om, r_oid, con.path2)
-    base = _constraint_base(con.op, v1, v2)
-    if not con.negated:
-        return base
-    if base is T and (_contains_unknown(v1) or _contains_unknown(v2)):
-        return U
-    return kleene_not(base)
-
-
-def _constraint_base(op: str, v1: Value, v2: Value) -> TruthValue:
-    if op == "equal":
-        if v1 is UNKNOWN or v2 is UNKNOWN:
-            return U
-        return T if v1 == v2 else F
-    if op == "in":
-        return _membership(v1, v2)
-    if op == "contains":
-        return _membership(v2, v1)
-    if op == "supseteq":
-        return _subset(v2, v1)
-    if op == "subseteq":
-        return _subset(v1, v2)
-    raise ModelError(f"unknown constraint operator: {op!r}")
-
-
-def _all_true(values) -> bool:
-    return all(v is T for v in values)
-
-
-def satisfies(cm: ClassModel, om: ObjectModel, t: SraTuple, rule: Rule) -> bool:
-    """True iff every condition and constraint evaluates to exactly T and
-    the types and action match; an unknown verdict never grants."""
-    if t.action not in rule.actions:
-        return False
-    if om.get(t.subject).type != rule.subject_type:
-        return False
-    if om.get(t.resource).type != rule.resource_type:
-        return False
-    return (
-        _all_true(tval_condition(cm, om, t.subject, ac) for ac in rule.subject_condition)
-        and _all_true(tval_condition(cm, om, t.resource, ac) for ac in rule.resource_condition)
-        and _all_true(tval_constraint(cm, om, t.subject, t.resource, c) for c in rule.constraint)
-    )
-
-
 class ValueIndex(NamedTuple):
-    """One path's navigated values over a class's objects: ``values`` holds
-    each object's :func:`nav` value in ``objects_of`` order, and the rest
-    are masks over the same objects (bit i for the i-th).
+    """One path's values over a class's objects: ``values`` holds each
+    object's value along the path in ``objects_of`` order, and the rest
+    are masks over the same objects (bit i for the i-th).  A value is an
+    atom, None or UNKNOWN on a one or optional path, and a set of atoms,
+    possibly holding UNKNOWN, on a many path.
 
     ``by`` maps each atom, and None, to the objects whose value equals it
     or (for a many path) contains it; ``unknown`` holds the objects whose
@@ -951,11 +806,15 @@ class ValueIndex(NamedTuple):
 def value_index(cm: ClassModel, om: ObjectModel, cls: str, path: PathT) -> ValueIndex:
     """The :class:`ValueIndex` of ``path`` over ``cls``, memoized on ``om``.
 
-    Only the empty path and one-hop paths navigate objects, each object
-    once.  A longer path's values are composed hop by hop
+    Only the empty path and one-hop paths read objects, each object once:
+    the empty path and ``id`` read the object's id, any other field its
+    stored value, except that on a many path (a many field) UNKNOWN
+    becomes {UNKNOWN} and None the empty set, the rule :func:`_compose`
+    applies.  A longer path's values are composed hop by hop
     (:func:`_compose`) from two memoized indexes: its prefix's over
     ``cls`` and its last field's one-hop index over the class the prefix
-    ends in.  The path's multiplicity is looked up once.
+    ends in, so no object is navigated recursively.  The path's
+    multiplicity is looked up once.
     """
     key = (cls, path)
     try:
@@ -964,8 +823,15 @@ def value_index(cm: ClassModel, om: ObjectModel, cls: str, path: PathT) -> Value
         pass
     many = path_type(cm, cls, path)[1] is Multiplicity.MANY
     objects = om.objects_of(cls)
-    if len(path) < 2:
-        values = tuple(_navigate(cm, om, obj.id, cls, path, many) for obj in objects)
+    if path in ((), (ID_FIELD,)):
+        values = tuple(obj.id for obj in objects)
+    elif len(path) == 1:
+        name = path[0]
+        unknown, none = (frozenset({UNKNOWN}), frozenset()) if many else (UNKNOWN, None)
+        values = tuple(
+            unknown if v is UNKNOWN else none if v is None else v
+            for v in (obj.fields[name] for obj in objects)
+        )
     else:
         head = value_index(cm, om, cls, path[:-1])
         mid = path_type(cm, cls, path[:-1])[0]
@@ -991,17 +857,18 @@ def value_index(cm: ClassModel, om: ObjectModel, cls: str, path: PathT) -> Value
 
 
 def _compose(om: ObjectModel, head: ValueIndex, last: ValueIndex, many: bool) -> tuple:
-    """Each object's :func:`nav` value along a path, given ``head``, the
+    """Each object's value along a path, given ``head``, the
     :class:`ValueIndex` of the path without its last field, and ``last``,
     that field's one-hop index over the class ``head`` ends in.
 
     An object ``head`` reaches is found in ``last`` by its
-    ``ObjectModel._place``.  The rules are :func:`_nav_scalar`'s: from a
-    one or optional prefix, UNKNOWN stays UNKNOWN and None stays None, or
-    become {UNKNOWN} and the empty set when the whole path is many
-    (``many``); across a many prefix, each reached object's value is
-    merged into a set as :func:`_merge_into` does, so UNKNOWN is kept as
-    an element and None drops out.
+    ``ObjectModel._place``.  From a one or optional prefix, UNKNOWN stays
+    UNKNOWN and None stays None, or become {UNKNOWN} and the empty set
+    when the whole path is many (``many``); across a many prefix, each
+    reached object's value is merged into a set as :func:`_merge_into`
+    does, so UNKNOWN is kept as an element and None drops out.  The
+    tests' per-object navigator (``oracles.nav``) states these rules
+    recursively and checks every index against them.
     """
     place, tail = om._place, last.values
     if head.many:
@@ -1037,13 +904,14 @@ def pair_planes(
 
     Every atomic, an identity condition (``id in {...}``) included, gets
     its planes by mask algebra over the :func:`value_index` of its
-    path(s), equal cell by cell to :func:`tval_condition` or
-    :func:`tval_constraint`.  A condition's T mask over its side's objects
-    is the OR of its constants' masks (for a many path, the mask of its
-    one constant), its U mask the unknown mask minus T, and its F mask the
-    rest; T and F are spread from the objects to their pairs by the
-    layout's ``of_subjects`` or ``of_resources``, and with no
-    U cell the F plane is every pair outside the T plane.  A constraint's
+    path(s), equal cell by cell to the atomic's per-object or per-pair
+    truth (the tests' ``oracles.tval_condition`` and
+    ``oracles.tval_constraint``).  A condition's T mask over its side's
+    objects is the OR of its constants' masks (for a many path, the mask
+    of its one constant), its U mask the unknown mask minus T, and its F
+    mask the rest; T and F are spread from the objects to their pairs by
+    the layout's ``of_subjects`` or ``of_resources``, and with no U cell
+    the F plane is every pair outside the T plane.  A constraint's
     planes are built per distinct subject-side value
     (:func:`_constraint_planes`).
 
@@ -1097,8 +965,9 @@ def _constraint_planes(cm, om, s_cls: str, r_cls: str, con: AtomicConstraint):
 def _constraint_row(op: str, v1: Value, index: ValueIndex) -> tuple[int, int]:
     """(T, F) masks over the resources of ``op`` between the subject-side
     value ``v1`` and each resource's value in ``index``; cell by cell the
-    truth :func:`_constraint_base` gives (via :func:`_membership` and
-    :func:`_subset` for the set operators)."""
+    constraint's truth read as positive, which the tests' oracle states as
+    ``oracles._constraint_base`` (``_membership`` and ``_subset`` for the
+    set operators)."""
     full, unknown = index.full, index.unknown
     if op == "equal":
         if v1 is UNKNOWN:
@@ -1209,23 +1078,11 @@ def meaning_mismatch(
     )
 
 
-def rule_meaning(cm: ClassModel, om: ObjectModel, rule: Rule) -> frozenset[SraTuple]:
-    """The authorizations ``rule`` grants: every typed subject/resource pair
-    on which all its atomics are exactly T, with each of its actions.
-
-    Decodes :func:`rule_plane` into tuples.  Agrees with :func:`satisfies`
-    on every tuple.
-    """
-    return plane_tuples(
-        om, rule.subject_type, rule.resource_type, rule_plane(cm, om, rule), rule.actions
-    )
-
-
 def meaning(policy: Policy) -> frozenset[SraTuple]:
     """The authorizations ``policy`` grants: its :func:`policy_planes`,
     each (subject type, resource type, action) plane decoded into tuples
-    once, however many rules grant into it.  Equal to the union of its
-    rules' :func:`rule_meaning`."""
+    once, however many rules grant into it.  Equal to the union of the
+    tuples each rule's :func:`rule_plane` decodes to."""
     cm, om = policy.class_model, policy.object_model
     planes = policy_planes(policy.rules, partial(rule_plane, cm, om))
     return frozenset().union(

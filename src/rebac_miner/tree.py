@@ -1,7 +1,10 @@
 """Multi-way decision trees over three-valued feature vectors.
 
-C4.5-style induction: split on the feature with maximal information gain,
+Top-down induction: split on the feature with maximal information gain,
 ties broken by the dataset's cost order (lower cost, then lower index).
+Unlike C4.5, which makes a leaf where no test has positive gain, a node
+is split until its rows are empty or share one label or its candidates
+run out, so a split may gain nothing.
 Each internal node has exactly three children, one per truth value; edges
 whose row partition is empty lead to F leaves so the tree stays a total
 classifier.
@@ -142,13 +145,6 @@ def build_tree(
             ]
         parent[edge] = node
     return top[None]
-
-
-def classify(tree: DecisionTree, vector) -> TruthValue:
-    node = tree
-    while isinstance(node, Internal):
-        node = node.children[vector[node.feature]]
-    return node.label
 
 
 def extract_true_paths(tree: DecisionTree) -> tuple[Conjunction, ...]:

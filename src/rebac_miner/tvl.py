@@ -1,13 +1,13 @@
 """Kleene three-valued logic: truth values, feature vectors, DNF formulas.
 
-Connectives follow the strong-Kleene tables.  Under the *truth* ordering
-F < U < T, conjunction is minimum and disjunction is maximum.  The separate
-*information* ordering puts U strictly below both definite values; every
-formula built from these connectives is monotone with respect to it.
+Formulas are read under the strong-Kleene tables: under the *truth*
+ordering F < U < T, conjunction is minimum and disjunction is maximum.
 
 Labeled datasets are stored as bitplanes over their rows (see the section
-below), on which literals, conjunctions and DNF formulas are evaluated by
-bit operations; the per-row evaluators (``eval_*``) are their reference.
+below), and the program evaluates literals, conjunctions and DNF formulas
+only there, by bit operations: a formula's rows are the rows on which it
+is T.  The per-row connectives and evaluators they are tested against live
+in the test suite (``tests/oracles.py``).
 This module knows rows, truth values and formulas only: which subject and
 resource a mined dataset's row stands for is
 :class:`rebac_miner.model.PairLayout`'s to say.
@@ -45,23 +45,6 @@ U = TruthValue.U
 T = TruthValue.T
 
 
-def kleene_not(t: TruthValue) -> TruthValue:
-    return TruthValue(2 - t)
-
-
-def kleene_and(a: TruthValue, b: TruthValue) -> TruthValue:
-    return a if a <= b else b
-
-
-def kleene_or(a: TruthValue, b: TruthValue) -> TruthValue:
-    return a if a >= b else b
-
-
-def info_leq(a: TruthValue, b: TruthValue) -> bool:
-    """Information ordering: a <= b iff a == b or a is unknown."""
-    return a == b or a is U
-
-
 @dataclass(frozen=True, order=True)
 class FeatureId:
     """Column handle into a feature table.
@@ -90,15 +73,6 @@ class FeatureVector:
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-def fv_leq(v1: FeatureVector, v2: FeatureVector) -> bool:
-    """Pointwise information ordering over vectors of equal width."""
-    if len(v1) != len(v2):
-        raise ValueError(
-            f"feature vectors have different widths: {len(v1)} vs {len(v2)}"
-        )
-    return all(info_leq(a, b) for a, b in zip(v1.values, v2.values))
 
 
 @dataclass(frozen=True)
@@ -381,37 +355,6 @@ class DnfFormula:
         return " or ".join(f"({c})" for c in self.disjuncts)
 
 
-def eval_literal(literal: Literal, vector: FeatureVector) -> TruthValue:
-    cell = vector[literal.feature]
-    if literal.polarity is Polarity.POSITIVE:
-        return cell
-    if literal.polarity is Polarity.NEGATIVE:
-        return kleene_not(cell)
-    return T if cell is U else F
-
-
-def eval_conjunction(conjunction: Conjunction, vector: FeatureVector) -> TruthValue:
-    result = T
-    for literal in conjunction.literals:
-        value = eval_literal(literal, vector)
-        if value is F:
-            return F
-        if value < result:
-            result = value
-    return result
-
-
-def eval_dnf(formula: DnfFormula, vector: FeatureVector) -> TruthValue:
-    result = F
-    for conjunction in formula.disjuncts:
-        value = eval_conjunction(conjunction, vector)
-        if value is T:
-            return T
-        if value > result:
-            result = value
-    return result
-
-
 # The cell value each polarity of literal is T on.
 LITERAL_VALUE = {Polarity.POSITIVE: T, Polarity.NEGATIVE: F, Polarity.IS_UNKNOWN: U}
 
@@ -429,7 +372,9 @@ def literal_rows(literal: Literal, dataset: LabeledDataset) -> int:
 
 
 def conjunction_rows(conjunction: Conjunction, dataset: LabeledDataset) -> int:
-    """Rows on which ``conjunction`` is T (agrees with :func:`eval_conjunction`)."""
+    """Rows on which ``conjunction`` is T: the AND of its literals'
+    :func:`literal_rows`, since a Kleene conjunction is T exactly where all
+    its literals are."""
     rows = dataset.all_rows
     for literal in conjunction.literals:
         rows &= literal_rows(literal, dataset)
@@ -437,7 +382,8 @@ def conjunction_rows(conjunction: Conjunction, dataset: LabeledDataset) -> int:
 
 
 def dnf_rows(formula: DnfFormula, dataset: LabeledDataset) -> int:
-    """Rows on which ``formula`` is T (agrees with :func:`eval_dnf`)."""
+    """Rows on which ``formula`` is T: the OR of its disjuncts' rows, since
+    a Kleene disjunction is T exactly where one of its disjuncts is."""
     rows = 0
     for conjunction in formula.disjuncts:
         rows |= conjunction_rows(conjunction, dataset)

@@ -34,7 +34,6 @@ from rebac_miner.model import (
     SraTuple,
     meaning,
     policy_wsc,
-    rule_meaning,
     sort_rules,
     wsc,
 )
@@ -47,14 +46,17 @@ from rebac_miner.tvl import (
     Literal,
     Polarity,
     TruthValue,
+)
+from tests.conftest import RUNNING_EXAMPLE, running_example
+from tests.oracles import (
     eval_dnf,
     fv_leq,
     info_leq,
     kleene_and,
     kleene_not,
     kleene_or,
+    rule_meaning,
 )
-from tests.conftest import RUNNING_EXAMPLE, running_example
 
 F, U, T = TruthValue.F, TruthValue.U, TruthValue.T
 

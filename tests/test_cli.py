@@ -192,6 +192,35 @@ class TestMine:
         err = capsys.readouterr().err
         assert err == "error: CS-student-1.dept: dangling reference 'ghost'\n"
 
+    def test_dotted_field_name_exits_2(self, tmp_path, capsys):
+        # A field named "d.x" would be written as the path text "d.x", which
+        # reads back as the two-hop path (d, x): the class model is refused.
+        documents = {
+            "classmodel": {"classes": {
+                "Dept": {},
+                "Emp": {"fields": {"d.x": {"type": "Dept"}}},
+                "Doc": {"fields": {"d.x": {"type": "Dept"}}},
+            }},
+            "objectmodel": {"objects": [
+                {"id": "d1", "type": "Dept", "fields": {}},
+                {"id": "e1", "type": "Emp", "fields": {"d.x": "d1"}},
+                {"id": "doc1", "type": "Doc", "fields": {"d.x": "d1"}},
+            ]},
+            "au": [["e1", "doc1", "read"]],
+        }
+        args = []
+        for name, document in documents.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(document))
+            args += [f"--{name}", str(path)]
+        out = tmp_path / "policy.json"
+        assert main(["mine", *args, "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: class Emp: bad field name 'd.x'"
+            " (field names are non-empty and contain no '.')\n"
+        )
+        assert not out.exists()
+
     def test_dump_datasets(self, tmp_path):
         out = tmp_path / "policy.json"
         dumps = tmp_path / "datasets"
@@ -416,6 +445,23 @@ class TestEval:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("text", ["dept.", ".dept", "dept..", "..dept"])
+    def test_path_with_an_empty_field_name_exits_2(self, tmp_path, capsys, text):
+        document = json.loads((FIXTURES / "groundtruth.json").read_text())
+        document["rules"][0]["constraint"][0]["path1"] = text
+        reference = tmp_path / "reference.json"
+        reference.write_text(json.dumps(document))
+        code = main(
+            ["eval",
+             "--mined", str(FIXTURES / "groundtruth.json"),
+             "--reference", str(reference),
+             "--classmodel", str(FIXTURES / "classmodel.json"),
+             "--objectmodel", str(FIXTURES / "objectmodel.json"),
+             "-o", str(tmp_path / "report.json")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: bad path: {text!r} (empty field name)\n"
 
     def test_undeclared_reference_action_exits_2(self, tmp_path, capsys):
         document = json.loads((FIXTURES / "groundtruth.json").read_text())

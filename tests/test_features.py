@@ -30,18 +30,11 @@ from rebac_miner.model import (
     PairLayout,
     Slot,
     SraTuple,
-    tval_condition,
-    tval_constraint,
     wsc,
 )
-from rebac_miner.tvl import (
-    FeatureId,
-    LabeledDataset,
-    TruthValue,
-    eval_conjunction,
-    eval_dnf,
-)
+from rebac_miner.tvl import FeatureId, LabeledDataset, TruthValue
 from tests.conftest import running_example
+from tests.oracles import eval_conjunction, eval_dnf, tval_condition, tval_constraint
 from tests.test_model import (
     ORG_ACTIONS,
     ORG_CM,

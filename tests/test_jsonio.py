@@ -153,6 +153,16 @@ BAD_MODELS = {
     "reserved-class-name": (
         {"classes": {"Boolean": {}}}, {"objects": []}, "reserved class name: Boolean",
     ),
+    "dotted-field-name": (
+        {"classes": {"Dept": {}, "Emp": {"fields": {"d.x": {"type": "Dept"}}}}},
+        {"objects": []},
+        "class Emp: bad field name 'd.x' (field names are non-empty and contain no '.')",
+    ),
+    "empty-field-name": (
+        {"classes": {"Dept": {}, "Emp": {"fields": {"": {"type": "Dept"}}}}},
+        {"objects": []},
+        "class Emp: bad field name '' (field names are non-empty and contain no '.')",
+    ),
     "unknown-type": (
         VALIDATION_CLASS_MODEL, _objects({"id": "x1", "type": "Nope"}),
         "object x1 has unknown type Nope",
@@ -268,6 +278,29 @@ class TestSchemaErrors:
         edit(document)
         with pytest.raises(jsonio.SchemaError):
             jsonio.rules_from_json(document, running_example()[0].class_model)
+
+    @pytest.mark.parametrize("text", ["dept.", ".dept", "dept..", "..dept", "."])
+    @pytest.mark.parametrize("key", ["path1", "path2"])
+    def test_path_with_an_empty_field_name_refused(self, key, text):
+        # Read leniently, each of these would be the path ("dept",), which
+        # writes back as "dept": a path's text must be the one it writes.
+        document = json.loads((RUNNING_EXAMPLE / "groundtruth.json").read_text())
+        _constraint(document)[key] = text
+        with pytest.raises(jsonio.SchemaError) as exc:
+            jsonio.rules_from_json(document, running_example()[0].class_model)
+        assert str(exc.value) == f"bad path: {text!r} (empty field name)"
+
+    def test_condition_path_with_an_empty_field_name_refused(self):
+        document = json.loads((RUNNING_EXAMPLE / "groundtruth.json").read_text())
+        _condition(document)["path"] = "type."
+        with pytest.raises(jsonio.SchemaError, match="empty field name"):
+            jsonio.rules_from_json(document, running_example()[0].class_model)
+
+    @pytest.mark.parametrize("path", [(), ("dept",), ("dept", "parent")])
+    def test_path_text_round_trips(self, path):
+        # "" is the empty path, which a constraint may use for the object
+        # itself.
+        assert jsonio._path_from_text(jsonio._path_to_text(path)) == path
 
     def test_absent_negated_is_false(self):
         document = json.loads((RUNNING_EXAMPLE / "groundtruth.json").read_text())

@@ -22,10 +22,9 @@ from rebac_miner.tvl import (
     Literal,
     Polarity,
     TruthValue,
-    eval_conjunction,
-    eval_dnf,
 )
 from tests.conftest import make_dataset
+from tests.oracles import eval_conjunction, eval_dnf
 
 F, U, T = TruthValue.F, TruthValue.U, TruthValue.T
 

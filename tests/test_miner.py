@@ -48,13 +48,13 @@ from rebac_miner.model import (
     pair_planes,
     policy_planes,
     policy_wsc,
-    rule_meaning,
     rule_plane,
     sort_rules,
     wsc,
 )
 from rebac_miner.tvl import Conjunction, DnfFormula, Literal, Polarity
 from tests.conftest import running_example
+from tests.oracles import rule_meaning
 from tests.test_model import ORG_ACTIONS, ORG_CM, org_models, org_rules
 
 

@@ -12,7 +12,6 @@ from rebac_miner.tree import (
     Internal,
     Leaf,
     build_tree,
-    classify,
     extract_true_paths,
     format_tree,
 )
@@ -26,6 +25,7 @@ from rebac_miner.tvl import (
     planes_of,
 )
 from tests.conftest import make_dataset
+from tests.oracles import classify
 
 F, U, T = TruthValue.F, TruthValue.U, TruthValue.T
 

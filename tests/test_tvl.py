@@ -17,20 +17,22 @@ from rebac_miner.tvl import (
     conjunction_rows,
     covers,
     dnf_rows,
-    eval_conjunction,
-    eval_dnf,
-    eval_literal,
     first_validity_violation,
-    fv_leq,
-    info_leq,
-    kleene_and,
-    kleene_not,
-    kleene_or,
     literal_rows,
     remove_redundant,
     uncovered_t_rows,
 )
 from tests.conftest import make_dataset
+from tests.oracles import (
+    eval_conjunction,
+    eval_dnf,
+    eval_literal,
+    fv_leq,
+    info_leq,
+    kleene_and,
+    kleene_not,
+    kleene_or,
+)
 
 F, U, T = TruthValue.F, TruthValue.U, TruthValue.T
 ALL = (F, U, T)

@@ -227,7 +227,9 @@ def build_dataset(
     table: FeatureTable,
 ) -> LabeledDataset:
     """One row per subject/resource pair of the given types, in their
-    :class:`~rebac_miner.model.PairLayout`.
+    :class:`~rebac_miner.model.PairLayout`, whose
+    :meth:`~rebac_miner.model.PairLayout.position` says which pair a row
+    stands for.
 
     Cells are the three-valued truths of the table's (positive) features;
     the label is T when the tuple is authorized and F otherwise (never U:
@@ -235,8 +237,7 @@ def build_dataset(
     task's plane in :attr:`~rebac_miner.model.AclPolicy.au_planes`.  Each
     feature's planes are the pair-layout planes the object model keeps for
     it (:func:`~rebac_miner.model.pair_planes`), which rule meanings and
-    phase 2b read as well.  Its provenance is the layout itself, so no
-    per-row pair is made.
+    phase 2b read as well.
     """
     cm, om = acl.class_model, acl.object_model
     layout = om.pairs(subject_type, resource_type)
@@ -249,7 +250,6 @@ def build_dataset(
         ),
         (label_t, layout.full & ~label_t),
         len(layout),
-        layout,
     )
 
 
@@ -295,10 +295,11 @@ def extend_with_id_columns(
 
     Returns the extended table and dataset, a supplier building the
     ``subject.id = s and resource.id = r`` conjunction for a row index, and
-    the appended feature ids, through which those conjunctions are checked
-    and turned into rules.  The columns are built like
-    :func:`build_dataset`'s, from :func:`~rebac_miner.model.pair_planes`;
-    an identity condition is never U.
+    the appended feature ids.  The miner discards the ids; only
+    ``perfbench/spans.py`` reads them, to count the columns.  The columns
+    are built like :func:`build_dataset`'s, from
+    :func:`~rebac_miner.model.pair_planes`; an identity condition is never
+    U.
     """
     cm, om = acl.class_model, acl.object_model
     layout = om.pairs(subject_type, resource_type)

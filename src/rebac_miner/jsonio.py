@@ -374,11 +374,12 @@ def dataset_to_csv(dataset: LabeledDataset) -> str:
 
 
 def dataset_from_csv(text: str) -> LabeledDataset:
+    """The inverse of :func:`dataset_to_csv`: the last column is the label,
+    and a header holding only the label is a dataset with no features."""
     reader = csv.reader(io.StringIO(text))
     rows = [r for r in reader if r]
     _require(len(rows) >= 1, "dataset: missing header row")
     header = rows[0]
-    _require(len(header) >= 2, "dataset: need at least one feature and the label")
     features = tuple(
         FeatureId(i, label.strip(), 1) for i, label in enumerate(header[:-1])
     )

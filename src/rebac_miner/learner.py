@@ -25,7 +25,6 @@ from rebac_miner.tvl import (
     DnfFormula,
     FeatureId,
     LabeledDataset,
-    LabeledRow,
     Literal,
     Polarity,
     TruthValue,
@@ -66,17 +65,16 @@ class FailedFeatures:
 class LearningError(Exception):
     """The learned formula mis-evaluates a row; the dataset cannot be
     exactly characterized with the available features (it is not monotonic
-    or lacks separating features).  ``learned`` is the fallback-free result
-    the failed cover started from."""
+    or lacks separating features).  ``index`` is the row's index in the
+    dataset and ``row`` its label and cells; ``learned`` is the
+    fallback-free result the failed cover started from."""
 
-    def __init__(self, row: LabeledRow, learned: LearnResult):
-        self.row = row
+    def __init__(self, dataset: LabeledDataset, index: int, learned: LearnResult):
+        self.index = index
+        self.row = row = dataset.rows[index]
         self.learned = learned
         problem = "does not grant" if row.label is T else "would grant"
-        super().__init__(
-            f"formula {problem} a row labeled {row.label}"
-            + (f" (pair {row.provenance})" if row.provenance else "")
-        )
+        super().__init__(f"formula {problem} a row labeled {row.label}")
 
 
 def default_cover_conjunction(dataset: LabeledDataset, row: int) -> Conjunction:
@@ -213,9 +211,9 @@ def cover_rest(
     built = DnfFormula((*learned.formula.disjuncts, *map(cover, bit_indices(remaining))))
     violation = first_validity_violation(built, dataset)
     if violation is not None:
-        raise LearningError(violation, learned)
+        raise LearningError(dataset, violation, learned)
     uncovered = uncovered_t_rows(built, dataset)
     if uncovered:
-        raise LearningError(dataset.rows[bit_indices(uncovered)[0]], learned)
+        raise LearningError(dataset, bit_indices(uncovered)[0], learned)
     final = remove_redundant(DnfFormula.of(built.disjuncts))
     return LearnResult(final, bool(remaining), learned.blacklisted, learned.iterations)

@@ -18,7 +18,6 @@ import enum
 from bisect import bisect_left
 from dataclasses import dataclass, fields as dataclass_fields
 from functools import cached_property, partial
-from itertools import product
 from operator import attrgetter
 from types import MappingProxyType
 from typing import (
@@ -32,7 +31,7 @@ from typing import (
     Union,
 )
 
-from rebac_miner.tvl import View, bit_indices, mask_of
+from rebac_miner.tvl import bit_indices, mask_of
 
 BOOLEAN = "Boolean"
 STRING = "String"
@@ -160,7 +159,7 @@ class ObjectInstance:
     fields: Mapping[str, Value]
 
 
-class PairLayout(View):
+class PairLayout:
     """The subject/resource pairs of one subject class and one resource
     class as the rows of a plane: with both classes' objects in
     ``objects_of`` order, the pair of the i-th subject and the j-th
@@ -169,10 +168,9 @@ class PairLayout(View):
     layout, and only this class computes it (``au_planes`` inlines its row
     formula, see there).
 
-    ``subjects`` and ``resources`` hold the two classes' ids and ``full``
-    is the plane of every pair.  As a sequence, row k is its (subject id,
-    resource id) pair: equal to the tuple of those pairs, but made on
-    access, so a mined dataset uses its layout as its provenance.
+    ``subjects`` and ``resources`` hold the two classes' ids, ``full`` is
+    the plane of every pair, and :meth:`position` says which pair a row
+    stands for.
 
     Masks over one side are spread over the pairs by big-int arithmetic
     on planes made once per layout, with S = ``len(subjects)`` and
@@ -203,21 +201,6 @@ class PairLayout(View):
 
     def __len__(self) -> int:
         return len(self.subjects) * len(self.resources)
-
-    def _at(self, k: int) -> tuple[str, str]:
-        i, j = self.position(k)
-        return self.subjects[i], self.resources[j]
-
-    def __iter__(self):
-        return product(self.subjects, self.resources)
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-    def __hash__(self):
-        return hash(tuple(self))
 
     def position(self, row: int) -> tuple[int, int]:
         """The (subject, resource) positions of ``row``."""

@@ -10,7 +10,7 @@ is T.  The per-row connectives and evaluators they are tested against live
 in the test suite (``tests/oracles.py``).
 This module knows rows, truth values and formulas only: which subject and
 resource a mined dataset's row stands for is
-:class:`rebac_miner.model.PairLayout`'s to say.
+:meth:`rebac_miner.model.PairLayout.position`'s to say.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Optional
 
 
 class TruthValue(enum.IntEnum):
-    """One of the three truth values.  Integer codes double as cell codes."""
+    """One of the three truth values, as integers in the truth order F < U < T."""
 
     F = 0
     U = 1
@@ -79,7 +79,6 @@ class FeatureVector:
 class LabeledRow:
     vector: FeatureVector
     label: TruthValue
-    provenance: Optional[tuple[str, str]] = None
 
 
 # --- bitplanes ---------------------------------------------------------------
@@ -132,31 +131,27 @@ class LabeledDataset:
     """An ordered feature table plus labeled rows over it, as bitplanes.
 
     Column i is the (T, F) plane pair ``planes[i]`` and the labels are the
-    pair ``labels``, all over ``size`` rows.  ``provenance`` is a sequence
-    of each row's (subject, resource) pair, or None: a mined task's is its
-    :class:`~rebac_miner.model.PairLayout`, which stores only the two id
-    lists, and a dataset read from CSV holds one None per row.
-    :attr:`rows` derives :class:`LabeledRow` objects from these on access.
+    pair ``labels``, all over ``size`` rows.  :attr:`rows` derives
+    :class:`LabeledRow` objects from these on access.
     """
 
     features: tuple[FeatureId, ...]
     planes: tuple[tuple[int, int], ...]
     labels: tuple[int, int]
     size: int
-    provenance: Sequence[Optional[tuple[str, str]]]
 
     def __post_init__(self):
         self._check(self.planes + (self.labels,))
 
     def _check(self, planes: tuple[tuple[int, int], ...]) -> None:
         """Raise ValueError unless feature i has index i, there is a plane
-        pair per feature and a provenance per row, and each pair of
-        ``planes`` is disjoint and within the rows."""
+        pair per feature, and each pair of ``planes`` is disjoint and
+        within the rows."""
         for pos, f in enumerate(self.features):
             if f.index != pos:
                 raise ValueError(f"feature at position {pos} has index {f.index}")
-        if len(self.planes) != len(self.features) or len(self.provenance) != self.size:
-            raise ValueError("need a plane pair per feature and a provenance per row")
+        if len(self.planes) != len(self.features):
+            raise ValueError("need a plane pair per feature")
         if any(t & f or (t | f) >> self.size for t, f in planes):
             raise ValueError("T and F planes must be disjoint and within the rows")
 
@@ -176,7 +171,6 @@ class LabeledDataset:
             ("planes", kept + added),
             ("labels", self.labels),
             ("size", self.size),
-            ("provenance", self.provenance),
         ):
             object.__setattr__(copy, name, value)
         copy._check(added)
@@ -195,7 +189,6 @@ class LabeledDataset:
             tuple(map(planes_of, columns)),
             planes_of(row.label for row in rows),
             len(rows),
-            tuple(row.provenance for row in rows),
         )
 
     @cached_property
@@ -224,25 +217,21 @@ class LabeledDataset:
         return _Rows(self)
 
 
-class View(Sequence):
-    """A read-only sequence whose items are made on access by ``_at(k)``.
+class _Rows(Sequence):
+    """The rows of a dataset as :class:`LabeledRow` objects, made on access.
     Indexing takes negative indices and raises IndexError out of range, as
     a tuple does; a slice gives a tuple."""
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(map(self._at, range(len(self))[k]))
-        return self._at(range(len(self))[k])
-
-
-class _Rows(View):
-    """The rows of a dataset as :class:`LabeledRow` objects, made on access."""
 
     def __init__(self, dataset: LabeledDataset):
         self._dataset = dataset
 
     def __len__(self) -> int:
         return self._dataset.size
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self._at, range(len(self))[k]))
+        return self._at(range(len(self))[k])
 
     def _at(self, k: int) -> LabeledRow:
         ds = self._dataset
@@ -251,15 +240,15 @@ class _Rows(View):
             return T if t >> k & 1 else F if f >> k & 1 else U
 
         cells = tuple(cell(t, f) for t, f in ds.planes)
-        return LabeledRow(FeatureVector(cells), cell(*ds.labels), ds.provenance[k])
+        return LabeledRow(FeatureVector(cells), cell(*ds.labels))
 
     def __iter__(self):
         ds = self._dataset
         columns = [_cells(pair, ds.size) for pair in ds.planes]
         vectors = zip(*columns) if columns else [()] * ds.size
         labels = _cells(ds.labels, ds.size)
-        for cells, label, prov in zip(vectors, labels, ds.provenance):
-            yield LabeledRow(FeatureVector(cells), label, prov)
+        for cells, label in zip(vectors, labels):
+            yield LabeledRow(FeatureVector(cells), label)
 
 
 class Polarity(enum.Enum):
@@ -392,10 +381,11 @@ def dnf_rows(formula: DnfFormula, dataset: LabeledDataset) -> int:
 
 def first_validity_violation(
     formula: DnfFormula, dataset: LabeledDataset
-) -> Optional[LabeledRow]:
-    """First row labeled F or U that the formula mis-evaluates as T."""
+) -> Optional[int]:
+    """Index of the first row labeled F or U that the formula mis-evaluates
+    as T."""
     wrong = dnf_rows(formula, dataset) & ~dataset.labels[0]
-    return dataset.rows[bit_indices(wrong)[0]] if wrong else None
+    return bit_indices(wrong)[0] if wrong else None
 
 
 def uncovered_t_rows(formula: DnfFormula, dataset: LabeledDataset) -> int:

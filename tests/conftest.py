@@ -51,12 +51,21 @@ EXAMPLE_ROWS = (
 
 
 def make_dataset(features, rows):
+    """A dataset over ``features`` with one row per (cells, label)."""
     return LabeledDataset.from_rows(
-        features,
-        [LabeledRow(FeatureVector(tuple(cells)), label, prov) for prov, cells, label in rows],
+        features, [LabeledRow(FeatureVector(tuple(cells)), label) for cells, label in rows]
     )
+
+
+def row_pairs(layout):
+    """The (subject id, resource id) pair each row of a pair layout stands
+    for, read through its ``position``."""
+    return [
+        (layout.subjects[i], layout.resources[j])
+        for i, j in map(layout.position, range(len(layout)))
+    ]
 
 
 @pytest.fixture
 def example_dataset():
-    return make_dataset(EXAMPLE_FEATURES, EXAMPLE_ROWS)
+    return make_dataset(EXAMPLE_FEATURES, [(cells, label) for _, cells, label in EXAMPLE_ROWS])

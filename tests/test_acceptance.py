@@ -47,7 +47,7 @@ from rebac_miner.tvl import (
     Polarity,
     TruthValue,
 )
-from tests.conftest import RUNNING_EXAMPLE, running_example
+from tests.conftest import RUNNING_EXAMPLE, row_pairs, running_example
 from tests.oracles import (
     eval_dnf,
     fv_leq,
@@ -119,8 +119,9 @@ def test_criterion_2_example_cells():
     ]
     ok = len(dataset.rows) == 6 and set(by_label) == set(order)
     checked = 0
-    for row, (prov, cells, label) in zip(dataset.rows, expected):
-        ok = ok and row.provenance == prov and row.label is label
+    pairs = row_pairs(acl.object_model.pairs("Student", "Document"))
+    for pair, row, (want_pair, cells, label) in zip(pairs, dataset.rows, expected):
+        ok = ok and pair == want_pair and row.label is label
         for name, want in zip(order, cells):
             ok = ok and row.vector.values[by_label[name]] is want
             checked += 1

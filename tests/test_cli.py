@@ -26,6 +26,17 @@ def fixture_args():
     ]
 
 
+def input_args(directory, documents):
+    """Write each of ``documents`` (name -> JSON) to ``directory`` and
+    return the ``mine`` flags naming the files."""
+    directory.mkdir()
+    args = []
+    for name, document in documents.items():
+        (directory / f"{name}.json").write_text(json.dumps(document))
+        args += [f"--{name}", str(directory / f"{name}.json")]
+    return args
+
+
 class TestGenerate:
     def test_writes_all_documents(self, tmp_path, capsys):
         code = main(
@@ -253,20 +264,14 @@ class TestMine:
     def test_dump_names_shared_by_two_tasks_exit_2(self, tmp_path, capsys):
         # Tasks (A_B, C, x) and (A, B_C, x) both map to A_B_C_x.csv; the
         # run is refused before mining, naming both tasks.
-        inputs = tmp_path / "in"
-        inputs.mkdir()
-        documents = {
+        args = input_args(tmp_path / "in", {
             "classmodel": {"classes": {c: {"fields": {}} for c in ("A", "A_B", "C", "B_C")}},
             "objectmodel": {"objects": [
                 {"id": oid, "type": cls, "fields": {}}
                 for oid, cls in (("a1", "A"), ("ab1", "A_B"), ("c1", "C"), ("bc1", "B_C"))
             ]},
             "au": [["ab1", "c1", "x"], ["a1", "bc1", "x"]],
-        }
-        args = []
-        for name, document in documents.items():
-            (inputs / f"{name}.json").write_text(json.dumps(document))
-            args += [f"--{name}", str(inputs / f"{name}.json")]
+        })
         code = main(
             ["mine", *args, "-o", str(tmp_path / "policy.json"),
              "--dump-datasets", str(tmp_path / "dump")]
@@ -286,6 +291,26 @@ class TestMine:
         assert code == 0
         line = capsys.readouterr().out.strip()
         assert "res.type=Handbook" in line and "sub.dept = res.dept" in line
+
+    def test_learn_formula_accepts_a_dump_without_features(self, tmp_path, capsys):
+        # Classes without fields give a task with no features: its dump is
+        # the label column alone, and the formula learned from it is true.
+        args = input_args(tmp_path / "in", {
+            "classmodel": {"classes": {"Emp": {"fields": {}}, "Doc": {"fields": {}}}},
+            "objectmodel": {"objects": [
+                {"id": "e1", "type": "Emp", "fields": {}},
+                {"id": "d1", "type": "Doc", "fields": {}},
+            ]},
+            "au": [["e1", "d1", "read"]],
+        })
+        dumps = tmp_path / "datasets"
+        assert main(["mine", *args, "-o", str(tmp_path / "p.json"),
+                     "--dump-datasets", str(dumps)]) == 0
+        csv_file = dumps / "Emp_Doc_read.csv"
+        assert csv_file.read_text() == "label\nT\n"
+        capsys.readouterr()
+        assert main(["learn-formula", str(csv_file)]) == 0
+        assert capsys.readouterr().out == "(true)\n"
 
     def test_byte_reproducible(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

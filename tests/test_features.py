@@ -1,5 +1,4 @@
 import random
-from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,7 +32,7 @@ from rebac_miner.model import (
     wsc,
 )
 from rebac_miner.tvl import FeatureId, LabeledDataset, TruthValue
-from tests.conftest import running_example
+from tests.conftest import EXAMPLE_ROWS, row_pairs, running_example
 from tests.oracles import eval_conjunction, eval_dnf, tval_condition, tval_constraint
 from tests.test_model import (
     ORG_ACTIONS,
@@ -234,8 +233,8 @@ class TestBuildDataset:
             "res.type=Handbook",
             "sub.dept = res.dept",
         ]
-        assert [r.provenance for r in dataset.rows] == [
-            r.provenance for r in example_dataset.rows
+        assert row_pairs(acl.object_model.pairs("Student", "Document")) == [
+            pair for pair, _, _ in EXAMPLE_ROWS
         ]
         for got, want in zip(dataset.rows, example_dataset.rows):
             assert got.vector == want.vector
@@ -270,8 +269,7 @@ class TestBuildDataset:
         )
         ds = build_dataset(acl, "Student", "Document", "read", table)
         cm, om = acl.class_model, acl.object_model
-        for row in ds.rows:
-            sid, rid = row.provenance
+        for (sid, rid), row in zip(row_pairs(om.pairs("Student", "Document")), ds.rows):
             for i, entry in enumerate(table.entries):
                 if entry.kind is Slot.SUBJECT:
                     want = tval_condition(cm, om, sid, entry.payload)
@@ -379,7 +377,7 @@ class TestIdColumns:
         assert checked == [extended.planes[len(ds.planes):], ((ds.all_rows, 0),), ()]
         assert pruned == ds
         assert extended == LabeledDataset(
-            extended.features, extended.planes, ds.labels, ds.size, ds.provenance
+            extended.features, extended.planes, ds.labels, ds.size
         )
 
     @settings(max_examples=25, deadline=None)
@@ -397,7 +395,7 @@ class TestIdColumns:
         for k, entry in enumerate(appended, start=len(table)):
             (oid,) = entry.payload.value
             side = 0 if entry.kind is Slot.SUBJECT else 1
-            for row, pair in enumerate(ds2.provenance):
+            for row, pair in enumerate(row_pairs(om.pairs("Emp", "Task"))):
                 cell = T if pair[side] == oid else F
                 assert ds2.rows[row].vector[k] is cell
 
@@ -418,7 +416,7 @@ def table_in_order(entries):
 
 
 def reference_rows(acl, subject_type, resource_type, action, entries):
-    """Per-cell reference for build_dataset: (provenance, cells, label)."""
+    """Per-cell reference for build_dataset: (pair, cells, label) per row."""
     cm, om = acl.class_model, acl.object_model
     rows = []
     for s in om.objects_of(subject_type):
@@ -440,8 +438,10 @@ def assert_dataset_and_prune_match_reference(acl, entries):
     table = table_in_order(entries)
     ds = build_dataset(acl, "Emp", "Task", "read", table)
     want = reference_rows(acl, "Emp", "Task", "read", table.entries)
+    pairs = row_pairs(acl.object_model.pairs("Emp", "Task"))
     assert ds.features == table.feature_ids
-    assert [(r.provenance, r.vector.values, r.label) for r in ds.rows] == want
+    assert len(ds.rows) == len(want)
+    assert [(p, r.vector.values, r.label) for p, r in zip(pairs, ds.rows)] == want
 
     keep = [
         i for i in range(len(table.entries))
@@ -456,8 +456,8 @@ def assert_dataset_and_prune_match_reference(acl, entries):
         for n, i in enumerate(keep)
     )
     assert pruned.features == pruned_table.feature_ids
-    assert [(r.provenance, r.vector.values, r.label) for r in pruned.rows] == [
-        (prov, tuple(cells[i] for i in keep), label) for prov, cells, label in want
+    assert [(p, r.vector.values, r.label) for p, r in zip(pairs, pruned.rows)] == [
+        (pair, tuple(cells[i] for i in keep), label) for pair, cells, label in want
     ]
     return len(keep)
 
@@ -583,15 +583,11 @@ def check_layout_against_per_bit_loop(layout, subjects, resources, per_subject, 
     )
     assert [layout.position(row) for row in rows.values()] == list(rows)
     assert layout.positions(plane) == [p for p, row in rows.items() if plane >> row & 1]
-    assert [layout[row] for row in rows.values()] == [
-        (layout.subjects[i], layout.resources[j]) for i, j in rows
-    ]
 
 
 class TestPairLayout:
     """A pair layout's planes and positions equal a loop over the rows
-    i*R+j, and a mined dataset's provenance is its layout, equal to the
-    tuple of (subject, resource) pairs it stands for."""
+    i*R+j."""
 
     @settings(max_examples=300, deadline=None)
     @given(layouts_and_masks())
@@ -611,34 +607,3 @@ class TestPairLayout:
             check_layout_against_per_bit_loop(
                 layout, mask(n_s), mask(n_r), [mask(n_r) for _ in range(n_s)], mask(n_s * n_r)
             )
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        om=org_models(max_objects=4),
-        s_cls=st.sampled_from(("Emp", "Task")),
-        r_cls=st.sampled_from(("Emp", "Task", "Room")),
-        data=st.data(),
-    )
-    def test_views_equal_the_pair_tuples(self, om, s_cls, r_cls, data):
-        acl = AclPolicy(ORG_CM, om, frozenset(ORG_ACTIONS), frozenset())
-        table = FeatureTable.build(ORG_CM, om, s_cls, r_cls, LIMITS)
-        ds = build_dataset(acl, s_cls, r_cls, "read", table)
-        assert ds.provenance is om.pairs(s_cls, r_cls)
-        _, pruned = prune_useless(table, ds)
-        _, extended, _, _ = extend_with_id_columns(acl, s_cls, r_cls, table, ds)
-        subjects = [s.id for s in om.objects_of(s_cls)]
-        want = tuple(product(subjects, [r.id for r in om.objects_of(r_cls)]))
-        n = len(want)
-        for dataset in (ds, pruned, extended):
-            view = dataset.provenance
-            assert len(view) == dataset.size == n
-            assert tuple(view) == want and view == want and want == view
-            assert [view[k] for k in range(-n, n)] == list(want * 2)
-            step = data.draw(st.sampled_from((1, 2, -1, -3)))
-            start, stop = data.draw(st.tuples(st.integers(-6, 6), st.integers(-6, 6)))
-            assert view[start:stop:step] == want[start:stop:step]
-            assert view[:] == want and view[::-1] == want[::-1]
-            assert [row.provenance for row in dataset.rows] == list(want)
-            for k in (n, -n - 1):
-                with pytest.raises(IndexError):
-                    view[k]

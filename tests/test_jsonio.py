@@ -6,7 +6,8 @@ from rebac_miner import jsonio
 from rebac_miner.datagen import builtin_spec, generate, inject_unknowns
 from rebac_miner.metrics import SimilarityReport
 from rebac_miner.model import meaning, Policy, SraTuple
-from tests.conftest import RUNNING_EXAMPLE, running_example
+from rebac_miner.tvl import TruthValue
+from tests.conftest import RUNNING_EXAMPLE, make_dataset, running_example
 
 
 def reload(document):
@@ -60,11 +61,12 @@ class TestRoundTrips:
         }
 
     def test_dataset_csv(self, example_dataset):
-        text = jsonio.dataset_to_csv(example_dataset)
-        back = jsonio.dataset_from_csv(text)
-        assert [f.label for f in back.features] == [f.label for f in example_dataset.features]
-        for a, b in zip(back.rows, example_dataset.rows):
-            assert a.vector == b.vector and a.label == b.label
+        # A task with no features is dumped as its label column alone.
+        no_features = make_dataset((), [((), TruthValue.T), ((), TruthValue.F)])
+        for dataset in (example_dataset, no_features):
+            back = jsonio.dataset_from_csv(jsonio.dataset_to_csv(dataset))
+            assert [f.label for f in back.features] == [f.label for f in dataset.features]
+            assert list(back.rows) == list(dataset.rows)
 
     def test_serialization_is_canonical(self):
         acl, _ = running_example()

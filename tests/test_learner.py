@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rebac_miner import learner
+from rebac_miner import jsonio, learner
 from rebac_miner.learner import (
     FailedFeatures,
     IdStrategy,
@@ -82,7 +82,7 @@ def per_feature_cover(dataset, row):
 class TestDefaultCoverConjunction:
     def test_direct(self):
         features = tuple(FeatureId(i, f"f{i}", 1) for i in range(3))
-        ds = make_dataset(features, ((None, (T, F, U), T),))
+        ds = make_dataset(features, (((T, F, U), T),))
         conj = default_cover_conjunction(ds, 0)
         assert conj == Conjunction.of(
             [lit(features[0]), lit(features[1], Polarity.NEGATIVE)]
@@ -90,7 +90,7 @@ class TestDefaultCoverConjunction:
 
     def test_all_unknown_is_empty(self):
         features = (FeatureId(0),)
-        ds = make_dataset(features, ((None, (U,), T),))
+        ds = make_dataset(features, (((U,), T),))
         assert default_cover_conjunction(ds, 0) == Conjunction()
 
     def test_example_row4(self, example_dataset):
@@ -103,7 +103,7 @@ class TestDefaultCoverConjunction:
         n_feat = data.draw(st.integers(0, 6))
         codes = st.sampled_from((F, U, T))
         rows = data.draw(st.lists(
-            st.tuples(st.just(None), st.tuples(*[codes] * n_feat), codes),
+            st.tuples(st.tuples(*[codes] * n_feat), codes),
             min_size=1,
             max_size=70,
         ))
@@ -131,7 +131,7 @@ class TestEliminateUnknownLiteral:
         f0, f1 = FeatureId(0, "f0", 1), FeatureId(1, "f1", 1)
         ds = make_dataset(
             (f0, f1),
-            ((None, (U, T), T), (None, (T, F), F)),
+            (((U, T), T), ((T, F), F)),
         )
         conj = Conjunction.of([lit(f0, Polarity.IS_UNKNOWN)])
         out = eliminate_unknown_literal(conj, ds, (), ds.all_rows)
@@ -141,7 +141,7 @@ class TestEliminateUnknownLiteral:
         f0 = FeatureId(0, "f0", 1)
         ds = make_dataset(
             (f0,),
-            ((None, (U,), T), (None, (T,), F), (None, (F,), F)),
+            (((U,), T), ((T,), F), ((F,), F)),
         )
         conj = Conjunction.of([lit(f0, Polarity.IS_UNKNOWN)])
         out = eliminate_unknown_literal(conj, ds, (), ds.all_rows)
@@ -155,7 +155,7 @@ def replacement_problems(draw):
     literal among others of any polarity."""
     n = draw(st.integers(1, 8))
     features = tuple(FeatureId(i, f"f{i}", draw(st.integers(1, 3))) for i in range(n))
-    ds = make_dataset(features, ((None, (U,) * n, T),))
+    ds = make_dataset(features, (((U,) * n, T),))
     chosen = draw(st.lists(st.sampled_from(features), min_size=1, unique=True))
     polarities = [Polarity.IS_UNKNOWN]
     polarities += [draw(st.sampled_from(Polarity)) for _ in chosen[1:]]
@@ -191,7 +191,7 @@ class TestLearnFormula:
 
     def test_no_t_rows_empty_formula(self):
         f0 = FeatureId(0)
-        ds = make_dataset((f0,), ((None, (T,), F), (None, (U,), F)))
+        ds = make_dataset((f0,), (((T,), F), ((U,), F)))
         result = learn_formula(ds)
         assert result.formula == DnfFormula()
         assert result.iterations == 0
@@ -201,10 +201,10 @@ class TestLearnFormula:
         ds = make_dataset(
             (f0, f1),
             (
-                (None, (T, F), T),
-                (None, (F, T), T),
-                (None, (F, F), F),
-                (None, (T, T), T),
+                ((T, F), T),
+                ((F, T), T),
+                ((F, F), F),
+                ((T, T), T),
             ),
         )
         result = learn_formula(ds)
@@ -223,11 +223,11 @@ class TestLearnFormula:
         f0 = FeatureId(0)
         ds = make_dataset(
             (f0,),
-            ((("s1", "r1"), (U,), T), (("s2", "r2"), (U,), F)),
+            (((U,), T), ((U,), F)),
         )
         with pytest.raises(LearningError) as err:
             learn_formula(ds)
-        assert err.value.row.label is F
+        assert err.value.index == 1 and err.value.row.label is F
 
     def test_blacklist_then_fallback_covers_remaining_rows(self):
         # The only T path is the is-unknown edge of f0; dropping the test is
@@ -237,10 +237,10 @@ class TestLearnFormula:
         ds = make_dataset(
             (f0, f1, f2),
             (
-                (None, (U, T, F), T),
-                (None, (T, T, T), F),
-                (None, (F, F, T), F),
-                (None, (T, F, F), F),
+                ((U, T, F), T),
+                ((T, T, T), F),
+                ((F, F, T), F),
+                ((T, F, F), F),
             ),
         )
         result = learn_formula(ds, max_iter=1)
@@ -265,8 +265,8 @@ class TestCoverRest:
         # empty, so it grants the F row too and fails.
         f0 = FeatureId(0, "f0", 1)
         extra = FeatureId(1, "row-tag", 1)
-        rows = ((("s1", "r1"), (U, T), T), (("s2", "r2"), (U, F), F))
-        narrow = make_dataset((f0,), tuple((p, cells[:1], label) for p, cells, label in rows))
+        rows = (((U, T), T), ((U, F), F))
+        narrow = make_dataset((f0,), tuple((cells[:1], label) for cells, label in rows))
         with pytest.raises(LearningError) as err:
             learn_formula(narrow, max_iter=1)
         # The same rows with one more column that the supplier can use.
@@ -274,11 +274,11 @@ class TestCoverRest:
         calls = []
 
         def supplier(row):
-            calls.append(ds.rows[row].provenance)
+            calls.append(row)
             return Conjunction.of([lit(extra)])
 
         result = cover_rest(err.value.learned, ds, supplier)
-        assert calls == [("s1", "r1")]
+        assert calls == [0]
         assert result.used_fallback is True
         assert result.formula == DnfFormula.of([Conjunction.of([lit(extra)])])
         assert result.iterations == err.value.learned.iterations == 1
@@ -286,22 +286,31 @@ class TestCoverRest:
     @pytest.mark.parametrize(
         "cells, wrong, message",
         [
-            ((U, F), ("s1", "r1"), "formula does not grant a row labeled T"),
-            ((T, T), ("s2", "r2"), "formula would grant a row labeled F"),
+            ((U, F), 0, "formula does not grant a row labeled T"),
+            ((T, T), 1, "formula would grant a row labeled F"),
         ],
         ids=["misses-its-row", "grants-f-row"],
     )
     def test_failure_names_the_misevaluated_row(self, cells, wrong, message):
         f0 = FeatureId(0, "f0", 1)
         ds = make_dataset(
-            (f0,), ((("s1", "r1"), cells[:1], T), (("s2", "r2"), cells[1:], F))
+            (f0,), ((cells[:1], T), (cells[1:], F))
         )
         learned = LearnResult(DnfFormula(), False, frozenset(), 1)
         with pytest.raises(LearningError) as err:
             cover_rest(learned, ds, lambda row: Conjunction.of([lit(f0)]))
-        assert err.value.row.provenance == wrong
+        assert err.value.index == wrong and err.value.row == ds.rows[wrong]
         assert err.value.learned is learned
-        assert str(err.value).startswith(message)
+        assert str(err.value) == message
+
+    def test_failure_indexes_a_csv_row_among_equal_ones(self):
+        # Rows 1 and 3 hold the same cells and label; the T row between
+        # them has no cell to cover, so its empty cover grants row 1 first.
+        ds = jsonio.dataset_from_csv("f0,label\nT,T\nU,F\nU,T\nU,F\n")
+        with pytest.raises(LearningError) as err:
+            learn_formula(ds)
+        assert err.value.index == 1
+        assert err.value.row == ds.rows[1] == ds.rows[3]
 
 
 def random_monotonic_dataset(rng, max_features=5, max_rows=30):
@@ -325,7 +334,7 @@ def random_monotonic_dataset(rng, max_features=5, max_rows=30):
     for _ in range(rng.randint(1, max_rows)):
         cells = tuple(rng.choice((F, U, T)) for _ in range(n))
         vector = FeatureVector(cells)
-        rows.append((None, cells, eval_dnf(formula, vector)))
+        rows.append((cells, eval_dnf(formula, vector)))
     return make_dataset(features, tuple(rows))
 
 

@@ -120,7 +120,7 @@ class TestInformationGain:
     def test_pure_labels_gain_zero(self):
         ds = make_dataset(
             (FeatureId(0), FeatureId(1)),
-            ((None, (T, F), T), (None, (F, U), T)),
+            (((T, F), T), ((F, U), T)),
         )
         for f in ds.features:
             assert full_gain(ds, f) == pytest.approx(0.0, abs=1e-12)
@@ -131,7 +131,7 @@ class TestInformationGain:
         assert gain == pytest.approx(oracle_gain(example_dataset.rows, example_dataset.features[2]), abs=1e-12)
 
     def test_single_row_gain_zero(self):
-        ds = make_dataset((FeatureId(0),), ((None, (U,), T),))
+        ds = make_dataset((FeatureId(0),), (((U,), T),))
         assert full_gain(ds, ds.features[0]) == pytest.approx(0.0)
 
     def test_matches_oracle_on_random_datasets(self):
@@ -141,7 +141,7 @@ class TestInformationGain:
             n_rows = rng.randint(1, 25)
             features = tuple(FeatureId(i, f"f{i}", 1) for i in range(n_feat))
             rows = tuple(
-                (None, tuple(rng.choice((F, U, T)) for _ in range(n_feat)),
+                (tuple(rng.choice((F, U, T)) for _ in range(n_feat)),
                  rng.choice((F, U, T)))
                 for _ in range(n_rows)
             )
@@ -171,7 +171,7 @@ def check_against_oracle(n_feat, cells, labels, rows, cands):
     features = tuple(FeatureId(i) for i in range(n_feat))
     ds = make_dataset(
         features,
-        tuple((None, tuple(TruthValue(c) for c in row), TruthValue(label))
+        tuple((tuple(TruthValue(c) for c in row), TruthValue(label))
               for row, label in zip(cells, labels)),
     )
     row_set = RowSet(mask_of(rows, len(cells)))
@@ -239,7 +239,7 @@ def shared_memo_builds(draw):
     n_rows = draw(st.integers(1, 24))
     codes = st.sampled_from((F, U, T))
     rows = tuple(
-        (None, tuple(draw(codes) for _ in range(n_feat)), draw(codes))
+        (tuple(draw(codes) for _ in range(n_feat)), draw(codes))
         for _ in range(n_rows)
     )
     features = tuple(FeatureId(i, f"f{i}", draw(st.integers(1, 3))) for i in range(n_feat))
@@ -274,7 +274,7 @@ def chained_builds(draw):
         vectors.append(tuple(cells))
     n_rows = draw(st.integers(2, 16))
     rows = tuple(
-        (None, draw(st.sampled_from(vectors)), draw(codes)) for _ in range(n_rows)
+        (draw(st.sampled_from(vectors)), draw(codes)) for _ in range(n_rows)
     )
     features = tuple(FeatureId(i, f"f{i}", draw(st.integers(1, 3))) for i in range(n_feat))
     ds = make_dataset(features, rows)
@@ -330,26 +330,26 @@ class TestChooseSplit:
         dear = FeatureId(1, "dear", 3)
         ds = make_dataset(
             (cheap, dear),
-            ((None, (T, T), T), (None, (F, F), F)),
+            (((T, T), T), ((F, F), F)),
         )
         assert root_split(ds, ds.features) is cheap
         ds2 = make_dataset(
             (FeatureId(0, "a", 3), FeatureId(1, "b", 2)),
-            ((None, (T, T), T), (None, (F, F), F)),
+            (((T, T), T), ((F, F), F)),
         )
         assert root_split(ds2, ds2.features) is ds2.features[1]
 
     def test_index_breaks_remaining_ties(self):
         ds = make_dataset(
             (FeatureId(0, "a", 2), FeatureId(1, "b", 2)),
-            ((None, (T, T), T), (None, (F, F), F)),
+            (((T, T), T), ((F, F), F)),
         )
         assert root_split(ds, ds.features) is ds.features[0]
 
 
 class TestBuildTree:
     def test_all_false_leaf(self):
-        ds = make_dataset((FeatureId(0),), ((None, (T,), F), (None, (U,), F)))
+        ds = make_dataset((FeatureId(0),), (((T,), F), ((U,), F)))
         tree = build_tree(ds)
         assert tree == Leaf(F)
 
@@ -415,7 +415,7 @@ class TestBuildTree:
             for _ in range(rng.randint(1, 20)):
                 cells = tuple(rng.choice((F, U, T)) for _ in range(n_feat))
                 label = labels_by_vec.setdefault(cells, rng.choice((F, U, T)))
-                rows.append((None, cells, label))
+                rows.append((cells, label))
             ds = make_dataset(features, tuple(rows))
             tree = build_tree(ds)
             for row in ds.rows:
@@ -575,7 +575,7 @@ class TestIterativeTreeWalks:
         features = tuple(FeatureId(i, f"f{i}") for i in range(n))
         xor = ((T, T, T), (T, F, F), (F, T, F), (F, F, T))
         ds = make_dataset(
-            features, tuple((None, (T,) * (n - 2) + (a, b), label) for a, b, label in xor)
+            features, tuple(((T,) * (n - 2) + (a, b), label) for a, b, label in xor)
         )
         got = build_tree(ds)
         limit = sys.getrecursionlimit()
@@ -599,7 +599,7 @@ class TestIterativeTreeWalks:
         # until the 600 columns run out.
         n = 600
         features = tuple(FeatureId(i, f"f{i}") for i in range(n))
-        ds = make_dataset(features, ((None, (T,) * n, T), (None, (T,) * n, F)))
+        ds = make_dataset(features, (((T,) * n, T), ((T,) * n, F)))
         assert sys.getrecursionlimit() <= 1000
         tree = build_tree(ds)
         depth, node = 0, tree

@@ -181,13 +181,13 @@ class TestEvaluation:
         assert covers(formula, example_dataset)
 
     def test_always_true_is_invalid_with_f_row(self):
-        ds = make_dataset((f0,), ((None, (F,), F),))
+        ds = make_dataset((f0,), (((F,), F),))
         assert first_validity_violation(DnfFormula.of([Conjunction()]), ds) is not None
         assert first_validity_violation(DnfFormula(), ds) is None
 
     def test_empty_formula_coverage(self):
-        with_t = make_dataset((f0,), ((None, (T,), T),))
-        without_t = make_dataset((f0,), ((None, (T,), F),))
+        with_t = make_dataset((f0,), (((T,), T),))
+        without_t = make_dataset((f0,), (((T,), F),))
         assert not covers(DnfFormula(), with_t)
         assert covers(DnfFormula(), without_t)
 
@@ -345,20 +345,20 @@ class TestDatasetPlanes:
             ds.rows[len(rows)]
 
     def test_malformed_planes_rejected(self):
-        LabeledDataset((f0,), ((1, 0),), (0, 1), 1, (None,))
+        LabeledDataset((f0,), ((1, 0),), (0, 1), 1)
         for planes in (((1, 1),), ((2, 0),), ()):
             with pytest.raises(ValueError):
-                LabeledDataset((f0,), planes, (0, 1), 1, (None,))
+                LabeledDataset((f0,), planes, (0, 1), 1)
         with pytest.raises(ValueError):
-            LabeledDataset((f0,), ((1, 0),), (0, 1), 1, ())
+            LabeledDataset((f0,), ((1, 0),), (0, 2), 1)
 
     def test_copies_check_the_planes_they_add(self):
-        ds = LabeledDataset((f0,), ((1, 0),), (0, 1), 1, (None,))
+        ds = LabeledDataset((f0,), ((1, 0),), (0, 1), 1)
         f1 = FeatureId(1)
         copy = ds.with_columns((f0, f1), ds.planes, ((0, 1),))
-        assert copy == LabeledDataset((f0, f1), ((1, 0), (0, 1)), (0, 1), 1, (None,))
+        assert copy == LabeledDataset((f0, f1), ((1, 0), (0, 1)), (0, 1), 1)
         assert copy.all_rows == 1 and copy.by_cost == (f0, f1)
-        assert ds.with_columns((), ()) == LabeledDataset((), (), (0, 1), 1, (None,))
+        assert ds.with_columns((), ()) == LabeledDataset((), (), (0, 1), 1)
         for added in (((1, 1),), ((2, 0),)):
             with pytest.raises(ValueError):
                 ds.with_columns((f0, f1), ds.planes, added)
@@ -411,7 +411,8 @@ class TestPlanesMatchRowEvaluation:
     def test_validity_and_coverage(self, case):
         formula, ds, rows = case
         granted = [eval_dnf(formula, row.vector) is T for row in rows]
-        wrong = [row for row, g in zip(rows, granted) if g and row.label is not T]
+        wrong = [k for k, (row, g) in enumerate(zip(rows, granted))
+                 if g and row.label is not T]
         missed = [k for k, (row, g) in enumerate(zip(rows, granted))
                   if row.label is T and not g]
         assert first_validity_violation(formula, ds) == (wrong[0] if wrong else None)

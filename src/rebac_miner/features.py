@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import attrgetter
 from typing import Callable
 
 from rebac_miner.model import (
@@ -30,6 +31,7 @@ from rebac_miner.model import (
     pair_planes,
     path_type,
     value_index,
+    value_sort_key,
     wsc,
 )
 from rebac_miner.tvl import (
@@ -90,11 +92,14 @@ class FeatureTable:
         resource_type: str,
         limits: ExtractionLimits,
     ) -> "FeatureTable":
-        """The task's candidate features in ``sort_key`` order: subject
-        conditions, resource conditions, then constraints, each slot's in
-        its enumerator's order.  The enumerators return their features
-        sorted and without duplicates, and the slot leads the sort key, so
-        their lists are concatenated as they are, with no re-sort."""
+        """The class pair's candidate features in ``sort_key`` order:
+        subject conditions, resource conditions, then constraints, each
+        slot's in its enumerator's order.  The enumerators emit their
+        features in ``sort_key`` order and without duplicates, and the
+        slot leads the sort key, so their lists are concatenated as they
+        are, with no sort.  Every action of the class pair learns over
+        this one table (:func:`~rebac_miner.miner.mine_detailed` builds it
+        once per class pair and limits)."""
         slots = (
             (Slot.SUBJECT, enumerate_condition_features(cm, om, subject_type, limits)),
             (Slot.RESOURCE, enumerate_condition_features(cm, om, resource_type, limits)),
@@ -158,12 +163,18 @@ def observed_constants(cm: ClassModel, om: ObjectModel, start: str, path: PathT)
 def enumerate_condition_features(
     cm: ClassModel, om: ObjectModel, cls: str, limits: ExtractionLimits
 ) -> tuple[AtomicCondition, ...]:
-    """Positive atomic conditions for one side of the task.
+    """Positive atomic conditions for one side of the task, in ``sort_key``
+    order by construction.
 
-    Boolean paths contribute the two constant tests; reference paths
-    contribute one condition per observed constant, with the operator
-    picked by the path's multiplicity.  Identity conditions (path "id")
-    appear only on request.  Memoized on ``om`` per (class, limits).
+    Boolean paths contribute the two constant tests, ``False`` before
+    ``True``; reference paths contribute one condition per observed
+    constant, in :func:`~rebac_miner.model.value_sort_key` order, with the
+    operator picked by the path's multiplicity.  A condition's sort key
+    leads with its path and one path has one operator, so the paths in
+    :func:`enumerate_paths` order, each with its constants sorted once,
+    give the whole list sorted; no sort key is read.  Identity conditions
+    (path "id") appear only on request.  Memoized on ``om`` per (class,
+    limits).
     """
     key = (cls, limits)
     try:
@@ -176,27 +187,33 @@ def enumerate_condition_features(
             continue
         ptype, mult = path_type(cm, cls, path)
         if ptype == BOOLEAN:
-            out.append(AtomicCondition(path, "in", frozenset({True})))
             out.append(AtomicCondition(path, "in", frozenset({False})))
+            out.append(AtomicCondition(path, "in", frozenset({True})))
             continue
-        for atom in sorted(observed_constants(cm, om, cls, path), key=str):
+        for atom in sorted(observed_constants(cm, om, cls, path), key=value_sort_key):
             if mult is Multiplicity.MANY:
                 out.append(AtomicCondition(path, "contains", atom))
             else:
                 out.append(AtomicCondition(path, "in", frozenset({atom})))
-    om._conditions[key] = tuple(sorted(out, key=lambda ac: ac.sort_key))
+    om._conditions[key] = tuple(out)
     return om._conditions[key]
+
+
+_constraint_order = attrgetter("path1", "op", "path2")
 
 
 def enumerate_constraint_features(
     cm: ClassModel, subject_type: str, resource_type: str, limits: ExtractionLimits
 ) -> tuple[AtomicConstraint, ...]:
-    """Positive atomic constraints between type-compatible path pairs.
+    """Positive atomic constraints between type-compatible path pairs, in
+    ``sort_key`` order.
 
     Both sides range over sugared paths up to the limit plus the empty
     path; the pair of empty paths (subject equal resource) is enumerated
     only when both types coincide.  The operators are those the paths'
     multiplicities admit (:func:`~rebac_miner.model.constraint_ops`).
+    Every constraint is positive, so one sort on (path1, op, path2) is the
+    ``sort_key`` order, and no sort key is read.
     """
     sides1: list[PathT] = [()]
     sides2: list[PathT] = [()]
@@ -216,7 +233,19 @@ def enumerate_constraint_features(
             if t1 != t2:
                 continue
             out += [AtomicConstraint(p1, op, p2) for op in constraint_ops(m1, m2)]
-    return tuple(sorted(out, key=lambda c: c.sort_key))
+    return tuple(sorted(out, key=_constraint_order))
+
+
+def task_labels(
+    acl: AclPolicy, subject_type: str, resource_type: str, action: str
+) -> tuple[int, int]:
+    """The (T, F) label planes of one task over its class pair's
+    :class:`~rebac_miner.model.PairLayout`: T on the pairs the task's plane
+    in :attr:`~rebac_miner.model.AclPolicy.au_planes` holds, F on every
+    other pair (never U: the authorization list is complete by
+    definition)."""
+    label_t = acl.au_planes.get((subject_type, resource_type, action), 0)
+    return label_t, acl.object_model.pairs(subject_type, resource_type).full & ~label_t
 
 
 def build_dataset(
@@ -232,24 +261,20 @@ def build_dataset(
     stands for.
 
     Cells are the three-valued truths of the table's (positive) features;
-    the label is T when the tuple is authorized and F otherwise (never U:
-    the authorization list is complete by definition), read from the
-    task's plane in :attr:`~rebac_miner.model.AclPolicy.au_planes`.  Each
-    feature's planes are the pair-layout planes the object model keeps for
-    it (:func:`~rebac_miner.model.pair_planes`), which rule meanings and
+    the labels are the task's (:func:`task_labels`).  Each feature's
+    planes are the pair-layout planes the object model keeps for it
+    (:func:`~rebac_miner.model.pair_planes`), which rule meanings and
     phase 2b read as well.
     """
     cm, om = acl.class_model, acl.object_model
-    layout = om.pairs(subject_type, resource_type)
-    label_t = acl.au_planes.get((subject_type, resource_type, action), 0)
     return LabeledDataset(
         table.feature_ids,
         tuple(
             pair_planes(cm, om, subject_type, resource_type, e.kind, e.payload)
             for e in table.entries
         ),
-        (label_t, layout.full & ~label_t),
-        len(layout),
+        task_labels(acl, subject_type, resource_type, action),
+        len(om.pairs(subject_type, resource_type)),
     )
 
 

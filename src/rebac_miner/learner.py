@@ -66,15 +66,17 @@ class LearningError(Exception):
     """The learned formula mis-evaluates a row; the dataset cannot be
     exactly characterized with the available features (it is not monotonic
     or lacks separating features).  ``index`` is the row's index in the
-    dataset and ``row`` its label and cells; ``learned`` is the
-    fallback-free result the failed cover started from."""
+    dataset, which the message names (for ``learn-formula``, the 0-based
+    data line after the CSV header), and ``row`` its label and cells;
+    ``learned`` is the fallback-free result the failed cover started
+    from."""
 
     def __init__(self, dataset: LabeledDataset, index: int, learned: LearnResult):
         self.index = index
         self.row = row = dataset.rows[index]
         self.learned = learned
         problem = "does not grant" if row.label is T else "would grant"
-        super().__init__(f"formula {problem} a row labeled {row.label}")
+        super().__init__(f"formula {problem} row {index} (labeled {row.label})")
 
 
 def default_cover_conjunction(dataset: LabeledDataset, row: int) -> Conjunction:

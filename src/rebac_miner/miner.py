@@ -2,6 +2,9 @@
 
 Phase 1 decomposes the problem per (subject type, resource type, action),
 learns one DNF formula per task, and turns its conjunctions into rules.
+The tasks of one (subject type, resource type) differ only in their
+labels, so they learn over one feature table and one set of columns,
+prepared once per class pair.
 Identity conditions stay out of the first attempt; when a task's dataset
 cannot be exactly characterized without them, the configured strategy
 either relearns over a table that includes identity conditions or keeps
@@ -28,10 +31,10 @@ import logging
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
-from operator import and_, attrgetter, or_
+from operator import and_, attrgetter, itemgetter, or_
 from typing import Callable, Collection, Iterable, Optional
 
 from rebac_miner.features import (
@@ -42,6 +45,7 @@ from rebac_miner.features import (
     extend_with_id_columns,
     observed_constants,
     prune_useless,
+    task_labels,
 )
 from rebac_miner.learner import (
     IdStrategy,
@@ -77,6 +81,7 @@ from rebac_miner.tvl import DnfFormula, LabeledDataset, Polarity
 Observer = Callable[[str, tuple[Rule, ...]], None]
 
 _sort_key = attrgetter("sort_key")
+_cost_and_rank = itemgetter(0, 1)
 
 log = logging.getLogger(__name__)
 
@@ -158,24 +163,31 @@ def mine_detailed(
     the authorizations against the model (an ACL built with
     ``actions=None`` was read when built): a bad triple, an unknown object
     or an undeclared action raises :class:`~rebac_miner.model.ModelError`
-    before any learning.  The policy's rules are phase 2b's, which are
-    unique and in ``sort_key`` order.  On every route the mined policy's
-    meaning is checked against the authorizations, each rule's plane
-    computed afresh.  A difference raises :class:`MinerError` naming its
-    smallest tuple; with ``unknown_as_false`` it is returned on the
-    result's ``missing`` and ``extra`` instead.
+    before any learning.  The tasks of one (subject type, resource type)
+    share their candidate features and columns, which are prepared once
+    per class pair (:func:`_run_class_pair`); with ``jobs`` > 1 the class
+    pairs are run in a thread pool, and the reports stay in sorted task
+    order.  The policy's rules are phase 2b's, which are unique and in
+    ``sort_key`` order.  On every route the mined policy's meaning is
+    checked against the authorizations, each rule's plane computed
+    afresh.  A difference raises :class:`MinerError` naming its smallest
+    tuple; with ``unknown_as_false`` it is returned on the result's
+    ``missing`` and ``extra`` instead.
     """
     cm, om = acl.class_model, acl.object_model
-    keys = sorted(acl.au_planes)
+    actions: dict[tuple[str, str], list[str]] = {}
+    for s_cls, r_cls, action in sorted(acl.au_planes):
+        actions.setdefault((s_cls, r_cls), []).append(action)
 
-    def run(key):
-        return _run_task(acl, cfg, key, unknown_as_false)
+    def run(pair):
+        return _run_class_pair(acl, cfg, pair, actions[pair], unknown_as_false)
 
-    if jobs > 1 and len(keys) > 1:
+    if jobs > 1 and len(actions) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(run, keys))
+            per_pair = list(pool.map(run, actions))
     else:
-        reports = [run(key) for key in keys]
+        per_pair = [run(pair) for pair in actions]
+    reports = [report for pair_reports in per_pair for report in pair_reports]
 
     rules = []
     for report in reports:
@@ -202,13 +214,25 @@ def mine_detailed(
     return MineResult(policy, tuple(reports), missing, extra)
 
 
-def _run_task(acl, cfg, key, unknown_as_false) -> TaskReport:
-    subject_type, resource_type, action = key
+def _run_class_pair(acl, cfg, pair, actions, unknown_as_false) -> list[TaskReport]:
+    """The reports of the tasks of one (subject type, resource type), one
+    per action, in ``actions`` order.
+
+    The tasks differ only in their labels, so the class pair's feature
+    table and columns are prepared once per extraction limits: built
+    (:meth:`FeatureTable.build`, :func:`build_dataset`), rewritten to two
+    values if ``unknown_as_false``, and pruned (:func:`prune_useless`,
+    which reads the columns only).  The identity-retry limits are prepared
+    only when a task first needs them.  Each task learns over the prepared
+    columns with its own label planes (:func:`_run_task`).
+    """
+    subject_type, resource_type = pair
     cm, om = acl.class_model, acl.object_model
 
+    @cache
     def prepare(limits):
         table = FeatureTable.build(cm, om, subject_type, resource_type, limits)
-        dataset = build_dataset(acl, subject_type, resource_type, action, table)
+        dataset = build_dataset(acl, subject_type, resource_type, actions[0], table)
         if unknown_as_false:
             everything = dataset.all_rows
             dataset = replace(
@@ -216,21 +240,38 @@ def _run_task(acl, cfg, key, unknown_as_false) -> TaskReport:
             )
         return prune_useless(table, dataset)
 
-    table, dataset = prepare(cfg.limits)
+    return [
+        _run_task(acl, cfg, (subject_type, resource_type, action), prepare)
+        for action in actions
+    ]
+
+
+def _run_task(acl, cfg, key, prepare) -> TaskReport:
+    """Learn the task ``key`` over its class pair's columns, as
+    ``prepare(limits)`` gives them, with the task's own labels
+    (:func:`task_labels`); on a :class:`LearningError`, finish it by the
+    configured identity strategy."""
+    labels = task_labels(acl, *key)
+
+    def task_columns(limits):
+        table, dataset = prepare(limits)
+        return table, replace(dataset, labels=labels)
+
+    table, dataset = task_columns(cfg.limits)
     retried = False
     try:
         result = learn_formula(dataset, cfg.max_iter)
     except LearningError as failed:
         retried = True
         if cfg.id_strategy is IdStrategy.RETRY_WITH_ID_FEATURES:
-            table, dataset = prepare(replace(cfg.limits, include_id_conditions=True))
+            table, dataset = task_columns(replace(cfg.limits, include_id_conditions=True))
             finish = partial(learn_formula, dataset, cfg.max_iter)
             what = "identity conditions"
         else:
             # The first attempt's conjunctions stand: only the T rows they
             # miss are covered again, by per-pair identity conjunctions.
             table, dataset, supplier, _ = extend_with_id_columns(
-                acl, subject_type, resource_type, table, dataset
+                acl, *key[:2], table, dataset
             )
             finish = partial(cover_rest, failed.learned, dataset, supplier)
             what = "per-pair identity conjunctions"
@@ -238,9 +279,7 @@ def _run_task(acl, cfg, key, unknown_as_false) -> TaskReport:
             result = finish()
         except LearningError as exc:
             raise MinerError(f"task {key}: inconsistent even with {what} ({exc})") from exc
-    return TaskReport(
-        subject_type, resource_type, action, table, dataset, result, retried
-    )
+    return TaskReport(*key, table, dataset, result, retried)
 
 
 def extract_rules(
@@ -468,16 +507,24 @@ class _Phase2:
 
     def condition_options(self, s_cls: str, r_cls: str) -> list:
         """The conditions that may replace a constraint in a rule from
-        ``s_cls`` to ``r_cls``, built once per class pair as sorted (wsc,
-        rank, sort key, slot, condition), resource conditions ranked first."""
+        ``s_cls`` to ``r_cls``, as (wsc, rank, slot, condition) tuples,
+        built once per class pair: by WSC, then resource conditions (rank
+        0) before subject conditions (rank 1), then ``sort_key``.  The
+        enumerator gives each side's conditions in ``sort_key`` order, so
+        one stable sort on (wsc, rank) gives this order."""
         options = self._options.get((s_cls, r_cls))
         if options is None:
             options = self._options[s_cls, r_cls] = sorted(
-                (wsc(cond), rank, cond.sort_key, slot, cond)
-                for rank, (slot, cls) in enumerate(
-                    ((Slot.RESOURCE, r_cls), (Slot.SUBJECT, s_cls))
-                )
-                for cond in enumerate_condition_features(self.cm, self.om, cls, self.limits)
+                (
+                    (wsc(cond), rank, slot, cond)
+                    for rank, (slot, cls) in enumerate(
+                        ((Slot.RESOURCE, r_cls), (Slot.SUBJECT, s_cls))
+                    )
+                    for cond in enumerate_condition_features(
+                        self.cm, self.om, cls, self.limits
+                    )
+                ),
+                key=_cost_and_rank,
             )
         return options
 
@@ -595,11 +642,12 @@ def merge_and_simplify(
         ctx.changed = False
         for step in _STEPS:
             step(ctx)
-    counts = sorted(ctx.outcomes.items())
-    log.debug(
-        "phase 2b proposals: %s",
-        ", ".join(f"{step} {outcome} {n}" for (step, outcome), n in counts) or "none",
-    )
+    if log.isEnabledFor(logging.DEBUG):
+        counts = sorted(ctx.outcomes.items())
+        log.debug(
+            "phase 2b proposals: %s",
+            ", ".join(f"{step} {outcome} {n}" for (step, outcome), n in counts) or "none",
+        )
     return ctx.rules
 
 
@@ -775,10 +823,13 @@ def _constraints_to_conditions(ctx: _Phase2) -> None:
     for rule in ctx.rules:
         if rule not in ctx.current:
             continue
+        constraints = rule.by_slot[Slot.CONSTRAINT]
+        if not constraints:
+            continue
         s_cls, r_cls = rule.subject_type, rule.resource_type
         options = ctx.condition_options(s_cls, r_cls)
         working = rule
-        for constraint in rule.by_slot[Slot.CONSTRAINT]:
+        for constraint in constraints:
             if constraint not in working.constraint:
                 continue
             limit = wsc(constraint)  # only strictly cheaper conditions
@@ -787,7 +838,7 @@ def _constraints_to_conditions(ctx: _Phase2) -> None:
             base = working.without_atomic(Slot.CONSTRAINT, constraint)
             base_plane = ctx.meaning_of(base)
             target = ctx.meaning_of(working)
-            for cost, _, _, slot, cond in options:
+            for cost, _, slot, cond in options:
                 if cost >= limit:
                     break
                 plane = base_plane & pair_planes(cm, om, s_cls, r_cls, slot, cond)[cond.negated]

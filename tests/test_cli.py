@@ -559,7 +559,7 @@ class TestLearnFormulaCommand:
             env=env, capture_output=True, text=True,
         )
         assert run.returncode == 3
-        assert run.stderr == "error: formula would grant a row labeled F\n"
+        assert run.stderr == "error: formula would grant row 1 (labeled F)\n"
 
 
 def _file_system_case(case, tmp_path):

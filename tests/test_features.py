@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rebac_miner.datagen import builtin_spec, generate, inject_unknowns
 from rebac_miner.features import (
     ExtractionLimits,
     FeatureTable,
@@ -15,6 +16,7 @@ from rebac_miner.features import (
     prune_useless,
 )
 from rebac_miner.learner import learn_formula
+from rebac_miner.miner import _Phase2
 from rebac_miner.model import (
     UNKNOWN,
     AclPolicy,
@@ -218,6 +220,57 @@ class TestFeatureTableBuild:
         assert table.feature_ids == tuple(
             FeatureId(i, e.label(), wsc(e.payload)) for i, e in enumerate(ordered)
         )
+
+
+def strictly_increasing(keys) -> bool:
+    keys = list(keys)
+    return all(a < b for a, b in zip(keys, keys[1:]))
+
+
+class TestSortOrderByConstruction:
+    """The enumerators emit their features in ``sort_key`` order without
+    sorting on it, and the table and phase 2b's condition options rely on
+    that order."""
+
+    @pytest.mark.parametrize("spec_name", ["univ-mini", "org-chart"])
+    @pytest.mark.parametrize("n, seed", [(2, 0), (4, 3), (6, 5)])
+    @pytest.mark.parametrize("include_ids", [False, True])
+    def test_enumerators_table_and_options_are_in_sort_key_order(
+        self, spec_name, n, seed, include_ids
+    ):
+        spec = builtin_spec(spec_name)
+        om, _ = generate(spec, n, seed=seed)
+        om = inject_unknowns(om, spec, 2, seed=seed)
+        cm = spec.class_model
+        limits = ExtractionLimits(include_id_conditions=include_ids)
+        classes = sorted(cm.classes)
+        for cls in classes:
+            conditions = enumerate_condition_features(cm, om, cls, limits)
+            assert strictly_increasing(c.sort_key for c in conditions)
+        booleans = [
+            c
+            for cls in classes
+            for c in enumerate_condition_features(cm, om, cls, limits)
+            if isinstance(next(iter(c.value)), bool)
+        ]
+        assert booleans  # both specs have a Boolean field
+        phase2 = _Phase2((), AclPolicy(cm, om, spec.actions, frozenset()), limits, None)
+        for s_cls in classes:
+            for r_cls in classes:
+                constraints = enumerate_constraint_features(cm, s_cls, r_cls, limits)
+                assert strictly_increasing(c.sort_key for c in constraints)
+                table = FeatureTable.build(cm, om, s_cls, r_cls, limits)
+                assert strictly_increasing(e.sort_key for e in table.entries)
+                reference = sorted(
+                    (wsc(cond), rank, cond.sort_key, slot, cond)
+                    for rank, (slot, cls) in enumerate(
+                        ((Slot.RESOURCE, r_cls), (Slot.SUBJECT, s_cls))
+                    )
+                    for cond in enumerate_condition_features(cm, om, cls, limits)
+                )
+                assert phase2.condition_options(s_cls, r_cls) == [
+                    (cost, rank, slot, cond) for cost, rank, _, slot, cond in reference
+                ]
 
 
 class TestBuildDataset:

@@ -286,8 +286,8 @@ class TestCoverRest:
     @pytest.mark.parametrize(
         "cells, wrong, message",
         [
-            ((U, F), 0, "formula does not grant a row labeled T"),
-            ((T, T), 1, "formula would grant a row labeled F"),
+            ((U, F), 0, "formula does not grant row 0 (labeled T)"),
+            ((T, T), 1, "formula would grant row 1 (labeled F)"),
         ],
         ids=["misses-its-row", "grants-f-row"],
     )

@@ -13,7 +13,13 @@ from rebac_miner.datagen import (
     generate,
     inject_unknowns,
 )
-from rebac_miner.features import ExtractionLimits, FeatureTable
+from rebac_miner.features import (
+    ExtractionLimits,
+    FeatureTable,
+    build_dataset,
+    extend_with_id_columns,
+    prune_useless,
+)
 from rebac_miner.learner import IdStrategy
 from rebac_miner.metrics import jaccard, semantic_similarity
 from rebac_miner.miner import (
@@ -1268,6 +1274,82 @@ class TestRoundTrips:
         a = mine_detailed(acl, MinerConfig(), jobs=1).policy
         b = mine_detailed(acl, MinerConfig(), jobs=4).policy
         assert a.rules == b.rules
+
+
+def per_task_columns(acl, cfg, report, unknown_as_false):
+    """The table and dataset of ``report``'s task prepared for that task
+    alone: built, rewritten to two values if ``unknown_as_false``, pruned,
+    and for a retried task relearned with identity conditions or extended
+    by the per-pair identity columns, as its strategy says."""
+    s_cls, r_cls, action = report.subject_type, report.resource_type, report.action
+    retry = cfg.id_strategy is IdStrategy.RETRY_WITH_ID_FEATURES
+    limits = cfg.limits
+    if report.retried_with_ids and retry:
+        limits = replace(limits, include_id_conditions=True)
+    table = FeatureTable.build(acl.class_model, acl.object_model, s_cls, r_cls, limits)
+    dataset = build_dataset(acl, s_cls, r_cls, action, table)
+    if unknown_as_false:
+        everything = dataset.all_rows
+        dataset = replace(
+            dataset, planes=tuple((t, everything & ~t) for t, _ in dataset.planes)
+        )
+    table, dataset = prune_useless(table, dataset)
+    if report.retried_with_ids and not retry:
+        table, dataset, _, _ = extend_with_id_columns(acl, s_cls, r_cls, table, dataset)
+    return table, dataset
+
+
+class TestClassPairSharing:
+    """The tasks of one class pair share one preparation of their feature
+    table and columns; no report may show it."""
+
+    @staticmethod
+    def instance(seed):
+        # Two actions on Employee/Task (at seed 9 one task falls back and
+        # one does not; at seed 23 both do), plus an Employee/Employee
+        # task so that a thread pool has two class pairs to map over.
+        spec = builtin_spec("org-chart")
+        om, acl = generate(spec, 4, seed=seed)
+        om = inject_unknowns(om, spec, 2, seed=seed)
+        au = set(acl.au) | {
+            SraTuple(e.id, e.id, "view") for e in om.objects_of("Employee")
+        }
+        return AclPolicy(spec.class_model, om, acl.actions, au)
+
+    @pytest.mark.parametrize("seed", [9, 23])
+    @pytest.mark.parametrize(
+        "route", ["per-vector", "retry", "unknown-as-false"]
+    )
+    def test_reports_match_per_task_preparation(self, seed, route):
+        acl = self.instance(seed)
+        cfg = MinerConfig(
+            id_strategy=IdStrategy.RETRY_WITH_ID_FEATURES
+            if route == "retry"
+            else IdStrategy.PER_VECTOR_ID_CONJUNCTION
+        )
+        naive = route == "unknown-as-false"
+        result = mine_detailed(acl, cfg, unknown_as_false=naive)
+        keys = [(r.subject_type, r.resource_type, r.action) for r in result.tasks]
+        assert keys == sorted(acl.au_planes)
+        assert [k for k in keys if k[:2] == ("Employee", "Task")] == [
+            ("Employee", "Task", "assign"),
+            ("Employee", "Task", "view"),
+        ]
+        if not naive:
+            assert any(r.retried_with_ids for r in result.tasks)
+        om = acl.object_model
+        for report, key in zip(result.tasks, keys):
+            table, dataset = per_task_columns(acl, cfg, report, naive)
+            assert report.table == table
+            assert report.dataset.features == dataset.features
+            assert report.dataset.planes == dataset.planes
+            assert report.dataset.size == dataset.size
+            granted = acl.au_planes[key]
+            full = om.pairs(*key[:2]).full
+            assert report.dataset.labels == (granted, full & ~granted)
+        pooled = mine_detailed(acl, cfg, unknown_as_false=naive, jobs=2)
+        assert pooled.tasks == result.tasks
+        assert pooled.policy.rules == result.policy.rules
 
 
 # sha256 of the policy JSON mined from org-chart n=20, s=2: the scale at

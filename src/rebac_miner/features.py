@@ -119,6 +119,12 @@ class FeatureTable:
     def __len__(self):
         return len(self.entries)
 
+    @cached_property
+    def by_wsc(self) -> tuple[TaskFeature, ...]:
+        """The entries cheapest first (by WSC, then sort key): phase 2a's
+        order of preference among replacements for a negated atomic."""
+        return tuple(sorted(self.entries, key=lambda e: (wsc(e.payload), e.sort_key)))
+
     def entry(self, feature: FeatureId) -> TaskFeature:
         return self.entries[feature.index]
 

@@ -76,7 +76,7 @@ from rebac_miner.model import (
 # Imported under the name rule_meaning: the benchmark's tracer wraps
 # miner.rule_meaning to time and count rule meanings per phase.
 from rebac_miner.model import rule_plane as rule_meaning
-from rebac_miner.tvl import DnfFormula, LabeledDataset, Polarity
+from rebac_miner.tvl import DnfFormula, LabeledDataset, Polarity, dnf_rows
 
 Observer = Callable[[str, tuple[Rule, ...]], None]
 
@@ -255,7 +255,7 @@ def _run_task(acl, cfg, key, prepare) -> TaskReport:
 
     def task_columns(limits):
         table, dataset = prepare(limits)
-        return table, replace(dataset, labels=labels)
+        return table, dataset.with_labels(labels)
 
     table, dataset = task_columns(cfg.limits)
     retried = False
@@ -273,7 +273,8 @@ def _run_task(acl, cfg, key, prepare) -> TaskReport:
             table, dataset, supplier, _ = extend_with_id_columns(
                 acl, *key[:2], table, dataset
             )
-            finish = partial(cover_rest, failed.learned, dataset, supplier)
+            granted = dnf_rows(failed.learned.formula, dataset)
+            finish = partial(cover_rest, failed.learned, granted, dataset, supplier)
             what = "per-pair identity conjunctions"
         try:
             result = finish()
@@ -405,7 +406,7 @@ def _replacements(rule, slot, atomic, acl, table, own):
     """The (slot, atomic) candidates of substeps (2)-(4) for the negated
     ``atomic``, in order; ``own`` is the pair plane the rule must keep."""
     # (2) positive table features, cheapest first
-    for entry in sorted(table.entries, key=lambda e: (wsc(e.payload), e.sort_key)):
+    for entry in table.by_wsc:
         yield entry.kind, entry.payload
     if slot is Slot.CONSTRAINT or atomic.op != "in":
         return

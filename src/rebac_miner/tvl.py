@@ -16,9 +16,11 @@ resource a mined dataset's row stands for is
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections import Counter
 from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Optional
 
 
@@ -141,19 +143,30 @@ class LabeledDataset:
     size: int
 
     def __post_init__(self):
+        self._check_features()
         self._check(self.planes + (self.labels,))
 
-    def _check(self, planes: tuple[tuple[int, int], ...]) -> None:
-        """Raise ValueError unless feature i has index i, there is a plane
-        pair per feature, and each pair of ``planes`` is disjoint and
-        within the rows."""
+    def _check_features(self) -> None:
+        """Raise ValueError unless feature i has index i and there is a
+        plane pair per feature."""
         for pos, f in enumerate(self.features):
             if f.index != pos:
                 raise ValueError(f"feature at position {pos} has index {f.index}")
         if len(self.planes) != len(self.features):
             raise ValueError("need a plane pair per feature")
-        if any(t & f or (t | f) >> self.size for t, f in planes):
+
+    def _check(self, pairs: tuple[tuple[int, int], ...]) -> None:
+        """Raise ValueError unless each pair is disjoint and within the rows."""
+        if any(t & f or (t | f) >> self.size for t, f in pairs):
             raise ValueError("T and F planes must be disjoint and within the rows")
+
+    def _copy(self, **fields) -> "LabeledDataset":
+        """This dataset with some fields replaced, made without the checks
+        of the constructor: the caller checks what it replaced."""
+        copy = object.__new__(LabeledDataset)
+        for name in ("features", "planes", "labels", "size"):
+            object.__setattr__(copy, name, fields.get(name, getattr(self, name)))
+        return copy
 
     def with_columns(
         self,
@@ -165,15 +178,19 @@ class LabeledDataset:
         pairs taken from this dataset, then ``added``.  Only the added
         pairs are checked for disjointness and range; the kept ones were
         when this dataset was made."""
-        copy = object.__new__(LabeledDataset)
-        for name, value in (
-            ("features", features),
-            ("planes", kept + added),
-            ("labels", self.labels),
-            ("size", self.size),
-        ):
-            object.__setattr__(copy, name, value)
+        copy = self._copy(features=features, planes=kept + added)
+        copy._check_features()
         copy._check(added)
+        return copy
+
+    def with_labels(self, labels: tuple[int, int]) -> "LabeledDataset":
+        """This dataset's columns under new label planes, which alone are
+        checked for disjointness and range.  The copy shares this
+        dataset's :attr:`all_rows` and :attr:`by_cost`, which do not
+        depend on the labels."""
+        copy = self._copy(labels=labels)
+        copy._check((labels,))
+        copy.__dict__.update(all_rows=self.all_rows, by_cost=self.by_cost)
         return copy
 
     @classmethod
@@ -198,19 +215,9 @@ class LabeledDataset:
     @cached_property
     def by_cost(self) -> tuple[FeatureId, ...]:
         """The features cheapest first (by cost, then index): the learner's
-        one order of preference among features."""
+        one order of preference among features, for splits and for
+        is-unknown elimination's replacement literals."""
         return tuple(sorted(self.features, key=lambda f: (f.cost, f.index)))
-
-    @cached_property
-    def literals_by_cost(self) -> tuple["Literal", ...]:
-        """The positive literal of each feature in :attr:`by_cost` order,
-        then the negative ones in the same order: is-unknown elimination's
-        order of preference among replacement literals."""
-        return tuple(
-            Literal(f, polarity)
-            for polarity in (Polarity.POSITIVE, Polarity.NEGATIVE)
-            for f in self.by_cost
-        )
 
     @property
     def rows(self) -> "_Rows":
@@ -379,22 +386,23 @@ def dnf_rows(formula: DnfFormula, dataset: LabeledDataset) -> int:
     return rows
 
 
-def first_validity_violation(
-    formula: DnfFormula, dataset: LabeledDataset
-) -> Optional[int]:
-    """Index of the first row labeled F or U that the formula mis-evaluates
-    as T."""
-    wrong = dnf_rows(formula, dataset) & ~dataset.labels[0]
+def first_validity_violation(granted: int, dataset: LabeledDataset) -> Optional[int]:
+    """Index of the first row labeled F or U among the ``granted`` rows
+    (the rows on which a formula is T, as :func:`dnf_rows` gives them):
+    the first row that formula mis-evaluates as T."""
+    wrong = granted & ~dataset.labels[0]
     return bit_indices(wrong)[0] if wrong else None
 
 
-def uncovered_t_rows(formula: DnfFormula, dataset: LabeledDataset) -> int:
-    """Rows labeled T on which the formula is not T."""
-    return dataset.labels[0] & ~dnf_rows(formula, dataset)
+def uncovered_t_rows(granted: int, dataset: LabeledDataset) -> int:
+    """Rows labeled T outside the ``granted`` rows: the T rows that a
+    formula T on exactly those rows misses."""
+    return dataset.labels[0] & ~granted
 
 
-def covers(formula: DnfFormula, dataset: LabeledDataset) -> bool:
-    return not uncovered_t_rows(formula, dataset)
+def covers(granted: int, dataset: LabeledDataset) -> bool:
+    """Whether the ``granted`` rows hold every row labeled T."""
+    return not uncovered_t_rows(granted, dataset)
 
 
 def remove_redundant(formula: DnfFormula) -> DnfFormula:
@@ -402,13 +410,25 @@ def remove_redundant(formula: DnfFormula) -> DnfFormula:
 
     Equal literal sets are already collapsed to one representative by the
     canonical constructor.  Evaluation is unchanged on every vector.
+
+    A disjunct is compared only with strictly smaller ones that share one
+    of its literals: each disjunct is filed under its literal that the
+    fewest disjuncts hold (a literal is named by its sort key), and a
+    disjunct looks only in the files of its own literals, where every
+    disjunct it contains is.  The empty disjunct (true) absorbs every
+    other.
     """
     disjuncts = formula.disjuncts
-    kept = []
-    for c in disjuncts:
-        absorbed = any(
-            other is not c and other.literals < c.literals for other in disjuncts
-        )
-        if not absorbed:
-            kept.append(c)
+    keys = [c.sort_key for c in disjuncts]
+    if () in keys:
+        return DnfFormula((Conjunction(),))
+    holders = Counter(chain.from_iterable(keys))
+    filed: dict[tuple[int, int], list[Conjunction]] = {}
+    for c, key in zip(disjuncts, keys):
+        filed.setdefault(min(key, key=holders.__getitem__), []).append(c)
+    kept = [
+        c
+        for c, key in zip(disjuncts, keys)
+        if not any(other.literals < c.literals for k in key for other in filed.get(k, ()))
+    ]
     return DnfFormula.of(kept)

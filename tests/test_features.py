@@ -221,6 +221,17 @@ class TestFeatureTableBuild:
             FeatureId(i, e.label(), wsc(e.payload)) for i, e in enumerate(ordered)
         )
 
+    def test_wsc_order_is_sorted_once(self, acl):
+        table = FeatureTable.build(
+            acl.class_model, acl.object_model, "Student", "Document", LIMITS
+        )
+        order = table.by_wsc
+        assert order == tuple(
+            sorted(table.entries, key=lambda e: (wsc(e.payload), e.sort_key))
+        )
+        assert sorted(order, key=lambda e: e.sort_key) == list(table.entries)
+        assert table.by_wsc is order
+
 
 def strictly_increasing(keys) -> bool:
     keys = list(keys)

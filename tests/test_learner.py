@@ -5,12 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from rebac_miner import jsonio, learner
 from rebac_miner.learner import (
+    DefaultCovers,
     FailedFeatures,
     IdStrategy,
     LearnResult,
     LearningError,
     cover_rest,
-    default_cover_conjunction,
     eliminate_unknown_literal,
     learn_formula,
 )
@@ -22,7 +22,11 @@ from rebac_miner.tvl import (
     Literal,
     Polarity,
     TruthValue,
+    conjunction_rows,
+    dnf_rows,
+    literal_rows,
 )
+from tests import reference_learner as reference
 from tests.conftest import make_dataset
 from tests.oracles import eval_conjunction, eval_dnf
 
@@ -79,6 +83,11 @@ def per_feature_cover(dataset, row):
     )
 
 
+def default_cover_conjunction(dataset, row):
+    """The default cover of one row, made as :func:`cover_rest` makes it."""
+    return DefaultCovers(dataset, 1 << row).conjunctions()[0]
+
+
 class TestDefaultCoverConjunction:
     def test_direct(self):
         features = tuple(FeatureId(i, f"f{i}", 1) for i in range(3))
@@ -100,6 +109,8 @@ class TestDefaultCoverConjunction:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_matches_the_per_feature_cover(self, data):
+        # All chosen rows are decoded at once; each row's cover and its
+        # rows are those of the row on its own.
         n_feat = data.draw(st.integers(0, 6))
         codes = st.sampled_from((F, U, T))
         rows = data.draw(st.lists(
@@ -108,10 +119,14 @@ class TestDefaultCoverConjunction:
             max_size=70,
         ))
         ds = make_dataset(tuple(FeatureId(i) for i in range(n_feat)), rows)
-        for k, row in enumerate(ds.rows):
-            conj = default_cover_conjunction(ds, k)
+        chosen = data.draw(st.sets(st.integers(0, len(rows) - 1)))
+        covers = DefaultCovers(ds, sum(1 << k for k in chosen))
+        assert list(covers.rows) == sorted(chosen)
+        for k, conj in zip(covers.rows, covers.conjunctions()):
             assert conj == per_feature_cover(ds, k)
-            assert eval_conjunction(conj, row.vector) is T
+            assert conj == reference.default_cover_conjunction(ds, k)
+            assert covers.rows[k] == conjunction_rows(conj, ds)
+            assert eval_conjunction(conj, ds.rows[k].vector) is T
 
 
 class TestEliminateUnknownLiteral:
@@ -120,9 +135,7 @@ class TestEliminateUnknownLiteral:
         conj = Conjunction.of(
             [lit(handbook, Polarity.IS_UNKNOWN), lit(constraint)]
         )
-        out = eliminate_unknown_literal(
-            conj, example_dataset, (), example_dataset.all_rows
-        )
+        out = eliminate_unknown_literal(conj, example_dataset, 0, example_dataset.all_rows)
         assert out == Conjunction.of([lit(constraint)])
 
     def test_removal_invalid_then_replacement(self):
@@ -134,7 +147,7 @@ class TestEliminateUnknownLiteral:
             (((U, T), T), ((T, F), F)),
         )
         conj = Conjunction.of([lit(f0, Polarity.IS_UNKNOWN)])
-        out = eliminate_unknown_literal(conj, ds, (), ds.all_rows)
+        out = eliminate_unknown_literal(conj, ds, 0, ds.all_rows)
         assert out == Conjunction.of([lit(f1)])
 
     def test_exhaustion_reports_features(self):
@@ -144,7 +157,7 @@ class TestEliminateUnknownLiteral:
             (((U,), T), ((T,), F), ((F,), F)),
         )
         conj = Conjunction.of([lit(f0, Polarity.IS_UNKNOWN)])
-        out = eliminate_unknown_literal(conj, ds, (), ds.all_rows)
+        out = eliminate_unknown_literal(conj, ds, 0, ds.all_rows)
         assert out == FailedFeatures(frozenset({f0}))
 
 
@@ -175,7 +188,10 @@ class TestReplacementOrder:
             (Literal(f, p) for f in free for p in polarities),
             key=lambda l: (l.polarity.value, l.feature.cost, l.feature.index),
         )
-        assert learner._replacement_literals(conjunction, ds) == tuple(expected)
+        walked = list(learner._replacement_candidates(ds, used))
+        assert [Literal(f, p) for f, p, _ in walked] == expected
+        assert [plane for _, _, plane in walked] == [literal_rows(l, ds) for l in expected]
+        assert expected == list(reference._replacement_literals(conjunction, ds))
 
 
 class TestLearnFormula:
@@ -277,7 +293,8 @@ class TestCoverRest:
             calls.append(row)
             return Conjunction.of([lit(extra)])
 
-        result = cover_rest(err.value.learned, ds, supplier)
+        learned = err.value.learned
+        result = cover_rest(learned, dnf_rows(learned.formula, ds), ds, supplier)
         assert calls == [0]
         assert result.used_fallback is True
         assert result.formula == DnfFormula.of([Conjunction.of([lit(extra)])])
@@ -298,7 +315,7 @@ class TestCoverRest:
         )
         learned = LearnResult(DnfFormula(), False, frozenset(), 1)
         with pytest.raises(LearningError) as err:
-            cover_rest(learned, ds, lambda row: Conjunction.of([lit(f0)]))
+            cover_rest(learned, 0, ds, lambda row: Conjunction.of([lit(f0)]))
         assert err.value.index == wrong and err.value.row == ds.rows[wrong]
         assert err.value.learned is learned
         assert str(err.value) == message
@@ -353,3 +370,65 @@ class TestLearnerOracle:
         for _ in range(100):
             ds = random_monotonic_dataset(rng, max_features=4, max_rows=20)
             learn_formula(ds, max_iter=1)
+
+
+@st.composite
+def three_valued_datasets(draw):
+    """A random dataset with U cells and tied feature costs.  Its labels
+    come from a random formula (so it may be learnable) or are drawn at
+    random, U labels included."""
+    n = draw(st.integers(0, 6))
+    features = tuple(FeatureId(i, f"f{i}", draw(st.integers(1, 3))) for i in range(n))
+    codes = st.sampled_from((F, U, T))
+    cells = draw(st.lists(st.tuples(*[codes] * n), min_size=1, max_size=40))
+    if n and draw(st.booleans()):
+        conjs = [
+            Conjunction.of(
+                Literal(f, draw(st.sampled_from((Polarity.POSITIVE, Polarity.NEGATIVE))))
+                for f in draw(st.lists(st.sampled_from(features), min_size=1, unique=True))
+            )
+            for _ in range(draw(st.integers(1, 3)))
+        ]
+        formula = DnfFormula.of(conjs)
+        labels = [eval_dnf(formula, FeatureVector(c)) for c in cells]
+    else:
+        labels = draw(st.lists(
+            st.sampled_from((T, T, F, F, U)), min_size=len(cells), max_size=len(cells)
+        ))
+    return make_dataset(features, tuple(zip(cells, labels)))
+
+
+def outcome(run):
+    """``run()``'s LearnResult, or the index, text and learned result of
+    its LearningError."""
+    try:
+        return run()
+    except LearningError as err:
+        return ("error", err.index, str(err), err.learned)
+
+
+class TestMatchesTheReferenceLearner:
+    @settings(max_examples=400, deadline=None)
+    @given(ds=three_valued_datasets(), max_iter=st.integers(1, 3))
+    def test_learn_formula(self, ds, max_iter):
+        got = outcome(lambda: learn_formula(ds, max_iter))
+        assert got == outcome(lambda: reference.learn_formula(ds, max_iter))
+
+    @settings(max_examples=200, deadline=None)
+    @given(ds=three_valued_datasets(), data=st.data())
+    def test_cover_rest_with_a_supplier(self, ds, data):
+        # Any learned formula, covered by a supplier of per-row covers or by
+        # the default covers: the reference's result or error either way.
+        conjs = [
+            Conjunction.of(
+                Literal(f, data.draw(st.sampled_from((Polarity.POSITIVE, Polarity.NEGATIVE))))
+                for f in data.draw(st.lists(st.sampled_from(ds.features), unique=True))
+            )
+            for _ in range(data.draw(st.integers(0, 3)))
+        ] if ds.features else []
+        learned = LearnResult(DnfFormula.of(conjs), False, frozenset(), 1)
+        granted = dnf_rows(learned.formula, ds)
+        supplier = lambda row: reference.default_cover_conjunction(ds, row)
+        want = outcome(lambda: reference.cover_rest(learned, ds, supplier))
+        assert outcome(lambda: cover_rest(learned, granted, ds, supplier)) == want
+        assert outcome(lambda: cover_rest(learned, granted, ds)) == want

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,7 @@ from rebac_miner.tvl import (
     uncovered_t_rows,
 )
 from tests.conftest import make_dataset
+from tests.reference_learner import remove_redundant as reference_remove_redundant
 from tests.oracles import (
     eval_conjunction,
     eval_dnf,
@@ -177,19 +179,21 @@ class TestEvaluation:
         formula = DnfFormula.of(
             [Conjunction.of([lit(handbook)]), Conjunction.of([lit(constraint)])]
         )
-        assert first_validity_violation(formula, example_dataset) is None
-        assert covers(formula, example_dataset)
+        granted = dnf_rows(formula, example_dataset)
+        assert first_validity_violation(granted, example_dataset) is None
+        assert covers(granted, example_dataset)
 
     def test_always_true_is_invalid_with_f_row(self):
         ds = make_dataset((f0,), (((F,), F),))
-        assert first_validity_violation(DnfFormula.of([Conjunction()]), ds) is not None
-        assert first_validity_violation(DnfFormula(), ds) is None
+        always = DnfFormula.of([Conjunction()])
+        assert first_validity_violation(dnf_rows(always, ds), ds) is not None
+        assert first_validity_violation(dnf_rows(DnfFormula(), ds), ds) is None
 
     def test_empty_formula_coverage(self):
         with_t = make_dataset((f0,), (((T,), T),))
         without_t = make_dataset((f0,), (((T,), F),))
-        assert not covers(DnfFormula(), with_t)
-        assert covers(DnfFormula(), without_t)
+        assert not covers(dnf_rows(DnfFormula(), with_t), with_t)
+        assert covers(dnf_rows(DnfFormula(), without_t), without_t)
 
 
 def enumerate_vectors(n):
@@ -235,6 +239,37 @@ class TestRemoveRedundant:
             reduced = remove_redundant(formula)
             for v in enumerate_vectors(4):
                 assert eval_dnf(formula, v) is eval_dnf(reduced, v)
+
+
+@st.composite
+def overlapping_formulas(draw):
+    """Up to 12 disjuncts over few features, so that they share literals
+    and often contain one another; the empty disjunct now and then."""
+    n = draw(st.integers(1, 4))
+    features = tuple(FeatureId(i, f"f{i}", 1) for i in range(n))
+    polarities = st.sampled_from((Polarity.POSITIVE, Polarity.NEGATIVE, Polarity.IS_UNKNOWN))
+    conjs = [
+        Conjunction.of(
+            Literal(f, draw(polarities))
+            for f in draw(st.lists(st.sampled_from(features), unique=True))
+        )
+        for _ in range(draw(st.integers(0, 12)))
+    ]
+    return DnfFormula.of(conjs)
+
+
+class TestRemoveRedundantMatchesAllPairs:
+    @settings(max_examples=500, deadline=None)
+    @given(overlapping_formulas())
+    def test_same_formula_as_comparing_every_pair(self, formula):
+        assert remove_redundant(formula) == reference_remove_redundant(formula)
+
+    def test_non_canonical_input(self):
+        # Disjuncts out of order and repeated come out canonical.
+        a, b = Conjunction.of([lit(f1)]), Conjunction.of([lit(f0), lit(f1)])
+        formula = DnfFormula((b, a, a))
+        assert remove_redundant(formula) == DnfFormula.of([a])
+        assert remove_redundant(formula) == reference_remove_redundant(formula)
 
 
 @st.composite
@@ -367,6 +402,22 @@ class TestDatasetPlanes:
         with pytest.raises(ValueError):
             ds.with_columns((f1,), ds.planes)
 
+    @given(labeled_rows(), st.data())
+    def test_label_copies_check_only_their_labels(self, width_rows, data):
+        width, rows = width_rows
+        ds = LabeledDataset.from_rows(tuple(FeatureId(i) for i in range(width)), rows)
+        size = len(rows)
+        label_t = data.draw(st.integers(0, (1 << size) - 1))
+        label_f = data.draw(st.integers(0, (1 << size) - 1)) & ~label_t
+        copy = ds.with_labels((label_t, label_f))
+        assert copy == replace(ds, labels=(label_t, label_f))
+        assert copy.all_rows is ds.all_rows and copy.by_cost is ds.by_cost
+        assert copy.planes is ds.planes
+        if size:
+            for bad in ((1, 1), (1 << size, 0), (0, 1 << size)):
+                with pytest.raises(ValueError):
+                    ds.with_labels(bad)
+
 
 @st.composite
 def formulas_and_rows(draw):
@@ -415,6 +466,7 @@ class TestPlanesMatchRowEvaluation:
                  if g and row.label is not T]
         missed = [k for k, (row, g) in enumerate(zip(rows, granted))
                   if row.label is T and not g]
-        assert first_validity_violation(formula, ds) == (wrong[0] if wrong else None)
-        assert [k for k in range(len(rows)) if uncovered_t_rows(formula, ds) >> k & 1] == missed
-        assert covers(formula, ds) == (not missed)
+        granted = dnf_rows(formula, ds)
+        assert first_validity_violation(granted, ds) == (wrong[0] if wrong else None)
+        assert [k for k in range(len(rows)) if uncovered_t_rows(granted, ds) >> k & 1] == missed
+        assert covers(granted, ds) == (not missed)

@@ -5,7 +5,8 @@ the row subset.  Columns and labels are (T, F) bitplanes
 (:class:`~rebac_miner.tvl.LabeledDataset`), so each count is one
 ``int.bit_count()`` of an AND: a candidate's rows are ANDed with its T and
 F planes, and those two results with the T and F label planes; the U
-counts follow by subtraction.  Entropies are summed in truth-value code
+counts follow by subtraction, and so do the F cell's when the candidate
+has no U cell on the rows.  Entropies are summed in truth-value code
 order (F, U, T), left to right.
 """
 
@@ -63,10 +64,14 @@ def split_gains(cells, labels, rows: RowSet, cands) -> list[float]:
             gains.append(0.0)
             continue
         t_n, f_n = on_t.bit_count(), on_f.bit_count()
-        t_t, f_t = (on_t & label_t).bit_count(), (on_f & label_t).bit_count()
-        if n_u:  # else a cell's rows not labelled T are labelled F
-            t_f, f_f = (on_t & label_f).bit_count(), (on_f & label_f).bit_count()
-        else:
+        # With no U cell on these rows, the F cell is the rows not in T.
+        no_u_cell = t_n + f_n == n
+        t_t = (on_t & label_t).bit_count()
+        f_t = n_t - t_t if no_u_cell else (on_f & label_t).bit_count()
+        if n_u:
+            t_f = (on_t & label_f).bit_count()
+            f_f = n_f - t_f if no_u_cell else (on_f & label_f).bit_count()
+        else:  # a cell's rows not labelled T are labelled F
             t_f, f_f = t_n - t_t, f_n - f_t
         key = (t_n, t_t, t_f, f_n, f_t, f_f)
         gain = by_counts.get(key)

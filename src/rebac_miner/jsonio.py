@@ -124,12 +124,17 @@ def _atom_from_json(raw, what: str):
 
 
 def _value_from_json(raw):
+    if isinstance(raw, (str, bool)) or raw is None:  # nearly every value
+        return raw
     if isinstance(raw, dict):
         _require(raw == UNKNOWN_JSON, f"bad value object: {raw!r}")
         return UNKNOWN
     if isinstance(raw, list):
-        return frozenset(_atom_from_json(el, "set element") for el in raw)
-    return raw if raw is None else _atom_from_json(raw, "field value")
+        if not set(map(type, raw)) <= {str, bool}:
+            for el in raw:  # name the first element that is not an atom
+                _atom_from_json(el, "set element")
+        return frozenset(raw)
+    return _atom_from_json(raw, "field value")
 
 
 def object_model_to_json(om: ObjectModel) -> dict:
@@ -155,13 +160,15 @@ def object_model_from_json(document, cm: ClassModel) -> ObjectModel:
     instances = []
     for raw in raw_objects:
         raw = _as_obj(raw, "object")
-        _require(isinstance(raw.get("id"), str), "object: missing id")
-        _require(isinstance(raw.get("type"), str), f"object {raw.get('id')}: missing type")
+        oid, cls, raw_fields = raw.get("id"), raw.get("type"), raw.get("fields", {})
+        _require(isinstance(oid, str), "object: missing id")
+        if not isinstance(cls, str):  # the message is formatted only for an error
+            raise SchemaError(f"object {oid}: missing type")
         fields = {
             name: _value_from_json(value)
-            for name, value in _as_obj(raw.get("fields", {}), "object fields").items()
+            for name, value in _as_obj(raw_fields, "object fields").items()
         }
-        instances.append(ObjectInstance(raw["id"], raw["type"], fields))
+        instances.append(ObjectInstance(oid, cls, fields))
     try:
         om = ObjectModel(instances)
         validate_object_model(cm, om)
@@ -331,10 +338,12 @@ def acl_from_documents(cm_doc, om_doc, au_doc) -> AclPolicy:
     of [subject id, resource id, action] triples of strings whose ids name
     objects of the object model; a triple may appear more than once.  The
     array is kept as given (:attr:`~rebac_miner.model.AclPolicy.triples`),
-    and the declared actions are the ones it uses.  It is read once, by
+    and the declared actions are the ones it uses.  It is read by
     :attr:`~rebac_miner.model.AclPolicy.au_planes` while the policy is
-    built, so a bad document raises :class:`SchemaError` naming the first
-    offending triple before this returns."""
+    built: checked in bulk, and scanned triple by triple only when a check
+    fails, so a bad document raises :class:`SchemaError` naming the first
+    offending triple before this returns.  The objects are checked by
+    :func:`~rebac_miner.model.validate_object_model`, in id order."""
     cm = class_model_from_json(cm_doc)
     om = object_model_from_json(om_doc, cm)
     _require(isinstance(au_doc, list), "authorizations: expected an array of triples")

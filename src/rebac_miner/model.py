@@ -26,6 +26,7 @@ from typing import (
     Iterable,
     Mapping,
     NamedTuple,
+    NoReturn,
     Optional,
     Sequence,
     Union,
@@ -334,18 +335,33 @@ class ObjectModel:
 
 
 def validate_object_model(cm: ClassModel, om: ObjectModel) -> None:
-    """Check every object against the class model's shape rules."""
+    """Check every object against the class model's shape rules and raise
+    :class:`ModelError` for the first fault.  Objects are checked in id
+    order.  Each class's sorted declarations are read once per call; an
+    object's field names are compared with the declared names as key sets,
+    and an undeclared or missing field is looked for only when the sets
+    differ.  A reference is checked with one lookup of its target."""
+    place = om._place
+    declared: dict[str, tuple[frozenset[str], tuple]] = {}  # class -> names, decls
     for obj in om.objects():
-        if not cm.has_class(obj.type):
-            raise ModelError(f"object {obj.id} has unknown type {obj.type}")
-        declared = dict(cm.fields_of(obj.type))
-        for name in obj.fields:
-            if name not in declared:
-                raise ModelError(f"object {obj.id} has undeclared field {name!r}")
-        for name, decl in declared.items():
-            if name not in obj.fields:
-                raise ModelError(f"object {obj.id} is missing field {name!r}")
-            value = obj.fields[name]
+        try:
+            names, decls = declared[obj.type]
+        except KeyError:
+            if not cm.has_class(obj.type):
+                raise ModelError(f"object {obj.id} has unknown type {obj.type}") from None
+            decls = cm.fields_of(obj.type)
+            names = frozenset(name for name, _ in decls)
+            declared[obj.type] = names, decls
+        fields = obj.fields
+        if fields.keys() != names:
+            for name in fields:
+                if name not in names:
+                    raise ModelError(f"object {obj.id} has undeclared field {name!r}")
+        for name, decl in decls:
+            try:
+                value = fields[name]
+            except KeyError:
+                raise ModelError(f"object {obj.id} is missing field {name!r}") from None
             if value is UNKNOWN:
                 continue
             if decl.multiplicity is Multiplicity.MANY:
@@ -355,27 +371,29 @@ def validate_object_model(cm: ClassModel, om: ObjectModel) -> None:
                     raise ModelError(
                         f"{obj.id}.{name}: unknown cannot appear inside a stored set"
                     )
-                for el in value:
-                    _check_atom(cm, om, obj, name, decl, el)
+                atoms = value
             elif value is None:
                 if decl.multiplicity is not Multiplicity.OPTIONAL:
                     raise ModelError(f"{obj.id}.{name}: None needs multiplicity optional")
+                continue
             else:
-                _check_atom(cm, om, obj, name, decl, value)
-
-
-def _check_atom(cm, om, obj, name, decl, value) -> None:
-    if decl.type == BOOLEAN:
-        if not isinstance(value, bool):
-            raise ModelError(f"{obj.id}.{name}: expected a Boolean, got {value!r}")
-    else:
-        if not isinstance(value, str) or not om.has(value):
-            raise ModelError(f"{obj.id}.{name}: dangling reference {value!r}")
-        if om.get(value).type != decl.type:
-            raise ModelError(
-                f"{obj.id}.{name}: reference {value!r} has type "
-                f"{om.get(value).type}, expected {decl.type}"
-            )
+                atoms = (value,)
+            if decl.type == BOOLEAN:
+                for atom in atoms:
+                    if not isinstance(atom, bool):
+                        raise ModelError(
+                            f"{obj.id}.{name}: expected a Boolean, got {atom!r}"
+                        )
+                continue
+            for atom in atoms:
+                target = place.get(atom) if isinstance(atom, str) else None
+                if target is None:
+                    raise ModelError(f"{obj.id}.{name}: dangling reference {atom!r}")
+                if target[0] != decl.type:
+                    raise ModelError(
+                        f"{obj.id}.{name}: reference {atom!r} has type "
+                        f"{target[0]}, expected {decl.type}"
+                    )
 
 
 def _merge_into(out: set, sub: Value) -> None:
@@ -672,53 +690,70 @@ class AclPolicy:
         """The authorizations as a :data:`Meaning`: (subject type, resource
         type, action) maps to the plane of the pairs granted that action, in
         the two classes' :class:`PairLayout`.
-        Built in one pass over ``triples``, which makes no tuple per triple.
 
-        This is the only code that reads the triples, and it checks each one
-        as it reads it: the first triple that is not a list or tuple of three
-        strings, names an object missing from the object model, or uses an
-        action missing from declared ``actions`` raises :class:`ModelError`.
+        This is the only code that reads the triples, and it checks them in
+        bulk: the set of their types must hold only lists and tuples; one
+        loop unpacks each into three, looks both ids up (an id found is a
+        string, as object ids are) and files the pair's row under its key;
+        and each distinct action must be a string and, when ``actions`` are
+        declared, one of them.  Only when a check fails does a scan in order
+        raise :class:`ModelError` for the first triple that is not a list or
+        tuple of three strings, names an object missing from the object
+        model, or uses an action missing from declared ``actions``.
 
         Keys with no grants are absent, so two such mappings are equal
         exactly when the tuple sets they encode are.  Computed once per
         policy, which is safe because a frozen ``AclPolicy`` and its object
         model never change.
         """
-        om, actions = self.object_model, self.actions
+        om, actions, triples = self.object_model, self.actions, self.triples
         size = {cls: len(objects) for cls, objects in om._by_type.items()}
         place = om._place
         positions: dict[tuple[str, str, str], list[int]] = {}
-        for t in self.triples:
-            if not (
-                isinstance(t, (list, tuple))
-                and len(t) == 3
-                and isinstance(t[0], str)
-                and isinstance(t[1], str)
-                and isinstance(t[2], str)
-            ):
-                raise ModelError(f"authorizations: bad triple {t!r}")
-            subject, resource, action = t
+        if all(issubclass(kind, (list, tuple)) for kind in set(map(type, triples))):
             try:
-                (s_type, s_pos), (r_type, r_pos) = place[subject], place[resource]
-            except KeyError:
-                raise ModelError(
-                    f"authorization references unknown object: {SraTuple._make(t)}"
-                ) from None
-            if actions is not None and action not in actions:
-                raise ModelError(
-                    f"authorization uses undeclared action: {SraTuple._make(t)}"
-                )
-            # PairLayout's row i*R + j, inlined: a layout lookup and an
-            # (i, j) tuple per triple would cost more than the row itself.
-            row = s_pos * size[r_type] + r_pos
-            try:
-                positions[s_type, r_type, action].append(row)
-            except KeyError:
-                positions[s_type, r_type, action] = [row]
-        return MappingProxyType({
-            (s, r, a): mask_of(rows, size[s] * size[r])
-            for (s, r, a), rows in positions.items()
-        })
+                for s, r, a in triples:
+                    (s_type, s_pos), (r_type, r_pos) = place[s], place[r]
+                    # PairLayout's row i*R + j, inlined: a layout lookup and
+                    # an (i, j) tuple per triple would cost more than the row.
+                    row = s_pos * size[r_type] + r_pos
+                    try:
+                        positions[s_type, r_type, a].append(row)
+                    except KeyError:
+                        positions[s_type, r_type, a] = [row]
+            except (ValueError, KeyError, TypeError):
+                pass  # a length other than 3, an unknown id, an unhashable field
+            else:
+                used = {a for _, _, a in positions}
+                if all(isinstance(a, str) for a in used) and (
+                    actions is None or used <= actions
+                ):
+                    return MappingProxyType({
+                        (s, r, a): mask_of(rows, size[s] * size[r])
+                        for (s, r, a), rows in positions.items()
+                    })
+        _raise_first_bad_triple(triples, place, actions)
+
+
+def _raise_first_bad_triple(triples, place, actions) -> NoReturn:
+    """Raise :class:`ModelError` for the first of ``triples`` that
+    :attr:`AclPolicy.au_planes` refuses, checking them one by one."""
+    for t in triples:
+        if not (
+            isinstance(t, (list, tuple))
+            and len(t) == 3
+            and isinstance(t[0], str)
+            and isinstance(t[1], str)
+            and isinstance(t[2], str)
+        ):
+            raise ModelError(f"authorizations: bad triple {t!r}")
+        if t[0] not in place or t[1] not in place:
+            raise ModelError(
+                f"authorization references unknown object: {SraTuple._make(t)}"
+            )
+        if actions is not None and t[2] not in actions:
+            raise ModelError(f"authorization uses undeclared action: {SraTuple._make(t)}")
+    raise AssertionError("au_planes refused triples that each pass its checks")
 
 
 def validate_rule(cm: ClassModel, rule: Rule) -> None:

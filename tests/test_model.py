@@ -958,6 +958,171 @@ def au_planes_by_tuples(om, au):
     }
 
 
+def per_triple_au_planes(om, actions, triples):
+    """Reference: ``AclPolicy.au_planes`` as a loop that checks each triple
+    as it reads it, the first offending triple raising :class:`ModelError`."""
+    size = {cls: len(objects) for cls, objects in om._by_type.items()}
+    place = om._place
+    positions: dict[tuple[str, str, str], list[int]] = {}
+    for t in triples:
+        if not (
+            isinstance(t, (list, tuple))
+            and len(t) == 3
+            and isinstance(t[0], str)
+            and isinstance(t[1], str)
+            and isinstance(t[2], str)
+        ):
+            raise ModelError(f"authorizations: bad triple {t!r}")
+        subject, resource, action = t
+        try:
+            (s_type, s_pos), (r_type, r_pos) = place[subject], place[resource]
+        except KeyError:
+            raise ModelError(
+                f"authorization references unknown object: {SraTuple._make(t)}"
+            ) from None
+        if actions is not None and action not in actions:
+            raise ModelError(
+                f"authorization uses undeclared action: {SraTuple._make(t)}"
+            )
+        row = s_pos * size[r_type] + r_pos
+        positions.setdefault((s_type, r_type, action), []).append(row)
+    return {
+        (s, r, a): mask_of(rows, size[s] * size[r])
+        for (s, r, a), rows in positions.items()
+    }
+
+
+def per_object_validate(cm, om):
+    """Reference: ``validate_object_model`` as a loop that looks each
+    object's declarations and references up anew."""
+    for obj in om.objects():
+        if not cm.has_class(obj.type):
+            raise ModelError(f"object {obj.id} has unknown type {obj.type}")
+        declared = dict(cm.fields_of(obj.type))
+        for name in obj.fields:
+            if name not in declared:
+                raise ModelError(f"object {obj.id} has undeclared field {name!r}")
+        for name, decl in declared.items():
+            if name not in obj.fields:
+                raise ModelError(f"object {obj.id} is missing field {name!r}")
+            value = obj.fields[name]
+            if value is UNKNOWN:
+                continue
+            if decl.multiplicity is MANY:
+                if not isinstance(value, frozenset):
+                    raise ModelError(f"{obj.id}.{name}: many-valued field needs a set")
+                if UNKNOWN in value:
+                    raise ModelError(
+                        f"{obj.id}.{name}: unknown cannot appear inside a stored set"
+                    )
+                for el in value:
+                    _check_atom_reference(om, obj, name, decl, el)
+            elif value is None:
+                if decl.multiplicity is not OPT:
+                    raise ModelError(f"{obj.id}.{name}: None needs multiplicity optional")
+            else:
+                _check_atom_reference(om, obj, name, decl, value)
+
+
+def _check_atom_reference(om, obj, name, decl, value):
+    if decl.type == "Boolean":
+        if not isinstance(value, bool):
+            raise ModelError(f"{obj.id}.{name}: expected a Boolean, got {value!r}")
+    else:
+        if not isinstance(value, str) or not om.has(value):
+            raise ModelError(f"{obj.id}.{name}: dangling reference {value!r}")
+        if om.get(value).type != decl.type:
+            raise ModelError(
+                f"{obj.id}.{name}: reference {value!r} has type "
+                f"{om.get(value).type}, expected {decl.type}"
+            )
+
+
+def outcome(compute):
+    """The result of ``compute()`` as a plain value, or its
+    :class:`ModelError`'s text."""
+    try:
+        result = compute()
+    except ModelError as exc:
+        return f"ModelError: {exc}"
+    return dict(result) if isinstance(result, MappingProxyType) else result
+
+
+@st.composite
+def org_triple_arrays(draw):
+    """An org model, declared actions or None, and an array of triples:
+    lists, tuples and :class:`SraTuple` of ids and actions, repeated ones
+    included; in half the arrays also three-character strings, wrong
+    lengths, non-string and unhashable fields, unknown ids and undeclared
+    actions."""
+    om = draw(org_models())
+    ids = [obj.id for obj in om.objects()]
+    declared = draw(st.sampled_from((None, frozenset(ORG_ACTIONS))))
+    known = st.sampled_from(ids)  # every org model has its skills and depts
+    field = st.sampled_from(ids + list(ORG_ACTIONS))
+    action = st.sampled_from(ORG_ACTIONS + draw(st.sampled_from(((), ("delete",)))))
+    if draw(st.booleans()):
+        field = st.one_of(
+            field,
+            st.sampled_from(("ghost", "other", "e0x")),
+            st.sampled_from((None, 3, True, 2.5, b"e0")),
+            st.sampled_from(([], {}, ["e0"], frozenset({"e0"}))),
+        )
+        action = st.one_of(action, field)
+        kinds = st.sampled_from(("list", "tuple", "sra", "text", "short", "long"))
+    else:
+        kinds = st.sampled_from(("list", "tuple", "sra"))
+
+    @st.composite
+    def entry(draw):
+        kind = draw(kinds)
+        if kind == "text":
+            return draw(st.text(min_size=3, max_size=3))
+        if kind in ("short", "long"):
+            size = draw(st.integers(0, 2) if kind == "short" else st.integers(4, 5))
+            return draw(st.lists(field, min_size=size, max_size=size))
+        # known ids half the time or more, so arrays are often accepted
+        triple = (draw(st.one_of(known, field)), draw(st.one_of(known, field)), draw(action))
+        return {"list": list, "tuple": tuple, "sra": SraTuple._make}[kind](triple)
+
+    array = draw(st.lists(entry(), max_size=12))
+    if array:
+        array += draw(st.lists(st.sampled_from(array), max_size=3))
+    return om, declared, array
+
+
+@st.composite
+def org_models_with_faults(draw):
+    """An org model whose objects carry up to three injected faults (an
+    unknown type, an undeclared or missing field, a dangling or wrongly
+    typed reference, a non-Boolean, a non-set in a many field, unknown
+    inside a set, None on a one field), its objects given in a shuffled
+    order so that document order is not id order."""
+    objects = list(draw(org_models()).objects())
+    values = st.sampled_from((
+        "ghost", "s0", "d0", "e0", "t0", None, True, 1, "yes", UNKNOWN, ["s0"],
+        frozenset({"s0", UNKNOWN}), frozenset({"ghost"}), frozenset({"d0"}),
+        frozenset({"s0", "s1"}), frozenset({"e0"}),
+    ))
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(objects) - 1))
+        obj = objects[k]
+        fields = dict(obj.fields)
+        fault = draw(st.sampled_from(("type", "undeclared", "missing") + ("value",) * 4))
+        if fault == "type":
+            obj = replace(obj, type="Ghost")
+        elif fault == "undeclared":
+            fields["extra"] = draw(values)
+        elif fields:
+            name = draw(st.sampled_from(sorted(fields)))
+            if fault == "missing":
+                del fields[name]
+            else:
+                fields[name] = draw(values)
+        objects[k] = replace(obj, fields=fields)
+    return ObjectModel(draw(st.permutations(objects)))
+
+
 def fresh_sorted(rule, slot):
     """Oracle: one slot's atomics, sorted from scratch."""
     return sorted(getattr(rule, SLOT_FIELDS[slot]), key=lambda a: a.sort_key)
@@ -1026,6 +1191,16 @@ def assert_derived(edited):
     assert edited.sort_key == rebuilt.sort_key
     assert edited.wsc == rebuilt.wsc
     assert edited.wsc == sum(wsc(a) for _, a in rebuilt.atomics()) + len(rebuilt.actions)
+
+
+class TestObjectModelMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(om=org_models_with_faults())
+    def test_validation_matches_the_per_object_reference(self, om):
+        # Same error text, or both accept: objects are checked in id order
+        # whatever order they were given in.
+        got = outcome(lambda: validate_object_model(ORG_CM, om))
+        assert got == outcome(lambda: per_object_validate(ORG_CM, om))
 
 
 class TestRuleCanonicalOrder:
@@ -1132,6 +1307,18 @@ class TestPlanes:
             assert acl.actions == ref.actions
             assert acl.au_planes == ref_planes
             assert acl.au == ref.au
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=org_triple_arrays())
+    def test_bulk_reader_matches_the_per_triple_reference(self, data):
+        # Same planes or the same error text: the bulk checks must name
+        # the first offending triple, as the per-triple loop does.
+        om, declared, array = data
+        got = outcome(lambda: AclPolicy(ORG_CM, om, declared, array).au_planes)
+        assert got == outcome(lambda: per_triple_au_planes(om, declared, array))
+        if declared is None and isinstance(got, dict):
+            acl = AclPolicy(ORG_CM, om, None, array)
+            assert acl.actions == {action for _, _, action in got}
 
     def test_triples_checked_with_the_tuple_texts(self):
         om = ObjectModel([ObjectInstance("d0", "Dept", {"parent": None})])

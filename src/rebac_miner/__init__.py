@@ -4,12 +4,7 @@ learner of DNF formulas in Kleene three-valued logic."""
 
 __version__ = "0.1.0"
 
-from rebac_miner.learner import (  # noqa: F401
-    IdStrategy,
-    LearnResult,
-    LearningError,
-    learn_formula,
-)
+from rebac_miner.learner import LearnResult, LearningError, learn_formula  # noqa: F401
 from rebac_miner.miner import (  # noqa: F401
     MinerConfig,
     MinerError,

@@ -46,7 +46,7 @@ from rebac_miner.datagen import (
     inject_unknowns,
 )
 from rebac_miner.features import ExtractionLimits
-from rebac_miner.learner import IdStrategy, LearningError, learn_formula
+from rebac_miner.learner import LearningError, learn_formula
 from rebac_miner.metrics import compare_policies
 from rebac_miner.miner import (
     MinerConfig,
@@ -69,7 +69,6 @@ EXIT_USAGE = 2
 EXIT_INCONSISTENT = 3
 EXIT_BROKEN_PIPE = 141
 
-ID_STRATEGIES = tuple(strategy.value for strategy in IdStrategy)
 SWITCH_VALUES = {
     "1": True, "true": True, "yes": True,
     "0": False, "false": False, "no": False,
@@ -86,17 +85,10 @@ class UsageError(Exception):
     """A flag or its environment variable holds a value the flag cannot take."""
 
 
-def _one_of(*choices: str):
-    def parse(text: str) -> str:
-        if text not in choices:
-            raise ValueError(f"expected one of {'/'.join(choices)}")
-        return text
-
-    return parse
-
-
 def _switch(text: str) -> bool:
-    return SWITCH_VALUES[_one_of(*SWITCH_VALUES)(text)]
+    if text not in SWITCH_VALUES:
+        raise ValueError(f"expected one of {'/'.join(SWITCH_VALUES)}")
+    return SWITCH_VALUES[text]
 
 
 def _env(flag: str, default=None, parse=str):
@@ -223,7 +215,6 @@ def cmd_generate(args) -> int:
 def _miner_config(args) -> MinerConfig:
     return MinerConfig(
         allow_negation=not args.no_negation,
-        id_strategy=IdStrategy(args.id_strategy),
         limits=ExtractionLimits(
             max_condition_path_len=args.max_cond_len,
             max_constraint_path_len=args.max_cons_len,
@@ -385,10 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--no-negation", action="store_true",
                    default=_EnvDefault("no_negation", False, _switch),
                    help="mine negation-free rules")
-    m.add_argument("--id-strategy", choices=ID_STRATEGIES,
-                   default=_EnvDefault("id_strategy",
-                                       IdStrategy.PER_VECTOR_ID_CONJUNCTION.value,
-                                       _one_of(*ID_STRATEGIES)))
     m.add_argument("--max-iter", type=int, default=_EnvDefault("max_iter", 5, int))
     m.add_argument("--max-cond-len", type=int, default=_EnvDefault("max_cond_len", 2, int))
     m.add_argument("--max-cons-len", type=int, default=_EnvDefault("max_cons_len", 3, int))

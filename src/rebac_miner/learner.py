@@ -22,7 +22,6 @@ decoded for all uncovered rows at once, and made only when they pass.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
@@ -48,13 +47,6 @@ from rebac_miner.tvl import (
 )
 
 T = TruthValue.T
-
-
-class IdStrategy(enum.Enum):
-    """How identity conditions enter when ordinary features do not suffice."""
-
-    RETRY_WITH_ID_FEATURES = "retry"
-    PER_VECTOR_ID_CONJUNCTION = "per-vector"
 
 
 @dataclass(frozen=True)

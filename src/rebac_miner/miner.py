@@ -6,10 +6,10 @@ The tasks of one (subject type, resource type) differ only in their
 labels, so they learn over one feature table and one set of columns,
 prepared once per class pair.
 Identity conditions stay out of the first attempt; when a task's dataset
-cannot be exactly characterized without them, the configured strategy
-either relearns over a table that includes identity conditions or keeps
-the first attempt's learned conjunctions and covers the T rows they miss
-with per-pair identity conjunctions.
+cannot be exactly characterized without them, the first attempt's learned
+conjunctions stand and the T rows they miss are covered with per-pair
+identity conjunctions, whose identity sets phase 2b later turns into
+cheaper conditions where it can.
 
 Phase 2 optionally eliminates negated atomics (producing negation-free
 policies) and then merges and simplifies rules to a fixpoint.  Phase 2a
@@ -31,7 +31,7 @@ import logging
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cache, partial, reduce
+from functools import partial, reduce
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from operator import and_, attrgetter, itemgetter, or_
@@ -47,13 +47,7 @@ from rebac_miner.features import (
     prune_useless,
     task_labels,
 )
-from rebac_miner.learner import (
-    IdStrategy,
-    LearnResult,
-    LearningError,
-    cover_rest,
-    learn_formula,
-)
+from rebac_miner.learner import LearnResult, LearningError, cover_rest, learn_formula
 from rebac_miner.model import (
     BOOLEAN,
     ID_FIELD,
@@ -93,12 +87,12 @@ class MinerError(Exception):
 @dataclass(frozen=True)
 class MinerConfig:
     """allow_negation=True mines the negation-bearing language; False adds
-    the negative-feature elimination step.  ``max_iter`` is each task's
+    the negative-feature elimination step.  ``limits`` bound the candidate
+    features.  ``max_iter`` is each task's
     :func:`~rebac_miner.learner.learn_formula` tree iteration bound, at
     least 1 (else ValueError when the config is made)."""
 
     allow_negation: bool = True
-    id_strategy: IdStrategy = IdStrategy.PER_VECTOR_ID_CONJUNCTION
     limits: ExtractionLimits = ExtractionLimits()
     max_iter: int = 5
 
@@ -219,68 +213,47 @@ def _run_class_pair(acl, cfg, pair, actions, unknown_as_false) -> list[TaskRepor
     per action, in ``actions`` order.
 
     The tasks differ only in their labels, so the class pair's feature
-    table and columns are prepared once per extraction limits: built
-    (:meth:`FeatureTable.build`, :func:`build_dataset`), rewritten to two
-    values if ``unknown_as_false``, and pruned (:func:`prune_useless`,
-    which reads the columns only).  The identity-retry limits are prepared
-    only when a task first needs them.  Each task learns over the prepared
-    columns with its own label planes (:func:`_run_task`).
+    table and columns are prepared once: built (:meth:`FeatureTable.build`,
+    :func:`build_dataset`), rewritten to two values if ``unknown_as_false``,
+    and pruned (:func:`prune_useless`, which reads the columns only).  Each
+    task learns over the prepared columns with its own label planes
+    (:func:`_run_task`).
     """
     subject_type, resource_type = pair
     cm, om = acl.class_model, acl.object_model
-
-    @cache
-    def prepare(limits):
-        table = FeatureTable.build(cm, om, subject_type, resource_type, limits)
-        dataset = build_dataset(acl, subject_type, resource_type, actions[0], table)
-        if unknown_as_false:
-            everything = dataset.all_rows
-            dataset = replace(
-                dataset, planes=tuple((t, everything & ~t) for t, _ in dataset.planes)
-            )
-        return prune_useless(table, dataset)
-
+    table = FeatureTable.build(cm, om, subject_type, resource_type, cfg.limits)
+    dataset = build_dataset(acl, subject_type, resource_type, actions[0], table)
+    if unknown_as_false:
+        everything = dataset.all_rows
+        dataset = replace(
+            dataset, planes=tuple((t, everything & ~t) for t, _ in dataset.planes)
+        )
+    table, dataset = prune_useless(table, dataset)
     return [
-        _run_task(acl, cfg, (subject_type, resource_type, action), prepare)
+        _run_task(acl, cfg, (subject_type, resource_type, action), table, dataset)
         for action in actions
     ]
 
 
-def _run_task(acl, cfg, key, prepare) -> TaskReport:
-    """Learn the task ``key`` over its class pair's columns, as
-    ``prepare(limits)`` gives them, with the task's own labels
-    (:func:`task_labels`); on a :class:`LearningError`, finish it by the
-    configured identity strategy."""
-    labels = task_labels(acl, *key)
-
-    def task_columns(limits):
-        table, dataset = prepare(limits)
-        return table, dataset.with_labels(labels)
-
-    table, dataset = task_columns(cfg.limits)
-    retried = False
+def _run_task(acl, cfg, key, table, dataset) -> TaskReport:
+    """Learn the task ``key`` over its class pair's ``table`` and columns,
+    ``dataset``, with the task's own labels (:func:`task_labels`).  On a
+    :class:`LearningError` the failed attempt's conjunctions stand, and
+    only the T rows they miss are covered again, by per-pair identity
+    conjunctions over identity columns appended to the dataset."""
+    dataset = dataset.with_labels(task_labels(acl, *key))
     try:
-        result = learn_formula(dataset, cfg.max_iter)
+        return TaskReport(*key, table, dataset, learn_formula(dataset, cfg.max_iter), False)
     except LearningError as failed:
-        retried = True
-        if cfg.id_strategy is IdStrategy.RETRY_WITH_ID_FEATURES:
-            table, dataset = task_columns(replace(cfg.limits, include_id_conditions=True))
-            finish = partial(learn_formula, dataset, cfg.max_iter)
-            what = "identity conditions"
-        else:
-            # The first attempt's conjunctions stand: only the T rows they
-            # miss are covered again, by per-pair identity conjunctions.
-            table, dataset, supplier, _ = extend_with_id_columns(
-                acl, *key[:2], table, dataset
-            )
-            granted = dnf_rows(failed.learned.formula, dataset)
-            finish = partial(cover_rest, failed.learned, granted, dataset, supplier)
-            what = "per-pair identity conjunctions"
-        try:
-            result = finish()
-        except LearningError as exc:
-            raise MinerError(f"task {key}: inconsistent even with {what} ({exc})") from exc
-    return TaskReport(*key, table, dataset, result, retried)
+        learned = failed.learned
+    table, dataset, supplier, _ = extend_with_id_columns(acl, *key[:2], table, dataset)
+    try:
+        result = cover_rest(learned, dnf_rows(learned.formula, dataset), dataset, supplier)
+    except LearningError as exc:
+        raise MinerError(
+            f"task {key}: inconsistent even with per-pair identity conjunctions ({exc})"
+        ) from exc
+    return TaskReport(*key, table, dataset, result, True)
 
 
 def extract_rules(
@@ -507,10 +480,11 @@ class _Phase2:
         return got
 
     def condition_options(self, s_cls: str, r_cls: str) -> list:
-        """The conditions that may replace a constraint in a rule from
-        ``s_cls`` to ``r_cls``, as (wsc, rank, slot, condition) tuples,
-        built once per class pair: by WSC, then resource conditions (rank
-        0) before subject conditions (rank 1), then ``sort_key``.  The
+        """The conditions that may replace a constraint or an identity set
+        in a rule from ``s_cls`` to ``r_cls``, as (wsc, rank, slot,
+        condition) tuples, built once per class pair: by WSC, then resource
+        conditions (rank 0) before subject conditions (rank 1), then
+        ``sort_key``.  The
         enumerator gives each side's conditions in ``sort_key`` order, so
         one stable sort on (wsc, rank) gives this order."""
         options = self._options.get((s_cls, r_cls))
@@ -628,11 +602,13 @@ def merge_and_simplify(
     Rounds apply: Boolean-negation rewriting, merging rules identical up
     to actions, merging rules identical up to one condition's constant
     set, dropping rules whose grants other rules already cover, greedily
-    dropping atomics that validity allows, and swapping constraints for
-    strictly cheaper conditions of identical effect.  Every step changes
-    the rules only through ``_Phase2.replace``, which accepts a change
-    only when the policy meaning is unchanged and the policy's weighted
-    structural complexity does not grow.  The accepted and rejected
+    dropping atomics that validity allows, swapping constraints for
+    strictly cheaper conditions of identical effect, and swapping positive
+    identity sets for strictly cheaper conditions within the AU, with a
+    residual identity set for the pairs a condition leaves out.  Every
+    step changes the rules only through ``_Phase2.replace``, which accepts
+    a change only when the policy meaning is unchanged and the policy's
+    weighted structural complexity does not grow.  The accepted and rejected
     proposals per step are logged once at DEBUG.  The rules come back
     unique and in ``sort_key`` order, as :func:`~rebac_miner.model.sort_rules`
     would give them.
@@ -812,42 +788,88 @@ def _drop_atomics(ctx: _Phase2) -> None:
             refused.clear()
 
 
+def _cheaper_conditions(ctx: _Phase2, rule: Rule, slot: Slot, atomic):
+    """The conditions of ``condition_options`` strictly cheaper than
+    ``atomic``, in that order, as (slot, condition, base, plane): ``base``
+    is ``rule`` without ``atomic`` (in ``slot``), and ``plane`` is the
+    plane of ``base`` ANDed with the condition's T-plane.  ``base`` is
+    built only if some condition is cheaper."""
+    s_cls, r_cls = rule.subject_type, rule.resource_type
+    limit = wsc(atomic)
+    base = None
+    for cost, _, new_slot, cond in ctx.condition_options(s_cls, r_cls):
+        if cost >= limit:
+            return
+        if base is None:
+            base = rule.without_atomic(slot, atomic)
+            base_plane = ctx.meaning_of(base)
+        t = pair_planes(ctx.cm, ctx.om, s_cls, r_cls, new_slot, cond)[cond.negated]
+        yield new_slot, cond, base, base_plane & t
+
+
 def _constraints_to_conditions(ctx: _Phase2) -> None:
     """Swap each constraint for the first strictly cheaper condition, in
     ``condition_options`` order, that leaves the rule's plane as it is.
 
-    A candidate is judged on planes, as the plane of the rule without the
-    constraint ANDed with the condition's T-plane; only a candidate with
-    the rule's plane is built as a :class:`Rule` and proposed.
+    A candidate is judged on planes (:func:`_cheaper_conditions`); only a
+    candidate with the rule's plane is built as a :class:`Rule` and
+    proposed.
     """
-    cm, om = ctx.cm, ctx.om
     for rule in ctx.rules:
         if rule not in ctx.current:
             continue
-        constraints = rule.by_slot[Slot.CONSTRAINT]
-        if not constraints:
-            continue
-        s_cls, r_cls = rule.subject_type, rule.resource_type
-        options = ctx.condition_options(s_cls, r_cls)
         working = rule
-        for constraint in constraints:
+        for constraint in rule.by_slot[Slot.CONSTRAINT]:
             if constraint not in working.constraint:
                 continue
-            limit = wsc(constraint)  # only strictly cheaper conditions
-            if not options or options[0][0] >= limit:
-                continue
-            base = working.without_atomic(Slot.CONSTRAINT, constraint)
-            base_plane = ctx.meaning_of(base)
             target = ctx.meaning_of(working)
-            for cost, _, slot, cond in options:
-                if cost >= limit:
-                    break
-                plane = base_plane & pair_planes(cm, om, s_cls, r_cls, slot, cond)[cond.negated]
+            for slot, cond, base, plane in _cheaper_conditions(
+                ctx, working, Slot.CONSTRAINT, constraint
+            ):
                 if plane != target:
                     continue
                 candidate = base.with_atomic(slot, cond)
                 ctx._meanings.setdefault(candidate, plane)
                 if ctx.replace("constraint-to-condition", (working,), (candidate,)):
+                    working = candidate
+                    break
+
+
+def _ids_to_conditions(ctx: _Phase2) -> None:
+    """Swap each positive identity set, ``id in V``, for the first strictly
+    cheaper condition, in ``condition_options`` order, that grants some of
+    the rule's pairs and keeps the rule within the AU.  If the condition
+    leaves some of the rule's pairs out, the proposal also holds the rule
+    with ``id in V'``, V' the ids of V that have such a pair.
+
+    Identity options are skipped: one would only split the identity set in
+    two.  A candidate is judged on planes (:func:`_cheaper_conditions`).
+    """
+    for rule in ctx.rules:
+        if rule not in ctx.current:
+            continue
+        working = rule
+        for slot, ids in rule.atomics():
+            if slot is Slot.CONSTRAINT or ids.path != (ID_FIELD,) or ids.negated:
+                continue
+            target = ctx.meaning_of(working)
+            allowed = _allowed(working, ctx.acl)
+            for new_slot, cond, base, plane in _cheaper_conditions(ctx, working, slot, ids):
+                if cond.path == (ID_FIELD,) or not plane & target or plane & ~allowed:
+                    continue
+                candidate = base.with_atomic(new_slot, cond)
+                ctx._meanings.setdefault(candidate, plane)
+                new = [candidate]
+                left = target & ~plane
+                if left:
+                    layout = ctx.om.pairs(rule.subject_type, rule.resource_type)
+                    if slot is Slot.SUBJECT:
+                        kept = {layout.subjects[i] for i, _ in layout.positions(left)}
+                    else:
+                        kept = {layout.resources[j] for _, j in layout.positions(left)}
+                    rest = AtomicCondition(ids.path, "in", frozenset(kept))
+                    new.append(base.with_atomic(slot, rest))
+                if ctx.replace("ids-to-conditions", (working,), new):
                     working = candidate
                     break
 
@@ -859,4 +881,5 @@ _STEPS = (
     _drop_covered_rules,
     _drop_atomics,
     _constraints_to_conditions,
+    _ids_to_conditions,
 )

@@ -897,7 +897,12 @@ class TestEnvironment:
         assert main(["learn-formula", str(csv_file)]) == 0
         assert json.loads((tmp_path / "f.json").read_text())["formula"] == [["f1"]]
 
-    def test_unknown_id_strategy_exits_2(self, tmp_path, monkeypatch, capsys):
+    def test_id_strategy_flag_removed(self, tmp_path, monkeypatch, capsys):
+        out = str(tmp_path / "p.json")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["mine", *fixture_args(), "-o", out, "--id-strategy", "retry"])
+        assert exit_info.value.code == 2
+        assert "--id-strategy" in capsys.readouterr().err
+        # Its variable is ignored, as every variable without a flag is.
         monkeypatch.setenv("REBAC_MINER_ID_STRATEGY", "sometimes")
-        assert main(["mine", *fixture_args(), "-o", str(tmp_path / "p.json")]) == 2
-        assert "REBAC_MINER_ID_STRATEGY" in capsys.readouterr().err
+        assert main(["mine", *fixture_args(), "-o", out]) == 0

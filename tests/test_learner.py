@@ -7,7 +7,6 @@ from rebac_miner import jsonio, learner
 from rebac_miner.learner import (
     DefaultCovers,
     FailedFeatures,
-    IdStrategy,
     LearnResult,
     LearningError,
     cover_rest,

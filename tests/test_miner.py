@@ -5,7 +5,7 @@ from functools import reduce
 from operator import or_
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rebac_miner import jsonio, learner, miner
 from rebac_miner.datagen import (
@@ -20,7 +20,6 @@ from rebac_miner.features import (
     extend_with_id_columns,
     prune_useless,
 )
-from rebac_miner.learner import IdStrategy
 from rebac_miner.metrics import jaccard, semantic_similarity
 from rebac_miner.miner import (
     MinerConfig,
@@ -68,6 +67,45 @@ def cond(path, *atoms, negated=False):
     return AtomicCondition(tuple(path), "in", frozenset(atoms), negated=negated)
 
 
+def org_employees(*fields):
+    """An org model of the given employees, (id, dept, active) each, two
+    departments and one task of department d0, owned by nobody."""
+    return ObjectModel([
+        ObjectInstance("d0", "Dept", {"parent": None}),
+        ObjectInstance("d1", "Dept", {"parent": None}),
+        *(
+            ObjectInstance(e, "Emp", {
+                "dept": dept, "skills": frozenset(), "mentor": None, "active": active,
+            })
+            for e, dept, active in fields
+        ),
+        ObjectInstance("t0", "Task", {
+            "dept": "d0", "needs": frozenset(), "focus": None, "owner": None,
+            "team": frozenset(), "urgent": True,
+        }),
+    ])
+
+
+def reads_t0(*employees):
+    return frozenset(SraTuple(e, "t0", "read") for e in employees)
+
+
+def emp_ids_read_task(*ids):
+    return Rule(
+        "Emp", frozenset({cond(("id",), *ids)}), "Task", frozenset(), frozenset(),
+        frozenset({"read"}),
+    )
+
+
+# e0-e3 read t0 and e4 does not: phase 2b swaps the identity set for
+# subject.dept=d0 plus a residual identity set {e3} (see TestIdsToConditions).
+SPLIT_OM = org_employees(
+    ("e0", "d0", True), ("e1", "d0", True), ("e2", "d0", True),
+    ("e3", "d1", False), ("e4", "d1", True),
+)
+SPLIT_RULE = emp_ids_read_task("e0", "e1", "e2", "e3")
+
+
 class TestMineRunningExample:
     def test_exact_recovery(self):
         acl, _ = running_example()
@@ -89,12 +127,6 @@ class TestMineRunningExample:
         }
         assert task.result.used_fallback is False
         assert task.result.iterations == 1
-
-    def test_both_id_strategies_agree_here(self):
-        acl, _ = running_example()
-        a = mine(acl, MinerConfig(id_strategy=IdStrategy.RETRY_WITH_ID_FEATURES))
-        b = mine(acl, MinerConfig(id_strategy=IdStrategy.PER_VECTOR_ID_CONJUNCTION))
-        assert a.rules == b.rules
 
     def test_empty_au(self):
         acl, _ = running_example()
@@ -765,6 +797,7 @@ class TestMergeAndSimplify:
 
     @settings(max_examples=300, deadline=None)
     @given(om=org_models(), rules=st.lists(org_rules(), min_size=1, max_size=4))
+    @example(om=SPLIT_OM, rules=[SPLIT_RULE])  # ids-to-conditions accepts a split
     def test_every_event_keeps_meaning_and_never_grows(self, om, rules):
         def granted(rules):
             return meaning(Policy(ORG_CM, om, frozenset(ORG_ACTIONS), tuple(rules)))
@@ -929,8 +962,8 @@ class RecordingPhase2(_Phase2):
     """A ``_Phase2`` that records every proposal it is given and refuses
     those whose call numbers (from 0) are in ``refuse``."""
 
-    def __init__(self, rules, acl, refuse=()):
-        super().__init__(rules, acl, ExtractionLimits(), None)
+    def __init__(self, rules, acl, refuse=(), limits=ExtractionLimits()):
+        super().__init__(rules, acl, limits, None)
         self.calls = []
         self.refuse = set(refuse)
 
@@ -1170,6 +1203,91 @@ class TestPhase2bIncremental:
         assert ctx.calls == [("rewrite-bool-negation", (rule,), (chained,))]
         assert ctx.calls[0][2][0].sort_key == chained.sort_key
 
+class TestIdsToConditions:
+    """Phase 2b swaps a positive identity set for a cheaper condition, and
+    keeps the ids the condition leaves out in a residual identity set."""
+
+    def test_splits_into_a_condition_and_the_ids_left(self):
+        # Every resource condition true of t0 grants e4 too, and so does
+        # subject.active=true; subject.active=false (e3 alone) would leave
+        # {e0, e1, e2} to a residual rule and grow the WSC; subject.dept=d0
+        # (e0-e2) leaves exactly {e3} and keeps it.
+        rule = SPLIT_RULE
+        acl = AclPolicy(ORG_CM, SPLIT_OM, frozenset({"read"}), reads_t0("e0", "e1", "e2", "e3"))
+        ctx = RecordingPhase2([rule], acl)
+        miner._ids_to_conditions(ctx)
+        bare = rule.without_atomic(Slot.SUBJECT, cond(("id",), "e0", "e1", "e2", "e3"))
+        inactive = bare.with_atomic(Slot.SUBJECT, cond(("active",), False))
+        in_d0 = bare.with_atomic(Slot.SUBJECT, cond(("dept",), "d0"))
+        assert ctx.calls == [
+            ("ids-to-conditions", (rule,), (inactive, emp_ids_read_task("e0", "e1", "e2"))),
+            ("ids-to-conditions", (rule,), (in_d0, emp_ids_read_task("e3"))),
+        ]
+        assert ctx.outcomes == {
+            ("ids-to-conditions", "wsc"): 1, ("ids-to-conditions", "accepted"): 1,
+        }
+        assert ctx.rules == sort_rules([in_d0, emp_ids_read_task("e3")])
+        assert ctx.wsc == policy_wsc([rule])
+        events = []
+        out = merge_and_simplify([rule], acl, observer=lambda *e: events.append(e))
+        assert events == [("ids-to-conditions", ctx.rules)]
+        assert out == ctx.rules
+
+    @pytest.mark.parametrize("include_ids", [False, True])
+    def test_nothing_proposed_where_every_condition_leaves_the_au(self, include_ids):
+        # e4 is e0-e3's twin but reads nothing: every condition true of one
+        # of the granted pairs grants e4's too.  An identity option such as
+        # subject.id=e0 stays within the AU, but it would only split the
+        # identity set, so it is skipped.
+        om = org_employees(*((e, "d0", True) for e in ("e0", "e1", "e2", "e3", "e4")))
+        rule = emp_ids_read_task("e0", "e1", "e2", "e3")
+        acl = AclPolicy(ORG_CM, om, frozenset({"read"}), reads_t0("e0", "e1", "e2", "e3"))
+        limits = ExtractionLimits(include_id_conditions=include_ids)
+        ctx = RecordingPhase2([rule], acl, limits=limits)
+        assert ctx.condition_options("Emp", "Task")
+        miner._ids_to_conditions(ctx)
+        assert ctx.calls == []
+        assert merge_and_simplify([rule], acl, limits) == (rule,)
+
+    @settings(max_examples=300, deadline=None)
+    @given(om=org_models(), rules=st.lists(org_rules(), min_size=1, max_size=4))
+    @example(om=SPLIT_OM, rules=[SPLIT_RULE])
+    def test_proposes_only_positive_conditions(self, om, rules):
+        # Each proposal swaps a positive identity set of the rule for one
+        # positive condition, plus perhaps the rule with a subset of the
+        # identity set, so a negation-free policy stays negation-free.
+        au = meaning(Policy(ORG_CM, om, frozenset(ORG_ACTIONS), tuple(rules)))
+        ctx = RecordingPhase2(rules, AclPolicy(ORG_CM, om, frozenset(ORG_ACTIONS), au))
+        miner._ids_to_conditions(ctx)
+        for step, (old,), (candidate, *residual) in ctx.calls:
+            assert step == "ids-to-conditions"
+            ((slot, ids),) = set(old.atomics()) - set(candidate.atomics())
+            assert slot is not Slot.CONSTRAINT and ids.path == ("id",) and not ids.negated
+            # None is added where the rule already holds the condition.
+            added = set(candidate.atomics()) - set(old.atomics())
+            assert len(added) <= 1
+            for new_slot, new in added:
+                assert new_slot is not Slot.CONSTRAINT and new.path != ("id",)
+                assert not new.negated and wsc(new) < wsc(ids)
+            for rest in residual:
+                ((_, kept),) = set(rest.atomics()) - set(old.atomics())
+                assert kept.path == ("id",) and not kept.negated
+                assert kept.value < ids.value
+
+    def test_negation_free_mining_stays_negation_free(self):
+        spec = builtin_spec("univ-mini")
+        om, acl = generate(spec, 40, seed=2)
+        degraded = inject_unknowns(om, spec, 2, seed=2)
+        acl = AclPolicy(spec.class_model, degraded, acl.actions, acl.au)
+        events = []
+        result = mine_detailed(
+            acl, MinerConfig(allow_negation=False), observer=lambda *e: events.append(e)
+        )
+        assert any(step == "ids-to-conditions" for step, _ in events)
+        assert meaning(result.policy) == acl.au
+        assert not any(a.negated for r in result.policy.rules for _, a in r.atomics())
+
+
 def replace_actions(rule, actions):
     return Rule(
         rule.subject_type,
@@ -1279,14 +1397,10 @@ class TestRoundTrips:
 def per_task_columns(acl, cfg, report, unknown_as_false):
     """The table and dataset of ``report``'s task prepared for that task
     alone: built, rewritten to two values if ``unknown_as_false``, pruned,
-    and for a retried task relearned with identity conditions or extended
-    by the per-pair identity columns, as its strategy says."""
+    and for a task that fell back to identity conjunctions extended by the
+    per-pair identity columns."""
     s_cls, r_cls, action = report.subject_type, report.resource_type, report.action
-    retry = cfg.id_strategy is IdStrategy.RETRY_WITH_ID_FEATURES
-    limits = cfg.limits
-    if report.retried_with_ids and retry:
-        limits = replace(limits, include_id_conditions=True)
-    table = FeatureTable.build(acl.class_model, acl.object_model, s_cls, r_cls, limits)
+    table = FeatureTable.build(acl.class_model, acl.object_model, s_cls, r_cls, cfg.limits)
     dataset = build_dataset(acl, s_cls, r_cls, action, table)
     if unknown_as_false:
         everything = dataset.all_rows
@@ -1294,7 +1408,7 @@ def per_task_columns(acl, cfg, report, unknown_as_false):
             dataset, planes=tuple((t, everything & ~t) for t, _ in dataset.planes)
         )
     table, dataset = prune_useless(table, dataset)
-    if report.retried_with_ids and not retry:
+    if report.retried_with_ids:
         table, dataset, _, _ = extend_with_id_columns(acl, s_cls, r_cls, table, dataset)
     return table, dataset
 
@@ -1317,16 +1431,10 @@ class TestClassPairSharing:
         return AclPolicy(spec.class_model, om, acl.actions, au)
 
     @pytest.mark.parametrize("seed", [9, 23])
-    @pytest.mark.parametrize(
-        "route", ["per-vector", "retry", "unknown-as-false"]
-    )
+    @pytest.mark.parametrize("route", ["per-vector", "unknown-as-false"])
     def test_reports_match_per_task_preparation(self, seed, route):
         acl = self.instance(seed)
-        cfg = MinerConfig(
-            id_strategy=IdStrategy.RETRY_WITH_ID_FEATURES
-            if route == "retry"
-            else IdStrategy.PER_VECTOR_ID_CONJUNCTION
-        )
+        cfg = MinerConfig()
         naive = route == "unknown-as-false"
         result = mine_detailed(acl, cfg, unknown_as_false=naive)
         keys = [(r.subject_type, r.resource_type, r.action) for r in result.tasks]
@@ -1353,13 +1461,20 @@ class TestClassPairSharing:
 
 
 # sha256 of the policy JSON mined from org-chart n=20, s=2: the scale at
-# which tasks first fail without identity features (retry) and need the
-# per-pair identity fallback.  Recorded with the per-row learner (seed 2
-# took about a minute there); both negation modes mine the same policy.
+# which tasks first fail without identity features and need the per-pair
+# identity fallback.  Recorded with the per-row learner (seed 2 took about
+# a minute there); both negation modes mine the same policy.  At seed 3
+# phase 2b turns identity sets into conditions (WSC 13, down from 32).
 REGRESSION_DIGESTS = {
     2: "ef70deecb3f0d07cddc63d4e2f3b61ccf0979fb574edf70e6718b6445572d4a1",
-    3: "ea16467d915c2a7a91cc08e03c7d30987fe19d060f44e08f4731d8eb6154f4da",
+    3: "c0cb2cdb31a2e2e7e72b64e66f9e79ddd279cf182b655a875b03f010620b3549",
 }
+
+# The WSC mined from univ-mini n=40, s=2 per seed by relearning a failed
+# task over identity conditions, a second identity route this miner once
+# had; per-pair identity conjunctions alone, before phase 2b turned their
+# identity sets into conditions, gave 45, 130 and 65.
+UNIV_MINI_N40_WSC = {1: 16, 2: 40, 3: 21}
 
 
 # sha256 of the policy JSON mined from org-chart n=15, s=2, seed 2 with
@@ -1376,17 +1491,6 @@ INCLUDE_IDS_DIGESTS = {
 INCLUDE_IDS_EVENTS_DIGESTS = {
     True: "a61e2ed9bf2afd5877f7580c8a1363edee1a4f9b7e6dae4ae228423fe8e7e0e4",
     False: "f427b13d18a271f3046b9eb2e3c48b14e22f6ce5052beb8e005075776e370055",
-}
-
-
-# sha256 of the policy JSON mined from org-chart, s=2 with the retry
-# identity strategy, per (n, seed, allow_negation): in each cell one of
-# the two tasks fails without identity features and is learned again with
-# them.
-RETRY_DIGESTS = {
-    (15, 2, True): "b5c8c9aefaf7c536ba87396e5fb066c84211ce9ecb10c329567d04e595e87bbe",
-    (15, 2, False): "0139bd2d8d0247ca0a2ca41469bac1a9b86f004165a95ec3daeed5f4a724515a",
-    (20, 3, False): "c0cb2cdb31a2e2e7e72b64e66f9e79ddd279cf182b655a875b03f010620b3549",
 }
 
 
@@ -1433,24 +1537,6 @@ class TestRegressionCells:
         assert digest == INCLUDE_IDS_DIGESTS[allow_negation]
         assert event_stream_digest(events) == INCLUDE_IDS_EVENTS_DIGESTS[allow_negation]
 
-    @pytest.mark.parametrize("n, seed, allow_negation", sorted(RETRY_DIGESTS))
-    def test_org_chart_s2_retry_with_identity_features(self, n, seed, allow_negation):
-        spec = builtin_spec("org-chart")
-        om, acl = generate(spec, n, seed=seed)
-        degraded = inject_unknowns(om, spec, 2, seed=seed)
-        acl = AclPolicy(spec.class_model, degraded, acl.actions, acl.au)
-        cfg = MinerConfig(
-            allow_negation=allow_negation, id_strategy=IdStrategy.RETRY_WITH_ID_FEATURES
-        )
-        result = mine_detailed(acl, cfg)
-        assert any(t.retried_with_ids for t in result.tasks)
-        assert meaning(result.policy) == acl.au
-        text = jsonio.dumps(
-            jsonio.rules_to_json(result.policy.actions, result.policy.rules)
-        )
-        digest = hashlib.sha256(text.encode()).hexdigest()
-        assert digest == RETRY_DIGESTS[n, seed, allow_negation]
-
     def test_per_vector_route_grows_no_more_trees(self, monkeypatch):
         # Both tasks fail their first attempt and take the per-vector
         # identity route, which reuses that attempt's conjunctions: every
@@ -1486,3 +1572,13 @@ class TestRegressionCells:
             jsonio.rules_to_json(result.policy.actions, result.policy.rules)
         )
         assert hashlib.sha256(text.encode()).hexdigest() == REGRESSION_DIGESTS[seed]
+
+    @pytest.mark.parametrize("seed", sorted(UNIV_MINI_N40_WSC))
+    def test_univ_mini_n40_s2_identity_sets_become_conditions(self, seed):
+        spec = builtin_spec("univ-mini")
+        om, acl = generate(spec, 40, seed=seed)
+        degraded = inject_unknowns(om, spec, 2, seed=seed)
+        acl = AclPolicy(spec.class_model, degraded, acl.actions, acl.au)
+        result = mine_detailed(acl, MinerConfig())
+        assert meaning(result.policy) == acl.au
+        assert policy_wsc(result.policy.rules) <= UNIV_MINI_N40_WSC[seed]

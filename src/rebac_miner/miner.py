@@ -556,8 +556,8 @@ class _Phase2:
 
     def replace(self, step: str, old: Collection[Rule], new: Iterable[Rule]) -> bool:
         """Swap ``old`` for ``new`` if the policy meaning is unchanged and
-        the policy's structural complexity does not grow; tell the
-        observer about every accepted change.
+        the policy's structural complexity does not grow; the observer
+        gets one event per accepted proposal.
 
         A proposal costs what it swaps.  Its meaning is checked on the
         keys it touches only (``keeps_meaning``; rules of ``old`` that the
@@ -602,13 +602,15 @@ def merge_and_simplify(
     Rounds apply: Boolean-negation rewriting, merging rules identical up
     to actions, merging rules identical up to one condition's constant
     set, dropping rules whose grants other rules already cover, greedily
-    dropping atomics that validity allows, swapping constraints for
+    dropping atomics that validity allows (all of a rule's drops are one
+    proposal), swapping constraints for
     strictly cheaper conditions of identical effect, and swapping positive
     identity sets for strictly cheaper conditions within the AU, with a
     residual identity set for the pairs a condition leaves out.  Every
     step changes the rules only through ``_Phase2.replace``, which accepts
     a change only when the policy meaning is unchanged and the policy's
-    weighted structural complexity does not grow.  The accepted and rejected
+    weighted structural complexity does not grow, and the observer hears
+    one event per accepted proposal.  The accepted and rejected
     proposals per step are logged once at DEBUG.  The rules come back
     unique and in ``sort_key`` order, as :func:`~rebac_miner.model.sort_rules`
     would give them.
@@ -708,84 +710,137 @@ def _drop_covered_rules(ctx: _Phase2) -> None:
         ctx.replace("drop-covered-rule", (rule,), ())
 
 
-def _leave_one_out(full: int, planes: Iterable[int]) -> Callable[[int], int]:
-    """Given the T-planes of a rule's atomics over ``full``, the function
-    from one of those planes to the rule's pair plane without that atomic.
+class _MissCount:
+    """How many of a rule's atomics are not T on each of its pairs, kept
+    bit-sliced: bit i of every pair's count is a bit of ``slices[i]``, so
+    m atomics take ⌈log2(m+1)⌉ planes.
 
-    A pair is granted without atomic k if every atomic is T on it, or if
-    k is the only atomic that is not: with ``every`` and ``only_one`` the
-    pairs on which no atomic and exactly one atomic is not T, the plane
-    is ``every | (only_one & ~T_k)``, one step per atomic asked about.
+    ``none`` and ``one`` are the pairs on which no atomic and exactly one
+    atomic is not T.  A pair is granted without atomic k if it is in
+    ``none``, or in ``one`` with k the atomic not T there, so the rule's
+    plane without the atomic whose T-plane is ``t`` is ``without(t)``.
+    ``drop`` takes an atomic out with one borrow chain over the slices.
     """
-    one = two = 0  # pairs with at least one, at least two non-T atomics
-    for plane in planes:
-        miss = full & ~plane
-        two |= one & miss
-        one |= miss
-    every, only_one = full & ~one, one & ~two
-    return lambda plane: every | (only_one & ~plane)
+
+    def __init__(self, full: int, planes: Collection[int]):
+        self.full = full
+        self.slices = slices = [0] * max(1, len(planes).bit_length())
+        for plane in planes:
+            carry = full & ~plane
+            for i, bit in enumerate(slices):
+                if not carry:
+                    break
+                slices[i], carry = bit ^ carry, bit & carry
+        self._read()
+
+    def drop(self, plane: int) -> None:
+        """Take out the atomic whose T-plane is ``plane``."""
+        slices = self.slices
+        borrow = self.full & ~plane
+        for i, bit in enumerate(slices):
+            if not borrow:
+                break
+            slices[i], borrow = bit ^ borrow, borrow & ~bit
+        self._read()
+
+    def _read(self) -> None:
+        low, *high = self.slices
+        above = reduce(or_, high, 0)
+        self.none = self.full & ~(low | above)
+        self.one = low & ~above
+
+    def without(self, plane: int) -> int:
+        return self.none | (self.one & ~plane)
+
+
+def _length_key(rule: Rule) -> tuple:
+    return rule.subject_type, rule.resource_type, rule.actions, len(rule.atomics())
+
+
+def _is_without(other: Rule, rule: Rule, gone: Iterable) -> bool:
+    """Whether ``other``, of ``rule``'s key and with one atomic fewer per
+    (slot, atomic) pair in ``gone``, is ``rule`` without those atomics."""
+    return all(other.part(slot) <= rule.part(slot) for slot in Slot) and not any(
+        atomic in other.part(slot) for slot, atomic in gone
+    )
 
 
 def _drop_atomics(ctx: _Phase2) -> None:
     """Drop atomics from each rule, one at a time, while the rule stays
-    within the AU and ``replace`` accepts the drop.
+    within ``bound``, and propose each rule that shrinks once, with all
+    its drops.
 
-    The next atomic tried is the first, in this order, whose removal keeps
-    the rule within the AU: conditions before constraints, then the
-    smallest leave-one-out plane (the rule's plane without that atomic),
-    then ``atomic.sort_key``, then position in ``atomics()``.  If
-    ``replace`` refuses it, the next one in that order is tried; after an
-    accepted drop every atomic left is tried again.
+    ``bound`` is the pairs the rule may grant: those of the AU
+    (``_allowed``) and of the policy meaning for each of its actions.  A
+    drop that leaves the AU is not made, and ``replace`` would refuse one
+    that leaves the meaning.  A drop only widens each other atomic's
+    leave-one-out plane (the rule's plane without that atomic), so an
+    atomic whose removal leaves ``bound`` never becomes droppable.  Within
+    ``bound`` every drop keeps the meaning and lowers the WSC, so
+    ``replace`` accepts the proposal.
 
-    Dropping an atomic only widens each other atomic's leave-one-out
-    plane.  So an atomic whose removal leaves the AU never becomes
-    droppable, and a plane size computed before later drops is a lower
-    bound on its size now.  The candidates sit in a heap keyed on such
-    sizes: a popped candidate whose size is still current comes first
-    (lazy greedy), and one whose size grew goes back with its new size.
-    Refused candidates wait for the next accepted drop.  The rule's
-    T-planes are read once; ``_leave_one_out`` gives any leave-one-out
-    plane in a few steps and is rebuilt once per accepted drop.
+    The next atomic dropped is the first, in this order, whose removal
+    keeps the rule within ``bound``: conditions before constraints, then
+    the smallest leave-one-out plane, then ``atomic.sort_key``, then
+    position in ``atomics()``.  A plane size computed before later drops
+    is a lower bound on its size now, so the candidates sit in a heap
+    keyed on such sizes: a popped candidate whose size is still current
+    comes first (lazy greedy), and one whose size grew goes back with its
+    new size.  The rule's T-planes are read once, and a
+    :class:`_MissCount` gives any leave-one-out plane in a few plane
+    operations.
+
+    The shrunk rule is built once and proposed in one ``replace``, in
+    place of the rule and of every current rule equal to one on its drop
+    path, which drops proposed one at a time would have consumed too.  The
+    observer thus hears one ``drop-atomic`` event per shrunk rule.
     """
     cm, om = ctx.cm, ctx.om
+    by_length: dict[tuple, set[Rule]] = {}
+    for rule in ctx.current:
+        by_length.setdefault(_length_key(rule), set()).add(rule)
     for rule in ctx.rules:
         if rule not in ctx.current:
             continue
         s_cls, r_cls = rule.subject_type, rule.resource_type
         atomics = rule.atomics()
-        full = om.pairs(s_cls, r_cls).full
-        allowed = _allowed(rule, ctx.acl)
-        t = dict(enumerate(
-            pair_planes(cm, om, s_cls, r_cls, slot, a)[a.negated] for slot, a in atomics
-        ))  # the T-planes of the atomics not dropped, by position
-        without = _leave_one_out(full, t.values())
+        bound = _allowed(rule, ctx.acl)
+        for action in rule.actions:
+            bound &= ctx.meaning.get((s_cls, r_cls, action), 0)
+        t = [pair_planes(cm, om, s_cls, r_cls, slot, a)[a.negated] for slot, a in atomics]
+        count = _MissCount(om.pairs(s_cls, r_cls).full, t)
         heap = [
-            (slot is Slot.CONSTRAINT, without(t[k]).bit_count(), a.sort_key, k)
+            (slot is Slot.CONSTRAINT, count.without(t[k]).bit_count(), a.sort_key, k)
             for k, (slot, a) in enumerate(atomics)
         ]
         heapify(heap)
-        refused = []
-        working = rule
+        dropped = []
         while heap:
-            entry = heappop(heap)
-            is_constraint, size, key, k = entry
-            plane = without(t[k])
-            if plane & ~allowed:
-                continue  # it never comes back within the AU
+            is_constraint, size, key, k = heappop(heap)
+            plane = count.without(t[k])
+            if plane & ~bound:
+                continue  # it never comes back within bound
             if plane.bit_count() != size:
                 heappush(heap, (is_constraint, plane.bit_count(), key, k))
                 continue
-            shrunk = working.without_atomic(*atomics[k])
-            ctx._meanings.setdefault(shrunk, plane)  # spares a rule_meaning
-            if not ctx.replace("drop-atomic", (working,), (shrunk,)):
-                refused.append(entry)
-                continue
-            working = shrunk
-            del t[k]
-            without = _leave_one_out(full, t.values())
-            for waiting in refused:
-                heappush(heap, waiting)
-            refused.clear()
+            dropped.append(k)
+            count.drop(t[k])
+        if not dropped:
+            continue
+        removed = [rule]
+        for i in range(1, len(dropped)):  # the rule after its first i drops
+            for other in by_length.get((s_cls, r_cls, rule.actions, len(atomics) - i), ()):
+                if other in ctx.current and _is_without(
+                    other, rule, [atomics[k] for k in dropped[:i]]
+                ):
+                    removed.append(other)
+        gone = set(dropped)
+        final = _rule_of(
+            s_cls, r_cls, (x for k, x in enumerate(atomics) if k not in gone), rule.actions
+        )
+        ctx._meanings.setdefault(final, count.none)  # spares a rule_meaning
+        ctx.replace("drop-atomic", removed, (final,))
+        by_length.setdefault(_length_key(final), set()).add(final)
 
 
 def _cheaper_conditions(ctx: _Phase2, rule: Rule, slot: Slot, atomic):
@@ -843,7 +898,11 @@ def _ids_to_conditions(ctx: _Phase2) -> None:
     with ``id in V'``, V' the ids of V that have such a pair.
 
     Identity options are skipped: one would only split the identity set in
-    two.  A candidate is judged on planes (:func:`_cheaper_conditions`).
+    two.  So is a condition for which V' would be V: the proposal would
+    keep the rule itself beside the condition's rule, which never lowers
+    the WSC, and if the policy already held that rule it would change
+    nothing yet count as a change, so the fixpoint would never end.  A
+    candidate is judged on planes (:func:`_cheaper_conditions`).
     """
     for rule in ctx.rules:
         if rule not in ctx.current:
@@ -867,6 +926,8 @@ def _ids_to_conditions(ctx: _Phase2) -> None:
                         kept = {layout.subjects[i] for i, _ in layout.positions(left)}
                     else:
                         kept = {layout.resources[j] for _, j in layout.positions(left)}
+                    if kept == ids.value:
+                        continue  # the rule itself would stay beside the condition
                     rest = AtomicCondition(ids.path, "in", frozenset(kept))
                     new.append(base.with_atomic(slot, rest))
                 if ctx.replace("ids-to-conditions", (working,), new):

@@ -195,6 +195,7 @@ def cmd_generate(args) -> int:
     om, acl = generate(spec, args.n, args.seed)
     degraded = inject_unknowns(om, spec, args.s, args.seed)
     manifest.stop("generate")
+    manifest.start("write")
     outdir = Path(args.outdir)
     manifest.write_output(
         outdir / "classmodel.json", jsonio.dumps(jsonio.class_model_to_json(spec.class_model))
@@ -207,6 +208,7 @@ def cmd_generate(args) -> int:
         jsonio.dumps(jsonio.rules_to_json(spec.actions, spec.rules)),
     )
     manifest.write_output(outdir / "au.json", jsonio.dumps(jsonio.au_to_json(acl.au)))
+    manifest.stop("write")
     manifest.write(outdir / "manifest.json")
     print(f"wrote {outdir}/classmodel.json objectmodel.json groundtruth.json au.json")
     return EXIT_OK
@@ -265,6 +267,7 @@ def cmd_mine(args) -> int:
     manifest.start("mine")
     result = mine_detailed(acl, cfg, unknown_as_false=args.naive_unknown_as_false)
     manifest.stop("mine")
+    manifest.start("write")
     if args.dump_datasets:
         dump_dir = Path(args.dump_datasets)
         for task in result.tasks:
@@ -275,6 +278,7 @@ def cmd_mine(args) -> int:
         out,
         jsonio.dumps(jsonio.rules_to_json(result.policy.actions, result.policy.rules)),
     )
+    manifest.stop("write")
     manifest.write(out.parent / "manifest.json")
     if result.missing:
         print(f"inconsistent: does not grant {tuple(result.missing)}", file=sys.stderr)

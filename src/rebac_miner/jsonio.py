@@ -17,6 +17,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable
 
 from rebac_miner.metrics import SimilarityReport
@@ -53,7 +55,97 @@ class SchemaError(ValueError):
 
 
 def dumps(document) -> str:
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(document, indent=2, sort_keys=True)`` and a newline.
+
+    That call runs json's pure-Python encoder (any ``indent`` does), so the
+    documents are written here instead, byte for byte the same: strings
+    are quoted by json's C quoter, an array of strings is one join, and an
+    array of arrays of strings (an authorization list) is one join per
+    row, with no Python call per item.  A value of a type other than the
+    exact JSON types (``dict`` with ``str`` keys, ``list``, ``tuple``,
+    ``str``, ``int``, ``float``, ``bool``, ``None``), and a cycle, hand the
+    whole document to ``json.dumps``, so its text and its errors stay
+    json's."""
+    try:
+        return _write(document, "\n") + "\n"
+    except (_NotPlainJson, RecursionError):
+        return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+class _NotPlainJson(Exception):
+    """A value that :func:`_write` leaves to ``json.dumps``."""
+
+
+_INFINITY = float("inf")
+
+
+def _write(value, newline: str) -> str:
+    """``value`` as json indents it, at the depth whose line break and
+    indent are ``newline``."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        if set(map(type, value)) != {str}:
+            raise _NotPlainJson
+        inner = newline + "  "
+        parts = []
+        for key in sorted(value):
+            item = value[key]
+            text = _quote(item) if type(item) is str else _write(item, inner)
+            parts.append(_quote(key) + ": " + text)
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        kinds = set(map(type, value))
+        if kinds == {str}:
+            body = ("," + inner).join(map(_quote, value))
+        else:
+            body = _rows(value, kinds, inner) or ("," + inner).join(
+                [_write(item, inner) for item in value]
+            )
+        return "[" + inner + body + newline + "]"
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float:
+        if value != value:
+            return "NaN"
+        if value == _INFINITY:
+            return "Infinity"
+        if value == -_INFINITY:
+            return "-Infinity"
+        return float.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    raise _NotPlainJson
+
+
+def _rows(value, kinds, newline: str):
+    """The items of ``value``, line break and indent ``newline`` apart,
+    when each is a non-empty list or tuple of strings that json quotes
+    without an escape (``None`` otherwise): one join per row, each with
+    the quotes in its separators."""
+    if not kinds <= {list, tuple} or not all(value):
+        return None
+    if set(map(type, chain.from_iterable(value))) != {str}:
+        return None
+    # Every escape is longer than the character it stands for, so no string
+    # needs one when quoting them all as one string adds only the quotes.
+    text = "".join(chain.from_iterable(value))
+    if len(_quote(text)) != len(text) + 2:
+        return None
+    inner = newline + "  "
+    row = ('",' + inner + '"').join
+    between = '"' + newline + "]," + newline + "[" + inner + '"'
+    return "[" + inner + '"' + between.join(map(row, value)) + '"' + newline + "]"
 
 
 def _require(condition: bool, message: str):

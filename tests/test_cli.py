@@ -772,7 +772,13 @@ class TestManifest:
         assert manifest["command"] == "mine"
         assert len(manifest["inputs"]) == 3
         assert str(out) in manifest["outputs"]
-        assert "mine" in manifest["timingSeconds"]
+        assert set(manifest["timingSeconds"]) == {"mine", "write"}
+
+    def test_generate_times_generation_and_writing(self, tmp_path):
+        main(["generate", "--spec", "org-chart", "--n", "3", "--s", "2",
+              "--seed", "5", "--outdir", str(tmp_path)])
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert set(manifest["timingSeconds"]) == {"generate", "write"}
 
     def test_each_file_read_once(self, tmp_path, monkeypatch):
         # Each input is read once, digest and text from the same bytes, and

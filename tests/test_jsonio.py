@@ -1,6 +1,9 @@
+import enum
 import json
+from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rebac_miner import jsonio
 from rebac_miner.datagen import builtin_spec, generate, inject_unknowns
@@ -77,6 +80,144 @@ class TestRoundTrips:
             )
         )
         assert a == b
+
+
+def stdlib_dumps(document):
+    """The text ``jsonio.dumps`` must write: json's own indented output."""
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+# Text of any code points (controls, non-BMP and lone surrogates too), and
+# short ids like the documents' own, so that arrays of rows are drawn both
+# with and without strings that json escapes.
+json_text = st.text(st.characters(exclude_categories=())) | st.text("ab_1é\"\\\n", max_size=4)
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**256).flatmap(lambda n: st.sampled_from([n, -n]))
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+    | json_text
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children, max_size=5)
+    | st.lists(children, max_size=5).map(tuple)
+    | st.dictionaries(json_text, children, max_size=5),
+    max_leaves=40,
+)
+
+
+class _Colour(enum.IntEnum):
+    RED = 1
+
+
+class _Pair(NamedTuple):
+    first: str
+    second: int
+
+
+class _Text(str):
+    def __str__(self):
+        return "not json's text"
+
+
+class _Int(int):
+    def __repr__(self):
+        return "not json's int"
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not json's float"
+
+
+def _nested(depth, wrap):
+    document = "leaf"
+    for _ in range(depth):
+        document = wrap(document)
+    return document
+
+
+def _self_containing():
+    document = ["a"]
+    document.append(document)
+    return document
+
+
+class TestDumps:
+    @settings(max_examples=400, deadline=None)
+    @given(json_values)
+    def test_writes_what_json_writes(self, document):
+        assert jsonio.dumps(document) == stdlib_dumps(document)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(json_text, min_size=1, max_size=4), max_size=6))
+    def test_writes_rows_as_json_does(self, rows):
+        for document in (rows, [tuple(row) for row in rows], {"au": rows}):
+            assert jsonio.dumps(document) == stdlib_dumps(document)
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            pytest.param({2: "b", 1: "a"}, id="int keys"),
+            pytest.param({None: 1}, id="None key"),
+            pytest.param({1.5: "f", True: "t"}, id="float and bool keys"),
+            pytest.param({_Text("key"): "value"}, id="str subclass key"),
+            pytest.param(_Text("text"), id="str subclass"),
+            pytest.param([_Int(3), _Float(0.5)], id="int and float subclasses"),
+            pytest.param({"colour": _Colour.RED}, id="IntEnum"),
+            pytest.param([_Pair("a", 1), _Pair("b", 2)], id="NamedTuple"),
+            pytest.param([], id="empty list"),
+            pytest.param({}, id="empty dict"),
+            pytest.param((), id="empty tuple"),
+            pytest.param([[], ["a"]], id="empty row"),
+            pytest.param({"a": [], "b": {}}, id="empty values"),
+            pytest.param(_nested(200, lambda inner: [inner]), id="200 lists deep"),
+            pytest.param(_nested(200, lambda inner: {"k": inner}), id="200 dicts deep"),
+            pytest.param(_nested(200, lambda inner: [[inner, "x"]]), id="rows 400 levels deep"),
+        ],
+    )
+    def test_other_values_are_written_as_json_writes_them(self, document):
+        assert jsonio.dumps(document) == stdlib_dumps(document)
+
+    @pytest.mark.parametrize(
+        "document, error",
+        [
+            ({1: "a", "b": 2}, TypeError),
+            ({"a": {None: 1, "b": 2}}, TypeError),
+            ({"a", "b"}, TypeError),
+            ([object()], TypeError),
+            (_self_containing(), ValueError),
+        ],
+        ids=["mixed keys", "nested mixed keys", "set", "object", "cycle"],
+    )
+    def test_raises_what_json_raises(self, document, error):
+        with pytest.raises(error):
+            stdlib_dumps(document)
+        with pytest.raises(error):
+            jsonio.dumps(document)
+
+    def test_documents_are_written_without_json(self, monkeypatch):
+        # The miner's own documents take no fallback to json's slow encoder.
+        spec = builtin_spec("univ-mini")
+        om, acl = generate(spec, 4, seed=1)
+        om = inject_unknowns(om, spec, 2, seed=1)
+        documents = [
+            jsonio.class_model_to_json(spec.class_model),
+            jsonio.object_model_to_json(om),
+            jsonio.rules_to_json(spec.actions, spec.rules),
+            jsonio.au_to_json(acl.au),
+            jsonio.report_to_json(SimilarityReport(0.95, 1.0, (("a", "b", 0.5),), 7, 8)),
+        ]
+        expected = [stdlib_dumps(document) for document in documents]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.dumps was called")
+
+        monkeypatch.setattr(json, "dumps", refuse)
+        assert [jsonio.dumps(document) for document in documents] == expected
 
 
 class TestFixtureFiles:
